@@ -2,10 +2,11 @@
 
 A directed tree carries each source's supply to a single sink; an edge with
 flow f and length L costs f * L^2.  The package embeds given topologies
-optimally (a linear-time mass-merging solver for full degree-3 topologies
-and a linear-system solver for everything else), certifies local and global
-optimality, computes bounds, and finds global optima at desk scale by
-exhaustive search under three ways of bounding the Steiner count.
+optimally (a linear-time tree elimination for any topology, and the paper's
+quasi-source merging for full degree-3 unit-supply topologies), certifies
+local and global optimality, computes bounds, and finds global optima at
+desk scale by exhaustive search under three ways of bounding the Steiner
+count.
 """
 
 from .analysis import (
@@ -28,12 +29,7 @@ from .analysis import (
     split_topology,
     steiner_count_bound,
 )
-from .algebraic_solver import (
-    SteinerSystem,
-    assemble_system,
-    solve_positions,
-    solve_topology,
-)
+from .algebraic_solver import solve_topology
 from .errors import (
     DocumentError,
     FqstError,
@@ -61,7 +57,6 @@ from .geo_solver import (
     run_geo_algorithm,
     solve_full_topology,
 )
-from .geo_solver import supports as geo_solver_supports
 from .geometry import MassPoint, Point, angle_at, centroid, lerp, sq_dist
 from .render import render_svg
 from .strategies import (
@@ -109,14 +104,12 @@ __all__ = [
     "SearchReport",
     "SolvedTree",
     "SplitSpec",
-    "SteinerSystem",
     "Topology",
     "TopologyError",
     "UnsupportedTopologyError",
     "UnsupportedWeightsError",
     "angle_at",
     "apply_split",
-    "assemble_system",
     "beaded_spanning_tree",
     "build_solved_tree",
     "canonical_form",
@@ -133,7 +126,6 @@ __all__ = [
     "enumerate_bounded_topologies",
     "enumerate_full_topologies",
     "expand_beads",
-    "geo_solver_supports",
     "lerp",
     "local_improve_by_splits",
     "lower_bound_path",
@@ -147,7 +139,6 @@ __all__ = [
     "run_geo_algorithm",
     "solve_exact",
     "solve_full_topology",
-    "solve_positions",
     "solve_topology",
     "split_topology",
     "sq_dist",

@@ -1,158 +1,143 @@
-"""Locally minimal embeddings for arbitrary topologies via one linear solve.
+"""Locally minimal embeddings for arbitrary topologies by tree elimination.
 
 Setting the gradient of the cost to zero at every Steiner point says each
 Steiner point is the weighted mean of its neighbours, with each neighbour
-weighted by the flow on the connecting edge.  Collecting those conditions
-over the Steiner slots gives one linear system per coordinate with a shared
-coefficient matrix: row i has diagonal equal to the total weight incident to
-slot i, off-diagonal -w for each Steiner neighbour connected with weight w,
-and terminal neighbours moved to the right-hand side.
+weighted by the weight of the connecting edge (its flow, or a bead-reduced
+flow in exact search).  On a tree these conditions solve in two passes with
+no matrix.  Going from the leaves toward the sink, every Steiner slot s with
+out-edge weight w_s ends up as
 
-With plain flows as weights the diagonal is twice the out-flow (the in-flows
-sum to the out-flow).  Exact search reuses the same assembly with bead-reduced
-edge weights, where that identity no longer holds but the weighted-mean form
-stays valid.
+    x_s = a_s + b_s * x_parent,
 
-The matrix is weakly diagonally dominant in every row, and every connected
-component of its Steiner-Steiner adjacency contains a strictly dominant row
-(the component's topmost slot has a terminal out-neighbour), which makes the
-system non-singular.  solve_positions enforces exactly that and treats a
-violation as an assembly bug.
+because each child c already has that form (a terminal child has a_c = its
+position, b_c = 0).  Substituting the children into the weighted-mean
+condition gives the pivot d_s = w_s + sum_c w_c (1 - b_c), then
+a_s = sum_c w_c a_c / d_s and b_s = w_s / d_s.  Since every b_c lies in
+[0, 1], d_s >= w_s > 0, so b_s lies in (0, 1] and no pivot can vanish.  The
+pass down from the sink then places every slot after its parent.
+
+This is the quasi-source merge of the paper's linear-time algorithm (a_s is
+the quasi-source's position) generalised to any Steiner degree >= 2, any
+positive supplies and any positive edge weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Sequence
 
-import numpy as np
-
-from .errors import InternalConsistencyError, TopologyError
+from .errors import InternalConsistencyError
 from .geometry import Point
-from .topology import NO_PARENT, Instance, Topology, compute_flows
+from .topology import Instance, Topology, compute_flows
 from .trees import SolvedTree, build_solved_tree
 
 RESIDUAL_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SteinerSystem:
-    """The per-coordinate linear system for the Steiner positions.
+class TreeElimination:
+    """The weight-independent part of the two passes for one topology.
 
-    The matrix is shared by both coordinates; only the right-hand sides
-    differ.  steiner_slots maps row index to node id.
+    Flows, the leaves-first Steiner order, the child lists and the terminal
+    coordinates are built once; solve and cost then take any positive
+    per-edge weights (indexed like flows: weights[i] is node i's out-edge).
     """
 
-    matrix: np.ndarray
-    rhs_x: np.ndarray
-    rhs_y: np.ndarray
-    steiner_slots: tuple[int, ...]
+    def __init__(self, instance: Instance, topology: Topology) -> None:
+        self.topology = topology
+        self.flows = compute_flows(topology, instance.supplies)  # also rejects non-trees
+        sink = topology.sink
+        self.children = children = topology.children_lists()
+        order = [sink]
+        for node in order:  # breadth-first from the sink: parents before children
+            order.extend(children[node])
+        self.upward = [s for s in reversed(order) if s > sink]
+        self.edges = [(child, topology.parents[child]) for child in order[1:]]
+        padding = [0.0] * topology.n_steiner
+        self.terminal_x = [p.x for p in instance.sources] + [instance.sink.x] + padding
+        self.terminal_y = [p.y for p in instance.sources] + [instance.sink.y] + padding
 
-    @property
-    def size(self) -> int:
-        return len(self.steiner_slots)
+    def solve(self, weights: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
+        """Coordinates of every node and the elimination factors b.
 
+        b[s] is the weight x_s puts on its parent's position; it is 0 at
+        terminals and in (0, 1] at Steiner slots.
+        """
+        xs = self.terminal_x.copy()
+        ys = self.terminal_y.copy()
+        b = [0.0] * len(xs)
+        children = self.children
+        for s in self.upward:
+            w = weights[s]
+            d = w
+            ax = ay = 0.0
+            for c in children[s]:
+                wc = weights[c]
+                d += wc * (1.0 - b[c])
+                ax += wc * xs[c]
+                ay += wc * ys[c]
+            if not (math.inf > d >= w > 0.0):
+                raise InternalConsistencyError(
+                    f"elimination pivot {d!r} at Steiner slot {s} (edge weight {w!r}) "
+                    "is not finite and at least the positive edge weight"
+                )
+            xs[s] = ax / d
+            ys[s] = ay / d
+            b[s] = w / d
+        parents = self.topology.parents
+        for s in reversed(self.upward):
+            p = parents[s]
+            xs[s] += b[s] * xs[p]
+            ys[s] += b[s] * ys[p]
+        return xs, ys, b
 
-def assemble_system(
-    instance: Instance,
-    topology: Topology,
-    flows: Sequence[float],
-    edge_weights: Sequence[float] | None = None,
-) -> SteinerSystem:
-    """Stationarity system for the Steiner slots; empty when there are none.
+    def cost(self, weights: Sequence[float]) -> float:
+        """Sum of weight * squared length at the weights' stationary embedding."""
+        xs, ys, _ = self.solve(weights)
+        total = 0.0
+        for child, parent in self.edges:
+            dx = xs[child] - xs[parent]
+            dy = ys[child] - ys[parent]
+            total += weights[child] * (dx * dx + dy * dy)
+        return total
 
-    edge_weights defaults to the flows; exact search passes bead-reduced
-    weights instead.
-    """
-    weights = flows if edge_weights is None else edge_weights
-    slots = tuple(topology.steiner_slots())
-    p = len(slots)
-    row_of = {slot: r for r, slot in enumerate(slots)}
-    matrix = np.zeros((p, p))
-    rhs_x = np.zeros(p)
-    rhs_y = np.zeros(p)
-    if p == 0:
-        return SteinerSystem(matrix, rhs_x, rhs_y, slots)
-
-    positions = [*instance.sources, instance.sink]
-    children = topology.children_lists()
-    for r, slot in enumerate(slots):
-        incident = [(child, weights[child]) for child in children[slot]]
-        parent = topology.parents[slot]
-        if parent == NO_PARENT:
-            raise TopologyError(f"Steiner slot {slot} has no out-edge")
-        incident.append((parent, weights[slot]))
-        for neighbour, w in incident:
-            matrix[r, r] += w
-            if topology.is_steiner(neighbour):
-                matrix[r, row_of[neighbour]] -= w
-            else:
-                pos = positions[neighbour]
-                rhs_x[r] += w * pos.x
-                rhs_y[r] += w * pos.y
-    return SteinerSystem(matrix, rhs_x, rhs_y, slots)
-
-
-def _check_dominance(matrix: np.ndarray) -> None:
-    """Weak row dominance everywhere, strict somewhere in every component."""
-    p = matrix.shape[0]
-    diag = np.abs(np.diag(matrix))
-    off = np.abs(matrix).sum(axis=1) - diag
-    slack = diag - off
-    if np.any(slack < -1e-9 * (1.0 + diag)):
-        raise InternalConsistencyError(
-            "assembled matrix is not diagonally dominant; assembly bug"
-        )
-    strict = slack > 1e-12 * (1.0 + diag)
-    seen = [False] * p
-    for start in range(p):
-        if seen[start]:
-            continue
-        component = [start]
-        seen[start] = True
-        head = 0
-        any_strict = False
-        while head < len(component):
-            row = component[head]
-            head += 1
-            any_strict = any_strict or bool(strict[row])
-            for other in range(p):
-                if not seen[other] and matrix[row, other] != 0.0:
-                    seen[other] = True
-                    component.append(other)
-        if not any_strict:
+    def check_residual(
+        self, xs: Sequence[float], ys: Sequence[float], weights: Sequence[float]
+    ) -> None:
+        """Every weighted-mean condition holds to RESIDUAL_TOLERANCE relative
+        to the largest terminal contribution to any condition."""
+        parents = self.topology.parents
+        sink = self.topology.sink
+        residuals: list[float] = []
+        largest_rhs = 0.0
+        for s in self.upward:
+            incident = [(c, weights[c]) for c in self.children[s]]
+            incident.append((parents[s], weights[s]))
+            rx = ry = tx = ty = 0.0
+            for node, w in incident:
+                rx += w * (xs[s] - xs[node])
+                ry += w * (ys[s] - ys[node])
+                if node <= sink:
+                    tx += w * xs[node]
+                    ty += w * ys[node]
+            residuals += (abs(rx), abs(ry))
+            largest_rhs = max(largest_rhs, abs(tx), abs(ty))
+        bound = RESIDUAL_TOLERANCE * (1.0 + largest_rhs)
+        failing = [r for r in residuals if not (r <= bound)]
+        if failing:
             raise InternalConsistencyError(
-                "a Steiner component has no terminal attachment; assembly bug"
+                f"elimination residual {max(failing):.3e} exceeds {bound:.3e}"
             )
-
-
-def solve_positions(system: SteinerSystem) -> tuple[Point, ...]:
-    """The unique solution of the system for both coordinates.
-
-    Solved by direct elimination with partial pivoting; the residual is
-    checked against RESIDUAL_TOLERANCE relative to the right-hand side.
-    """
-    if system.size == 0:
-        return ()
-    _check_dominance(system.matrix)
-    rhs = np.column_stack([system.rhs_x, system.rhs_y])
-    solution = np.linalg.solve(system.matrix, rhs)
-    residual = system.matrix @ solution - rhs
-    bound = RESIDUAL_TOLERANCE * (1.0 + np.abs(rhs).max())
-    if np.abs(residual).max() > bound:
-        raise InternalConsistencyError(
-            f"linear solve residual {np.abs(residual).max():.3e} exceeds {bound:.3e}"
-        )
-    return tuple(Point(float(x), float(y)) for x, y in solution)
 
 
 def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
     """Locally minimal embedding for any valid topology and positive supplies.
 
     Works for any Steiner degrees >= 2; the output satisfies the
-    centre-of-mass condition at every Steiner point.
+    centre-of-mass condition at every Steiner point, checked by residual.
     """
-    flows = compute_flows(topology, instance.supplies)
-    system = assemble_system(instance, topology, flows)
-    positions = solve_positions(system)
+    elimination = TreeElimination(instance, topology)
+    flows = elimination.flows
+    xs, ys, _ = elimination.solve(flows)
+    elimination.check_residual(xs, ys, flows)
+    positions = tuple(Point(xs[s], ys[s]) for s in topology.steiner_slots())
     return build_solved_tree(instance, topology, positions, flows)

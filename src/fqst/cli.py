@@ -20,7 +20,6 @@ import sys
 from . import analysis, documents, exact_search
 from .algebraic_solver import solve_topology as algebraic_solve
 from .errors import DocumentError, FqstError, GuardLimitError
-from .geo_solver import solve_full_topology, supports as geo_supports
 from .render import render_svg
 from .strategies import DegreeBound, ExplicitBound, NodeWeighted, max_steiner_count
 from .topology import compute_flows, validate_topology
@@ -89,8 +88,7 @@ def _cmd_solve_topology(args) -> int:
     structural = topology.structural_violations()
     if structural:
         raise DocumentError("; ".join(structural))
-    use_geo = geo_supports(instance, topology)
-    tree = solve_full_topology(instance, topology) if use_geo else algebraic_solve(instance, topology)
+    tree = algebraic_solve(instance, topology)
     objective = tree.cost
     if isinstance(parsed.strategy, NodeWeighted):
         objective = analysis.cost_node_weighted(tree, parsed.strategy.c)
@@ -99,7 +97,7 @@ def _cmd_solve_topology(args) -> int:
         parsed.strategy,
         tolerance=args.tolerance,
         objective=objective,
-        extra={"solver": "geometric" if use_geo else "algebraic"},
+        extra={"solver": "elimination"},
     )
     _write_output(documents.dumps(doc), args.output)
     return EXIT_OK
@@ -139,14 +137,13 @@ def _cmd_check(args) -> int:
     notes: list[str] = []
 
     recomputed = analysis.cost(tree)
-    if abs(recomputed - tree.cost) > tol * (1.0 + abs(recomputed)):
+    if not (abs(recomputed - tree.cost) <= tol * (1.0 + abs(recomputed))):
         failures.append(f"cost mismatch: stored {tree.cost}, recomputed {recomputed}")
 
     expected_flows = compute_flows(tree.topology, tree.instance.supplies)
-    worst_flow = max(
-        (abs(a - b) for a, b in zip(expected_flows, tree.flows)), default=0.0
-    )
-    if worst_flow > tol:
+    flow_errors = [abs(a - b) for a, b in zip(expected_flows, tree.flows)]
+    if not all(e <= tol for e in flow_errors):
+        worst_flow = max(flow_errors, key=lambda e: (math.isnan(e), e))
         failures.append(f"flow conservation violated by {worst_flow:.3e}")
 
     structural = validate_topology(tree.topology, strategy)

@@ -255,16 +255,21 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
     edge_children = topology.edge_children()
     if not isinstance(raw_flows, list) or len(raw_flows) != len(edge_children):
         raise DocumentError(f"'flows' must list {len(edge_children)} edges")
+    edge_set = set(edge_children)
     flows = [0.0] * topology.n_nodes
     for entry in raw_flows:
         if (
             not isinstance(entry, dict)
             or not isinstance(entry.get("from"), int)
-            or entry.get("from") not in edge_children
+            or entry.get("from") not in edge_set
             or entry.get("to") != topology.parents[entry["from"]]
             or not isinstance(entry.get("flow"), (int, float))
         ):
             raise DocumentError(f"bad flow entry {entry!r}")
+        if not math.isfinite(entry["flow"]):
+            raise DocumentError(
+                f"flow of edge {entry['from']} must be finite, got {entry['flow']!r}"
+            )
         flows[entry["from"]] = float(entry["flow"])
 
     raw_cost = doc.get("cost")
@@ -292,7 +297,11 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Strict JSON: a NaN or infinity anywhere in doc is a DocumentError."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DocumentError(f"cannot emit a non-finite number as JSON: {exc}") from exc
 
 
 def loads(text: str) -> Any:

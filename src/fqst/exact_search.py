@@ -5,8 +5,8 @@ bound and solves each one.  The other two strategies enumerate branching
 skeletons (Steiner degree >= 3) and fold chains of degree-2 Steiner points in
 as per-edge bead counts: on a locally minimal tree the beads of an edge are
 equally spaced on the straight segment, so an edge with flow f and p beads
-contributes f*|e|^2/(p+1), which is the same linear system with the edge
-weight f replaced by f/(p+1).  The reported winner always has its beads
+contributes f*|e|^2/(p+1), which is the same stationarity problem with the
+edge weight f replaced by f/(p+1).  The reported winner always has its beads
 expanded back into explicit degree-2 Steiner slots.
 
 Everything here is deterministic: topologies stream in a fixed order and
@@ -38,7 +38,6 @@ from .topology import (
     validate_topology,
 )
 from .trees import SolvedTree
-from . import geo_solver
 
 DEFAULT_GUARD = 6
 _OBJECTIVE_TIE = 1e-12
@@ -103,113 +102,23 @@ class _Incumbent:
 
 
 def _solve_cost(instance: Instance, topology: Topology) -> float:
-    """Locally minimal cost of a topology, via the merging solver when it
-    applies and the lean elimination path otherwise.
+    """Locally minimal cost of a topology, without building a SolvedTree.
 
-    The search winner is re-solved through the fully checked algebraic path,
-    so a bug here cannot silently ship a wrong tree, only a wrong argmin.
+    The search winner is re-solved through the residual-checked
+    solve_topology, so a bug here cannot silently ship a wrong tree, only a
+    wrong argmin.
     """
-    if geo_solver.supports(instance, topology):
-        return geo_solver.solve_full_topology(instance, topology).cost
-    context = _ReducedSolveContext(instance, topology)
-    return context.objective((0,) * len(context.edge_children))
+    elimination = algebraic_solver.TreeElimination(instance, topology)
+    return elimination.cost(elimination.flows)
 
 
-class _ReducedSolveContext:
-    """Per-topology scaffolding for the bead-vector inner loop.
-
-    Flows, adjacency, and the row structure of the stationarity system do not
-    depend on the bead vector, so they are built once; each vector then only
-    rescales edge weights, refills the tiny system, and eliminates it in
-    place.  The search winner is re-solved through the fully checked path
-    afterwards, which catches any drift.
-    """
-
-    def __init__(self, instance: Instance, topology: Topology) -> None:
-        self.topology = topology
-        self.flows = compute_flows(topology, instance.supplies)
-        self.edge_children = topology.edge_children()
-        self.slots = list(topology.steiner_slots())
-        self.row_of = {slot: r for r, slot in enumerate(self.slots)}
-        terminals = [*instance.sources, instance.sink]
-        self.term_x = [p.x for p in terminals] + [0.0] * topology.n_steiner
-        self.term_y = [p.y for p in terminals] + [0.0] * topology.n_steiner
-        children = topology.children_lists()
-        # per steiner row: (incident edge's child node, neighbour node)
-        self.row_edges: list[list[tuple[int, int]]] = []
-        for slot in self.slots:
-            incident = [(child, child) for child in children[slot]]
-            incident.append((slot, topology.parents[slot]))
-            self.row_edges.append(incident)
-
-    def objective(self, bead_counts: tuple[int, ...]) -> float:
-        weights = list(self.flows)
-        for child, p in zip(self.edge_children, bead_counts):
-            if p:
-                weights[child] = self.flows[child] / (p + 1)
-        p_count = len(self.slots)
-        topo = self.topology
-        if p_count:
-            matrix = [[0.0] * p_count for _ in range(p_count)]
-            rhs_x = [0.0] * p_count
-            rhs_y = [0.0] * p_count
-            for r, incident in enumerate(self.row_edges):
-                row = matrix[r]
-                for edge_child, neighbour in incident:
-                    w = weights[edge_child]
-                    row[r] += w
-                    if neighbour > topo.sink:
-                        row[self.row_of[neighbour]] -= w
-                    else:
-                        rhs_x[r] += w * self.term_x[neighbour]
-                        rhs_y[r] += w * self.term_y[neighbour]
-            sol_x, sol_y = _solve_pair(matrix, rhs_x, rhs_y)
-            for i, slot in enumerate(self.slots):
-                self.term_x[slot] = sol_x[i]
-                self.term_y[slot] = sol_y[i]
-        total = 0.0
-        parents = topo.parents
-        tx, ty = self.term_x, self.term_y
-        for child in self.edge_children:
-            parent = parents[child]
-            dx = tx[child] - tx[parent]
-            dy = ty[child] - ty[parent]
-            total += weights[child] * (dx * dx + dy * dy)
-        return total
-
-
-def _solve_pair(matrix, rhs_x, rhs_y):
-    """Gaussian elimination with partial pivoting for two right-hand sides.
-
-    The systems here are tiny (one row per branching Steiner slot) and
-    non-singular by diagonal dominance.
-    """
-    p = len(matrix)
-    for col in range(p):
-        pivot = max(range(col, p), key=lambda r: abs(matrix[r][col]))
-        if pivot != col:
-            matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-            rhs_x[col], rhs_x[pivot] = rhs_x[pivot], rhs_x[col]
-            rhs_y[col], rhs_y[pivot] = rhs_y[pivot], rhs_y[col]
-        lead = matrix[col][col]
-        for row in range(col + 1, p):
-            factor = matrix[row][col] / lead
-            if factor != 0.0:
-                m_row, m_col = matrix[row], matrix[col]
-                for k in range(col, p):
-                    m_row[k] -= factor * m_col[k]
-                rhs_x[row] -= factor * rhs_x[col]
-                rhs_y[row] -= factor * rhs_y[col]
-    for col in range(p - 1, -1, -1):
-        row = matrix[col]
-        acc_x = rhs_x[col]
-        acc_y = rhs_y[col]
-        for k in range(col + 1, p):
-            acc_x -= row[k] * rhs_x[k]
-            acc_y -= row[k] * rhs_y[k]
-        rhs_x[col] = acc_x / row[col]
-        rhs_y[col] = acc_y / row[col]
-    return rhs_x, rhs_y
+def _bead_weights(flows, edge_children, bead_counts) -> list[float]:
+    """Edge weights with each edge's flow f replaced by f/(p+1) for p beads."""
+    weights = list(flows)
+    for child, p in zip(edge_children, bead_counts):
+        if p:
+            weights[child] = flows[child] / (p + 1)
+    return weights
 
 
 def _finalize(instance: Instance, incumbent: _Incumbent) -> SolvedTree:
@@ -331,10 +240,11 @@ def _solve_with_beads(
             pruned += 1
             continue
         examined += 1
-        n_edges = len(topology.edge_children())
+        edge_children = topology.edge_children()
+        n_edges = len(edge_children)
         if j == 0:
             # Terminal positions are fixed, so bead vectors just rescale the
-            # per-edge contributions; no linear solves needed.
+            # per-edge contributions; nothing needs solving.
             flows = compute_flows(topology, instance.supplies)
             terms = _fixed_edge_terms(instance, topology, flows)
             for beads in _bead_vectors(n_edges, min(cap, bead_budget), allowed):
@@ -343,9 +253,10 @@ def _solve_with_beads(
                 )
                 incumbent.offer(value, topology, beads)
         else:
-            context = _ReducedSolveContext(instance, topology)
+            elimination = algebraic_solver.TreeElimination(instance, topology)
             for beads in _bead_vectors(n_edges, min(cap, bead_budget), allowed):
-                value = bead_charge * (j + sum(beads)) + context.objective(beads)
+                weights = _bead_weights(elimination.flows, edge_children, beads)
+                value = bead_charge * (j + sum(beads)) + elimination.cost(weights)
                 incumbent.offer(value, topology, beads)
     if incumbent.topology is None:
         raise InternalConsistencyError("search space was empty; the spanning trees alone should appear")

@@ -145,16 +145,6 @@ def merge_quasi_quasi(
     return QuasiSource(position, mass, w1 + w2, provenance)
 
 
-def supports(instance: Instance, topology: Topology) -> bool:
-    """True when the merging solver applies: unit supplies and a full
-    topology whose Steiner slots all have degree 3."""
-    try:
-        _check_supported(instance, topology)
-    except (UnsupportedTopologyError, UnsupportedWeightsError):
-        return False
-    return True
-
-
 def _check_supported(instance: Instance, topology: Topology) -> None:
     if topology.n_sources != instance.n_sources:
         raise UnsupportedTopologyError(

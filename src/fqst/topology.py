@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -46,6 +47,8 @@ class Instance:
         for i, w in enumerate(self.supplies):
             if not w > 0.0:
                 raise ValueError(f"supply of source {i} must be positive, got {w}")
+        if not math.isfinite(self.total_supply()):
+            raise ValueError("the total supply must be finite; flows would overflow")
 
     @classmethod
     def with_unit_supplies(

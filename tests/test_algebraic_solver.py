@@ -3,23 +3,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqst import (
     Instance,
     InternalConsistencyError,
     MassPoint,
     Point,
-    SteinerSystem,
     Topology,
-    assemble_system,
     centroid,
     compute_flows,
     embedded_cost,
     enumerate_bounded_topologies,
-    solve_positions,
     solve_topology,
     sq_dist,
 )
+from fqst.algebraic_solver import TreeElimination
+from dense_oracle import SteinerSystem, assemble_system, solve_positions
 from conftest import (
     NO_PARENT,
     random_full_topology,
@@ -301,3 +302,79 @@ class TestSolveTopology:
         topo = Topology(1, 2, (1, NO_PARENT, 3, 2))
         with pytest.raises(TopologyError):
             solve_topology(inst, topo)
+
+
+def random_general_tree(rng: random.Random, n_sources: int, n_steiner: int) -> Topology:
+    """A random tree in which every Steiner slot has at least one child.
+
+    Built bottom-up from the sources: each Steiner slot adopts a nonempty
+    set of the current roots, a source may adopt roots too (sources feeding
+    sources), and the sink adopts whatever roots are left.  Steiner labels
+    are shuffled so that label order says nothing about the tree.
+    """
+    sink = n_sources
+    labels = list(range(sink + 1, sink + 1 + n_steiner))
+    rng.shuffle(labels)
+    parents = [NO_PARENT] * (n_sources + 1 + n_steiner)
+    roots = list(range(n_sources))
+    for s in labels:
+        rng.shuffle(roots)
+        take = rng.randint(1, len(roots))
+        for child in roots[:take]:
+            parents[child] = s
+        roots = roots[take:] + [s]
+        if len(roots) > 1 and rng.random() < 0.3:
+            sources = [r for r in roots if r < sink]
+            if sources:
+                adopter = rng.choice(sources)
+                child = rng.choice([r for r in roots if r != adopter])
+                parents[child] = adopter
+                roots.remove(child)
+    for root in roots:
+        parents[root] = sink
+    return Topology(n_sources, n_steiner, tuple(parents))
+
+
+class TestEliminationMatchesDenseOracle:
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_positions_and_pivots(self, n_sources, n_steiner, seed):
+        rng = random.Random(seed)
+        topo = random_general_tree(rng, n_sources, n_steiner)
+        inst = random_supplied_instance(rng, n_sources, span=100.0)
+        flows = compute_flows(topo, inst.supplies)
+        beads = [rng.randint(0, 3) for _ in flows]
+        weights = [f / (p + 1) for f, p in zip(flows, beads)]
+        scale = max(
+            1.0, *(max(abs(p.x), abs(p.y)) for p in (*inst.sources, inst.sink))
+        )
+
+        elimination = TreeElimination(inst, topo)
+        xs, ys, b = elimination.solve(weights)
+        expected = solve_positions(assemble_system(inst, topo, flows, weights))
+        for slot, want in zip(topo.steiner_slots(), expected):
+            assert 0.0 < b[slot] <= 1.0
+            assert abs(xs[slot] - want.x) <= 1e-12 * scale
+            assert abs(ys[slot] - want.y) <= 1e-12 * scale
+        assert all(b[node] == 0.0 for node in range(topo.sink + 1))
+        assert elimination.cost(weights) == pytest.approx(
+            embedded_cost(inst, topo, expected, weights), rel=1e-12, abs=1e-12
+        )
+
+        tree = solve_topology(inst, topo)
+        expected = solve_positions(assemble_system(inst, topo, flows))
+        for got, want in zip(tree.steiner_positions, expected):
+            assert abs(got.x - want.x) <= 1e-12 * scale
+            assert abs(got.y - want.y) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_pivot_raises(self, worked_instance, worked_topology, bad):
+        elimination = TreeElimination(worked_instance, worked_topology)
+        weights = list(elimination.flows)
+        weights[4] = bad
+        with pytest.raises(InternalConsistencyError):
+            elimination.solve(weights)

@@ -113,7 +113,7 @@ class TestCertificateResidualEquivalence:
         # agree once the tolerance is scaled by that weight
         import numpy as np
 
-        from fqst.algebraic_solver import assemble_system
+        from dense_oracle import assemble_system
         from conftest import random_full_topology
 
         rng = random.Random(46)

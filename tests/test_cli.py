@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +38,7 @@ class TestSolveTopologyCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["cost"] == pytest.approx(102.0, abs=1e-9)
         assert out["steiner_positions"] == [[5.0, 2.0], [9.0, 2.0]]
-        assert out["solver"] == "geometric"
+        assert out["solver"] == "elimination"
         assert out["certificates"]["locally_minimal"] is True
 
     def test_missing_topology_is_usage_error(self, tmp_path, capsys):
@@ -48,7 +52,7 @@ class TestSolveTopologyCommand:
         path = write_document(tmp_path, doc)
         assert main(["solve-topology", path]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["solver"] == "algebraic"
+        assert out["solver"] == "elimination"
         assert out["certificates"]["locally_minimal"] is True
 
     def test_output_file(self, tmp_path):
@@ -180,6 +184,29 @@ class TestCheckCommand:
         assert "note" in out and "all checks passed" in out
 
 
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_nan_flow_is_input_error(self, tmp_path, capsys, edge):
+        # two sources straight into the sink; a NaN flow used to slip past
+        # every `x > tol` comparison and pass the check
+        doc = {
+            "schema": 1,
+            "sources": [[0.0, 0.0], [4.0, 0.0]],
+            "sink": [2.0, 3.0],
+            "strategy": {"explicit_bound": 0},
+            "topology": {"nodes": ["source", "source", "sink"], "parents": [2, 2, None]},
+        }
+        path = write_document(tmp_path, doc)
+        assert main(["solve-topology", path]) == 0
+        result = loads(capsys.readouterr().out)
+        result["flows"][edge]["flow"] = float("nan")
+        result_path = tmp_path / "nan.json"
+        result_path.write_text(json.dumps(result), encoding="utf-8")
+        assert main(["check", str(result_path)]) == 2
+        captured = capsys.readouterr()
+        assert "all checks passed" not in captured.out
+        assert "finite" in captured.err
+
+
 class TestRenderCommand:
     def test_renders_svg(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document())
@@ -192,6 +219,39 @@ class TestRenderCommand:
         assert svg.count('class="terminal"') == 4
         assert svg.count('class="steiner"') == 2
         assert svg.count("<line") == 5
+
+
+class TestStrictJson:
+    def test_infinite_cost_is_input_error(self, tmp_path, capsys):
+        doc = {
+            "schema": 1,
+            "sources": [[0.0, 0.0]],
+            "supplies": [1e308],
+            "sink": [3.0, 4.0],
+            "strategy": {"degree_bound": 3},
+            "topology": {"nodes": ["source", "sink"], "parents": [1, None]},
+        }
+        path = write_document(tmp_path, doc)
+        assert main(["solve-topology", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    def test_overflowing_supplies_are_input_error(self, tmp_path, capsys):
+        doc = worked_document()
+        doc["supplies"] = [1e308, 1e308, 1e308]
+        path = write_document(tmp_path, doc)
+        assert main(["solve-topology", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "total supply" in captured.err
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__import__("fqst").__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, fqst.cli; assert 'numpy' not in sys.modules, 'numpy was imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 class TestBoundsCommand:

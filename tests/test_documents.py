@@ -69,6 +69,7 @@ class TestInstanceDocuments:
             lambda d: d.update(strategy={"degree_bound": 2}),
             lambda d: d.update(supplies=[1.0]),
             lambda d: d.update(supplies=[1.0, -1.0, 1.0]),
+            lambda d: d.update(supplies=[1.0, float("inf"), 1.0]),
             lambda d: d["topology"].update(parents=[4, 4, 5, None, 5, 4]),
             lambda d: d["topology"].update(nodes=["sink"] * 6),
         ],
@@ -125,6 +126,18 @@ class TestResultDocuments:
         doc["flows"][0]["to"] = 99
         with pytest.raises(DocumentError):
             parse_result_document(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_flow_rejected(self, worked_instance, worked_topology, value):
+        tree = solve_topology(worked_instance, worked_topology)
+        doc = result_document(tree, DegreeBound(3))
+        doc["flows"][1]["flow"] = value
+        with pytest.raises(DocumentError, match="finite"):
+            parse_result_document(doc)
+
+    def test_dumps_refuses_non_finite_numbers(self):
+        with pytest.raises(DocumentError):
+            dumps({"cost": float("inf")})
 
     def test_emission_is_deterministic(self, worked_instance, worked_topology):
         tree = solve_topology(worked_instance, worked_topology)

@@ -25,7 +25,7 @@ from fqst import (
     sq_dist,
     steiner_count_bound,
 )
-from fqst.algebraic_solver import assemble_system, solve_positions
+from dense_oracle import assemble_system, solve_positions
 from fqst.exact_search import _bead_vectors
 from conftest import NO_PARENT, random_instance
 
