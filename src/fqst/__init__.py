@@ -41,7 +41,6 @@ from .errors import (
     UnsupportedWeightsError,
 )
 from .exact_search import (
-    BeadVector,
     SearchReport,
     local_improve_by_splits,
     solve_exact,
@@ -69,7 +68,6 @@ from .strategies import (
 from .topology import (
     Instance,
     Topology,
-    canonical_form,
     compute_flows,
     enumerate_bounded_topologies,
     enumerate_full_topologies,
@@ -82,7 +80,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AngleViolation",
-    "BeadVector",
     "BoundStrategy",
     "DegreeBound",
     "DegreeViolation",
@@ -112,7 +109,6 @@ __all__ = [
     "apply_split",
     "beaded_spanning_tree",
     "build_solved_tree",
-    "canonical_form",
     "centroid",
     "centroid_deviations",
     "check_angles",

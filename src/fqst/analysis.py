@@ -10,7 +10,7 @@ from . import algebraic_solver
 from .errors import TopologyError
 from .geometry import MassPoint, Point, angle_at, centroid, lerp, sq_dist
 from .strategies import BoundStrategy, DegreeBound
-from .topology import NO_PARENT, Instance, Topology, compute_flows
+from .topology import NO_PARENT, Instance, Topology, _orient_toward_sink, compute_flows
 from .trees import SolvedTree, build_solved_tree, embedded_cost
 
 OVERLAP_ANGLE_TOLERANCE = 1e-7
@@ -329,7 +329,7 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
         raise ValueError(f"node weight must be positive, got {c}")
     terminals = [*instance.sources, instance.sink]
     mst_edges = _prim_spanning_tree(terminals)
-    base = Topology(instance.n_sources, 0, _parents_from_edges(instance.n_sources, mst_edges))
+    base = _orient_toward_sink(instance.n_sources, 0, mst_edges)
     flows = compute_flows(base, instance.supplies)
 
     bead_counts = []
@@ -351,28 +351,6 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
             positions.append(lerp(start, end, (p - i) / (p + 1)))
     expanded_flows = compute_flows(expanded, instance.supplies)
     return build_solved_tree(instance, expanded, positions, expanded_flows)
-
-
-def _parents_from_edges(n_sources: int, edges: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    n_nodes = n_sources + 1
-    adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    parents = [NO_PARENT] * n_nodes
-    seen = [False] * n_nodes
-    seen[n_sources] = True
-    queue = [n_sources]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        for nb in adjacency[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                parents[nb] = node
-                queue.append(nb)
-    return tuple(parents)
 
 
 def steiner_count_bound(instance: Instance, c: float) -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 
 from . import analysis, documents, exact_search
@@ -39,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="certificate tolerance (default 1e-9)")
     parser.add_argument("--guard-n", type=int, default=exact_search.DEFAULT_GUARD,
                         help="largest source count exact search accepts")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for any randomized utilities (reproducibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve-topology", help="solve the document's fixed topology")
@@ -231,8 +228,6 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed is not None:
-        random.seed(args.seed)
     if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
         print("error: --tolerance must be positive and finite", file=sys.stderr)
         return EXIT_INPUT

@@ -38,11 +38,20 @@ def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _parse_point(value: Any, what: str) -> Point:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not all(_is_number(v) for v in value)
     ):
         raise DocumentError(f"{what} must be a pair of numbers, got {value!r}")
     point = Point(float(value[0]), float(value[1]))
@@ -103,7 +112,7 @@ def parse_topology(value: Any, n_sources: int) -> Topology:
     for i, parent in enumerate(parents):
         if parent is None:
             converted.append(NO_PARENT)
-        elif isinstance(parent, int) and not isinstance(parent, bool):
+        elif _is_int(parent):
             converted.append(parent)
         else:
             raise DocumentError(f"parent of node {i} must be an integer or null")
@@ -136,9 +145,7 @@ def parse_instance_document(doc: Any) -> ParsedInstanceDocument:
     if raw_supplies is None:
         supplies = (1.0,) * len(sources)
     else:
-        if not isinstance(raw_supplies, list) or not all(
-            isinstance(w, (int, float)) and not isinstance(w, bool) for w in raw_supplies
-        ):
+        if not isinstance(raw_supplies, list) or not all(_is_number(w) for w in raw_supplies):
             raise DocumentError("'supplies' must be a list of numbers")
         supplies = tuple(float(w) for w in raw_supplies)
     try:
@@ -260,10 +267,11 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
     for entry in raw_flows:
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("from"), int)
-            or entry.get("from") not in edge_set
-            or entry.get("to") != topology.parents[entry["from"]]
-            or not isinstance(entry.get("flow"), (int, float))
+            or not _is_int(entry.get("from"))
+            or entry["from"] not in edge_set
+            or not _is_int(entry.get("to"))
+            or entry["to"] != topology.parents[entry["from"]]
+            or not _is_number(entry.get("flow"))
         ):
             raise DocumentError(f"bad flow entry {entry!r}")
         if not math.isfinite(entry["flow"]):
@@ -273,7 +281,7 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
         flows[entry["from"]] = float(entry["flow"])
 
     raw_cost = doc.get("cost")
-    if not isinstance(raw_cost, (int, float)) or not math.isfinite(raw_cost):
+    if not _is_number(raw_cost) or not math.isfinite(raw_cost):
         raise DocumentError("'cost' must be a finite number")
     claims = doc.get("claims") or {}
     tree = SolvedTree(
@@ -285,7 +293,7 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
         degenerate=bool(doc.get("certificates", {}).get("degenerate", False)),
     )
     objective = doc.get("objective", raw_cost)
-    if not isinstance(objective, (int, float)) or not math.isfinite(objective):
+    if not _is_number(objective) or not math.isfinite(objective):
         raise DocumentError("'objective' must be a finite number")
     return ParsedResultDocument(
         instance=parsed.instance,
@@ -304,8 +312,13 @@ def dumps(doc: dict) -> str:
         raise DocumentError(f"cannot emit a non-finite number as JSON: {exc}") from exc
 
 
+def _reject_constant(token: str) -> Any:
+    raise DocumentError(f"not valid JSON: {token} is not a finite number")
+
+
 def loads(text: str) -> Any:
+    """Strict JSON: the NaN, Infinity and -Infinity tokens are a DocumentError."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"not valid JSON: {exc}") from exc

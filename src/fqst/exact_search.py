@@ -1,16 +1,17 @@
 """Globally minimum trees by exhaustive topology enumeration with pruning.
 
-Degree-bounded search enumerates topologies whose Steiner degrees meet the
-bound and solves each one.  The other two strategies enumerate branching
-skeletons (Steiner degree >= 3) and fold chains of degree-2 Steiner points in
-as per-edge bead counts: on a locally minimal tree the beads of an edge are
+All three strategies run one search: enumerate branching skeletons (every
+Steiner degree >= phi) and fold chains of degree-2 Steiner points in as
+per-edge bead counts.  On a locally minimal tree the beads of an edge are
 equally spaced on the straight segment, so an edge with flow f and p beads
 contributes f*|e|^2/(p+1), which is the same stationarity problem with the
-edge weight f replaced by f/(p+1).  The reported winner always has its beads
-expanded back into explicit degree-2 Steiner slots.
+edge weight f replaced by f/(p+1).  A degree bound places no beads at all;
+the explicit bound and the node weight spend the rest of their Steiner
+budget on them.  The reported winner always has its beads expanded back into
+explicit degree-2 Steiner slots and is re-solved and re-checked.
 
 Everything here is deterministic: topologies stream in a fixed order and
-objective ties break on the canonical topology encoding.
+objective ties break on the sink-rooted topology encoding.
 """
 
 from __future__ import annotations
@@ -32,30 +33,15 @@ from .strategies import (
 from .topology import (
     Instance,
     Topology,
-    canonical_form,
     compute_flows,
     enumerate_bounded_topologies,
+    rooted_encoding,
     validate_topology,
 )
 from .trees import SolvedTree
 
 DEFAULT_GUARD = 6
 _OBJECTIVE_TIE = 1e-12
-
-
-@dataclass(frozen=True)
-class BeadVector:
-    """Per-edge bead counts, aligned with Topology.edge_children()."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(p < 0 for p in self.counts):
-            raise ValueError("bead counts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -68,30 +54,29 @@ class SearchReport:
     lower_bound: float
     upper_bound: float | None = None  # node-weighted: beaded spanning tree cost
     steiner_bound: int | None = None  # node-weighted: the Steiner budget B
-    winning_beads: BeadVector | None = None  # skeleton bead counts before expansion
 
 
 class _Incumbent:
-    """Best candidate so far, with a deterministic canonical-encoding tie-break.
+    """Best candidate so far, tie-broken on (rooted encoding, bead vector).
 
     May start from a pruning bound (objective without a candidate); a
     candidate matching the bound is still accepted.
     """
 
-    def __init__(self, objective: float = math.inf) -> None:
+    def __init__(self, objective: float) -> None:
         self.objective = objective
         self.topology: Topology | None = None
-        self.beads: tuple[int, ...] | None = None
-        self._tie_key: tuple[int, ...] | None = None
+        self.beads: tuple[int, ...] = ()
+        self._tie_key: tuple | None = None
 
-    def offer(self, objective: float, topology: Topology, beads: tuple[int, ...] | None) -> None:
+    def offer(self, objective: float, topology: Topology, beads: tuple[int, ...]) -> None:
         if objective > self.objective + _OBJECTIVE_TIE:
             return
         if self.topology is not None and objective >= self.objective - _OBJECTIVE_TIE:
             if self._tie_key is None:
-                self._tie_key = canonical_form(self.topology)
-            key = canonical_form(topology)
-            if (key, beads or ()) >= (self._tie_key, self.beads or ()):
+                self._tie_key = (rooted_encoding(self.topology), self.beads)
+            key = (rooted_encoding(topology), beads)
+            if key >= self._tie_key:
                 return
             self._tie_key = key
         else:
@@ -99,17 +84,6 @@ class _Incumbent:
         self.objective = min(objective, self.objective)
         self.topology = topology
         self.beads = beads
-
-
-def _solve_cost(instance: Instance, topology: Topology) -> float:
-    """Locally minimal cost of a topology, without building a SolvedTree.
-
-    The search winner is re-solved through the residual-checked
-    solve_topology, so a bug here cannot silently ship a wrong tree, only a
-    wrong argmin.
-    """
-    elimination = algebraic_solver.TreeElimination(instance, topology)
-    return elimination.cost(elimination.flows)
 
 
 def _bead_weights(flows, edge_children, bead_counts) -> list[float]:
@@ -121,19 +95,15 @@ def _bead_weights(flows, edge_children, bead_counts) -> list[float]:
     return weights
 
 
-def _finalize(instance: Instance, incumbent: _Incumbent) -> SolvedTree:
-    assert incumbent.topology is not None
-    topology = incumbent.topology
-    if incumbent.beads is not None and any(incumbent.beads):
-        topology = analysis.expand_beads(topology, incumbent.beads)
-    return algebraic_solver.solve_topology(instance, topology)
-
-
 def _bead_vectors(n_edges: int, per_edge_cap: int, allowed_totals: set[int]):
     """All count tuples with each entry <= per_edge_cap and total in allowed_totals."""
     if not allowed_totals:
         return
-    max_total = max(allowed_totals)
+    max_total = min(max(allowed_totals), per_edge_cap * n_edges)
+    if max_total == 0:
+        if 0 in allowed_totals:
+            yield (0,) * n_edges
+        return
     counts = [0] * n_edges
 
     def fill(pos: int, used: int):
@@ -165,102 +135,81 @@ def solve_exact(
             f"raise guard_n explicitly to go further"
         )
     if isinstance(strategy, DegreeBound):
-        return _solve_degree_bound(instance, strategy)
+        budget = max_steiner_count(n, strategy.phi)
+        return _search(instance, strategy, strategy.phi, budget, 0, 0.0, None)
     if isinstance(strategy, ExplicitBound):
-        return _solve_with_beads(instance, strategy, budget=strategy.k, bead_charge=0.0)
+        return _search(instance, strategy, 3, strategy.k, strategy.k, 0.0, None)
     if isinstance(strategy, NodeWeighted):
-        upper_tree = analysis.beaded_spanning_tree(instance, strategy.c)
-        upper = analysis.cost_node_weighted(upper_tree, strategy.c)
-        budget = analysis.steiner_count_bound(instance, strategy.c)
-        return _solve_with_beads(
-            instance,
-            strategy,
-            budget=budget,
-            bead_charge=strategy.c,
-            upper_bound=upper,
-            prune_start=upper + _OBJECTIVE_TIE,
-        )
+        c = strategy.c
+        budget = analysis.steiner_count_bound(instance, c)
+        # an edge carries at most the total supply over at most the diagonal
+        cap = analysis.optimal_bead_count(instance.total_supply(), _bounding_box_diagonal(instance), c)
+        upper = analysis.cost_node_weighted(analysis.beaded_spanning_tree(instance, c), c)
+        return _search(instance, strategy, 3, budget, cap, c, upper)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def _solve_degree_bound(instance: Instance, strategy: DegreeBound) -> SearchReport:
-    n = instance.n_sources
-    j_max = max_steiner_count(n, strategy.phi)
-    incumbent = _Incumbent()
-    examined = pruned = 0
-    for topology in enumerate_bounded_topologies(n, j_max, strategy.phi):
-        if analysis.lower_bound_path(instance, topology.n_steiner) >= incumbent.objective:
-            pruned += 1
-            continue
-        examined += 1
-        incumbent.offer(_solve_cost(instance, topology), topology, None)
-    best = _finalize(instance, incumbent)
-    return SearchReport(
-        best=best,
-        objective=incumbent.objective,
-        topologies_examined=examined,
-        topologies_pruned=pruned,
-        strategy=strategy,
-        lower_bound=analysis.lower_bound_path(instance, best.topology.n_steiner),
-    )
-
-
-def _solve_with_beads(
+def _search(
     instance: Instance,
     strategy: BoundStrategy,
-    budget: int,
+    phi: int,
+    steiner_budget: int,
+    max_beads: int,
     bead_charge: float,
-    upper_bound: float | None = None,
-    prune_start: float = math.inf,
+    upper_bound: float | None,
 ) -> SearchReport:
-    """Shared search over branching skeletons plus bead vectors.
+    """Search skeletons with Steiner degree >= phi, each with every bead vector.
 
-    budget caps the total Steiner count (branching plus beads); bead_charge
-    is c for the node-weighted objective and 0 for the explicit bound.
+    steiner_budget caps the total Steiner count (branching plus beads),
+    max_beads caps the beads on one edge, bead_charge is c for the
+    node-weighted objective and 0 otherwise, and upper_bound (the cost of a
+    known tree) starts the incumbent.
     """
     n = instance.n_sources
-    diameter = _bounding_box_diagonal(instance)
-    if bead_charge > 0.0 and diameter > 0.0:
-        cap = analysis.optimal_bead_count(instance.total_supply(), diameter, bead_charge)
-    else:
-        cap = budget
-    incumbent = _Incumbent(prune_start)
+    # the objective of any tree with k Steiner points is at least floors[k]
+    floors = [
+        bead_charge * k + analysis.lower_bound_path(instance, k)
+        for k in range(steiner_budget + 1)
+    ]
+    terminals = [*instance.sources, instance.sink]
+    terminal_sq = [[sq_dist(a, b) for b in terminals] for a in terminals]
+    incumbent = _Incumbent(math.inf if upper_bound is None else upper_bound + _OBJECTIVE_TIE)
     examined = pruned = 0
-    j_cap = min(budget, max_steiner_count(n, 3))
-    for topology in enumerate_bounded_topologies(n, j_cap, 3):
+    j_cap = min(steiner_budget, max_steiner_count(n, phi))
+    for topology in enumerate_bounded_topologies(n, j_cap, phi):
         j = topology.n_steiner
-        bead_budget = budget - j
-        allowed = {
-            t
-            for t in range(bead_budget + 1)
-            if bead_charge * (j + t) + analysis.lower_bound_path(instance, j + t)
-            < incumbent.objective
-        }
+        edge_children = topology.edge_children()
+        per_edge_cap = min(max_beads, steiner_budget - j)
+        bead_budget = min(steiner_budget - j, per_edge_cap * len(edge_children))
+        allowed = {t for t in range(bead_budget + 1) if floors[j + t] < incumbent.objective}
         if not allowed:
             pruned += 1
             continue
         examined += 1
-        edge_children = topology.edge_children()
-        n_edges = len(edge_children)
+        beads_iter = _bead_vectors(len(edge_children), per_edge_cap, allowed)
         if j == 0:
             # Terminal positions are fixed, so bead vectors just rescale the
             # per-edge contributions; nothing needs solving.
             flows = compute_flows(topology, instance.supplies)
-            terms = _fixed_edge_terms(instance, topology, flows)
-            for beads in _bead_vectors(n_edges, min(cap, bead_budget), allowed):
+            parents = topology.parents
+            terms = [flows[c] * terminal_sq[c][parents[c]] for c in edge_children]
+            for beads in beads_iter:
                 value = bead_charge * sum(beads) + sum(
-                    term / (p + 1) for term, p in zip(terms, beads)
+                    [term / (p + 1) for term, p in zip(terms, beads)]
                 )
                 incumbent.offer(value, topology, beads)
         else:
             elimination = algebraic_solver.TreeElimination(instance, topology)
-            for beads in _bead_vectors(n_edges, min(cap, bead_budget), allowed):
+            for beads in beads_iter:
                 weights = _bead_weights(elimination.flows, edge_children, beads)
                 value = bead_charge * (j + sum(beads)) + elimination.cost(weights)
                 incumbent.offer(value, topology, beads)
     if incumbent.topology is None:
         raise InternalConsistencyError("search space was empty; the spanning trees alone should appear")
-    best = _finalize(instance, incumbent)
+    topology = incumbent.topology
+    if any(incumbent.beads):
+        topology = analysis.expand_beads(topology, incumbent.beads)
+    best = algebraic_solver.solve_topology(instance, topology)
     total_steiner = best.topology.n_steiner
     final_objective = best.cost + bead_charge * total_steiner
     if not math.isclose(final_objective, incumbent.objective, rel_tol=1e-9, abs_tol=1e-9):
@@ -275,17 +224,8 @@ def _solve_with_beads(
         strategy=strategy,
         lower_bound=analysis.lower_bound_path(instance, total_steiner),
         upper_bound=upper_bound,
-        steiner_bound=budget if isinstance(strategy, NodeWeighted) else None,
-        winning_beads=BeadVector(incumbent.beads) if incumbent.beads else None,
+        steiner_bound=steiner_budget if isinstance(strategy, NodeWeighted) else None,
     )
-
-
-def _fixed_edge_terms(instance: Instance, topology: Topology, flows) -> list[float]:
-    positions = [*instance.sources, instance.sink]
-    return [
-        flows[child] * sq_dist(positions[child], positions[topology.parents[child]])
-        for child in topology.edge_children()
-    ]
 
 
 def _bounding_box_diagonal(instance: Instance) -> float:

@@ -10,7 +10,6 @@ out-neighbour, so the one-out-edge rule cannot be violated by construction.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -232,29 +231,6 @@ def validate_topology(topology: Topology, strategy: BoundStrategy) -> list[str]:
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
     return violations
-
-
-def canonical_form(topology: Topology) -> tuple[int, ...]:
-    """Minimum lexicographic parent array over all Steiner-slot relabellings.
-
-    Sources and the sink keep their labels; Steiner slots are interchangeable.
-    Intended for small trees (cost grows as n_steiner factorial).
-    """
-    slots = list(topology.steiner_slots())
-    n_nodes = topology.n_nodes
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(slots):
-        relabel = list(range(n_nodes))
-        for old, new in zip(slots, perm):
-            relabel[old] = new
-        arr = [0] * n_nodes
-        for node, parent in enumerate(topology.parents):
-            arr[relabel[node]] = NO_PARENT if parent == NO_PARENT else relabel[parent]
-        key = tuple(arr)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
 
 
 def rooted_encoding(topology: Topology) -> tuple:

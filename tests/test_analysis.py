@@ -394,7 +394,7 @@ class TestSteinerCountBound:
 
 class TestExpandBeads:
     def test_single_edge_chain(self):
-        from fqst import canonical_form
+        from canonical_oracle import canonical_form
 
         topo = Topology(1, 0, (1, NO_PARENT))
         expanded = expand_beads(topo, [2])

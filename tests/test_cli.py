@@ -246,6 +246,15 @@ class TestStrictJson:
         assert captured.out == ""
         assert "total supply" in captured.err
 
+    def test_non_finite_token_is_input_error(self, tmp_path, capsys):
+        # the token sits in a field no parser reads, so only loading can refuse it
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(worked_document())[:-1] + ', "note": NaN}', encoding="utf-8")
+        assert main(["solve-topology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "NaN" in captured.err
+
 
 def test_cli_import_does_not_load_numpy():
     src = Path(__import__("fqst").__file__).resolve().parent.parent
@@ -276,7 +285,3 @@ class TestGlobalFlags:
     def test_bad_tolerance(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document())
         assert main(["--tolerance", "-1", "solve-topology", path]) == 2
-
-    def test_seed_accepted(self, tmp_path, capsys):
-        path = write_document(tmp_path, worked_document())
-        assert main(["--seed", "7", "solve-topology", path]) == 0

@@ -135,6 +135,16 @@ class TestResultDocuments:
         with pytest.raises(DocumentError, match="finite"):
             parse_result_document(doc)
 
+    @pytest.mark.parametrize("key", ["from", "flow"])
+    def test_boolean_edge_id_and_flow_rejected(self, worked_instance, worked_topology, key):
+        # edge 1 -> 4 carries flow 1, so true would read as a valid id or flow
+        tree = solve_topology(worked_instance, worked_topology)
+        doc = result_document(tree, DegreeBound(3))
+        assert doc["flows"][1]["from"] == 1 and doc["flows"][1]["flow"] == 1.0
+        doc["flows"][1][key] = True
+        with pytest.raises(DocumentError, match="bad flow entry"):
+            parse_result_document(doc)
+
     def test_dumps_refuses_non_finite_numbers(self):
         with pytest.raises(DocumentError):
             dumps({"cost": float("inf")})
@@ -144,3 +154,9 @@ class TestResultDocuments:
         a = dumps(result_document(tree, DegreeBound(3)))
         b = dumps(result_document(tree, DegreeBound(3)))
         assert a == b
+
+
+@pytest.mark.parametrize("text", ['{"x": NaN}', "[Infinity]", '{"cost": -Infinity}'])
+def test_loads_rejects_non_finite_tokens(text):
+    with pytest.raises(DocumentError, match="not valid JSON"):
+        loads(text)

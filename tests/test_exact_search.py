@@ -20,13 +20,14 @@ from fqst import (
     enumerate_bounded_topologies,
     local_improve_by_splits,
     lower_bound_path,
+    rooted_encoding,
     solve_exact,
     solve_topology,
     sq_dist,
     steiner_count_bound,
 )
 from dense_oracle import assemble_system, solve_positions
-from fqst.exact_search import _bead_vectors
+from fqst.exact_search import _bead_vectors, _Incumbent
 from conftest import NO_PARENT, random_instance
 
 
@@ -281,6 +282,23 @@ class TestBeadVectors:
     def test_total_filter(self):
         vectors = list(_bead_vectors(2, 3, {2}))
         assert all(sum(v) == 2 for v in vectors)
+
+    def test_zero_cap_yields_only_the_zero_vector(self):
+        assert list(_bead_vectors(4, 0, {0, 1, 2})) == [(0, 0, 0, 0)]
+        assert list(_bead_vectors(4, 0, {1, 2})) == []
+
+
+class TestIncumbentTieBreak:
+    @pytest.mark.parametrize("delta", [0.0, 5e-13, -5e-13])
+    def test_tie_keeps_smaller_rooted_encoding_in_either_order(self, delta):
+        star = Topology(2, 0, (2, 2, NO_PARENT))  # both sources feed the sink
+        chain = Topology(2, 0, (1, 2, NO_PARENT))  # source 0 feeds source 1
+        assert rooted_encoding(star) < rooted_encoding(chain)
+        for first, second in [(star, chain), (chain, star)]:
+            incumbent = _Incumbent(math.inf)
+            incumbent.offer(5.0, first, (0, 0))
+            incumbent.offer(5.0 + delta, second, (0, 0))
+            assert incumbent.topology == star
 
 
 class TestLocalImproveBySplits:

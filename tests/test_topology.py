@@ -12,12 +12,12 @@ from fqst import (
     Point,
     Topology,
     TopologyError,
-    canonical_form,
     compute_flows,
     enumerate_bounded_topologies,
     enumerate_full_topologies,
     validate_topology,
 )
+from canonical_oracle import canonical_form
 from conftest import NO_PARENT, orient_edges, random_full_topology
 
 
