@@ -257,11 +257,22 @@ def optimal_bead_count(f: float, length: float, c: float) -> int:
 
 def lower_bound_path(instance: Instance, k: int) -> float:
     """Cost lower bound for any tree on the instance with at most k Steiner
-    points: each unit of flow travels at least the straight beaded path."""
+    points.
+
+    The cost is sum_i w_i * sum_{e in P_i} |e|^2 over the path P_i from
+    source i to the sink, and P_i has at most n + k edges, so by
+    Cauchy-Schwarz the cost is at least Q/(n + k + 1) with Q the
+    supply-weighted squared source-sink distances.
+    """
     if k < 0:
         raise ValueError(f"Steiner budget must be nonnegative, got {k}")
-    total = sum(sq_dist(z, instance.sink) for z in instance.sources)
-    return total / (instance.n_sources + k + 1)
+    return _weighted_sink_distances(instance) / (instance.n_sources + k + 1)
+
+
+def _weighted_sink_distances(instance: Instance) -> float:
+    return sum(
+        w * sq_dist(z, instance.sink) for z, w in zip(instance.sources, instance.supplies)
+    )
 
 
 def _prim_spanning_tree(points: Sequence[Point]) -> list[tuple[int, int]]:
@@ -357,14 +368,15 @@ def steiner_count_bound(instance: Instance, c: float) -> int:
     """Upper bound B on the Steiner count of a node-weighted optimum.
 
     The optimum satisfies c*k <= U - Q/(n+k+1) with U the beaded spanning
-    tree's node-weighted cost and Q the summed squared source-sink distances;
-    clearing the denominator gives c*k^2 + (c*(n+1) - U)*k + (Q - (n+1)*U) <= 0
-    and B is the floor of the larger root (k = 0 always satisfies the
-    inequality because Q/(n+1) <= U, so the root is real and >= 0).
+    tree's node-weighted cost and Q the supply-weighted squared source-sink
+    distances (see lower_bound_path); clearing the denominator gives
+    c*k^2 + (c*(n+1) - U)*k + (Q - (n+1)*U) <= 0 and B is the floor of the
+    larger root (the optimum's own k satisfies the inequality, so the root
+    is real and at least that k).
     """
     n = instance.n_sources
     upper = cost_node_weighted(beaded_spanning_tree(instance, c), c)
-    q_total = sum(sq_dist(z, instance.sink) for z in instance.sources)
+    q_total = _weighted_sink_distances(instance)
     b_lin = c * (n + 1) - upper
     b_const = q_total - (n + 1) * upper
     disc = b_lin * b_lin - 4.0 * c * b_const

@@ -67,16 +67,19 @@ def parse_strategy(value: Any) -> BoundStrategy:
             f"{{'node_weighted': c}}, got {value!r}"
         )
     (tag, parameter), = value.items()
+    if tag not in ("degree_bound", "explicit_bound", "node_weighted"):
+        raise DocumentError(f"unknown strategy tag {tag!r}")
+    accepts = _is_number if tag == "node_weighted" else _is_int
+    if not accepts(parameter):
+        raise DocumentError(f"bad strategy parameter for {tag}: {parameter!r}")
     try:
         if tag == "degree_bound":
-            return DegreeBound(int(parameter))
+            return DegreeBound(parameter)
         if tag == "explicit_bound":
-            return ExplicitBound(int(parameter))
-        if tag == "node_weighted":
-            return NodeWeighted(float(parameter))
-    except (TypeError, ValueError) as exc:
+            return ExplicitBound(parameter)
+        return NodeWeighted(float(parameter))
+    except (OverflowError, ValueError) as exc:
         raise DocumentError(f"bad strategy parameter: {exc}") from exc
-    raise DocumentError(f"unknown strategy tag {tag!r}")
 
 
 def strategy_document(strategy: BoundStrategy) -> dict:

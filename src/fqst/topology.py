@@ -9,7 +9,6 @@ out-neighbour, so the one-out-edge rule cannot be violated by construction.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -19,6 +18,7 @@ from .geometry import Point
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 
 NO_PARENT = -1  # parent entry of the sink slot
+_STEINER = -1  # root of a generated subtree that is a Steiner slot
 
 
 @dataclass(frozen=True)
@@ -238,8 +238,8 @@ def rooted_encoding(topology: Topology) -> tuple:
 
     Terminals keep their identities, Steiner slots are anonymous, and child
     encodings are sorted, so two topologies get equal encodings exactly when
-    one is a Steiner relabelling of the other.  Cheap enough to dedup
-    enumeration streams (no factorial blow-up).
+    one is a Steiner relabelling of the other.  Exact search breaks
+    objective ties on it, so the winner does not depend on generation order.
     """
     children = topology.children_lists()
     sink = topology.sink
@@ -305,35 +305,20 @@ def enumerate_full_topologies(n_sources: int) -> Iterator[Topology]:
     yield from insert(base, 2, first_steiner + 1)
 
 
-def _prufer_decode(seq: Sequence[int], n_nodes: int) -> list[tuple[int, int]]:
-    degree = [1] * n_nodes
-    for x in seq:
-        degree[x] += 1
-    leaves = [i for i in range(n_nodes) if degree[i] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return edges
-
-
 def enumerate_bounded_topologies(
     n_sources: int, max_steiner: int, min_steiner_degree: int = 3
 ) -> Iterator[Topology]:
     """Every topology on n sources + sink + j Steiner slots for 0 <= j <=
     max_steiner, with each Steiner slot of degree >= min_steiner_degree and
-    terminals of any degree, deduplicated under Steiner relabelling.
+    terminals of any degree, each exactly once up to Steiner relabelling.
 
-    Enumerates labelled trees through degree-constrained Pruefer sequences
-    (a node of degree d appears d-1 times) and drops relabelled repeats via
-    the sink-rooted canonical encoding.
+    Generated from source partitions: the sink's children split all sources
+    into parts, a source root's children split the rest of its subtree's
+    sources, and a Steiner root's children split all of its subtree's
+    sources into at least min_steiner_degree - 1 parts.  Parts never share a
+    source, so no topology repeats and nothing is deduplicated.  Steiner
+    slots are numbered in placement order, and topologies come in
+    nondecreasing Steiner count.
     """
     if n_sources < 1:
         raise TopologyError("need at least one source")
@@ -343,57 +328,71 @@ def enumerate_bounded_topologies(
         raise ValueError(
             "Steiner slots of degree < 2 carry no flow; the minimum supported degree is 2"
         )
-    for j in range(max_steiner + 1):
-        yield from _enumerate_with_steiner_count(n_sources, j, min_steiner_degree)
+    # A subtree is (root, children), root a source index or _STEINER.  Subtree
+    # lists are memoised per (source bitmask, Steiner count), except those
+    # over all sources, which are streamed.  The nested functions form a
+    # reference cycle, so the memo is cleared when the generator ends.
+    full = (1 << n_sources) - 1
+    min_children = min_steiner_degree - 1
+    memo: dict[tuple[int, int], list[tuple]] = {}
 
+    def subtrees(mask: int, k: int) -> Iterator[tuple]:
+        for s in range(n_sources):
+            if mask >> s & 1:
+                for children in forests(mask ^ (1 << s), k, 0):
+                    yield (s, children)
+        if k:
+            for children in forests(mask, k - 1, min_children):
+                yield (_STEINER, children)
 
-def _enumerate_with_steiner_count(
-    n_sources: int, n_steiner: int, min_steiner_degree: int
-) -> Iterator[Topology]:
-    n_nodes = n_sources + 1 + n_steiner
-    if n_nodes == 2:
-        yield Topology(1, 0, (1, NO_PARENT))
-        return
-    length = n_nodes - 2
-    need = min_steiner_degree - 1  # occurrences every Steiner label must reach
-    if n_steiner * need > length:
-        return
-    steiner_start = n_sources + 1
-    counts = [0] * n_steiner
-    seq = [0] * length
-    # Orbits under Steiner relabelling have more than one member only when
-    # j >= 2, so the dedup set can be skipped below that.
-    seen: set | None = set() if n_steiner >= 2 else None
+    def child_subtrees(mask: int, k: int):
+        if mask == full:
+            return subtrees(mask, k)
+        if (mask, k) not in memo:
+            memo[mask, k] = list(subtrees(mask, k))
+        return memo[mask, k]
 
-    def emit() -> Iterator[Topology]:
-        edges = _prufer_decode(seq, n_nodes)
-        topology = _orient_toward_sink(n_sources, n_steiner, edges)
-        if seen is not None:
-            key = rooted_encoding(topology)
-            if key in seen:
-                return
-            seen.add(key)
-        yield topology
-
-    def fill(pos: int, deficit: int) -> Iterator[Topology]:
-        if pos == length:
-            yield from emit()
+    def forests(mask: int, k: int, min_parts: int) -> Iterator[tuple]:
+        """Tuples of >= min_parts subtrees that partition mask and hold k Steiner slots."""
+        if not mask:
+            if k == 0 and min_parts <= 0:
+                yield ()
             return
-        remaining = length - pos
-        for symbol in range(n_nodes):
-            if symbol >= steiner_start:
-                slot = symbol - steiner_start
-                shrink = 1 if counts[slot] < need else 0
-                if deficit - shrink > remaining - 1:
+        m = mask.bit_count()
+        # each Steiner slot has >= min_children children, so a forest over
+        # m sources holds at most (m - 1) // (min_children - 1) of them
+        if min_parts > m or (min_children > 1 and k > (m - 1) // (min_children - 1)):
+            return
+        low = mask & -mask  # the lowest source opens the first part
+        sub = rest = mask ^ low
+        while True:
+            part = low | sub
+            for k_part in range(k + 1):
+                trees = child_subtrees(part, k_part)
+                if not trees:
                     continue
-                counts[slot] += 1
-                seq[pos] = symbol
-                yield from fill(pos + 1, deficit - shrink)
-                counts[slot] -= 1
-            else:
-                if deficit > remaining - 1:
-                    continue
-                seq[pos] = symbol
-                yield from fill(pos + 1, deficit)
+                # a streamed part covers all sources, so it meets one tail
+                for tail in forests(mask ^ part, k - k_part, min_parts - 1):
+                    for tree in trees:
+                        yield (tree, *tail)
+            if not sub:
+                return
+            sub = (sub - 1) & rest
 
-    yield from fill(0, n_steiner * need)
+    sink = n_sources
+    try:
+        for j in range(max_steiner + 1):
+            for children in forests(full, j, 1):
+                parents = [NO_PARENT] * (n_sources + 1 + j)
+                next_slot = sink + 1
+                stack = [(tree, sink) for tree in children]
+                while stack:
+                    (root, below), parent = stack.pop()
+                    if root == _STEINER:
+                        root = next_slot
+                        next_slot += 1
+                    parents[root] = parent
+                    stack.extend((tree, root) for tree in below)
+                yield Topology(n_sources, j, tuple(parents))
+    finally:
+        memo.clear()

@@ -328,6 +328,13 @@ class TestLowerBoundPath:
         )
         assert lower_bound_path(inst, 3) == pytest.approx(0.0, abs=1e-20)
 
+    def test_weighted_by_supplies(self):
+        # supply-weighted squared distances: 0.01*100 + 0.01*101 = 2.01
+        inst = Instance((Point(0, 0), Point(0, 1)), (0.01, 0.01), Point(10, 0))
+        assert lower_bound_path(inst, 1) == pytest.approx(2.01 / 4.0)
+        # below the one-Steiner tree's cost 1.0075
+        assert lower_bound_path(inst, 1) <= 1.0075
+
 
 class TestBeadedSpanningTree:
     def test_boundary_distance_needs_no_beads(self):

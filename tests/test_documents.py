@@ -72,6 +72,10 @@ class TestInstanceDocuments:
             lambda d: d.update(supplies=[1.0, float("inf"), 1.0]),
             lambda d: d["topology"].update(parents=[4, 4, 5, None, 5, 4]),
             lambda d: d["topology"].update(nodes=["sink"] * 6),
+            lambda d: d.update(strategy={"degree_bound": 3.7}),
+            lambda d: d.update(strategy={"explicit_bound": "2"}),
+            lambda d: d.update(strategy={"explicit_bound": True}),
+            lambda d: d.update(strategy={"node_weighted": True}),
         ],
     )
     def test_bad_documents_rejected(self, mutate):

@@ -209,6 +209,27 @@ class TestSolveExactNodeWeighted:
                 assert ratio <= (count + 1) * (count + 2) + 1e-9
 
 
+class TestSmallSupplies:
+    """Supplies below 1 must not let the path bound prune the optimum."""
+
+    @pytest.fixture
+    def light_instance(self):
+        return Instance((Point(0, 0), Point(0, 1)), (0.01, 0.01), Point(10, 0))
+
+    def test_degree_bound_finds_the_steiner_tree(self, light_instance):
+        report = solve_exact(light_instance, DegreeBound(3))
+        assert report.objective == pytest.approx(1.0075, rel=1e-9)
+        assert report.best.topology.n_steiner == 1
+
+    def test_node_weighted_returns_a_tree(self, light_instance):
+        report = solve_exact(light_instance, NodeWeighted(0.1))
+        recomputed = cost_node_weighted(report.best, 0.1)
+        assert recomputed == pytest.approx(report.objective, rel=1e-9)
+        assert report.objective <= cost_node_weighted(
+            beaded_spanning_tree(light_instance, 0.1), 0.1
+        ) + 1e-9
+
+
 class TestBeadExpansionEquivalence:
     def test_reduced_solve_matches_expanded_solve(self):
         from fqst import expand_beads

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter
@@ -15,6 +16,7 @@ from fqst import (
     compute_flows,
     enumerate_bounded_topologies,
     enumerate_full_topologies,
+    rooted_encoding,
     validate_topology,
 )
 from canonical_oracle import canonical_form
@@ -212,13 +214,42 @@ class TestEnumerateFull:
             assert validate_topology(topo, DegreeBound(3)) == []
 
 
+# (n, max Steiner, min Steiner degree) -> count, pinned from the labelled-tree
+# enumerator this generator replaced
+PINNED_BOUNDED_COUNTS = [
+    (3, 1, 2, 77),
+    (2, 2, 2, 22),
+    (3, 2, 3, 32),
+    (4, 3, 3, 396),
+    (4, 3, 2, 8576),
+    (5, 3, 3, 6587),
+    (5, 4, 3, 6692),
+    (5, 2, 5, 1327),
+    (6, 2, 4, 24970),
+]
+
+
 class TestEnumerateBounded:
     @pytest.mark.parametrize(
         "n,k,min_deg,count",
-        [(1, 0, 3, 1), (2, 0, 3, 3), (2, 1, 3, 4)],
+        [(1, 0, 3, 1), (2, 0, 3, 3), (2, 1, 3, 4), *PINNED_BOUNDED_COUNTS],
     )
     def test_counts(self, n, k, min_deg, count):
         assert sum(1 for _ in enumerate_bounded_topologies(n, k, min_deg)) == count
+
+    @pytest.mark.parametrize("n,k,min_deg", [case[:3] for case in PINNED_BOUNDED_COUNTS])
+    def test_distinct_valid_and_ordered_by_steiner_count(self, n, k, min_deg):
+        # with the pinned count, distinct valid yields are exactly the old set
+        encodings = set()
+        previous_steiner = 0
+        for count, topo in enumerate(enumerate_bounded_topologies(n, k, min_deg), 1):
+            encodings.add(rooted_encoding(topo))
+            assert len(encodings) == count
+            assert validate_topology(topo, ExplicitBound(k)) == []
+            deg = topo.degrees()
+            assert all(deg[s] >= min_deg for s in topo.steiner_slots())
+            assert topo.n_steiner >= previous_steiner
+            previous_steiner = topo.n_steiner
 
     @pytest.mark.parametrize(
         "n,k,min_deg",
@@ -230,6 +261,19 @@ class TestEnumerateBounded:
         )
         assert set(ours) == brute_force_bounded(n, k, min_deg)
         assert all(c == 1 for c in ours.values())
+
+    def test_exhausted_generator_leaves_no_cyclic_garbage(self):
+        # a memo held only by a reference cycle lives until the cyclic
+        # collector runs, which raises the peak memory of a long process
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in enumerate_bounded_topologies(5, 4, 3):
+                pass
+            leftover = gc.collect()
+        finally:
+            gc.enable()
+        assert leftover < 100
 
     def test_min_degree_below_two_rejected(self):
         with pytest.raises(ValueError):
