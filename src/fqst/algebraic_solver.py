@@ -19,6 +19,14 @@ pass down from the sink then places every slot after its parent.
 This is the quasi-source merge of the paper's linear-time algorithm (a_s is
 the quasi-source's position) generalised to any Steiner degree >= 2, any
 positive supplies and any positive edge weights.
+
+The same merge also gives the optimal cost without placing anything.  A
+subtree whose out-edge ends at p costs K + W * |p - q|^2 at its best, for a
+summary (qx, qy, W, K): a terminal root is q itself, with W its out-edge
+weight and K its children's cost at q; a Steiner root merges its children
+into their weighted mean q and V = sum_c W_c, and seen through its out-edge
+of weight w acts as W = w * V / (w + V).  Exact search costs skeletons from
+these summaries.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ class TreeElimination:
     """The weight-independent part of the two passes for one topology.
 
     Flows, the leaves-first Steiner order, the child lists and the terminal
-    coordinates are built once; solve and cost then take any positive
-    per-edge weights (indexed like flows: weights[i] is node i's out-edge).
+    coordinates are built once; solve then takes any positive per-edge
+    weights (indexed like flows: weights[i] is node i's out-edge).
     """
 
     def __init__(self, instance: Instance, topology: Topology) -> None:
@@ -51,7 +59,6 @@ class TreeElimination:
         for node in order:  # breadth-first from the sink: parents before children
             order.extend(children[node])
         self.upward = [s for s in reversed(order) if s > sink]
-        self.edges = [(child, topology.parents[child]) for child in order[1:]]
         padding = [0.0] * topology.n_steiner
         self.terminal_x = [p.x for p in instance.sources] + [instance.sink.x] + padding
         self.terminal_y = [p.y for p in instance.sources] + [instance.sink.y] + padding
@@ -90,16 +97,6 @@ class TreeElimination:
             ys[s] += b[s] * ys[p]
         return xs, ys, b
 
-    def cost(self, weights: Sequence[float]) -> float:
-        """Sum of weight * squared length at the weights' stationary embedding."""
-        xs, ys, _ = self.solve(weights)
-        total = 0.0
-        for child, parent in self.edges:
-            dx = xs[child] - xs[parent]
-            dy = ys[child] - ys[parent]
-            total += weights[child] * (dx * dx + dy * dy)
-        return total
-
     def check_residual(
         self, xs: Sequence[float], ys: Sequence[float], weights: Sequence[float]
     ) -> None:
@@ -127,6 +124,52 @@ class TreeElimination:
             raise InternalConsistencyError(
                 f"elimination residual {max(failing):.3e} exceeds {bound:.3e}"
             )
+
+
+def merge_summaries(parts: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:
+    """(qx, qy, V, K) with sum_i K_i + W_i |p - q_i|^2 = K + V |p - q|^2 for
+    every p, over the subtree summaries parts = [(qx_i, qy_i, W_i, K_i), ...].
+
+    q is the W-weighted mean; K adds the spread about q in a second pass
+    rather than by subtracting squares.
+    """
+    v = sx = sy = k = 0.0
+    for qx, qy, w, kc in parts:
+        v += w
+        sx += w * qx
+        sy += w * qy
+        k += kc
+    qx0 = sx / v
+    qy0 = sy / v
+    for qx, qy, w, _ in parts:
+        dx = qx - qx0
+        dy = qy - qy0
+        k += w * (dx * dx + dy * dy)
+    return qx0, qy0, v, k
+
+
+def steiner_weight(v: float, w: float) -> float:
+    """W of a Steiner root whose children merge to weight v and whose
+    out-edge has weight w: minimising V |y - q|^2 + w |p - y|^2 over the
+    Steiner position y leaves w * V / (w + V) * |p - q|^2."""
+    d = w + v
+    if not (math.inf > d >= w > 0.0):
+        raise InternalConsistencyError(
+            f"quasi-source pivot {d!r} (edge weight {w!r}) is not finite "
+            "and at least the positive edge weight"
+        )
+    return w * v / d
+
+
+def pinned_cost(x: float, y: float, parts: Sequence[Sequence[float]]) -> float:
+    """sum_i K_i + W_i |(x, y) - q_i|^2: the cost of the subtrees summarised
+    by parts when their out-edges all end at the fixed point (x, y)."""
+    total = 0.0
+    for qx, qy, w, k in parts:
+        dx = x - qx
+        dy = y - qy
+        total += k + w * (dx * dx + dy * dy)
+    return total
 
 
 def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:

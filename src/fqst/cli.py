@@ -107,6 +107,7 @@ def _cmd_exact(args) -> int:
         "search": {
             "topologies_examined": report.topologies_examined,
             "topologies_pruned": report.topologies_pruned,
+            "bead_vectors": report.bead_vectors,
             "lower_bound": report.lower_bound,
         }
     }

@@ -308,9 +308,10 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
 
 
 def dumps(doc: dict) -> str:
-    """Strict JSON: a NaN or infinity anywhere in doc is a DocumentError."""
+    """Strict JSON on one line: a NaN or infinity anywhere in doc is a
+    DocumentError.  No indent, so the stdlib's C encoder does the work."""
     try:
-        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise DocumentError(f"cannot emit a non-finite number as JSON: {exc}") from exc
 

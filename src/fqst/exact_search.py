@@ -7,10 +7,21 @@ equally spaced on the straight segment, so an edge with flow f and p beads
 contributes f*|e|^2/(p+1), which is the same stationarity problem with the
 edge weight f replaced by f/(p+1).  A degree bound places no beads at all;
 the explicit bound and the node weight spend the rest of their Steiner
-budget on them.  The reported winner always has its beads expanded back into
-explicit degree-2 Steiner slots and is re-solved and re-checked.
+budget on them.
 
-Everything here is deterministic: topologies stream in a fixed order and
+Nothing is embedded while searching.  A subtree's share of the optimal cost
+depends on the subtree alone: it is K + W*|p - q|^2 for its parent at p
+(see algebraic_solver.merge_summaries).  The skeleton generator builds
+each subtree once per (source set, Steiner count) with its zero-bead
+summary, so a skeleton without beads costs one sum over the sink's
+children.  Bead vectors are walked depth-first over the skeleton, children
+before parents: each node merges its children once per assignment of the
+beads below it and then branches on the bead count of its own out-edge.  A
+Topology is built only for a candidate that can become the incumbent.  The
+reported winner has its beads expanded back into explicit degree-2 Steiner
+slots and is re-solved and re-checked.
+
+Everything here is deterministic: skeletons stream in a fixed order and
 objective ties break on the sink-rooted topology encoding.
 """
 
@@ -21,8 +32,8 @@ import math
 from dataclasses import dataclass
 
 from . import algebraic_solver, analysis
+from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GuardLimitError, InternalConsistencyError
-from .geometry import sq_dist
 from .strategies import (
     BoundStrategy,
     DegreeBound,
@@ -31,11 +42,13 @@ from .strategies import (
     max_steiner_count,
 )
 from .topology import (
+    STEINER,
     Instance,
     Topology,
-    compute_flows,
-    enumerate_bounded_topologies,
+    placed_topology,
     rooted_encoding,
+    skeleton_placement,
+    skeletons,
     validate_topology,
 )
 from .trees import SolvedTree
@@ -50,6 +63,7 @@ class SearchReport:
     objective: float
     topologies_examined: int
     topologies_pruned: int
+    bead_vectors: int  # (skeleton, bead vector) pairs costed
     strategy: BoundStrategy
     lower_bound: float
     upper_bound: float | None = None  # node-weighted: beaded spanning tree cost
@@ -84,40 +98,6 @@ class _Incumbent:
         self.objective = min(objective, self.objective)
         self.topology = topology
         self.beads = beads
-
-
-def _bead_weights(flows, edge_children, bead_counts) -> list[float]:
-    """Edge weights with each edge's flow f replaced by f/(p+1) for p beads."""
-    weights = list(flows)
-    for child, p in zip(edge_children, bead_counts):
-        if p:
-            weights[child] = flows[child] / (p + 1)
-    return weights
-
-
-def _bead_vectors(n_edges: int, per_edge_cap: int, allowed_totals: set[int]):
-    """All count tuples with each entry <= per_edge_cap and total in allowed_totals."""
-    if not allowed_totals:
-        return
-    max_total = min(max(allowed_totals), per_edge_cap * n_edges)
-    if max_total == 0:
-        if 0 in allowed_totals:
-            yield (0,) * n_edges
-        return
-    counts = [0] * n_edges
-
-    def fill(pos: int, used: int):
-        if pos == n_edges:
-            if used in allowed_totals:
-                yield tuple(counts)
-            return
-        top = min(per_edge_cap, max_total - used)
-        for p in range(top + 1):
-            counts[pos] = p
-            yield from fill(pos + 1, used + p)
-        counts[pos] = 0
-
-    yield from fill(0, 0)
 
 
 def solve_exact(
@@ -166,44 +146,33 @@ def _search(
     known tree) starts the incumbent.
     """
     n = instance.n_sources
+    sink = instance.sink
     # the objective of any tree with k Steiner points is at least floors[k]
     floors = [
         bead_charge * k + analysis.lower_bound_path(instance, k)
         for k in range(steiner_budget + 1)
     ]
-    terminals = [*instance.sources, instance.sink]
-    terminal_sq = [[sq_dist(a, b) for b in terminals] for a in terminals]
     incumbent = _Incumbent(math.inf if upper_bound is None else upper_bound + _OBJECTIVE_TIE)
-    examined = pruned = 0
+    examined = pruned = costed = 0
     j_cap = min(steiner_budget, max_steiner_count(n, phi))
-    for topology in enumerate_bounded_topologies(n, j_cap, phi):
-        j = topology.n_steiner
-        edge_children = topology.edge_children()
+    for j, roots in skeletons(n, j_cap, phi, _summarise(instance)):
         per_edge_cap = min(max_beads, steiner_budget - j)
-        bead_budget = min(steiner_budget - j, per_edge_cap * len(edge_children))
+        bead_budget = min(steiner_budget - j, per_edge_cap * (n + j))
         allowed = {t for t in range(bead_budget + 1) if floors[j + t] < incumbent.objective}
         if not allowed:
             pruned += 1
             continue
         examined += 1
-        beads_iter = _bead_vectors(len(edge_children), per_edge_cap, allowed)
-        if j == 0:
-            # Terminal positions are fixed, so bead vectors just rescale the
-            # per-edge contributions; nothing needs solving.
-            flows = compute_flows(topology, instance.supplies)
-            parents = topology.parents
-            terms = [flows[c] * terminal_sq[c][parents[c]] for c in edge_children]
-            for beads in beads_iter:
-                value = bead_charge * sum(beads) + sum(
-                    [term / (p + 1) for term, p in zip(terms, beads)]
-                )
-                incumbent.offer(value, topology, beads)
+        if bead_budget == 0:
+            costed += 1
+            value = bead_charge * j + pinned_cost(sink.x, sink.y, [tree[3] for tree in roots])
+            if value <= incumbent.objective + _OBJECTIVE_TIE:
+                topology = placed_topology(n, j, skeleton_placement(n, roots))
+                incumbent.offer(value, topology, (0,) * (n + j))
         else:
-            elimination = algebraic_solver.TreeElimination(instance, topology)
-            for beads in beads_iter:
-                weights = _bead_weights(elimination.flows, edge_children, beads)
-                value = bead_charge * (j + sum(beads)) + elimination.cost(weights)
-                incumbent.offer(value, topology, beads)
+            costed += _walk_bead_vectors(
+                instance, j, roots, per_edge_cap, allowed, bead_charge, incumbent
+            )
     if incumbent.topology is None:
         raise InternalConsistencyError("search space was empty; the spanning trees alone should appear")
     topology = incumbent.topology
@@ -221,11 +190,130 @@ def _search(
         objective=final_objective,
         topologies_examined=examined,
         topologies_pruned=pruned,
+        bead_vectors=costed,
         strategy=strategy,
         lower_bound=analysis.lower_bound_path(instance, total_steiner),
         upper_bound=upper_bound,
         steiner_bound=steiner_budget if isinstance(strategy, NodeWeighted) else None,
     )
+
+
+def _summarise(instance: Instance):
+    """Subtree factory for skeletons(): (root, children, flow, summary, v)
+    with the summary (qx, qy, W, K) taken with no beads in the subtree and,
+    at a Steiner root, v the merged children's weight (None at a source)."""
+    sources = instance.sources
+    supplies = instance.supplies
+
+    def subtree(root: int, children: tuple) -> tuple:
+        parts = [child[3] for child in children]
+        flow = sum([child[2] for child in children])
+        if root == STEINER:
+            qx, qy, v, k = merge_summaries(parts)
+            return (root, children, flow, (qx, qy, steiner_weight(v, flow), k), v)
+        z = sources[root]
+        flow += supplies[root]
+        return (root, children, flow, (z.x, z.y, flow, pinned_cost(z.x, z.y, parts)), None)
+
+    return subtree
+
+
+def _walk_bead_vectors(
+    instance: Instance,
+    n_steiner: int,
+    roots: tuple,
+    per_edge_cap: int,
+    allowed: set[int],
+    bead_charge: float,
+    incumbent: "_Incumbent",
+) -> int:
+    """Offer the skeleton under every bead vector with per-edge counts <=
+    per_edge_cap and a total in allowed; return how many were costed.
+
+    Nodes are visited children first (the reverse of skeleton_placement, so
+    each subtree is a run of positions ending at its root).  When a node is
+    reached the beads below it are fixed: its children are merged once (or
+    the memoised summary is reused when they hold no beads), then each bead
+    count p of its out-edge gives weight flow/(p+1).  The last node is a
+    sink child, and its loop completes the sink's sum.
+    """
+    n = instance.n_sources
+    sink = instance.sink
+    placed = skeleton_placement(n, roots)
+    order = placed[::-1]
+    m = len(order)
+    position = {node: i for i, (_, node, _) in enumerate(order)}
+    below: list[list[int]] = [[] for _ in range(m)]
+    first = list(range(m))  # first position of each node's subtree
+    at_sink = []
+    for i, (_, _, parent) in enumerate(order):
+        if parent == n:
+            at_sink.append(i)
+        else:
+            up = position[parent]
+            below[up].append(i)
+            first[up] = min(first[up], first[i])
+    at_sink.pop()  # m - 1, the first placed
+    lowest = min(allowed)
+    highest = max(allowed)
+    summaries: list = [None] * m
+    beads = [0] * m
+    entered = [0] * m  # beads before each position on the current path
+    costed = 0
+
+    def offer(value: float) -> None:
+        by_node = [0] * (n + 1 + n_steiner)
+        for (_, node, _), p in zip(order, beads):
+            by_node[node] = p
+        del by_node[n]
+        incumbent.offer(value, placed_topology(n, n_steiner, placed), tuple(by_node))
+
+    def visit(i: int, used: int) -> None:
+        nonlocal costed
+        # beads after position i can add at most per_edge_cap each
+        low = lowest - used - per_edge_cap * (m - 1 - i)
+        high = highest - used
+        if high > per_edge_cap:
+            high = per_edge_cap
+        if low > high:
+            return
+        if low < 0:
+            low = 0
+        entered[i] = used
+        tree, node, _ = order[i]
+        flow = tree[2]
+        v = tree[4]
+        if used == entered[first[i]]:  # no beads below: the memoised merge holds
+            qx, qy, _, k = tree[3]
+        elif v is None:
+            qx, qy = tree[3][0], tree[3][1]
+            k = pinned_cost(qx, qy, [summaries[c] for c in below[i]])
+        else:
+            qx, qy, v, k = merge_summaries([summaries[c] for c in below[i]])
+        if i < m - 1:
+            for p in range(low, high + 1):
+                w = flow / (p + 1)
+                summaries[i] = (qx, qy, w if v is None else steiner_weight(v, w), k)
+                beads[i] = p
+                visit(i + 1, used + p)
+            return
+        base = pinned_cost(sink.x, sink.y, [summaries[c] for c in at_sink]) + k
+        dx = sink.x - qx
+        dy = sink.y - qy
+        d2 = dx * dx + dy * dy
+        for p in range(low, high + 1):
+            total = used + p
+            if total not in allowed:
+                continue
+            costed += 1
+            w = flow / (p + 1)
+            value = bead_charge * (n_steiner + total) + base + d2 * (w if v is None else steiner_weight(v, w))
+            if value <= incumbent.objective + _OBJECTIVE_TIE:
+                beads[i] = p
+                offer(value)
+
+    visit(0, 0)
+    return costed
 
 
 def _bounding_box_diagonal(instance: Instance) -> float:

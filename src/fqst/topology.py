@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import TopologyError
 from .geometry import Point
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 
 NO_PARENT = -1  # parent entry of the sink slot
-_STEINER = -1  # root of a generated subtree that is a Steiner slot
+STEINER = -1  # root of a generated subtree that is a Steiner slot
 
 
 @dataclass(frozen=True)
@@ -312,13 +312,36 @@ def enumerate_bounded_topologies(
     max_steiner, with each Steiner slot of degree >= min_steiner_degree and
     terminals of any degree, each exactly once up to Steiner relabelling.
 
-    Generated from source partitions: the sink's children split all sources
-    into parts, a source root's children split the rest of its subtree's
-    sources, and a Steiner root's children split all of its subtree's
-    sources into at least min_steiner_degree - 1 parts.  Parts never share a
-    source, so no topology repeats and nothing is deduplicated.  Steiner
-    slots are numbered in placement order, and topologies come in
-    nondecreasing Steiner count.
+    Built by skeletons() from source partitions, so no topology repeats and
+    nothing is deduplicated.  Steiner slots are numbered in placement order
+    (see skeleton_placement), and topologies come in nondecreasing Steiner
+    count.
+    """
+    for j, roots in skeletons(n_sources, max_steiner, min_steiner_degree, _bare_subtree):
+        yield placed_topology(n_sources, j, skeleton_placement(n_sources, roots))
+
+
+def _bare_subtree(root: int, children: tuple) -> tuple:
+    return (root, children)
+
+
+def skeletons(
+    n_sources: int,
+    max_steiner: int,
+    min_steiner_degree: int,
+    subtree: Callable[[int, tuple], tuple],
+) -> Iterator[tuple[int, tuple]]:
+    """(j, the sink's child subtrees) for every topology that
+    enumerate_bounded_topologies yields, in the same order.
+
+    A subtree over a set of sources is rooted at one of them, whose children
+    split the rest of the set, or at a Steiner slot, whose children split the
+    whole set into at least min_steiner_degree - 1 parts; the sink's children
+    split all sources.  Parts never share a source.  subtree(root, children)
+    builds each subtree, root being a source index or STEINER; it must
+    return a tuple starting with root and children, and may append a summary
+    of the subtree.  Subtrees are built once per source bitmask and Steiner
+    count, except those over all sources, which are streamed.
     """
     if n_sources < 1:
         raise TopologyError("need at least one source")
@@ -328,10 +351,8 @@ def enumerate_bounded_topologies(
         raise ValueError(
             "Steiner slots of degree < 2 carry no flow; the minimum supported degree is 2"
         )
-    # A subtree is (root, children), root a source index or _STEINER.  Subtree
-    # lists are memoised per (source bitmask, Steiner count), except those
-    # over all sources, which are streamed.  The nested functions form a
-    # reference cycle, so the memo is cleared when the generator ends.
+    # The nested functions form a reference cycle, so the memo is cleared
+    # when the generator ends.
     full = (1 << n_sources) - 1
     min_children = min_steiner_degree - 1
     memo: dict[tuple[int, int], list[tuple]] = {}
@@ -340,10 +361,10 @@ def enumerate_bounded_topologies(
         for s in range(n_sources):
             if mask >> s & 1:
                 for children in forests(mask ^ (1 << s), k, 0):
-                    yield (s, children)
+                    yield subtree(s, children)
         if k:
             for children in forests(mask, k - 1, min_children):
-                yield (_STEINER, children)
+                yield subtree(STEINER, children)
 
     def child_subtrees(mask: int, k: int):
         if mask == full:
@@ -379,20 +400,39 @@ def enumerate_bounded_topologies(
                 return
             sub = (sub - 1) & rest
 
-    sink = n_sources
     try:
         for j in range(max_steiner + 1):
-            for children in forests(full, j, 1):
-                parents = [NO_PARENT] * (n_sources + 1 + j)
-                next_slot = sink + 1
-                stack = [(tree, sink) for tree in children]
-                while stack:
-                    (root, below), parent = stack.pop()
-                    if root == _STEINER:
-                        root = next_slot
-                        next_slot += 1
-                    parents[root] = parent
-                    stack.extend((tree, root) for tree in below)
-                yield Topology(n_sources, j, tuple(parents))
+            for roots in forests(full, j, 1):
+                yield j, roots
     finally:
         memo.clear()
+
+
+def skeleton_placement(n_sources: int, roots: tuple) -> list[tuple[tuple, int, int]]:
+    """(subtree, node, parent node) for every subtree under the sink's
+    children roots, in depth-first preorder: each subtree is a contiguous
+    run that starts at its root.
+
+    A source root keeps its index; Steiner roots get slots n_sources + 1,
+    n_sources + 2, ... in this order.
+    """
+    placed = []
+    next_slot = n_sources + 1
+    stack = [(tree, n_sources) for tree in roots]
+    while stack:
+        tree, parent = stack.pop()
+        node = tree[0]
+        if node == STEINER:
+            node = next_slot
+            next_slot += 1
+        placed.append((tree, node, parent))
+        stack.extend((child, node) for child in tree[1])
+    return placed
+
+
+def placed_topology(n_sources: int, n_steiner: int, placed: list[tuple[tuple, int, int]]) -> Topology:
+    """The topology of a skeleton from its skeleton_placement."""
+    parents = [NO_PARENT] * (n_sources + 1 + n_steiner)
+    for _, node, parent in placed:
+        parents[node] = parent
+    return Topology(n_sources, n_steiner, tuple(parents))

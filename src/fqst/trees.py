@@ -73,8 +73,8 @@ def embedded_cost(
 ) -> float:
     """Sum over edges of weight * squared length.
 
-    With edge_weights = flows this is the tree cost; exact search also feeds
-    bead-reduced weights through the same sum.
+    With edge_weights = flows this is the tree cost; with bead-reduced
+    weights f/(p+1) it is the cost of a skeleton standing for a beaded tree.
     """
     pos = _position_table(instance, topology, steiner_positions)
     parents = topology.parents

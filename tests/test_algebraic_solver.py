@@ -19,7 +19,12 @@ from fqst import (
     solve_topology,
     sq_dist,
 )
-from fqst.algebraic_solver import TreeElimination
+from fqst.algebraic_solver import (
+    TreeElimination,
+    merge_summaries,
+    pinned_cost,
+    steiner_weight,
+)
 from dense_oracle import SteinerSystem, assemble_system, solve_positions
 from conftest import (
     NO_PARENT,
@@ -335,6 +340,23 @@ def random_general_tree(rng: random.Random, n_sources: int, n_steiner: int) -> T
     return Topology(n_sources, n_steiner, tuple(parents))
 
 
+def summary_cost(instance, topology, weights):
+    """Optimal cost from subtree summaries merged leaves first; no positions."""
+    children = topology.children_lists()
+    terminals = [*instance.sources, instance.sink]
+    summaries = {}
+    for node in reversed(topology.order_from_sink()):
+        parts = [summaries[c] for c in children[node]]
+        if node == topology.sink:
+            return pinned_cost(instance.sink.x, instance.sink.y, parts)
+        if topology.is_source(node):
+            z = terminals[node]
+            summaries[node] = (z.x, z.y, weights[node], pinned_cost(z.x, z.y, parts))
+        else:
+            qx, qy, v, k = merge_summaries(parts)
+            summaries[node] = (qx, qy, steiner_weight(v, weights[node]), k)
+
+
 class TestEliminationMatchesDenseOracle:
     @given(
         st.integers(min_value=1, max_value=6),
@@ -361,7 +383,7 @@ class TestEliminationMatchesDenseOracle:
             assert abs(xs[slot] - want.x) <= 1e-12 * scale
             assert abs(ys[slot] - want.y) <= 1e-12 * scale
         assert all(b[node] == 0.0 for node in range(topo.sink + 1))
-        assert elimination.cost(weights) == pytest.approx(
+        assert summary_cost(inst, topo, weights) == pytest.approx(
             embedded_cost(inst, topo, expected, weights), rel=1e-12, abs=1e-12
         )
 
@@ -378,3 +400,28 @@ class TestEliminationMatchesDenseOracle:
         weights[4] = bad
         with pytest.raises(InternalConsistencyError):
             elimination.solve(weights)
+
+
+class TestSubtreeSummaries:
+    def test_merge_keeps_the_cost_at_every_point(self):
+        rng = random.Random(34)
+        for _ in range(20):
+            parts = [
+                (rng.uniform(-9, 9), rng.uniform(-9, 9), rng.uniform(0.1, 3), rng.uniform(0, 5))
+                for _ in range(rng.randint(1, 5))
+            ]
+            qx, qy, v, k = merge_summaries(parts)
+            assert v == pytest.approx(sum(p[2] for p in parts), rel=1e-15)
+            x, y = rng.uniform(-9, 9), rng.uniform(-9, 9)
+            direct = pinned_cost(x, y, parts)
+            merged = k + v * ((x - qx) ** 2 + (y - qy) ** 2)
+            assert merged == pytest.approx(direct, rel=1e-12)
+
+    def test_steiner_weight_is_the_series_weight(self):
+        assert steiner_weight(3.0, 1.0) == pytest.approx(0.75, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_pivot_raises(self, bad):
+        _, _, v, _ = merge_summaries([(0.0, 0.0, 1.0, 0.0), (4.0, 0.0, 2.0, 0.0)])
+        with pytest.raises(InternalConsistencyError):
+            steiner_weight(v, bad)

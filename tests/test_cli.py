@@ -80,6 +80,20 @@ class TestExactCommand:
         assert out["claims"]["global_optimum"] is True
         assert "search" in out and out["search"]["topologies_examined"] >= 1
 
+    def test_search_block_counts_bead_vectors(self, tmp_path, capsys):
+        # one edge under an explicit bound of 2: zero, one or two beads
+        doc = {
+            "schema": 1,
+            "sources": [[0.0, 0.0]],
+            "sink": [3.0, 4.0],
+            "strategy": {"explicit_bound": 2},
+        }
+        path = write_document(tmp_path, doc)
+        assert main(["exact", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["search"]["bead_vectors"] == 3
+        assert out["objective"] == pytest.approx(25.0 / 3.0)
+
     def test_worked_instance_degree_bound(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document(topology=False) | {"topology": None})
         assert main(["exact", path]) == 0

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqst import (
     DegreeBound,
@@ -18,6 +20,7 @@ from fqst import (
     cost_node_weighted,
     embedded_cost,
     enumerate_bounded_topologies,
+    expand_beads,
     local_improve_by_splits,
     lower_bound_path,
     rooted_encoding,
@@ -27,8 +30,10 @@ from fqst import (
     steiner_count_bound,
 )
 from dense_oracle import assemble_system, solve_positions
-from fqst.exact_search import _bead_vectors, _Incumbent
-from conftest import NO_PARENT, random_instance
+from fqst.analysis import _weighted_sink_distances
+from fqst.exact_search import _Incumbent, _summarise, _walk_bead_vectors
+from fqst.topology import skeletons
+from conftest import NO_PARENT, random_instance, random_supplied_instance
 
 
 class TestSolveExactDegreeBound:
@@ -286,27 +291,86 @@ class TestFoldedSearchMatchesExplicitEnumeration:
             assert report.objective == pytest.approx(naive, rel=1e-9)
 
 
+class _Recorder:
+    """Stands in for the incumbent and keeps every candidate offered."""
+
+    objective = math.inf
+
+    def __init__(self):
+        self.offers = []
+
+    def offer(self, objective, topology, beads):
+        self.offers.append((objective, topology, beads))
+
+
+def _walk_star(n_edges, per_edge_cap, allowed):
+    """Bead vectors the walk costs on n_edges sources feeding the sink."""
+    inst = Instance.with_unit_supplies(
+        [Point(float(i), 1.0) for i in range(n_edges)], Point(0.0, 0.0)
+    )
+    subtree = _summarise(inst)
+    roots = tuple(subtree(s, ()) for s in range(n_edges))
+    recorder = _Recorder()
+    costed = _walk_bead_vectors(inst, 0, roots, per_edge_cap, allowed, 0.0, recorder)
+    assert costed == len(recorder.offers)
+    return [beads for _, _, beads in recorder.offers]
+
+
 class TestBeadVectors:
     def test_enumerates_totals_with_caps(self):
-        vectors = list(_bead_vectors(3, 2, {0, 1, 2}))
+        vectors = _walk_star(3, 2, {0, 1, 2})
         assert (0, 0, 0) in vectors
         assert (2, 0, 0) in vectors
         assert all(sum(v) <= 2 for v in vectors)
         assert all(max(v) <= 2 for v in vectors)
-        expected = sum(
-            1
+        expected = {
+            v
             for v in itertools.product(range(3), repeat=3)
             if sum(v) <= 2
-        )
-        assert len(vectors) == expected
+        }
+        assert len(vectors) == len(expected)
+        assert set(vectors) == expected
 
     def test_total_filter(self):
-        vectors = list(_bead_vectors(2, 3, {2}))
+        vectors = _walk_star(2, 3, {2})
         assert all(sum(v) == 2 for v in vectors)
+        assert sorted(vectors) == [(0, 2), (1, 1), (2, 0)]
 
     def test_zero_cap_yields_only_the_zero_vector(self):
-        assert list(_bead_vectors(4, 0, {0, 1, 2})) == [(0, 0, 0, 0)]
-        assert list(_bead_vectors(4, 0, {1, 2})) == []
+        assert _walk_star(4, 0, {0, 1, 2}) == [(0, 0, 0, 0)]
+        assert _walk_star(4, 0, {1, 2}) == []
+
+    def test_every_costed_vector_matches_the_expanded_tree(self):
+        rng = random.Random(62)
+        inst = random_supplied_instance(rng, 3, span=4.0)
+        recorder = _Recorder()
+        for j, roots in skeletons(3, 2, 3, _summarise(inst)):
+            _walk_bead_vectors(inst, j, roots, 2, {0, 1, 2}, 0.5, recorder)
+        assert len(recorder.offers) > 100
+        for value, topology, beads in recorder.offers:
+            expanded = solve_topology(inst, expand_beads(topology, beads))
+            charge = 0.5 * expanded.topology.n_steiner
+            assert value == pytest.approx(expanded.cost + charge, rel=1e-12)
+
+    def test_search_counts_every_bead_vector(self):
+        # with nothing pruned, the search costs every skeleton under every
+        # vector with per-edge counts <= k - j and total <= k - j
+        rng = random.Random(61)
+        for _ in range(3):
+            n = rng.randint(2, 3)
+            k = rng.randint(1, 2)
+            inst = random_instance(rng, n, span=4.0)
+            report = solve_exact(inst, ExplicitBound(k))
+            assert report.topologies_pruned == 0
+            expected = sum(
+                1
+                for topo in enumerate_bounded_topologies(n, k, 3)
+                for v in itertools.product(
+                    range(k - topo.n_steiner + 1), repeat=n + topo.n_steiner
+                )
+                if sum(v) <= k - topo.n_steiner
+            )
+            assert report.bead_vectors == expected
 
 
 class TestIncumbentTieBreak:
@@ -382,3 +446,83 @@ class TestDeterminism:
         assert first.objective == second.objective
         assert first.best.topology.parents == second.best.topology.parents
         assert first.topologies_examined == second.topologies_examined
+
+
+def _strategy(kind, instance, c_factor):
+    if kind == "degree":
+        return DegreeBound(3)
+    if kind == "explicit":
+        return ExplicitBound(2)
+    return NodeWeighted(c_factor * _weighted_sink_distances(instance))
+
+
+_metamorphic = given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["degree", "explicit", "node"]),
+)
+_metamorphic_settings = settings(max_examples=40, deadline=None)
+
+
+def _case(seed):
+    rng = random.Random(seed)
+    inst = random_supplied_instance(rng, rng.randint(1, 4), span=5.0)
+    return rng, inst, rng.uniform(0.2, 1.0)
+
+
+class TestMetamorphic:
+    """Objectives transform with the instance; compared at rel 1e-9."""
+
+    @_metamorphic
+    @_metamorphic_settings
+    def test_translation_invariance(self, seed, kind):
+        rng, inst, u = _case(seed)
+        dx, dy = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+        moved = Instance(
+            tuple(Point(p.x + dx, p.y + dy) for p in inst.sources),
+            inst.supplies,
+            Point(inst.sink.x + dx, inst.sink.y + dy),
+        )
+        base = solve_exact(inst, _strategy(kind, inst, u)).objective
+        got = solve_exact(moved, _strategy(kind, inst, u)).objective
+        assert got == pytest.approx(base, rel=1e-9)
+
+    @_metamorphic
+    @_metamorphic_settings
+    def test_scaling_by_s_multiplies_by_s_squared(self, seed, kind):
+        rng, inst, u = _case(seed)
+        s = rng.uniform(0.1, 10.0)
+        scaled = Instance(
+            tuple(Point(p.x * s, p.y * s) for p in inst.sources),
+            inst.supplies,
+            Point(inst.sink.x * s, inst.sink.y * s),
+        )
+        # c_factor multiplies the squared distances, so c scales by s^2
+        base = solve_exact(inst, _strategy(kind, inst, u)).objective
+        got = solve_exact(scaled, _strategy(kind, scaled, u)).objective
+        assert got == pytest.approx(base * s * s, rel=1e-9)
+
+    @_metamorphic
+    @_metamorphic_settings
+    def test_scaling_supplies_by_a_multiplies_by_a(self, seed, kind):
+        rng, inst, u = _case(seed)
+        a = rng.uniform(0.1, 10.0)
+        heavier = Instance(inst.sources, tuple(w * a for w in inst.supplies), inst.sink)
+        # c_factor multiplies the supplies, so c scales by a
+        base = solve_exact(inst, _strategy(kind, inst, u)).objective
+        got = solve_exact(heavier, _strategy(kind, heavier, u)).objective
+        assert got == pytest.approx(base * a, rel=1e-9)
+
+    @_metamorphic
+    @_metamorphic_settings
+    def test_relabelling_sources(self, seed, kind):
+        rng, inst, u = _case(seed)
+        order = list(range(inst.n_sources))
+        rng.shuffle(order)
+        relabelled = Instance(
+            tuple(inst.sources[i] for i in order),
+            tuple(inst.supplies[i] for i in order),
+            inst.sink,
+        )
+        base = solve_exact(inst, _strategy(kind, inst, u)).objective
+        got = solve_exact(relabelled, _strategy(kind, inst, u)).objective
+        assert got == pytest.approx(base, rel=1e-9)
