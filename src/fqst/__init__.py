@@ -42,7 +42,6 @@ from .errors import (
 )
 from .exact_search import (
     SearchReport,
-    local_improve_by_splits,
     solve_exact,
 )
 from .geo_solver import (
@@ -70,7 +69,6 @@ from .topology import (
     Topology,
     compute_flows,
     enumerate_bounded_topologies,
-    enumerate_full_topologies,
     rooted_encoding,
     validate_topology,
 )
@@ -120,10 +118,8 @@ __all__ = [
     "cost_node_weighted",
     "embedded_cost",
     "enumerate_bounded_topologies",
-    "enumerate_full_topologies",
     "expand_beads",
     "lerp",
-    "local_improve_by_splits",
     "lower_bound_path",
     "max_steiner_count",
     "merge_quasi_quasi",

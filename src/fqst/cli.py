@@ -109,6 +109,7 @@ def _cmd_exact(args) -> int:
             "topologies_pruned": report.topologies_pruned,
             "bead_vectors": report.bead_vectors,
             "lower_bound": report.lower_bound,
+            "phase_s": report.phase_s,
         }
     }
     if report.upper_bound is not None:

@@ -1,35 +1,55 @@
-"""Globally minimum trees by exhaustive topology enumeration with pruning.
-
-All three strategies run one search: enumerate branching skeletons (every
-Steiner degree >= phi) and fold chains of degree-2 Steiner points in as
-per-edge bead counts.  On a locally minimal tree the beads of an edge are
-equally spaced on the straight segment, so an edge with flow f and p beads
-contributes f*|e|^2/(p+1), which is the same stationarity problem with the
-edge weight f replaced by f/(p+1).  A degree bound places no beads at all;
-the explicit bound and the node weight spend the rest of their Steiner
-budget on them.
+"""Globally minimum trees by exhaustive search over subtree summaries.
 
 Nothing is embedded while searching.  A subtree's share of the optimal cost
 depends on the subtree alone: it is K + W*|p - q|^2 for its parent at p
-(see algebraic_solver.merge_summaries).  The skeleton generator builds
-each subtree once per (source set, Steiner count) with its zero-bead
-summary, so a skeleton without beads costs one sum over the sink's
-children.  Bead vectors are walked depth-first over the skeleton, children
-before parents: each node merges its children once per assignment of the
-beads below it and then branches on the bead count of its own out-edge.  A
-Topology is built only for a candidate that can become the incumbent.  The
-reported winner has its beads expanded back into explicit degree-2 Steiner
-slots and is re-solved and re-checked.
+(see algebraic_solver.merge_summaries).  A reported winner is re-solved
+from its topology and checked against the searched objective.
 
-Everything here is deterministic: skeletons stream in a fixed order and
-objective ties break on the sink-rooted topology encoding.
+A degree bound is searched by a dynamic programme over source bitmasks,
+the Dreyfus-Wagner subset recursion split at terminals.  Per mask it keeps
+forests of child subtrees by part count c = 1 .. phi-1, the last class
+meaning at least phi-1 parts: class 1 holds the single subtrees (a source
+root, or a Steiner root over a top-class forest), and a class c >= 2
+forest is the part holding the mask's lowest source merged with a class
+c-1 forest over the rest (the top class also takes a top-class rest).  A
+terminal has a fixed position, so the best subtree rooted at a source and
+the best tree at the sink are scalars: the best forest at a fixed anchor,
+a set-partition recursion over the best single subtree at that anchor.
+Each list is pruned by pointwise dominance: a summary whose cost function
+is nowhere below another's is dropped.  This is exact because merging,
+the Steiner transform (see steiner_weight) and evaluation at a fixed
+anchor are each monotone in every part's cost function, so a dominated
+summary never completes a better tree; a forest of more parts serves
+wherever one of fewer parts does, so a class is pruned against every
+higher class too, but single subtrees never against forests.  No skeleton
+is visited.
+
+The explicit bound and the node weight search every branching skeleton
+(every Steiner degree >= 3) and fold chains of degree-2 Steiner points in
+as per-edge bead counts.  On a locally minimal tree the beads of an edge
+are equally spaced on the straight segment, so an edge with flow f and p
+beads contributes f*|e|^2/(p+1): the same stationarity problem with the
+edge weight f replaced by f/(p+1).  The skeleton generator builds each
+subtree once per (source set, Steiner count) with its zero-bead summary,
+and bead vectors are walked depth-first over the skeleton, children
+before parents: each node merges its children once per assignment of the
+beads below it and then branches on the bead count of its own out-edge.
+A Topology is built only for a candidate that can become the incumbent,
+and the winner has its beads expanded back into explicit degree-2 Steiner
+slots before it is re-solved.
+
+Everything here is deterministic.  The skeleton walk breaks objective ties
+on the sink-rooted topology encoding; the subset DP keeps, among equal
+summaries and equal scalars, the first in generation order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Sequence
 
 from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
@@ -49,7 +69,6 @@ from .topology import (
     rooted_encoding,
     skeleton_placement,
     skeletons,
-    validate_topology,
 )
 from .trees import SolvedTree
 
@@ -61,13 +80,19 @@ _OBJECTIVE_TIE = 1e-12
 class SearchReport:
     best: SolvedTree
     objective: float
+    # a degree bound counts subtree and forest summaries built and dropped
+    # as dominated; the other strategies count skeletons costed and cut by
+    # the path bound, and (skeleton, bead vector) pairs costed
     topologies_examined: int
     topologies_pruned: int
-    bead_vectors: int  # (skeleton, bead vector) pairs costed
+    bead_vectors: int
     strategy: BoundStrategy
     lower_bound: float
     upper_bound: float | None = None  # node-weighted: beaded spanning tree cost
     steiner_bound: int | None = None  # node-weighted: the Steiner budget B
+    # seconds spent finding the winner ("search") and expanding, re-solving
+    # and checking it ("resolve")
+    phase_s: dict[str, float] = field(default_factory=dict)
 
 
 class _Incumbent:
@@ -103,7 +128,7 @@ class _Incumbent:
 def solve_exact(
     instance: Instance, strategy: BoundStrategy, guard_n: int = DEFAULT_GUARD
 ) -> SearchReport:
-    """Globally minimum tree under the strategy, by exhaustive enumeration.
+    """Globally minimum tree under the strategy, by exhaustive search.
 
     Refuses instances with more than guard_n sources; the space grows
     factorially and this is a desk-scale exact method.
@@ -115,8 +140,7 @@ def solve_exact(
             f"raise guard_n explicitly to go further"
         )
     if isinstance(strategy, DegreeBound):
-        budget = max_steiner_count(n, strategy.phi)
-        return _search(instance, strategy, strategy.phi, budget, 0, 0.0, None)
+        return _degree_search(instance, strategy)
     if isinstance(strategy, ExplicitBound):
         return _search(instance, strategy, 3, strategy.k, strategy.k, 0.0, None)
     if isinstance(strategy, NodeWeighted):
@@ -127,6 +151,188 @@ def solve_exact(
         upper = analysis.cost_node_weighted(analysis.beaded_spanning_tree(instance, c), c)
         return _search(instance, strategy, 3, budget, cap, c, upper)
     raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def _degree_search(instance: Instance, strategy: DegreeBound) -> SearchReport:
+    """The subset DP of the module docstring.
+
+    Masks are taken in increasing order, so every proper submask is done
+    first.  A list entry is (qx, qy, W, K, link): a forest's W is its
+    merged weight V, and link is a chain (part node, rest link) ending in
+    None.  A node is (source, mask of its children's sources) or (STEINER,
+    link of its children).  Anchors 0 .. n-1 are the sources and n the sink.
+    """
+    started = time.perf_counter()
+    n = instance.n_sources
+    top = strategy.phi - 1
+    full = (1 << n) - 1
+    xs = [p.x for p in instance.sources] + [instance.sink.x]
+    ys = [p.y for p in instance.sources] + [instance.sink.y]
+    supplies = instance.supplies
+    flow = [0.0] * (full + 1)
+    forests: list = [None] * (full + 1)  # forests[mask][c]: kept class c
+    # per anchor and mask: the best forest hanging from the anchor and the
+    # part of it holding the mask's lowest source; the best single subtree
+    best = [[0.0] * (full + 1) for _ in range(n + 1)]
+    cut = [[0] * (full + 1) for _ in range(n + 1)]
+    single = [[0.0] * (full + 1) for _ in range(n + 1)]
+    pick: list = [[None] * (full + 1) for _ in range(n + 1)]
+    built = dropped = 0
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        rest = mask ^ low
+        f = flow[mask] = flow[rest] + supplies[low.bit_length() - 1]
+        classes: list = [[] for _ in range(top + 1)]  # raw, then kept
+        # over all sources only the top class is used (by Steiner roots)
+        lowest_tail = top - 1 if mask == full else 1
+        sub = rest
+        while sub:
+            parts = forests[mask ^ sub][1]
+            tails_by_class = forests[sub]
+            for c in range(lowest_tail, top + 1):
+                tails = tails_by_class[c]
+                if not tails:
+                    continue
+                out = classes[c + 1 if c < top else top]
+                # the pairwise case of merge_summaries, in closed form
+                for ax, ay, aw, ak, (anode, _) in parts:
+                    for bx, by, bw, bk, blink in tails:
+                        v = aw + bw
+                        dx = ax - bx
+                        dy = ay - by
+                        out.append((
+                            (aw * ax + bw * bx) / v,
+                            (aw * ay + bw * by) / v,
+                            v,
+                            ak + bk + aw * bw / v * (dx * dx + dy * dy),
+                            (anode, blink),
+                        ))
+            sub = (sub - 1) & rest
+        # lists over all sources are only evaluated at the sink: not pruned
+        prune = mask != full
+        above: list = []
+        for c in range(top, 1, -1):
+            candidates = classes[c]
+            built += len(candidates)
+            if prune:
+                classes[c] = _prune_dominated(candidates, above)
+                dropped += len(candidates) - len(classes[c])
+                if c > 2:
+                    above = sorted(above + classes[c], key=_WEIGHT)
+        singles = []
+        for r in range(n):
+            if mask >> r & 1:
+                others = mask ^ (1 << r)
+                singles.append((xs[r], ys[r], f, best[r][others], ((r, others), None)))
+        for qx, qy, v, k, link in classes[top]:
+            singles.append((qx, qy, steiner_weight(v, f), k, ((STEINER, link), None)))
+        built += len(singles)
+        classes[1] = _prune_dominated(singles) if prune else singles
+        dropped += len(singles) - len(classes[1])
+        forests[mask] = classes
+        for a in range(n + 1):
+            if a < n and mask >> a & 1:
+                continue
+            px = xs[a]
+            py = ys[a]
+            value = math.inf
+            for qx, qy, w, k, (node, _) in classes[1]:
+                dx = px - qx
+                dy = py - qy
+                candidate = k + w * (dx * dx + dy * dy)
+                if candidate < value:
+                    value = candidate
+                    pick[a][mask] = node
+            single_a = single[a]
+            best_a = best[a]
+            single_a[mask] = value
+            choice = mask
+            sub = rest
+            while sub:
+                candidate = single_a[mask ^ sub] + best_a[sub]
+                if candidate < value:
+                    value = candidate
+                    choice = mask ^ sub
+                sub = (sub - 1) & rest
+            best_a[mask] = value
+            cut[a][mask] = choice
+
+    def anchored(a: int, mask: int) -> tuple:
+        children = []
+        while mask:
+            part = cut[a][mask]
+            children.append(subtree(pick[a][part]))
+            mask ^= part
+        return tuple(children)
+
+    def subtree(node: tuple) -> tuple:
+        root, below = node
+        if root != STEINER:
+            return (root, anchored(root, below))
+        children = []
+        while below is not None:
+            children.append(subtree(below[0]))
+            below = below[1]
+        return (root, tuple(children))
+
+    placed = skeleton_placement(n, anchored(n, full))
+    n_steiner = sum(1 for tree, _, _ in placed if tree[0] == STEINER)
+    return _report(
+        instance,
+        strategy,
+        placed_topology(n, n_steiner, placed),
+        (),
+        best[n][full],
+        0.0,
+        started,
+        topologies_examined=built,
+        topologies_pruned=dropped,
+        bead_vectors=0,
+    )
+
+
+_WEIGHT = itemgetter(2)
+_WEIGHT_AND_K = itemgetter(2, 3)
+
+
+def _prune_dominated(summaries: list, above: Sequence = ()) -> list:
+    """The summaries (qx, qy, W, K, ...) that neither an earlier kept one
+    nor one of above dominates, sorted by (W, K) and then input order (the
+    list is sorted in place).
+
+    a dominates b when K_a + W_a |x - q_a|^2 <= K_b + W_b |x - q_b|^2 for
+    every x: when W_a < W_b and (K_b - K_a)(W_b - W_a) >= W_a W_b |q_a - q_b|^2
+    (the difference is a convex quadratic; this says its minimum is >= 0),
+    or when W_a == W_b, q_a == q_b and K_a <= K_b.  Only a summary of no
+    larger W can dominate, so after the sort one pass suffices.  above must
+    be sorted by W; its summaries dominate but are not pruned.
+    """
+    summaries.sort(key=_WEIGHT_AND_K)
+    kept: list = []
+    pool: list = []  # above and kept summaries with W <= the current one's
+    i = 0
+    m = len(above)
+    for b in summaries:
+        bx, by, bw, bk = b[0], b[1], b[2], b[3]
+        while i < m and above[i][2] <= bw:
+            pool.append(above[i])
+            i += 1
+        for a in pool:
+            ak = a[3]
+            if ak > bk:  # a is above b at q_b
+                continue
+            aw = a[2]
+            if aw < bw:
+                dx = a[0] - bx
+                dy = a[1] - by
+                if (bk - ak) * (bw - aw) >= aw * bw * (dx * dx + dy * dy):
+                    break
+            elif a[0] == bx and a[1] == by:
+                break
+        else:
+            kept.append(b)
+            pool.append(b)
+    return kept
 
 
 def _search(
@@ -145,6 +351,7 @@ def _search(
     node-weighted objective and 0 otherwise, and upper_bound (the cost of a
     known tree) starts the incumbent.
     """
+    started = time.perf_counter()
     n = instance.n_sources
     sink = instance.sink
     # the objective of any tree with k Steiner points is at least floors[k]
@@ -175,26 +382,51 @@ def _search(
             )
     if incumbent.topology is None:
         raise InternalConsistencyError("search space was empty; the spanning trees alone should appear")
-    topology = incumbent.topology
-    if any(incumbent.beads):
-        topology = analysis.expand_beads(topology, incumbent.beads)
+    return _report(
+        instance,
+        strategy,
+        incumbent.topology,
+        incumbent.beads,
+        incumbent.objective,
+        bead_charge,
+        started,
+        topologies_examined=examined,
+        topologies_pruned=pruned,
+        bead_vectors=costed,
+        upper_bound=upper_bound,
+        steiner_bound=steiner_budget if isinstance(strategy, NodeWeighted) else None,
+    )
+
+
+def _report(
+    instance: Instance,
+    strategy: BoundStrategy,
+    topology: Topology,
+    beads: tuple[int, ...],
+    searched: float,
+    bead_charge: float,
+    started: float,
+    **counters,
+) -> SearchReport:
+    """Expand the winner's beads, re-solve it (with the solver's residual
+    check) and check its objective against the searched one."""
+    resolving = time.perf_counter()
+    if any(beads):
+        topology = analysis.expand_beads(topology, beads)
     best = algebraic_solver.solve_topology(instance, topology)
     total_steiner = best.topology.n_steiner
     final_objective = best.cost + bead_charge * total_steiner
-    if not math.isclose(final_objective, incumbent.objective, rel_tol=1e-9, abs_tol=1e-9):
+    if not math.isclose(final_objective, searched, rel_tol=1e-9, abs_tol=1e-9):
         raise InternalConsistencyError(
-            f"expanded winner objective {final_objective} drifted from searched {incumbent.objective}"
+            f"expanded winner objective {final_objective} drifted from searched {searched}"
         )
     return SearchReport(
         best=best,
         objective=final_objective,
-        topologies_examined=examined,
-        topologies_pruned=pruned,
-        bead_vectors=costed,
         strategy=strategy,
         lower_bound=analysis.lower_bound_path(instance, total_steiner),
-        upper_bound=upper_bound,
-        steiner_bound=steiner_budget if isinstance(strategy, NodeWeighted) else None,
+        phase_s={"search": resolving - started, "resolve": time.perf_counter() - resolving},
+        **counters,
     )
 
 
@@ -322,47 +554,3 @@ def _bounding_box_diagonal(instance: Instance) -> float:
     dx = max(xs) - min(xs)
     dy = max(ys) - min(ys)
     return math.hypot(dx, dy)
-
-
-def _objective(tree: SolvedTree, strategy: BoundStrategy) -> float:
-    if isinstance(strategy, NodeWeighted):
-        return analysis.cost_node_weighted(tree, strategy.c)
-    return analysis.cost(tree)
-
-
-def local_improve_by_splits(tree: SolvedTree, strategy: BoundStrategy) -> SolvedTree:
-    """Apply the best admissible beneficial split until none remains.
-
-    Admissibility is whatever validate_topology accepts for the strategy;
-    the objective strictly decreases on every application, so no topology
-    repeats and the loop terminates.
-    """
-    current = tree
-    current_objective = _objective(tree, strategy)
-    while True:
-        best_tree: SolvedTree | None = None
-        best_objective = current_objective
-        children = current.topology.children_lists()
-        for target in range(current.topology.n_nodes):
-            in_neighbours = children[target]
-            if not in_neighbours:
-                continue
-            for size in range(1, len(in_neighbours) + 1):
-                for members in itertools.combinations(in_neighbours, size):
-                    spec = analysis.SplitSpec(target, members)
-                    new_topology = analysis.split_topology(current.topology, spec)
-                    if validate_topology(new_topology, strategy):
-                        continue
-                    candidate = algebraic_solver.solve_topology(current.instance, new_topology)
-                    objective = _objective(candidate, strategy)
-                    if objective < best_objective - _improvement_margin(current_objective):
-                        best_tree = candidate
-                        best_objective = objective
-        if best_tree is None:
-            return current
-        current = best_tree
-        current_objective = best_objective
-
-
-def _improvement_margin(objective: float) -> float:
-    return 1e-12 * (1.0 + abs(objective))

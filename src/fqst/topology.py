@@ -277,34 +277,6 @@ def _orient_toward_sink(n_sources: int, n_steiner: int, edges: Sequence[tuple[in
     return Topology(n_sources, n_steiner, tuple(parents))
 
 
-def enumerate_full_topologies(n_sources: int) -> Iterator[Topology]:
-    """Every full topology on n sources plus the sink, with n-1 degree-3
-    Steiner slots, each exactly once up to Steiner relabelling.
-
-    Built by the recursive edge-insertion construction: the base joins the
-    first two sources and the sink to one Steiner slot, and each further
-    source is attached by subdividing one existing edge.  This yields each
-    topology exactly once, so no dedup pass is needed.
-    """
-    if n_sources < 2:
-        raise TopologyError("no full topology exists with fewer than two sources")
-    sink = n_sources
-    first_steiner = n_sources + 1
-    base = [(0, first_steiner), (1, first_steiner), (sink, first_steiner)]
-
-    def insert(edges: list[tuple[int, int]], next_source: int, next_steiner: int) -> Iterator[Topology]:
-        if next_source == n_sources:
-            yield _orient_toward_sink(n_sources, n_sources - 1, edges)
-            return
-        for i in range(len(edges)):
-            u, v = edges[i]
-            s = next_steiner
-            grown = edges[:i] + edges[i + 1 :] + [(u, s), (v, s), (next_source, s)]
-            yield from insert(grown, next_source + 1, next_steiner + 1)
-
-    yield from insert(base, 2, first_steiner + 1)
-
-
 def enumerate_bounded_topologies(
     n_sources: int, max_steiner: int, min_steiner_degree: int = 3
 ) -> Iterator[Topology]:

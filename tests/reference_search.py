@@ -1,0 +1,91 @@
+"""Test-only topology enumeration and local search, kept out of the package.
+
+enumerate_full_topologies builds every full degree-3 topology by edge
+insertion, an independent count and cross-check for the partition generator
+in fqst.topology.  local_improve_by_splits applies beneficial J-splits until
+none is left, so the tests can check that exact-search winners are fixed
+points of local improvement.  Neither is used by the CLI.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator
+
+from fqst import algebraic_solver, analysis
+from fqst.errors import TopologyError
+from fqst.strategies import BoundStrategy, NodeWeighted
+from fqst.topology import Topology, _orient_toward_sink, validate_topology
+from fqst.trees import SolvedTree
+
+
+def enumerate_full_topologies(n_sources: int) -> Iterator[Topology]:
+    """Every full topology on n sources plus the sink, with n-1 degree-3
+    Steiner slots, each exactly once up to Steiner relabelling.
+
+    Built by the recursive edge-insertion construction: the base joins the
+    first two sources and the sink to one Steiner slot, and each further
+    source is attached by subdividing one existing edge.  This yields each
+    topology exactly once, so no dedup pass is needed.
+    """
+    if n_sources < 2:
+        raise TopologyError("no full topology exists with fewer than two sources")
+    sink = n_sources
+    first_steiner = n_sources + 1
+    base = [(0, first_steiner), (1, first_steiner), (sink, first_steiner)]
+
+    def insert(edges: list[tuple[int, int]], next_source: int, next_steiner: int) -> Iterator[Topology]:
+        if next_source == n_sources:
+            yield _orient_toward_sink(n_sources, n_sources - 1, edges)
+            return
+        for i in range(len(edges)):
+            u, v = edges[i]
+            s = next_steiner
+            grown = edges[:i] + edges[i + 1 :] + [(u, s), (v, s), (next_source, s)]
+            yield from insert(grown, next_source + 1, next_steiner + 1)
+
+    yield from insert(base, 2, first_steiner + 1)
+
+
+def _objective(tree: SolvedTree, strategy: BoundStrategy) -> float:
+    if isinstance(strategy, NodeWeighted):
+        return analysis.cost_node_weighted(tree, strategy.c)
+    return analysis.cost(tree)
+
+
+def local_improve_by_splits(tree: SolvedTree, strategy: BoundStrategy) -> SolvedTree:
+    """Apply the best admissible beneficial split until none remains.
+
+    Admissibility is whatever validate_topology accepts for the strategy;
+    the objective strictly decreases on every application, so no topology
+    repeats and the loop terminates.
+    """
+    current = tree
+    current_objective = _objective(tree, strategy)
+    while True:
+        best_tree: SolvedTree | None = None
+        best_objective = current_objective
+        children = current.topology.children_lists()
+        for target in range(current.topology.n_nodes):
+            in_neighbours = children[target]
+            if not in_neighbours:
+                continue
+            for size in range(1, len(in_neighbours) + 1):
+                for members in itertools.combinations(in_neighbours, size):
+                    spec = analysis.SplitSpec(target, members)
+                    new_topology = analysis.split_topology(current.topology, spec)
+                    if validate_topology(new_topology, strategy):
+                        continue
+                    candidate = algebraic_solver.solve_topology(current.instance, new_topology)
+                    objective = _objective(candidate, strategy)
+                    if objective < best_objective - _improvement_margin(current_objective):
+                        best_tree = candidate
+                        best_objective = objective
+        if best_tree is None:
+            return current
+        current = best_tree
+        current_objective = best_objective
+
+
+def _improvement_margin(objective: float) -> float:
+    return 1e-12 * (1.0 + abs(objective))

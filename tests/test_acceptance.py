@@ -7,6 +7,7 @@ lines as they complete.
 import gc
 import math
 import random
+import statistics
 import time
 
 import pytest
@@ -318,25 +319,31 @@ def _scaling_instance(n: int) -> Instance:
 def test_criterion_10_geo_solver_linearity():
     suite_start = time.perf_counter()
     counts_ok = True
-    for n in (2, 10, 100, 1000, 10**5):
+    for n in (2, 10, 100, 1000):
         run = run_geo_algorithm(_scaling_instance(n), _caterpillar(n), record_steps=False)
         if run.operation_count != 2 * (n - 1):
             counts_ok = False
 
-    timings = {}
-    for n in (12500, 25000, 50000, 100000):
-        inst, topo = _scaling_instance(n), _caterpillar(n)
-        best = math.inf
-        gc.collect()
-        gc.disable()  # measure the algorithm, not collector pauses (as timeit does)
-        try:
-            for _ in range(3):
+    sizes = (12500, 25000, 50000, 100000)
+    cases = {n: (_scaling_instance(n), _caterpillar(n)) for n in sizes}
+    runs = {n: [] for n in sizes}
+    # each round times every size once, so a phase of host speed that lasts
+    # a round hits all sizes alike, and each size keeps its median of four:
+    # a best-of-rounds rewards one lucky fast run of a single size.  Every
+    # timed run checks its operation count too (n = 10^5 included).
+    gc.collect()
+    gc.disable()  # measure the algorithm, not collector pauses (as timeit does)
+    try:
+        for _ in range(4):
+            for n, (inst, topo) in cases.items():
                 start = time.perf_counter()
-                run_geo_algorithm(inst, topo, record_steps=False)
-                best = min(best, time.perf_counter() - start)
-        finally:
-            gc.enable()
-        timings[n] = best
+                run = run_geo_algorithm(inst, topo, record_steps=False)
+                runs[n].append(time.perf_counter() - start)
+                if run.operation_count != 2 * (n - 1):
+                    counts_ok = False
+    finally:
+        gc.enable()
+    timings = {n: statistics.median(seconds) for n, seconds in runs.items()}
 
     growth = [timings[2 * n] / (2.0 * timings[n]) for n in (12500, 25000, 50000)]
     elapsed = time.perf_counter() - suite_start

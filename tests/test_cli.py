@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -93,6 +94,16 @@ class TestExactCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["search"]["bead_vectors"] == 3
         assert out["objective"] == pytest.approx(25.0 / 3.0)
+
+    @pytest.mark.parametrize("strategy", [{"degree_bound": 3}, {"explicit_bound": 1}])
+    def test_search_block_times_each_phase(self, tmp_path, capsys, strategy):
+        doc = worked_document(strategy, topology=False)
+        path = write_document(tmp_path, doc)
+        assert main(["exact", path]) == 0
+        phases = json.loads(capsys.readouterr().out)["search"]["phase_s"]
+        assert set(phases) == {"search", "resolve"}
+        for seconds in phases.values():
+            assert math.isfinite(seconds) and seconds >= 0.0
 
     def test_worked_instance_degree_bound(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document(topology=False) | {"topology": None})

@@ -21,7 +21,6 @@ from fqst import (
     embedded_cost,
     enumerate_bounded_topologies,
     expand_beads,
-    local_improve_by_splits,
     lower_bound_path,
     rooted_encoding,
     solve_exact,
@@ -31,8 +30,17 @@ from fqst import (
 )
 from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
-from fqst.exact_search import _Incumbent, _summarise, _walk_bead_vectors
+from fqst import exact_search
+from fqst.exact_search import (
+    _Incumbent,
+    _prune_dominated,
+    _search,
+    _summarise,
+    _walk_bead_vectors,
+)
+from fqst.strategies import max_steiner_count
 from fqst.topology import skeletons
+from reference_search import local_improve_by_splits
 from conftest import NO_PARENT, random_instance, random_supplied_instance
 
 
@@ -60,6 +68,151 @@ class TestSolveExactDegreeBound:
                 for topo in enumerate_bounded_topologies(3, 2, 3)
             )
             assert report.objective == pytest.approx(oracle, rel=1e-6)
+
+
+def _skeleton_walk(instance, phi):
+    """The skeleton walk the bead strategies still use, run under the
+    degree bound: the oracle for the subset DP that solve_exact runs."""
+    budget = max_steiner_count(instance.n_sources, phi)
+    return _search(instance, DegreeBound(phi), phi, budget, 0, 0.0, None)
+
+
+class TestDegreeSubsetSearch:
+    @pytest.mark.parametrize("phi", [3, 4, 5])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    def test_matches_the_skeleton_walk(self, phi, mixed):
+        rng = random.Random(100 * phi + mixed)
+        make = random_supplied_instance if mixed else random_instance
+        # n = 6 under phi = 3 costs the walk about a second, so it stops at 5
+        for n in range(1, 6 if phi == 3 else 7):
+            inst = make(rng, n, span=5.0)
+            report = solve_exact(inst, DegreeBound(phi))
+            walk = _skeleton_walk(inst, phi)
+            assert report.objective == pytest.approx(walk.objective, rel=1e-12, abs=0.0)
+            assert rooted_encoding(report.best.topology) == rooted_encoding(walk.best.topology)
+            assert check_degree_window(report.best, phi) == []
+
+    @pytest.mark.parametrize(
+        "sources,sink",
+        [
+            ([(-1, 1), (1, 1), (-1, -1), (1, -1)], (0, 0)),
+            ([(0, 2), (2, 2), (0, 0), (2, 0)], (1, 1)),
+            ([(0, 1), (1, 1), (2, 1), (0, 0), (2, 0)], (1, 0)),
+            ([(0, 0), (0, 2), (2, 0)], (1, 1)),
+        ],
+    )
+    @pytest.mark.parametrize("phi", [3, 4])
+    def test_exact_ties_on_a_grid(self, sources, sink, phi):
+        inst = Instance.with_unit_supplies([Point(*z) for z in sources], Point(*sink))
+        first = solve_exact(inst, DegreeBound(phi))
+        assert first.objective == pytest.approx(_skeleton_walk(inst, phi).objective, rel=1e-12, abs=0.0)
+        for _ in range(2):
+            again = solve_exact(inst, DegreeBound(phi))
+            assert again.best.topology.parents == first.best.topology.parents
+            assert again.objective == first.objective
+
+    def test_prunes_and_never_walks_skeletons(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the degree bound walked skeletons")
+
+        monkeypatch.setattr(exact_search, "skeletons", refuse)
+        monkeypatch.setattr(exact_search, "_walk_bead_vectors", refuse)
+        inst = random_supplied_instance(random.Random(63), 5, span=5.0)
+        report = solve_exact(inst, DegreeBound(3))
+        assert report.topologies_examined > report.topologies_pruned > 0
+        assert report.bead_vectors == 0
+
+
+def _at(summary, x, y):
+    qx, qy, w, k = summary[:4]
+    return k + w * ((x - qx) ** 2 + (y - qy) ** 2)
+
+
+def _least_difference(a, b):
+    """min over the plane of b's cost minus a's (-inf when unbounded), and
+    the scale of the two costs where it is taken."""
+    ax, ay, aw, _ = a[:4]
+    bx, by, bw, _ = b[:4]
+    if aw > bw or (aw == bw and (ax, ay) != (bx, by)):
+        return -math.inf, 1.0
+    if aw == bw:
+        x, y = bx, by
+    else:
+        x = (bw * bx - aw * ax) / (bw - aw)
+        y = (bw * by - aw * ay) / (bw - aw)
+    fa, fb = _at(a, x, y), _at(b, x, y)
+    return fb - fa, max(1.0, abs(fa), abs(fb))
+
+
+_value = st.one_of(
+    st.integers(-2, 2).map(float),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+_summary = st.tuples(
+    _value,
+    _value,
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.1, 4.0)),
+    st.one_of(st.integers(0, 4).map(float), st.floats(0.0, 20.0)),
+)
+
+
+class TestPruneDominated:
+    """The dominance prune the subset DP calls, on lists with equal weights,
+    equal positions and exact duplicates."""
+
+    @given(
+        base=st.lists(_summary, min_size=1, max_size=10),
+        repeats=st.lists(st.integers(0, 9), max_size=4),
+        split=st.lists(st.booleans(), min_size=14, max_size=14),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drops_only_dominated_summaries(self, base, repeats, split, seed):
+        listed = base + [base[i % len(base)] for i in repeats]
+        # a tag after (qx, qy, W, K) tells equal summaries apart
+        items = [(*summary, tag) for tag, summary in enumerate(listed)]
+        above = sorted((t for t, up in zip(items, split) if up), key=lambda t: t[2])
+        candidates = [t for t, up in zip(items, split) if not up]
+        kept = _prune_dominated(list(candidates), above)
+        assert [t[2:4] for t in kept] == sorted(t[2:4] for t in kept)
+        rng = random.Random(seed)
+        points = [(t[0], t[1]) for t in items]
+        points += [(rng.uniform(-6.0, 6.0), rng.uniform(-6.0, 6.0)) for _ in range(20)]
+
+        def tolerance(*values):
+            return 1e-12 * max(1.0, *map(abs, values))
+
+        dominators = kept + above
+        for b in candidates:
+            if b in kept:
+                continue
+            covering = []
+            for a in dominators:
+                least, scale = _least_difference(a, b)
+                if least >= -1e-12 * scale:
+                    covering.append(a)
+            assert covering, f"{b} dropped but no kept summary lies below it"
+            assert any(
+                all(_at(a, x, y) <= _at(b, x, y) + tolerance(_at(b, x, y)) for x, y in points)
+                for a in covering
+            )
+        for b in kept:
+            for a in dominators:
+                if a is b:
+                    continue
+                least, scale = _least_difference(a, b)
+                assert least < 1e-12 * scale, f"kept {b} lies above {a}"
+
+        def envelope(summaries):
+            return [min(_at(t, x, y) for t in summaries) for x, y in points]
+
+        for got, want in zip(envelope(dominators), envelope(items)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        shuffled = list(candidates)
+        rng.shuffle(shuffled)
+        again = _prune_dominated(shuffled, above)
+        for got, want in zip(envelope(again + above), envelope(dominators)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def _descend_positions(instance, topology, rng, restarts=3):

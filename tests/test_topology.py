@@ -15,11 +15,11 @@ from fqst import (
     TopologyError,
     compute_flows,
     enumerate_bounded_topologies,
-    enumerate_full_topologies,
     rooted_encoding,
     validate_topology,
 )
 from canonical_oracle import canonical_form
+from reference_search import enumerate_full_topologies
 from conftest import NO_PARENT, orient_edges, random_full_topology
 
 
