@@ -359,7 +359,11 @@ def _search(
         bead_charge * k + analysis.lower_bound_path(instance, k)
         for k in range(steiner_budget + 1)
     ]
-    incumbent = _Incumbent(math.inf if upper_bound is None else upper_bound + _OBJECTIVE_TIE)
+    # the known tree is costed again here in another summation order, so
+    # its bound carries a relative slack as well as the absolute tie
+    incumbent = _Incumbent(
+        math.inf if upper_bound is None else upper_bound * (1.0 + 1e-9) + _OBJECTIVE_TIE
+    )
     examined = pruned = costed = 0
     j_cap = min(steiner_budget, max_steiner_count(n, phi))
     for j, roots in skeletons(n, j_cap, phi, _summarise(instance)):

@@ -679,3 +679,18 @@ class TestMetamorphic:
         base = solve_exact(inst, _strategy(kind, inst, u)).objective
         got = solve_exact(relabelled, _strategy(kind, inst, u)).objective
         assert got == pytest.approx(base, rel=1e-9)
+
+    def test_node_weighted_at_large_scale_keeps_the_spanning_tree_bound(self):
+        # at objectives near 3e4 the beaded spanning tree, costed again by the
+        # search, can land an ulp above its own bound; the search must still
+        # find it (seed 649 of test_scaling_by_s_multiplies_by_s_squared)
+        rng, inst, u = _case(649)
+        s = rng.uniform(0.1, 10.0)
+        scaled = Instance(
+            tuple(Point(p.x * s, p.y * s) for p in inst.sources),
+            inst.supplies,
+            Point(inst.sink.x * s, inst.sink.y * s),
+        )
+        base = solve_exact(inst, _strategy("node", inst, u)).objective
+        got = solve_exact(scaled, _strategy("node", scaled, u)).objective
+        assert got == pytest.approx(base * s * s, rel=1e-9)
