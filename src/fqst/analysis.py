@@ -338,11 +338,7 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
     """
     if not c > 0.0:
         raise ValueError(f"node weight must be positive, got {c}")
-    terminals = [*instance.sources, instance.sink]
-    mst_edges = _prim_spanning_tree(terminals)
-    base = _orient_toward_sink(instance.n_sources, 0, mst_edges)
-    flows = compute_flows(base, instance.supplies)
-
+    terminals, base, flows = _spanning_tree(instance)
     bead_counts = []
     for child in base.edge_children():
         length = math.sqrt(sq_dist(terminals[child], terminals[base.parents[child]]))
@@ -362,6 +358,33 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
             positions.append(lerp(start, end, (p - i) / (p + 1)))
     expanded_flows = compute_flows(expanded, instance.supplies)
     return build_solved_tree(instance, expanded, positions, expanded_flows)
+
+
+def _spanning_tree(instance: Instance) -> tuple[list[Point], Topology, tuple[float, ...]]:
+    """The terminals (sources, then the sink), their minimum spanning tree
+    directed toward the sink, and its flows."""
+    terminals = [*instance.sources, instance.sink]
+    base = _orient_toward_sink(instance.n_sources, 0, _prim_spanning_tree(terminals))
+    return terminals, base, compute_flows(base, instance.supplies)
+
+
+def spanning_bead_floor(instance: Instance, c: float) -> float:
+    """A lower bound on steiner_count_bound(instance, c) that places no bead.
+
+    The beaded spanning tree is itself a tree with one Steiner point per
+    bead, so the budget B is at least its bead count, and an edge's optimal
+    count p satisfies (p + 2)^2 > (p + 1)(p + 2) >= f |e|^2 / c (see
+    optimal_bead_count).  The sum is a float, infinite when f |e|^2 / c
+    overflows.
+    """
+    if not c > 0.0:
+        raise ValueError(f"node weight must be positive, got {c}")
+    terminals, base, flows = _spanning_tree(instance)
+    total = 0.0
+    for child in base.edge_children():
+        ratio = flows[child] * sq_dist(terminals[child], terminals[base.parents[child]]) / c
+        total += max(0.0, math.sqrt(ratio) - 2.0)
+    return total
 
 
 def steiner_count_bound(instance: Instance, c: float) -> int:
@@ -401,6 +424,7 @@ __all__ = [
     "expand_beads",
     "lower_bound_path",
     "optimal_bead_count",
+    "spanning_bead_floor",
     "split_topology",
     "steiner_count_bound",
 ]

@@ -5,38 +5,49 @@ depends on the subtree alone: it is K + W*|p - q|^2 for its parent at p
 (see algebraic_solver.merge_summaries).  A reported winner is re-solved
 from its topology and checked against the searched objective.
 
-A degree bound is searched by a dynamic programme over source bitmasks,
-the Dreyfus-Wagner subset recursion split at terminals.  Per mask it keeps
-forests of child subtrees by part count c = 1 .. phi-1, the last class
-meaning at least phi-1 parts: class 1 holds the single subtrees (a source
-root, or a Steiner root over a top-class forest), and a class c >= 2
-forest is the part holding the mask's lowest source merged with a class
-c-1 forest over the rest (the top class also takes a top-class rest).  A
-terminal has a fixed position, so the best subtree rooted at a source and
-the best tree at the sink are scalars: the best forest at a fixed anchor,
-a set-partition recursion over the best single subtree at that anchor.
-Each list is pruned by pointwise dominance: a summary whose cost function
-is nowhere below another's is dropped.  This is exact because merging,
-the Steiner transform (see steiner_weight) and evaluation at a fixed
-anchor are each monotone in every part's cost function, so a dominated
-summary never completes a better tree; a forest of more parts serves
-wherever one of fewer parts does, so a class is pruned against every
-higher class too, but single subtrees never against forests.  No skeleton
-is visited.
+Chains of degree-2 Steiner points are folded in as per-edge bead counts.
+On a locally minimal tree the beads of an edge are equally spaced on the
+straight segment, so an edge with flow f and p beads contributes
+f*|e|^2/(p+1): the same stationarity problem with the edge weight f
+replaced by f/(p+1).  The winner has its beads expanded back into explicit
+degree-2 Steiner slots before it is re-solved.
 
-The explicit bound and the node weight search every branching skeleton
-(every Steiner degree >= 3) and fold chains of degree-2 Steiner points in
-as per-edge bead counts.  On a locally minimal tree the beads of an edge
-are equally spaced on the straight segment, so an edge with flow f and p
-beads contributes f*|e|^2/(p+1): the same stationarity problem with the
-edge weight f replaced by f/(p+1).  The skeleton generator builds each
-subtree once per (source set, Steiner count) with its zero-bead summary,
-and bead vectors are walked depth-first over the skeleton, children
-before parents: each node merges its children once per assignment of the
-beads below it and then branches on the bead count of its own out-edge.
-A Topology is built only for a candidate that can become the incumbent,
-and the winner has its beads expanded back into explicit degree-2 Steiner
-slots before it is re-solved.
+The degree bound and the explicit bound are searched by one dynamic
+programme over source bitmasks, the Dreyfus-Wagner subset recursion split
+at terminals.  Its state is (mask, count k, part-count class c).  Under the
+explicit bound the count holds the branching Steiner points and the beads
+of a subtree, those on its own out-edge included, and runs up to the
+bound; the degree bound counts nothing and places no beads, so it has the
+one count 0.  Per mask and count it keeps forests of child subtrees by
+part count c = 1 .. phi-1 (phi = 3 under the explicit bound), the last
+class meaning at least phi-1 parts: class 1 holds the single subtrees (a
+source root, or a Steiner root over a top-class forest, each under every
+bead count its out-edge can take), and a class c >= 2 forest is the part
+holding the mask's lowest source merged with a class c-1 forest over the
+rest (the top class also takes a top-class rest), their counts adding up.
+A terminal has a fixed position, so the best subtree rooted at a source
+and the best tree at the sink are scalars per count: the best forest at a
+fixed anchor with at most k counted, a set-partition recursion over the
+best single subtree at that anchor.  Each list is pruned by pointwise
+dominance: a summary is dropped when one of no higher count has a cost
+function nowhere above its own.  This is exact because merging, the Steiner
+transform (see steiner_weight) and evaluation at a fixed anchor are each
+monotone in every part's cost function, and a part of lower count leaves
+more of the budget to the rest, so a dominated summary never completes a
+better tree; a forest of more parts serves wherever one of fewer parts
+does, so a class is pruned against every higher class too, but single
+subtrees never against forests.  No skeleton is visited.
+
+The node weight walks every branching skeleton (every Steiner degree >= 3)
+instead: the skeleton generator builds each subtree once per (source set,
+Steiner count) with its zero-bead summary, and bead vectors are walked
+depth-first over the skeleton, children before parents: each node merges
+its children once per assignment of the beads below it and then branches
+on the bead count of its own out-edge.  A Topology is built only for a
+candidate that can become the incumbent.  The DP with the count running
+up to the node weight's budget B is exact too, but slower than the walk
+at the budgets it meets: summaries of one subtree under different bead
+counts share q and trade W against K, so none dominates another.
 
 Everything here is deterministic.  The skeleton walk breaks objective ties
 on the sink-rooted topology encoding; the subset DP keeps, among equal
@@ -47,6 +58,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Sequence
@@ -73,6 +85,9 @@ from .topology import (
 from .trees import SolvedTree
 
 DEFAULT_GUARD = 6
+# the largest Steiner budget searched: an explicit bound's k or the node
+# weight's B (what the search allocates grows with it)
+STEINER_BUDGET_GUARD = 20
 _OBJECTIVE_TIE = 1e-12
 
 
@@ -80,9 +95,10 @@ _OBJECTIVE_TIE = 1e-12
 class SearchReport:
     best: SolvedTree
     objective: float
-    # a degree bound counts subtree and forest summaries built and dropped
-    # as dominated; the other strategies count skeletons costed and cut by
-    # the path bound, and (skeleton, bead vector) pairs costed
+    # the degree and explicit bounds count subtree and forest summaries
+    # built and dropped as dominated, and single-subtree summaries built with
+    # beads on their out-edge; the node weight counts skeletons costed and
+    # cut by the path bound, and (skeleton, bead vector) pairs costed
     topologies_examined: int
     topologies_pruned: int
     bead_vectors: int
@@ -130,8 +146,9 @@ def solve_exact(
 ) -> SearchReport:
     """Globally minimum tree under the strategy, by exhaustive search.
 
-    Refuses instances with more than guard_n sources; the space grows
-    factorially and this is a desk-scale exact method.
+    Refuses instances with more than guard_n sources, since the space grows
+    factorially and this is a desk-scale exact method, and Steiner budgets
+    above STEINER_BUDGET_GUARD.
     """
     n = instance.n_sources
     if n > guard_n:
@@ -140,12 +157,16 @@ def solve_exact(
             f"raise guard_n explicitly to go further"
         )
     if isinstance(strategy, DegreeBound):
-        return _degree_search(instance, strategy)
+        return _subset_search(instance, strategy, strategy.phi, 0, 0)
     if isinstance(strategy, ExplicitBound):
-        return _search(instance, strategy, 3, strategy.k, strategy.k, 0.0, None)
+        _guard_budget(strategy.k, "the explicit bound is")
+        return _subset_search(instance, strategy, 3, strategy.k, 1)
     if isinstance(strategy, NodeWeighted):
         c = strategy.c
+        # the beaded spanning tree that B is computed from holds up to B beads
+        _guard_budget(analysis.spanning_bead_floor(instance, c), "the node weight's budget is at least")
         budget = analysis.steiner_count_bound(instance, c)
+        _guard_budget(budget, "the node weight's budget is")
         # an edge carries at most the total supply over at most the diagonal
         cap = analysis.optimal_bead_count(instance.total_supply(), _bounding_box_diagonal(instance), c)
         upper = analysis.cost_node_weighted(analysis.beaded_spanning_tree(instance, c), c)
@@ -153,141 +174,251 @@ def solve_exact(
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
-def _degree_search(instance: Instance, strategy: DegreeBound) -> SearchReport:
-    """The subset DP of the module docstring.
+def _guard_budget(budget: float, what: str) -> None:
+    if budget > STEINER_BUDGET_GUARD:
+        raise GuardLimitError(
+            f"exact search is limited to a Steiner budget of {STEINER_BUDGET_GUARD}; "
+            f"{what} {budget:.6g}"
+        )
 
-    Masks are taken in increasing order, so every proper submask is done
-    first.  A list entry is (qx, qy, W, K, link): a forest's W is its
-    merged weight V, and link is a chain (part node, rest link) ending in
-    None.  A node is (source, mask of its children's sources) or (STEINER,
-    link of its children).  Anchors 0 .. n-1 are the sources and n the sink.
+
+def _subset_search(
+    instance: Instance, strategy: BoundStrategy, phi: int, budget: int, step: int
+) -> SearchReport:
+    """The subset DP of the module docstring, over counts 0 .. budget.
+
+    A branching Steiner point adds step to the count (1 under the explicit
+    bound; 0 under the degree bound, which runs with budget 0 and so places
+    no beads).  Masks are taken in increasing order, so every proper submask
+    is done first.  A list entry is (qx, qy, W, K, link): a forest's W is
+    its merged weight V, and link is a chain (part node, rest link) ending
+    in None.  A node is (source, mask of its children's sources, their
+    count, beads on the out-edge) or (STEINER, link of its children, beads
+    on the out-edge).  Anchors 0 .. n-1 are the sources and n the sink.
     """
     started = time.perf_counter()
+    inf = math.inf
     n = instance.n_sources
-    top = strategy.phi - 1
+    top = phi - 1
     full = (1 << n) - 1
+    counts = range(budget + 1)
+    # forests only feed Steiner roots, which add step to the count
+    forest_counts = range(budget + 1 - step)
+    forest_splits = [(k1, k2) for k1 in forest_counts for k2 in range(len(forest_counts) - k1)]
+    # per forest count, (count, beads) of the Steiner roots over the forest
+    steiner_roots = [
+        [(kc + step + p, p) for p in range(len(forest_counts) - kc)] for kc in forest_counts
+    ]
     xs = [p.x for p in instance.sources] + [instance.sink.x]
     ys = [p.y for p in instance.sources] + [instance.sink.y]
+    sink_x = xs[n]
+    sink_y = ys[n]
     supplies = instance.supplies
     flow = [0.0] * (full + 1)
-    forests: list = [None] * (full + 1)  # forests[mask][c]: kept class c
-    # per anchor and mask: the best forest hanging from the anchor and the
-    # part of it holding the mask's lowest source; the best single subtree
-    best = [[0.0] * (full + 1) for _ in range(n + 1)]
-    cut = [[0] * (full + 1) for _ in range(n + 1)]
-    single = [[0.0] * (full + 1) for _ in range(n + 1)]
-    pick: list = [[None] * (full + 1) for _ in range(n + 1)]
-    built = dropped = 0
+    lists: list = [None] * (full + 1)  # lists[mask][k][c]: kept class c at count k
+    # per anchor, count k and mask, each meaning "at most k": the best forest
+    # hanging from the anchor and its part holding the mask's lowest source
+    # (with that part's count); the best single subtree and its root
+    best, cut, single, pick = (
+        [[[value] * (full + 1) for _ in counts] for _ in range(n + 1)]
+        for value in (0.0, None, 0.0, None)
+    )
+    built = dropped = beaded = 0
     for mask in range(1, full + 1):
         low = mask & -mask
         rest = mask ^ low
         f = flow[mask] = flow[rest] + supplies[low.bit_length() - 1]
-        classes: list = [[] for _ in range(top + 1)]  # raw, then kept
-        # over all sources only the top class is used (by Steiner roots)
-        lowest_tail = top - 1 if mask == full else 1
+        raw: list = [[[] for _ in range(top + 1)] for _ in counts]  # raw, then kept
+        singles = [classes[1] for classes in raw]
+        weights = [f / (p + 1) for p in counts]  # of the out-edge under p beads
+        # over all sources only the sink's best tree is wanted, so a Steiner
+        # root is costed at the sink as it is merged, and per count only the
+        # first best one is kept
+        at_sink = [inf] * (budget + 1) if mask == full else None
+        at_sink_root: list = [None] * (budget + 1)
         sub = rest
         while sub:
-            parts = forests[mask ^ sub][1]
-            tails_by_class = forests[sub]
-            for c in range(lowest_tail, top + 1):
-                tails = tails_by_class[c]
-                if not tails:
+            heads = lists[mask ^ sub]
+            tails_by_count = lists[sub]
+            for k1, k2 in forest_splits:
+                parts = heads[k1][1]
+                if not parts:
                     continue
-                out = classes[c + 1 if c < top else top]
-                # the pairwise case of merge_summaries, in closed form
-                for ax, ay, aw, ak, (anode, _) in parts:
-                    for bx, by, bw, bk, blink in tails:
-                        v = aw + bw
-                        dx = ax - bx
-                        dy = ay - by
-                        out.append((
-                            (aw * ax + bw * bx) / v,
-                            (aw * ay + bw * by) / v,
-                            v,
-                            ak + bk + aw * bw / v * (dx * dx + dy * dy),
-                            (anode, blink),
-                        ))
+                tails_by_class = tails_by_count[k2]
+                if at_sink is not None:
+                    roots = steiner_roots[k1 + k2]
+                    # a part and at least phi - 2 more: a Steiner root's children
+                    for tails in tails_by_class[top - 1 :]:
+                        merged = len(parts) * len(tails)
+                        built += merged * (1 + len(roots))
+                        beaded += merged * (len(roots) - 1)
+                        for ax, ay, aw, ak, (anode, _) in parts:
+                            for bx, by, bw, bk, blink in tails:
+                                v = aw + bw
+                                dx = ax - bx
+                                dy = ay - by
+                                qx = (aw * ax + bw * bx) / v
+                                qy = (aw * ay + bw * by) / v
+                                kk = ak + bk + aw * bw / v * (dx * dx + dy * dy)
+                                dx = sink_x - qx
+                                dy = sink_y - qy
+                                d2 = dx * dx + dy * dy
+                                for t, p in roots:
+                                    w = steiner_weight(v, weights[p])
+                                    candidate = kk + w * d2
+                                    if candidate < at_sink[t]:
+                                        at_sink[t] = candidate
+                                        at_sink_root[t] = (qx, qy, w, kk, ((STEINER, (anode, blink), p), None))
+                    continue
+                into = raw[k1 + k2]
+                for c in range(1, top + 1):
+                    tails = tails_by_class[c]
+                    if not tails:
+                        continue
+                    out = into[c + 1 if c < top else top]
+                    # the pairwise case of merge_summaries, in closed form
+                    for ax, ay, aw, ak, (anode, _) in parts:
+                        for bx, by, bw, bk, blink in tails:
+                            v = aw + bw
+                            dx = ax - bx
+                            dy = ay - by
+                            out.append((
+                                (aw * ax + bw * bx) / v,
+                                (aw * ay + bw * by) / v,
+                                v,
+                                ak + bk + aw * bw / v * (dx * dx + dy * dy),
+                                (anode, blink),
+                            ))
             sub = (sub - 1) & rest
-        # lists over all sources are only evaluated at the sink: not pruned
-        prune = mask != full
-        above: list = []
-        for c in range(top, 1, -1):
-            candidates = classes[c]
-            built += len(candidates)
-            if prune:
-                classes[c] = _prune_dominated(candidates, above)
-                dropped += len(candidates) - len(classes[c])
-                if c > 2:
-                    above = sorted(above + classes[c], key=_WEIGHT)
-        singles = []
+        # per class c, the kept forests of class >= c at lower counts, by W
+        lower: list = [[]] * (top + 1)
+        for k in forest_counts:
+            classes = raw[k]
+            same: list = []  # kept forests of higher classes at count k
+            for c in range(top, 1, -1):
+                candidates = classes[c]
+                built += len(candidates)
+                above = sorted(lower[c] + same, key=_WEIGHT) if same else lower[c]
+                kept = classes[c] = _prune_dominated(candidates, above)
+                dropped += len(candidates) - len(kept)
+                same += kept
+                if k < forest_counts[-1]:
+                    lower[c] = sorted(above + kept, key=_WEIGHT) if kept else above
         for r in range(n):
             if mask >> r & 1:
                 others = mask ^ (1 << r)
-                singles.append((xs[r], ys[r], f, best[r][others], ((r, others), None)))
-        for qx, qy, v, k, link in classes[top]:
-            singles.append((qx, qy, steiner_weight(v, f), k, ((STEINER, link), None)))
-        built += len(singles)
-        classes[1] = _prune_dominated(singles) if prune else singles
-        dropped += len(singles) - len(classes[1])
-        forests[mask] = classes
+                previous = inf
+                for kc, below in enumerate(best[r]):
+                    k = below[others]
+                    if not k < previous:  # the same forest at a higher count
+                        continue
+                    previous = k
+                    for p in range(budget + 1 - kc):
+                        singles[kc + p].append((xs[r], ys[r], weights[p], k, ((r, others, kc, p), None)))
+                    beaded += budget - kc
+        for kc, roots in zip(forest_counts, steiner_roots):
+            forests = raw[kc][top]
+            # a list takes one bead count per forest count, so it keeps the
+            # forests' order
+            for t, p in roots:
+                w = weights[p]
+                singles[t] += [
+                    (qx, qy, steiner_weight(v, w), k, ((STEINER, link, p), None))
+                    for qx, qy, v, k, link in forests
+                ]
+                if p:
+                    beaded += len(forests)
+        if at_sink is None:
+            earlier: list = []  # kept singles at lower counts, by W
+            for k in counts:
+                candidates = singles[k]
+                built += len(candidates)
+                kept = singles[k] = raw[k][1] = _prune_dominated(candidates, earlier)
+                dropped += len(candidates) - len(kept)
+                if kept and k < budget:
+                    earlier = sorted(earlier + kept, key=_WEIGHT)
+        else:
+            # the Steiner roots come after the source roots, as in a list
+            for k in counts:
+                built += len(singles[k])
+                if at_sink_root[k] is not None:
+                    singles[k].append(at_sink_root[k])
+        lists[mask] = raw
         for a in range(n + 1):
             if a < n and mask >> a & 1:
                 continue
             px = xs[a]
             py = ys[a]
-            value = math.inf
-            for qx, qy, w, k, (node, _) in classes[1]:
-                dx = px - qx
-                dy = py - qy
-                candidate = k + w * (dx * dx + dy * dy)
-                if candidate < value:
-                    value = candidate
-                    pick[a][mask] = node
             single_a = single[a]
             best_a = best[a]
-            single_a[mask] = value
-            choice = mask
-            sub = rest
-            while sub:
-                candidate = single_a[mask ^ sub] + best_a[sub]
-                if candidate < value:
-                    value = candidate
-                    choice = mask ^ sub
-                sub = (sub - 1) & rest
-            best_a[mask] = value
-            cut[a][mask] = choice
+            value = inf
+            node = None
+            for k in counts:
+                for qx, qy, w, kk, (candidate_node, _) in singles[k]:
+                    dx = px - qx
+                    dy = py - qy
+                    candidate = kk + w * (dx * dx + dy * dy)
+                    if candidate < value:
+                        value = candidate
+                        node = candidate_node
+                single_a[k][mask] = value
+                pick[a][k][mask] = node
+                total = value
+                choice = mask
+                choice_k = k
+                for k1 in range(k + 1):
+                    head = single_a[k1]
+                    tail = best_a[k - k1]
+                    before = total
+                    sub = rest
+                    while sub:
+                        candidate = head[mask ^ sub] + tail[sub]
+                        if candidate < total:
+                            total = candidate
+                            choice = mask ^ sub
+                        sub = (sub - 1) & rest
+                    if total < before:
+                        choice_k = k1
+                best_a[k][mask] = total
+                cut[a][k][mask] = (choice, choice_k)
 
-    def anchored(a: int, mask: int) -> tuple:
+    def anchored(a: int, mask: int, k: int) -> tuple:
         children = []
         while mask:
-            part = cut[a][mask]
-            children.append(subtree(pick[a][part]))
+            part, k_part = cut[a][k][mask]
+            children.append(subtree(pick[a][k_part][part]))
             mask ^= part
+            k -= k_part
         return tuple(children)
 
     def subtree(node: tuple) -> tuple:
-        root, below = node
-        if root != STEINER:
-            return (root, anchored(root, below))
+        if node[0] != STEINER:
+            root, below, k, p = node
+            return (root, anchored(root, below, k), p)
+        root, below, p = node
         children = []
         while below is not None:
             children.append(subtree(below[0]))
             below = below[1]
-        return (root, tuple(children))
+        return (root, tuple(children), p)
 
-    placed = skeleton_placement(n, anchored(n, full))
+    placed = skeleton_placement(n, anchored(n, full, budget))
     n_steiner = sum(1 for tree, _, _ in placed if tree[0] == STEINER)
+    beads = [0] * (n + 1 + n_steiner)
+    for tree, node, _ in placed:
+        beads[node] = tree[2]
+    del beads[n]
     return _report(
         instance,
         strategy,
         placed_topology(n, n_steiner, placed),
-        (),
-        best[n][full],
+        tuple(beads),
+        best[n][budget][full],
         0.0,
         started,
         topologies_examined=built,
         topologies_pruned=dropped,
-        bead_vectors=0,
+        bead_vectors=beaded,
     )
 
 
@@ -296,7 +427,7 @@ _WEIGHT_AND_K = itemgetter(2, 3)
 
 
 def _prune_dominated(summaries: list, above: Sequence = ()) -> list:
-    """The summaries (qx, qy, W, K, ...) that neither an earlier kept one
+    """The summaries (qx, qy, W, K, link) that neither an earlier kept one
     nor one of above dominates, sorted by (W, K) and then input order (the
     list is sorted in place).
 
@@ -304,34 +435,42 @@ def _prune_dominated(summaries: list, above: Sequence = ()) -> list:
     every x: when W_a < W_b and (K_b - K_a)(W_b - W_a) >= W_a W_b |q_a - q_b|^2
     (the difference is a convex quadratic; this says its minimum is >= 0),
     or when W_a == W_b, q_a == q_b and K_a <= K_b.  Only a summary of no
-    larger W can dominate, so after the sort one pass suffices.  above must
-    be sorted by W; its summaries dominate but are not pruned.
+    larger W and no larger K can dominate, so after the sort one pass
+    suffices, and the pass keeps its dominators sorted by K to scan only
+    those of K at most the candidate's.  above must be sorted by W; its
+    summaries dominate but are not pruned.
     """
     summaries.sort(key=_WEIGHT_AND_K)
     kept: list = []
-    pool: list = []  # above and kept summaries with W <= the current one's
+    pool: list = []  # above and kept summaries with W <= the current one's, by K
+    pool_k: list = []  # their K, in the same order
     i = 0
     m = len(above)
     for b in summaries:
-        bx, by, bw, bk = b[0], b[1], b[2], b[3]
+        bx, by, bw, bk, _ = b
         while i < m and above[i][2] <= bw:
-            pool.append(above[i])
+            a = above[i]
+            j = bisect_right(pool_k, a[3])
+            pool_k.insert(j, a[3])
+            pool.insert(j, a)
             i += 1
-        for a in pool:
-            ak = a[3]
-            if ak > bk:  # a is above b at q_b
-                continue
-            aw = a[2]
+        for ax, ay, aw, ak, _ in pool:
+            if ak > bk:  # so is every later one: a is above b at q_b
+                break
             if aw < bw:
-                dx = a[0] - bx
-                dy = a[1] - by
+                dx = ax - bx
+                dy = ay - by
                 if (bk - ak) * (bw - aw) >= aw * bw * (dx * dx + dy * dy):
                     break
-            elif a[0] == bx and a[1] == by:
+            elif ax == bx and ay == by:
                 break
         else:
+            ak = math.inf
+        if ak > bk:
             kept.append(b)
-            pool.append(b)
+            j = bisect_right(pool_k, bk)
+            pool_k.insert(j, bk)
+            pool.insert(j, b)
     return kept
 
 

@@ -29,7 +29,8 @@ from fqst import (
     sq_dist,
     steiner_count_bound,
 )
-from conftest import NO_PARENT, random_instance
+from fqst.analysis import _weighted_sink_distances, spanning_bead_floor
+from conftest import NO_PARENT, random_instance, random_supplied_instance
 
 
 @pytest.fixture
@@ -388,6 +389,15 @@ class TestSteinerCountBound:
         values = [steiner_count_bound(worked_instance, c) for c in grid]
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] > values[-1]
+
+    def test_spanning_bead_floor_is_below_the_budget(self):
+        rng = random.Random(46)
+        for _ in range(20):
+            inst = random_supplied_instance(rng, rng.randint(1, 5), span=4.0)
+            c = rng.choice([1e-3, 1e-2, 0.1, 1.0]) * _weighted_sink_distances(inst)
+            floor = spanning_bead_floor(inst, c)
+            beads = beaded_spanning_tree(inst, c).topology.n_steiner
+            assert floor <= beads <= steiner_count_bound(inst, c)
 
     def test_bounds_exact_optimum_count(self):
         rng = random.Random(45)

@@ -9,6 +9,7 @@ import pytest
 
 from fqst.cli import main
 from fqst.documents import dumps, loads
+from fqst.exact_search import STEINER_BUDGET_GUARD
 
 
 def write_document(tmp_path, doc, name="instance.json"):
@@ -92,7 +93,8 @@ class TestExactCommand:
         path = write_document(tmp_path, doc)
         assert main(["exact", path]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["search"]["bead_vectors"] == 3
+        # the source's subtree is summarised once per bead count on its edge
+        assert out["search"]["bead_vectors"] == 2
         assert out["objective"] == pytest.approx(25.0 / 3.0)
 
     @pytest.mark.parametrize("strategy", [{"degree_bound": 3}, {"explicit_bound": 1}])
@@ -122,6 +124,33 @@ class TestExactCommand:
         path = write_document(tmp_path, doc)
         assert main(["exact", path]) == 3
         assert "limited" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [{"explicit_bound": 10**9}, {"node_weighted": 1e-300}, {"node_weighted": 5e-324}],
+    )
+    def test_steiner_budget_guard(self, tmp_path, capsys, strategy):
+        # refused before anything sized by the budget (or by the beaded
+        # spanning tree it is computed from) is built
+        path = write_document(tmp_path, worked_document(strategy, topology=False))
+        assert main(["exact", path]) == 3
+        assert "Steiner budget" in capsys.readouterr().err
+
+    def test_steiner_budget_guard_admits_its_limit(self, tmp_path, capsys):
+        limit = STEINER_BUDGET_GUARD
+        doc = {
+            "schema": 1,
+            "sources": [[0.0, 0.0]],
+            "sink": [3.0, 4.0],
+            "strategy": {"explicit_bound": limit},
+        }
+        path = write_document(tmp_path, doc)
+        assert main(["exact", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["objective"] == pytest.approx(25.0 / (limit + 1))
+        doc["strategy"] = {"explicit_bound": limit + 1}
+        path = write_document(tmp_path, doc)
+        assert main(["exact", path]) == 3
 
     def test_guard_override(self, tmp_path, capsys):
         doc = {

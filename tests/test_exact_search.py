@@ -123,6 +123,58 @@ class TestDegreeSubsetSearch:
         assert report.bead_vectors == 0
 
 
+def _bead_walk(instance, k):
+    """The skeleton walk the node weight still uses, run under an explicit
+    bound of k: the oracle for the subset DP that solve_exact runs."""
+    return _search(instance, ExplicitBound(k), 3, k, k, 0.0, None)
+
+
+class TestExplicitSubsetSearch:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    def test_matches_the_skeleton_walk(self, k, mixed):
+        rng = random.Random(200 + 10 * k + mixed)
+        make = random_supplied_instance if mixed else random_instance
+        for n in range(1, 6):
+            inst = make(rng, n, span=5.0)
+            report = solve_exact(inst, ExplicitBound(k))
+            walk = _bead_walk(inst, k)
+            assert report.objective == pytest.approx(walk.objective, rel=1e-12, abs=0.0)
+            # the expanded topologies hold the skeleton and the bead vector
+            assert rooted_encoding(report.best.topology) == rooted_encoding(walk.best.topology)
+            assert report.best.topology.n_steiner <= k
+
+    @pytest.mark.parametrize(
+        "sources,sink",
+        [
+            ([(-1, 1), (1, 1), (-1, -1), (1, -1)], (0, 0)),
+            ([(0, 2), (2, 2), (0, 0), (2, 0)], (1, 1)),
+            ([(0, 1), (1, 1), (2, 1), (0, 0), (2, 0)], (1, 0)),
+            ([(0, 0), (0, 2), (2, 0)], (1, 1)),
+        ],
+    )
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_exact_ties_on_a_grid(self, sources, sink, k):
+        inst = Instance.with_unit_supplies([Point(*z) for z in sources], Point(*sink))
+        first = solve_exact(inst, ExplicitBound(k))
+        assert first.objective == pytest.approx(_bead_walk(inst, k).objective, rel=1e-12, abs=0.0)
+        for _ in range(2):
+            again = solve_exact(inst, ExplicitBound(k))
+            assert again.best.topology.parents == first.best.topology.parents
+            assert again.objective == first.objective
+
+    def test_prunes_and_never_walks_skeletons(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the explicit bound walked skeletons")
+
+        monkeypatch.setattr(exact_search, "skeletons", refuse)
+        monkeypatch.setattr(exact_search, "_walk_bead_vectors", refuse)
+        inst = random_supplied_instance(random.Random(64), 5, span=5.0)
+        report = solve_exact(inst, ExplicitBound(2))
+        assert report.topologies_examined > report.topologies_pruned > 0
+        assert report.topologies_examined > report.bead_vectors > 0
+
+
 def _at(summary, x, y):
     qx, qy, w, k = summary[:4]
     return k + w * ((x - qx) ** 2 + (y - qy) ** 2)
@@ -506,14 +558,14 @@ class TestBeadVectors:
             assert value == pytest.approx(expanded.cost + charge, rel=1e-12)
 
     def test_search_counts_every_bead_vector(self):
-        # with nothing pruned, the search costs every skeleton under every
-        # vector with per-edge counts <= k - j and total <= k - j
+        # with nothing pruned, the skeleton walk costs every skeleton under
+        # every vector with per-edge counts <= k - j and total <= k - j
         rng = random.Random(61)
         for _ in range(3):
             n = rng.randint(2, 3)
             k = rng.randint(1, 2)
             inst = random_instance(rng, n, span=4.0)
-            report = solve_exact(inst, ExplicitBound(k))
+            report = _bead_walk(inst, k)
             assert report.topologies_pruned == 0
             expected = sum(
                 1
