@@ -334,19 +334,11 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
     """Minimum spanning tree on sources plus sink, directed toward the sink,
     with the cost-minimising bead count inserted on every edge.
 
-    Its node-weighted cost upper-bounds the node-weighted optimum.
+    Its node-weighted cost (beaded_spanning_cost, without building it)
+    upper-bounds the node-weighted optimum.
     """
-    if not c > 0.0:
-        raise ValueError(f"node weight must be positive, got {c}")
     terminals, base, flows = _spanning_tree(instance)
-    bead_counts = []
-    for child in base.edge_children():
-        length = math.sqrt(sq_dist(terminals[child], terminals[base.parents[child]]))
-        if length == 0.0:
-            bead_counts.append(0)
-        else:
-            bead_counts.append(optimal_bead_count(flows[child], length, c))
-
+    bead_counts = _spanning_bead_counts(terminals, base, flows, c)
     expanded = expand_beads(base, bead_counts)
     # expand_beads creates each edge's chain slots from the parent side
     # toward the child, so positions go farthest-first
@@ -360,12 +352,38 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
     return build_solved_tree(instance, expanded, positions, expanded_flows)
 
 
+def beaded_spanning_cost(instance: Instance, c: float) -> float:
+    """cost_node_weighted(beaded_spanning_tree(instance, c), c), summed per
+    spanning edge without placing a bead: p equally spaced beads split an
+    edge of flow f and length d into p + 1 segments, f d^2/(p+1) + c p."""
+    terminals, base, flows = _spanning_tree(instance)
+    bead_counts = _spanning_bead_counts(terminals, base, flows, c)
+    total = 0.0
+    for child, p in zip(base.edge_children(), bead_counts):
+        d2 = sq_dist(terminals[child], terminals[base.parents[child]])
+        total += flows[child] * d2 / (p + 1) + c * p
+    return total
+
+
 def _spanning_tree(instance: Instance) -> tuple[list[Point], Topology, tuple[float, ...]]:
     """The terminals (sources, then the sink), their minimum spanning tree
     directed toward the sink, and its flows."""
     terminals = [*instance.sources, instance.sink]
     base = _orient_toward_sink(instance.n_sources, 0, _prim_spanning_tree(terminals))
     return terminals, base, compute_flows(base, instance.supplies)
+
+
+def _spanning_bead_counts(
+    terminals: Sequence[Point], base: Topology, flows: Sequence[float], c: float
+) -> list[int]:
+    """The optimal bead count of each spanning edge, in edge_children order."""
+    if not c > 0.0:
+        raise ValueError(f"node weight must be positive, got {c}")
+    bead_counts = []
+    for child in base.edge_children():
+        length = math.sqrt(sq_dist(terminals[child], terminals[base.parents[child]]))
+        bead_counts.append(0 if length == 0.0 else optimal_bead_count(flows[child], length, c))
+    return bead_counts
 
 
 def spanning_bead_floor(instance: Instance, c: float) -> float:
@@ -398,7 +416,7 @@ def steiner_count_bound(instance: Instance, c: float) -> int:
     is real and at least that k).
     """
     n = instance.n_sources
-    upper = cost_node_weighted(beaded_spanning_tree(instance, c), c)
+    upper = beaded_spanning_cost(instance, c)
     q_total = _weighted_sink_distances(instance)
     b_lin = c * (n + 1) - upper
     b_const = q_total - (n + 1) * upper
@@ -413,6 +431,7 @@ __all__ = [
     "EdgeOverlap",
     "SplitSpec",
     "apply_split",
+    "beaded_spanning_cost",
     "beaded_spanning_tree",
     "centroid_deviations",
     "check_angles",

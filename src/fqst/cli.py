@@ -212,8 +212,7 @@ def _cmd_bounds(args) -> int:
         "lower_bound_path": analysis.lower_bound_path(instance, k),
     }
     if isinstance(strategy, NodeWeighted):
-        bst = analysis.beaded_spanning_tree(instance, strategy.c)
-        doc["beaded_spanning_tree_cost"] = analysis.cost_node_weighted(bst, strategy.c)
+        doc["beaded_spanning_tree_cost"] = analysis.beaded_spanning_cost(instance, strategy.c)
     _write_output(documents.dumps(doc), args.output)
     return EXIT_OK
 

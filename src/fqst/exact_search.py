@@ -43,11 +43,23 @@ instead: the skeleton generator builds each subtree once per (source set,
 Steiner count) with its zero-bead summary, and bead vectors are walked
 depth-first over the skeleton, children before parents: each node merges
 its children once per assignment of the beads below it and then branches
-on the bead count of its own out-edge.  A Topology is built only for a
-candidate that can become the incumbent.  The DP with the count running
-up to the node weight's budget B is exact too, but slower than the walk
-at the budgets it meets: summaries of one subtree under different bead
-counts share q and trade W against K, so none dominates another.
+on the bead count of its own out-edge.  The walk is a branch and bound:
+the incumbent starts at the beaded spanning tree's cost, and fixing the
+bead count on a node's out-edge is cut when every tree completing the
+prefix must cost more, by a relative margin that lets ties through.  That
+floor is the cost already fixed, K for each finished subtree whose parent
+is still to come (K + W |z - q|^2 when that parent is a terminal at z),
+plus the larger of two floors on the rest: c times the least Steiner count
+allowed, and the charge so far (c per Steiner point and bead) plus, for
+each source still to come whose parent is a terminal, the least its
+out-edge can cost with its beads charged.  A Steiner merge's K is at least
+the sum of its children's, and a source's K is the sum of its children's
+terminal-anchored shares, so the floor never falls as the prefix grows.
+A Topology is built only for a candidate that can become the incumbent.
+The DP with the count running up to the node weight's budget B is exact
+too, but slower than the walk at the budgets it meets: summaries of one
+subtree under different bead counts share q and trade W against K, so
+none dominates another.
 
 Everything here is deterministic.  The skeleton walk breaks objective ties
 on the sink-rooted topology encoding; the subset DP keeps, among equal
@@ -66,6 +78,7 @@ from typing import Sequence
 from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GuardLimitError, InternalConsistencyError
+from .geometry import sq_dist
 from .strategies import (
     BoundStrategy,
     DegreeBound,
@@ -89,6 +102,10 @@ DEFAULT_GUARD = 6
 # weight's B (what the search allocates grows with it)
 STEINER_BUDGET_GUARD = 20
 _OBJECTIVE_TIE = 1e-12
+# a bound summed in another order than the costs it is compared with (the
+# known tree's cost, the bead walk's floors) cuts only beyond this relative
+# slack, on top of the absolute tie
+_CUT_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,8 +114,10 @@ class SearchReport:
     objective: float
     # the degree and explicit bounds count subtree and forest summaries
     # built and dropped as dominated, and single-subtree summaries built with
-    # beads on their out-edge; the node weight counts skeletons costed and
-    # cut by the path bound, and (skeleton, bead vector) pairs costed
+    # beads on their out-edge; the node weight counts skeletons walked, the
+    # skeletons cut by the path bound plus the bead prefixes (a bead count
+    # on one out-edge, with those before it fixed) cut by the walk's bound,
+    # and (skeleton, bead vector) pairs costed
     topologies_examined: int
     topologies_pruned: int
     bead_vectors: int
@@ -163,13 +182,14 @@ def solve_exact(
         return _subset_search(instance, strategy, 3, strategy.k, 1)
     if isinstance(strategy, NodeWeighted):
         c = strategy.c
-        # the beaded spanning tree that B is computed from holds up to B beads
+        # B comes from the beaded spanning tree's bead counts, which grow as
+        # c^-1/2; the floor bounds them without computing one
         _guard_budget(analysis.spanning_bead_floor(instance, c), "the node weight's budget is at least")
         budget = analysis.steiner_count_bound(instance, c)
         _guard_budget(budget, "the node weight's budget is")
         # an edge carries at most the total supply over at most the diagonal
         cap = analysis.optimal_bead_count(instance.total_supply(), _bounding_box_diagonal(instance), c)
-        upper = analysis.cost_node_weighted(analysis.beaded_spanning_tree(instance, c), c)
+        upper = analysis.beaded_spanning_cost(instance, c)
         return _search(instance, strategy, 3, budget, cap, c, upper)
     raise TypeError(f"unknown strategy {strategy!r}")
 
@@ -501,7 +521,7 @@ def _search(
     # the known tree is costed again here in another summation order, so
     # its bound carries a relative slack as well as the absolute tie
     incumbent = _Incumbent(
-        math.inf if upper_bound is None else upper_bound * (1.0 + 1e-9) + _OBJECTIVE_TIE
+        math.inf if upper_bound is None else upper_bound * _CUT_SLACK + _OBJECTIVE_TIE
     )
     examined = pruned = costed = 0
     j_cap = min(steiner_budget, max_steiner_count(n, phi))
@@ -520,9 +540,11 @@ def _search(
                 topology = placed_topology(n, j, skeleton_placement(n, roots))
                 incumbent.offer(value, topology, (0,) * (n + j))
         else:
-            costed += _walk_bead_vectors(
+            walked, cut = _walk_bead_vectors(
                 instance, j, roots, per_edge_cap, allowed, bead_charge, incumbent
             )
+            costed += walked
+            pruned += cut
     if incumbent.topology is None:
         raise InternalConsistencyError("search space was empty; the spanning trees alone should appear")
     return _report(
@@ -603,7 +625,8 @@ def _walk_bead_vectors(
     incumbent: "_Incumbent",
 ) -> int:
     """Offer the skeleton under every bead vector with per-edge counts <=
-    per_edge_cap and a total in allowed; return how many were costed.
+    per_edge_cap and a total in allowed that can match the incumbent; return
+    how many vectors were costed and how many bead prefixes were cut.
 
     Nodes are visited children first (the reverse of skeleton_placement, so
     each subtree is a run of positions ending at its root).  When a node is
@@ -611,6 +634,11 @@ def _walk_bead_vectors(
     the memoised summary is reused when they hold no beads), then each bead
     count p of its out-edge gives weight flow/(p+1).  The last node is a
     sink child, and its loop completes the sink's sum.
+
+    A prefix (the beads up to a node's out-edge) is cut when the floor of
+    the module docstring exceeds the incumbent (see _walk_floors).  Past a
+    Steiner parent only the bead charge grows with p, so the loop stops;
+    past a terminal parent the edge's share falls as p grows, so it goes on.
     """
     n = instance.n_sources
     sink = instance.sink
@@ -621,20 +649,24 @@ def _walk_bead_vectors(
     below: list[list[int]] = [[] for _ in range(m)]
     first = list(range(m))  # first position of each node's subtree
     at_sink = []
+    up = [m] * m  # the position of each node's parent (m for the sink)
     for i, (_, _, parent) in enumerate(order):
         if parent == n:
             at_sink.append(i)
         else:
-            up = position[parent]
-            below[up].append(i)
-            first[up] = min(first[up], first[i])
+            up[i] = position[parent]
+            below[up[i]].append(i)
+            first[up[i]] = min(first[up[i]], first[i])
     at_sink.pop()  # m - 1, the first placed
+    anchors, others, ahead = _walk_floors(instance, order, up, per_edge_cap, bead_charge)
     lowest = min(allowed)
     highest = max(allowed)
+    charge_floor = bead_charge * (n_steiner + lowest)
     summaries: list = [None] * m
+    fixed = [0.0] * m  # per position, its subtree's least share of the cost
     beads = [0] * m
     entered = [0] * m  # beads before each position on the current path
-    costed = 0
+    costed = cut = 0
 
     def offer(value: float) -> None:
         by_node = [0] * (n + 1 + n_steiner)
@@ -644,7 +676,7 @@ def _walk_bead_vectors(
         incumbent.offer(value, placed_topology(n, n_steiner, placed), tuple(by_node))
 
     def visit(i: int, used: int) -> None:
-        nonlocal costed
+        nonlocal costed, cut
         # beads after position i can add at most per_edge_cap each
         low = lowest - used - per_edge_cap * (m - 1 - i)
         high = highest - used
@@ -666,9 +698,49 @@ def _walk_bead_vectors(
         else:
             qx, qy, v, k = merge_summaries([summaries[c] for c in below[i]])
         if i < m - 1:
+            done = 0.0
+            for c in others[i]:
+                done += fixed[c]
+            # the charge so far and the least the source-to-terminal edges
+            # ahead can add; all of the charge is at least charge_floor too
+            rest = bead_charge * (n_steiner + used) + ahead[i]
+            anchor = anchors[i]
+            if anchor is None:
+                # a Steiner parent: the subtree adds at least its K, and only
+                # the bead charge grows with p
+                fixed[i] = k
+                done += k
+                for p in range(low, high + 1):
+                    charge = rest + bead_charge * p
+                    if charge < charge_floor:
+                        charge = charge_floor
+                    limit = (incumbent.objective + _OBJECTIVE_TIE) * _CUT_SLACK + _OBJECTIVE_TIE
+                    if done + charge > limit:
+                        cut += high + 1 - p
+                        break
+                    w = flow / (p + 1)
+                    summaries[i] = (qx, qy, w if v is None else steiner_weight(v, w), k)
+                    beads[i] = p
+                    visit(i + 1, used + p)
+                return
+            # a terminal parent: the out-edge's cost is fixed too, and falls as p grows
+            dx = anchor[0] - qx
+            dy = anchor[1] - qy
+            d2 = dx * dx + dy * dy
             for p in range(low, high + 1):
                 w = flow / (p + 1)
-                summaries[i] = (qx, qy, w if v is None else steiner_weight(v, w), k)
+                if v is not None:
+                    w = steiner_weight(v, w)
+                share = k + w * d2
+                charge = rest + bead_charge * p
+                if charge < charge_floor:
+                    charge = charge_floor
+                limit = (incumbent.objective + _OBJECTIVE_TIE) * _CUT_SLACK + _OBJECTIVE_TIE
+                if done + share + charge > limit:
+                    cut += 1
+                    continue
+                fixed[i] = share
+                summaries[i] = (qx, qy, w, k)
                 beads[i] = p
                 visit(i + 1, used + p)
             return
@@ -688,7 +760,48 @@ def _walk_bead_vectors(
                 offer(value)
 
     visit(0, 0)
-    return costed
+    return costed, cut
+
+
+def _walk_floors(
+    instance: Instance, order: list, up: list[int], per_edge_cap: int, bead_charge: float
+) -> tuple[list, list[tuple[int, ...]], list[float]]:
+    """Per position i of the walk's order, with up[i] its parent's position
+    (len(order) for the sink):
+
+    - the parent's point when the parent is a terminal, else None;
+    - the positions before i whose parent comes after i: with i, the roots
+      of the subtrees finished when i's out-edge is fixed.  Each adds at
+      least its K (a Steiner merge's K is at least its children's), and
+      exactly K + W |z - q|^2 when its parent is a terminal at z;
+    - over the sources after i whose parent is a terminal, the least cost
+      f d^2/(p+1) + c p of their out-edges over p <= per_edge_cap.
+    """
+    n = instance.n_sources
+    points = [*instance.sources, instance.sink]
+    m = len(order)
+    anchors: list = [None] * m
+    others: list[tuple[int, ...]] = []
+    ahead = [0.0] * m
+    frontier: list[int] = []
+    for i, (_, _, parent) in enumerate(order):
+        frontier = [c for c in frontier if up[c] != i]
+        others.append(tuple(frontier))
+        frontier.append(i)
+        if parent <= n:
+            anchors[i] = (points[parent].x, points[parent].y)
+    for i in range(m - 1, 0, -1):
+        tree, node, parent = order[i]
+        least = 0.0
+        if node < n and parent <= n:
+            d2 = sq_dist(points[node], points[parent])
+            if d2 > 0.0:
+                p = per_edge_cap
+                if bead_charge > 0.0:
+                    p = min(p, analysis.optimal_bead_count(tree[2], math.sqrt(d2), bead_charge))
+                least = tree[2] * d2 / (p + 1) + bead_charge * p
+        ahead[i - 1] = ahead[i] + least
+    return anchors, others, ahead
 
 
 def _bounding_box_diagonal(instance: Instance) -> float:

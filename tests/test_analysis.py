@@ -29,7 +29,7 @@ from fqst import (
     sq_dist,
     steiner_count_bound,
 )
-from fqst.analysis import _weighted_sink_distances, spanning_bead_floor
+from fqst.analysis import _weighted_sink_distances, beaded_spanning_cost, spanning_bead_floor
 from conftest import NO_PARENT, random_instance, random_supplied_instance
 
 
@@ -376,6 +376,15 @@ class TestBeadedSpanningTree:
                     tree.position(child), tree.position(tree.topology.parents[child])
                 )
                 assert length2 <= 2.0 * c / flow + 1e-9
+
+
+    def test_closed_form_cost_matches_the_built_tree(self):
+        rng = random.Random(47)
+        for _ in range(20):
+            inst = random_supplied_instance(rng, rng.randint(1, 5), span=4.0)
+            c = rng.choice([1e-3, 1e-2, 0.1, 1.0]) * _weighted_sink_distances(inst)
+            built = cost_node_weighted(beaded_spanning_tree(inst, c), c)
+            assert beaded_spanning_cost(inst, c) == pytest.approx(built, rel=1e-12, abs=0.0)
 
 
 class TestSteinerCountBound:

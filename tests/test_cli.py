@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -333,6 +334,19 @@ class TestBoundsCommand:
         out = json.loads(capsys.readouterr().out)
         assert "beaded_spanning_tree_cost" in out
         assert out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
+
+    def test_tiny_node_weight_is_costed_without_placing_beads(self, tmp_path, capsys):
+        # the beaded spanning tree holds about 1e6 beads here; its cost is a
+        # closed-form sum over the spanning edges
+        path = write_document(
+            tmp_path, worked_document(strategy={"node_weighted": 1e-10}, topology=False)
+        )
+        started = time.perf_counter()
+        assert main(["bounds", path]) == 0
+        assert time.perf_counter() - started < 1.0
+        out = json.loads(capsys.readouterr().out)
+        assert out["steiner_budget"] > 10**6
+        assert 0.0 < out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
 
 
 class TestGlobalFlags:

@@ -419,6 +419,68 @@ class TestSolveExactNodeWeighted:
                 assert ratio <= (count + 1) * (count + 2) + 1e-9
 
 
+class TestNodeWeightedBranchAndBound:
+    """The node weight's bead walk cuts a bead prefix when a lower bound on
+    every completion exceeds the incumbent."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    def test_matches_the_explicit_bound_dp(self, seed, mixed):
+        # an independent oracle: the best tree with at most k Steiner points
+        # (subset DP) charged c*k, minimised over k <= B
+        rng = random.Random(f"node-weighted-oracle/{seed}")
+        draw = random_supplied_instance if mixed else random_instance
+        while True:
+            inst = draw(rng, 4, span=3.0)
+            c = rng.choice([0.03, 0.06, 0.1, 0.2]) * _weighted_sink_distances(inst)
+            budget = steiner_count_bound(inst, c)
+            if 3 <= budget <= 9:
+                break
+        report = solve_exact(inst, NodeWeighted(c))
+        oracle = min(
+            solve_exact(inst, ExplicitBound(k)).objective + c * k for k in range(budget + 1)
+        )
+        assert report.objective == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_vector_that_can_tie_is_offered(self, seed):
+        # an incumbent held at a fixed objective must still be offered every
+        # vector within the tie of it, and nothing else
+        rng = random.Random(f"bead-cut/{seed}")
+        inst = random_supplied_instance(rng, 3, span=4.0)
+        c = 0.1 * _weighted_sink_distances(inst)
+        cuts = 0
+        for j, roots in skeletons(3, 1, 3, _summarise(inst)):
+            allowed = set(range(5 - j))
+            everything = _Recorder()
+            _walk_bead_vectors(inst, j, roots, 3, allowed, c, everything)
+            values = sorted(value for value, _, _ in everything.offers)
+            threshold = _Recorder()
+            threshold.objective = values[len(values) // 8]
+            _, cut = _walk_bead_vectors(inst, j, roots, 3, allowed, c, threshold)
+            cuts += cut
+            expected = [
+                beads
+                for value, _, beads in everything.offers
+                if value <= threshold.objective + exact_search._OBJECTIVE_TIE
+            ]
+            assert [beads for _, _, beads in threshold.offers] == expected
+        assert cuts > 0
+
+    def test_counts_the_prefixes_it_cuts(self, monkeypatch):
+        inst = random_supplied_instance(random.Random(64), 4, span=3.0)
+        c = 0.1 * _weighted_sink_distances(inst)
+        report = solve_exact(inst, NodeWeighted(c))
+        # no slack admits a cut; the path bound cuts the same skeletons,
+        # since the incumbent moves the same way
+        monkeypatch.setattr(exact_search, "_CUT_SLACK", math.inf)
+        exhaustive = solve_exact(inst, NodeWeighted(c))
+        assert report.objective == exhaustive.objective
+        assert report.best.topology == exhaustive.best.topology
+        assert report.topologies_pruned > exhaustive.topologies_pruned
+        assert 0 < report.bead_vectors < exhaustive.bead_vectors
+
+
 class TestSmallSupplies:
     """Supplies below 1 must not let the path bound prune the optimum."""
 
@@ -516,8 +578,9 @@ def _walk_star(n_edges, per_edge_cap, allowed):
     subtree = _summarise(inst)
     roots = tuple(subtree(s, ()) for s in range(n_edges))
     recorder = _Recorder()
-    costed = _walk_bead_vectors(inst, 0, roots, per_edge_cap, allowed, 0.0, recorder)
+    costed, cut = _walk_bead_vectors(inst, 0, roots, per_edge_cap, allowed, 0.0, recorder)
     assert costed == len(recorder.offers)
+    assert cut == 0
     return [beads for _, _, beads in recorder.offers]
 
 
@@ -558,15 +621,22 @@ class TestBeadVectors:
             assert value == pytest.approx(expanded.cost + charge, rel=1e-12)
 
     def test_search_counts_every_bead_vector(self):
-        # with nothing pruned, the skeleton walk costs every skeleton under
-        # every vector with per-edge counts <= k - j and total <= k - j
+        # with an incumbent that cuts nothing, the walk costs every skeleton
+        # under every vector with per-edge counts <= k - j and total <= k - j
         rng = random.Random(61)
         for _ in range(3):
             n = rng.randint(2, 3)
             k = rng.randint(1, 2)
             inst = random_instance(rng, n, span=4.0)
-            report = _bead_walk(inst, k)
-            assert report.topologies_pruned == 0
+            recorder = _Recorder()
+            costed = 0
+            for j, roots in skeletons(n, min(k, max_steiner_count(n, 3)), 3, _summarise(inst)):
+                walked, cut = _walk_bead_vectors(
+                    inst, j, roots, k - j, set(range(k - j + 1)), 0.0, recorder
+                )
+                assert cut == 0
+                costed += walked
+            assert costed == len(recorder.offers)
             expected = sum(
                 1
                 for topo in enumerate_bounded_topologies(n, k, 3)
@@ -575,7 +645,7 @@ class TestBeadVectors:
                 )
                 if sum(v) <= k - topo.n_steiner
             )
-            assert report.bead_vectors == expected
+            assert costed == expected
 
 
 class TestIncumbentTieBreak:
