@@ -54,11 +54,8 @@ class TreeElimination:
         self.topology = topology
         self.flows = compute_flows(topology, instance.supplies)  # also rejects non-trees
         sink = topology.sink
-        self.children = children = topology.children_lists()
-        order = [sink]
-        for node in order:  # breadth-first from the sink: parents before children
-            order.extend(children[node])
-        self.upward = [s for s in reversed(order) if s > sink]
+        self.children = topology.children_lists()
+        self.upward = [s for s in reversed(topology.order_from_sink()) if s > sink]
         padding = [0.0] * topology.n_steiner
         self.terminal_x = [p.x for p in instance.sources] + [instance.sink.x] + padding
         self.terminal_y = [p.y for p in instance.sources] + [instance.sink.y] + padding

@@ -8,13 +8,16 @@ from typing import Sequence
 
 from . import algebraic_solver
 from .errors import TopologyError
-from .geometry import MassPoint, Point, angle_at, centroid, lerp, sq_dist
+from .geometry import MassPoint, Point, lerp, sq_dist
 from .strategies import BoundStrategy, DegreeBound
 from .topology import NO_PARENT, Instance, Topology, _orient_toward_sink, compute_flows
 from .trees import SolvedTree, build_solved_tree, embedded_cost
 
 OVERLAP_ANGLE_TOLERANCE = 1e-7
 CERTIFICATE_TOLERANCE = 1e-9
+
+_INF = math.inf
+_isfinite = math.isfinite
 
 
 def cost(tree: SolvedTree) -> float:
@@ -32,15 +35,48 @@ def cost_node_weighted(tree: SolvedTree, c: float) -> float:
 def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
     """Distance of each Steiner point from the centre of mass of its
     neighbours, where in-neighbours weigh their in-edge flows and the
-    out-neighbour weighs the out-edge flow."""
-    children = tree.topology.children_lists()
-    parents = tree.topology.parents
+    out-neighbour weighs the out-edge flow.
+
+    The centre of mass is geometry.centroid's arithmetic over the tree's
+    coordinate table, in-neighbours first, without building mass points.
+    """
+    topo = tree.topology
+    children = topo.children_lists()
+    parents = topo.parents
+    flows = tree.flows
+    xs, ys = tree.coordinates
     deviations: dict[int, float] = {}
-    for slot in tree.topology.steiner_slots():
-        masses = [MassPoint(tree.position(c), tree.flows[c]) for c in children[slot]]
-        masses.append(MassPoint(tree.position(parents[slot]), tree.flows[slot]))
-        deviations[slot] = math.sqrt(sq_dist(tree.position(slot), centroid(masses)))
+    for slot in topo.steiner_slots():
+        parent = parents[slot]
+        sx = sy = sm = 0.0
+        masses_ok = True
+        for c in children[slot]:
+            m = flows[c]
+            masses_ok = masses_ok and 0.0 < m < _INF
+            sx += m * xs[c]
+            sy += m * ys[c]
+            sm += m
+        m = flows[slot]
+        masses_ok = masses_ok and 0.0 < m < _INF
+        sx += m * xs[parent]
+        sy += m * ys[parent]
+        sm += m
+        if not (masses_ok and _isfinite(sx) and _isfinite(sy)):
+            _require_mass_points(
+                tree, (*children[slot], parent), [*(flows[c] for c in children[slot]), m]
+            )
+        dx = xs[slot] - sx / sm
+        dy = ys[slot] - sy / sm
+        deviations[slot] = math.sqrt(dx * dx + dy * dy)
     return deviations
+
+
+def _require_mass_points(tree: SolvedTree, nodes: Sequence[int], masses: Sequence[float]) -> None:
+    """Raise the GeometryError that MassPoint raises for the first node with
+    a non-finite position or a non-positive or non-finite mass, as the
+    centroid over these mass points would; return when there is none."""
+    for node, mass in zip(nodes, masses):
+        MassPoint(tree.position(node), mass)
 
 
 def check_centroid_certificate(tree: SolvedTree, tol: float = CERTIFICATE_TOLERANCE) -> dict[int, bool]:
@@ -60,25 +96,29 @@ def check_angles(tree: SolvedTree, tol_radians: float = CERTIFICATE_TOLERANCE) -
     """In-edge/out-edge pairs meeting at less than a right angle.
 
     Screens node-weighted and explicitly bounded candidates for global
-    optimality; zero-length edges carry no direction and are skipped.
+    optimality; zero-length edges carry no direction and are skipped.  The
+    angle is geometry.angle_at's atan2(|cross|, dot), from the coordinate
+    table.
     """
     children = tree.topology.children_lists()
-    parents = tree.topology.parents
+    xs, ys = tree.coordinates
     violations = []
     threshold = math.pi / 2.0 - tol_radians
-    for node in range(tree.topology.n_nodes):
-        parent = parents[node]
-        if parent == NO_PARENT:
+    for node, parent in enumerate(tree.topology.parents):
+        if parent == NO_PARENT or not children[node]:
             continue
-        here = tree.position(node)
-        out_pos = tree.position(parent)
-        if sq_dist(here, out_pos) == 0.0:
+        hx = xs[node]
+        hy = ys[node]
+        vx = xs[parent] - hx
+        vy = ys[parent] - hy
+        if vx * vx + vy * vy == 0.0:
             continue
         for child in children[node]:
-            in_pos = tree.position(child)
-            if sq_dist(here, in_pos) == 0.0:
+            ux = xs[child] - hx
+            uy = ys[child] - hy
+            if ux * ux + uy * uy == 0.0:
                 continue
-            angle = angle_at(here, in_pos, out_pos)
+            angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
             if angle < threshold:
                 violations.append(AngleViolation(node, child, angle))
     return violations
@@ -106,6 +146,8 @@ def check_degree_window(
     topo = tree.topology
     deg = topo.degrees()
     children = topo.children_lists()
+    flows = tree.flows
+    xs, ys = tree.coordinates
     violations = []
     high = 2 * phi - 3
     for slot in topo.steiner_slots():
@@ -127,14 +169,29 @@ def check_degree_window(
                 )
             )
         elif deg[source] == phi - 1 and children[source]:
-            mass_points = [MassPoint(tree.position(source), tree.instance.supplies[source])]
-            mass_points += [
-                MassPoint(tree.position(c), tree.flows[c]) for c in children[source]
-            ]
-            merged = centroid(mass_points)
-            out_pos = tree.position(topo.parents[source])
-            expected = lerp(merged, out_pos, 0.5)
-            offset = math.sqrt(sq_dist(tree.position(source), expected))
+            # the centroid of the source (weighing its supply) and its
+            # in-neighbours, as geometry.centroid computes it
+            kids = children[source]
+            w = tree.instance.supplies[source]
+            sx = sy = sm = 0.0
+            sx += w * xs[source]
+            sy += w * ys[source]
+            sm += w
+            masses_ok = 0.0 < w < _INF
+            for c in kids:
+                m = flows[c]
+                masses_ok = masses_ok and 0.0 < m < _INF
+                sx += m * xs[c]
+                sy += m * ys[c]
+                sm += m
+            if not (masses_ok and _isfinite(sx) and _isfinite(sy)):
+                _require_mass_points(tree, (source, *kids), [w, *(flows[c] for c in kids)])
+            cx = sx / sm
+            cy = sy / sm
+            parent = topo.parents[source]
+            dx = xs[source] - (cx + 0.5 * (xs[parent] - cx))
+            dy = ys[source] - (cy + 0.5 * (ys[parent] - cy))
+            offset = math.sqrt(dx * dx + dy * dy)
             if offset > tol:
                 violations.append(
                     DegreeViolation(
@@ -173,27 +230,25 @@ def check_overlapping_edges(
     topo = tree.topology
     children = topo.children_lists()
     deg = topo.degrees()
+    sink = topo.sink
+    phi = strategy.phi if isinstance(strategy, DegreeBound) else None
+    xs, ys = tree.coordinates
     overlaps = []
-    for node in range(topo.n_nodes):
-        neighbours = list(children[node])
-        if topo.parents[node] != NO_PARENT:
-            neighbours.append(topo.parents[node])
+    for node, parent in enumerate(topo.parents):
+        neighbours = children[node] if parent == NO_PARENT else (*children[node], parent)
         if len(neighbours) < 2:
             continue
-        here = tree.position(node)
-        caveat = (
-            isinstance(strategy, DegreeBound)
-            and topo.is_steiner(node)
-            and deg[node] == strategy.phi
-        )
-        for i in range(len(neighbours)):
-            for j in range(i + 1, len(neighbours)):
-                a, b = neighbours[i], neighbours[j]
-                pa, pb = tree.position(a), tree.position(b)
-                if sq_dist(here, pa) == 0.0 or sq_dist(here, pb) == 0.0:
+        hx = xs[node]
+        hy = ys[node]
+        caveat = node > sink and deg[node] == phi
+        offsets = [(v, xs[v] - hx, ys[v] - hy) for v in neighbours]
+        for i, (a, ux, uy) in enumerate(offsets):
+            a_zero = ux * ux + uy * uy == 0.0
+            for b, vx, vy in offsets[i + 1:]:
+                if a_zero or vx * vx + vy * vy == 0.0:
                     overlaps.append(EdgeOverlap(node, a, b, 0.0, True, caveat))
                     continue
-                angle = angle_at(here, pa, pb)
+                angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
                 if angle <= tol:
                     overlaps.append(EdgeOverlap(node, a, b, angle, False, caveat))
     return overlaps

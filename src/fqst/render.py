@@ -16,14 +16,8 @@ MARGIN_FRACTION = 0.10
 NODE_RADIUS = 5.0
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.4f}"
-
-
 def render_svg(tree: SolvedTree) -> str:
-    points = tree.all_positions()
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
+    xs, ys = tree.coordinates
     span_x = max(xs) - min(xs)
     span_y = max(ys) - min(ys)
     span = max(span_x, span_y, 1e-9)
@@ -32,40 +26,43 @@ def render_svg(tree: SolvedTree) -> str:
     height = (span_y + 2.0 * margin) * scale
     x0 = min(xs) - margin
     y1 = max(ys) + margin
-
-    def to_screen(p):
-        return (p.x - x0) * scale, (y1 - p.y) * scale  # y grows downward on screen
+    # screen coordinates of every node; y grows downward on screen
+    sx = [(x - x0) * scale for x in xs]
+    sy = [(y1 - y) * scale for y in ys]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{_fmt(WIDTH)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(WIDTH)} {_fmt(height)}">',
+        f'width="{WIDTH:.4f}" height="{height:.4f}" '
+        f'viewBox="0 0 {WIDTH:.4f} {height:.4f}">',
     ]
     topo = tree.topology
+    parents = topo.parents
+    flows = tree.flows
     for child in topo.edge_children():
-        ax, ay = to_screen(tree.position(child))
-        bx, by = to_screen(tree.position(topo.parents[child]))
-        lines.append(
-            f'  <line class="edge" x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
-            f'x2="{_fmt(bx)}" y2="{_fmt(by)}" stroke="#444444" stroke-width="1.5"/>'
-        )
+        ax, ay = sx[child], sy[child]
+        parent = parents[child]
+        bx, by = sx[parent], sy[parent]
         mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
         lines.append(
-            f'  <text class="flow" x="{_fmt(mx + 4.0)}" y="{_fmt(my - 4.0)}" '
-            f'font-size="11" fill="#666666">{tree.flows[child]:.6g}</text>'
+            f'  <line class="edge" x1="{ax:.4f}" y1="{ay:.4f}" '
+            f'x2="{bx:.4f}" y2="{by:.4f}" stroke="#444444" stroke-width="1.5"/>'
         )
+        lines.append(
+            f'  <text class="flow" x="{mx + 4.0:.4f}" y="{my - 4.0:.4f}" '
+            f'font-size="11" fill="#666666">{flows[child]:.6g}</text>'
+        )
+    sink = topo.sink
     for node in range(topo.n_nodes):
-        cx, cy = to_screen(tree.position(node))
-        if topo.is_terminal(node):
+        if node <= sink:
             lines.append(
-                f'  <circle class="terminal" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(NODE_RADIUS)}" fill="#222222"/>'
+                f'  <circle class="terminal" cx="{sx[node]:.4f}" cy="{sy[node]:.4f}" '
+                f'r="{NODE_RADIUS:.4f}" fill="#222222"/>'
             )
         else:
             lines.append(
-                f'  <circle class="steiner" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(NODE_RADIUS)}" fill="#ffffff" stroke="#222222" stroke-width="1.5"/>'
+                f'  <circle class="steiner" cx="{sx[node]:.4f}" cy="{sy[node]:.4f}" '
+                f'r="{NODE_RADIUS:.4f}" fill="#ffffff" stroke="#222222" stroke-width="1.5"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

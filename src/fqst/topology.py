@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 from .errors import TopologyError
@@ -71,6 +72,8 @@ class Topology:
     """A directed labelled tree on source slots, Steiner slots, and the sink.
 
     Every directed path follows parent links and terminates at the sink.
+    The child lists, degrees and sink-first order are computed on first use
+    and kept as tuples.
     """
 
     n_sources: int
@@ -117,35 +120,48 @@ class Topology:
         """Non-sink nodes in ascending order; node i stands for the edge i -> parents[i]."""
         return [i for i in range(self.n_nodes) if i != self.sink]
 
-    def children_lists(self) -> list[list[int]]:
+    def children_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's in-neighbours in ascending order, built once per topology."""
+        return self._children
+
+    def degrees(self) -> tuple[int, ...]:
+        """Each node's degree, counted once per topology."""
+        return self._degrees
+
+    def order_from_sink(self) -> tuple[int, ...]:
+        """All nodes in breadth-first order from the sink (parents before children).
+
+        Raises TopologyError when some node cannot reach the sink, which is
+        exactly the cycle / disconnection case for a parent array.  The order
+        is built once per topology; a failure is not cached, so every call
+        on a non-tree raises.
+        """
+        return self._sink_order
+
+    @cached_property
+    def _children(self) -> tuple[tuple[int, ...], ...]:
         children: list[list[int]] = [[] for _ in range(self.n_nodes)]
         for node, parent in enumerate(self.parents):
             if parent != NO_PARENT:
                 children[parent].append(node)
-        return children
+        return tuple(map(tuple, children))
 
-    def degrees(self) -> list[int]:
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
         deg = [0] * self.n_nodes
         for node, parent in enumerate(self.parents):
             if parent != NO_PARENT:
                 deg[node] += 1
                 deg[parent] += 1
-        return deg
+        return tuple(deg)
 
-    def order_from_sink(self) -> list[int]:
-        """All nodes in breadth-first order from the sink (parents before children).
-
-        Raises TopologyError when some node cannot reach the sink, which is
-        exactly the cycle / disconnection case for a parent array.
-        """
-        children = self.children_lists()
+    @cached_property
+    def _sink_order(self) -> tuple[int, ...]:
+        children = self._children
         order = [self.sink]
         seen = [False] * self.n_nodes
         seen[self.sink] = True
-        head = 0
-        while head < len(order):
-            node = order[head]
-            head += 1
+        for node in order:
             for child in children[node]:
                 if seen[child]:
                     raise TopologyError(f"node {child} is reached twice; not a tree")
@@ -154,7 +170,7 @@ class Topology:
         if len(order) != self.n_nodes:
             missing = [i for i in range(self.n_nodes) if not seen[i]]
             raise TopologyError(f"nodes {missing} cannot reach the sink (cycle or disconnection)")
-        return order
+        return tuple(order)
 
     def structural_violations(self) -> list[str]:
         try:

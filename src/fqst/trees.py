@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import TopologyError
-from .geometry import Point, sq_dist
+from .geometry import Point
 from .topology import NO_PARENT, Instance, Topology
 
 
@@ -43,26 +44,46 @@ class SolvedTree:
             return self.instance.sink
         return self.steiner_positions[node - sink - 1]
 
-    def all_positions(self) -> list[Point]:
-        return [self.position(i) for i in range(self.topology.n_nodes)]
+    @cached_property
+    def coordinates(self) -> tuple[list[float], list[float]]:
+        """(xs, ys): every node's coordinates, indexed like position(),
+        built on first use and kept."""
+        return coordinate_table(self.instance, self.steiner_positions)
 
     def with_steiner_positions(self, positions: Sequence[Point]) -> "SolvedTree":
         """Same topology and flows, new embedding; cost and degeneracy refresh."""
-        positions = tuple(positions)
-        cost = embedded_cost(self.instance, self.topology, positions, self.flows)
-        degenerate = _has_zero_edge(self.instance, self.topology, positions)
-        return replace(
-            self,
-            steiner_positions=positions,
-            cost=cost,
-            degenerate=degenerate,
-        )
+        return build_solved_tree(self.instance, self.topology, positions, self.flows)
 
 
-def _position_table(
-    instance: Instance, topology: Topology, steiner_positions: Sequence[Point]
-) -> list[Point]:
-    return [*instance.sources, instance.sink, *steiner_positions]
+def coordinate_table(
+    instance: Instance, steiner_positions: Sequence[Point]
+) -> tuple[list[float], list[float]]:
+    """(xs, ys) over sources, the sink and then the Steiner slots: the flat
+    form of SolvedTree.position that every O(n) pass reads."""
+    points = (*instance.sources, instance.sink, *steiner_positions)
+    return [p.x for p in points], [p.y for p in points]
+
+
+def _edge_cost(
+    parents: Sequence[int], xs: Sequence[float], ys: Sequence[float], weights: Sequence[float]
+) -> float:
+    total = 0.0
+    for node, parent in enumerate(parents):
+        if parent != NO_PARENT:
+            dx = xs[node] - xs[parent]
+            dy = ys[node] - ys[parent]
+            total += weights[node] * (dx * dx + dy * dy)
+    return total
+
+
+def _has_zero_edge(parents: Sequence[int], xs: Sequence[float], ys: Sequence[float]) -> bool:
+    for node, parent in enumerate(parents):
+        if parent != NO_PARENT:
+            dx = xs[node] - xs[parent]
+            dy = ys[node] - ys[parent]
+            if dx * dx + dy * dy == 0.0:
+                return True
+    return False
 
 
 def embedded_cost(
@@ -76,23 +97,8 @@ def embedded_cost(
     With edge_weights = flows this is the tree cost; with bead-reduced
     weights f/(p+1) it is the cost of a skeleton standing for a beaded tree.
     """
-    pos = _position_table(instance, topology, steiner_positions)
-    parents = topology.parents
-    total = 0.0
-    for node, parent in enumerate(parents):
-        if parent != NO_PARENT:
-            total += edge_weights[node] * sq_dist(pos[node], pos[parent])
-    return total
-
-
-def _has_zero_edge(
-    instance: Instance, topology: Topology, steiner_positions: Sequence[Point]
-) -> bool:
-    pos = _position_table(instance, topology, steiner_positions)
-    for node, parent in enumerate(topology.parents):
-        if parent != NO_PARENT and sq_dist(pos[node], pos[parent]) == 0.0:
-            return True
-    return False
+    xs, ys = coordinate_table(instance, steiner_positions)
+    return _edge_cost(topology.parents, xs, ys, edge_weights)
 
 
 def build_solved_tree(
@@ -104,11 +110,12 @@ def build_solved_tree(
     """Assemble a SolvedTree, computing its cost and degeneracy flag."""
     positions = tuple(steiner_positions)
     flows = tuple(flows)
+    xs, ys = coordinate_table(instance, positions)
     return SolvedTree(
         instance=instance,
         topology=topology,
         steiner_positions=positions,
         flows=flows,
-        cost=embedded_cost(instance, topology, positions, flows),
-        degenerate=_has_zero_edge(instance, topology, positions),
+        cost=_edge_cost(topology.parents, xs, ys, flows),
+        degenerate=_has_zero_edge(topology.parents, xs, ys),
     )
