@@ -293,20 +293,23 @@ def optimal_bead_count(f: float, length: float, c: float) -> int:
     """The integer bead count minimising f*length^2/(p+1) + c*p, ties toward
     smaller p.
 
-    The minimiser satisfies p(p+1) <= f*length^2/c <= (p+1)(p+2).
+    The real minimiser is p + 1 = sqrt(f*length^2/c); the integer one lies
+    next to it (p(p+1) <= f*length^2/c <= (p+1)(p+2)), so the floor of the
+    real one and its two neighbours are compared.  Raises ValueError when
+    f*length^2/c overflows a float.
     """
     if not (f > 0.0 and length > 0.0 and c > 0.0):
         raise ValueError("flow, length, and bead cost must all be positive")
     base = f * length * length
-
-    def total(p: int) -> float:
-        return base / (p + 1) + c * p
-
-    p = max(0, int(math.sqrt(base / c)) - 1)
-    while p > 0 and total(p - 1) <= total(p):
-        p -= 1
-    while total(p + 1) < total(p):
-        p += 1
+    ratio = base / c
+    if not ratio < math.inf:
+        raise ValueError(f"f*length^2/c overflows a float (f={f!r}, length={length!r}, c={c!r})")
+    p = max(0, int(math.sqrt(ratio)) - 2)
+    best = base / (p + 1) + c * p
+    for q in (p + 1, p + 2):
+        total = base / (q + 1) + c * q
+        if total < best:
+            p, best = q, total
     return p
 
 

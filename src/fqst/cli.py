@@ -204,6 +204,12 @@ def _cmd_bounds(args) -> int:
     elif isinstance(strategy, ExplicitBound):
         k = strategy.k
     else:
+        # the floor is infinite exactly when f L^2 / c overflows on a spanning edge
+        if not math.isfinite(analysis.spanning_bead_floor(instance, strategy.c)):
+            raise DocumentError(
+                f"node weight {strategy.c!r} is too small: a spanning edge's "
+                "flow * length^2 / c overflows a float, so no bead count can be computed"
+            )
         k = analysis.steiner_count_bound(instance, strategy.c)
     doc = {
         "schema": documents.SCHEMA_VERSION,

@@ -281,6 +281,10 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
             raise DocumentError(
                 f"flow of edge {entry['from']} must be finite, got {entry['flow']!r}"
             )
+        if not entry["flow"] > 0:
+            raise DocumentError(
+                f"flow of edge {entry['from']} must be positive, got {entry['flow']!r}"
+            )
         flows[entry["from"]] = float(entry["flow"])
 
     raw_cost = doc.get("cost")

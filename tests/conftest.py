@@ -87,3 +87,34 @@ def random_labelled_tree(rng: random.Random, n_nodes: int) -> list[tuple[int, in
     for i in range(1, n_nodes):
         edges.append((order[i], order[rng.randrange(i)]))
     return edges
+
+
+def random_general_tree(rng: random.Random, n_sources: int, n_steiner: int) -> Topology:
+    """A random tree in which every Steiner slot has at least one child.
+
+    Built bottom-up from the sources: each Steiner slot adopts a nonempty
+    set of the current roots, a source may adopt roots too (sources feeding
+    sources), and the sink adopts whatever roots are left.  Steiner labels
+    are shuffled so that label order says nothing about the tree.
+    """
+    sink = n_sources
+    labels = list(range(sink + 1, sink + 1 + n_steiner))
+    rng.shuffle(labels)
+    parents = [NO_PARENT] * (n_sources + 1 + n_steiner)
+    roots = list(range(n_sources))
+    for s in labels:
+        rng.shuffle(roots)
+        take = rng.randint(1, len(roots))
+        for child in roots[:take]:
+            parents[child] = s
+        roots = roots[take:] + [s]
+        if len(roots) > 1 and rng.random() < 0.3:
+            sources = [r for r in roots if r < sink]
+            if sources:
+                adopter = rng.choice(sources)
+                child = rng.choice([r for r in roots if r != adopter])
+                parents[child] = adopter
+                roots.remove(child)
+    for root in roots:
+        parents[root] = sink
+    return Topology(n_sources, n_steiner, tuple(parents))

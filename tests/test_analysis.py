@@ -310,6 +310,17 @@ class TestOptimalBeadCount:
         with pytest.raises(ValueError):
             optimal_bead_count(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("c", [1e-34, 1e-60, 1e-300])
+    def test_huge_counts_come_from_the_closed_form(self, c):
+        # f L^2 / c = 100 / c; the count is the floor of sqrt(100 / c) - 1 or
+        # next to it, and is found without stepping from one bead to the next
+        got = optimal_bead_count(1.0, 10.0, c)
+        assert abs(got + 1 - math.sqrt(100.0 / c)) <= 2e-15 * math.sqrt(100.0 / c) + 2
+
+    def test_overflowing_ratio_is_a_value_error(self):
+        with pytest.raises(ValueError, match="overflows"):
+            optimal_bead_count(1.0, 10.0, 5e-324)
+
 
 class TestLowerBoundPath:
     def test_single_source(self):

@@ -262,6 +262,22 @@ class TestCheckCommand:
         assert "finite" in captured.err
 
 
+    @pytest.mark.parametrize("flow", [0.0, -1.0])
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_non_positive_flow_is_input_error(self, tmp_path, capsys, edge, flow):
+        # refused while reading, before the flow-conservation check or a
+        # centroid certificate sees it
+        path = write_document(tmp_path, worked_document())
+        assert main(["solve-topology", path]) == 0
+        result = loads(capsys.readouterr().out)
+        result["flows"][edge]["flow"] = flow
+        result_path = write_document(tmp_path, result, "bad-flow.json")
+        assert main(["check", result_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"flow of edge {result['flows'][edge]['from']} must be positive" in captured.err
+        assert main(["render", result_path, "-o", str(tmp_path / "drawing.svg")]) == 2
+
 class TestRenderCommand:
     def test_renders_svg(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document())
@@ -348,6 +364,26 @@ class TestBoundsCommand:
         assert out["steiner_budget"] > 10**6
         assert 0.0 < out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
 
+
+    @pytest.mark.parametrize("c", [1e-60, 1e-300])
+    def test_vanishing_node_weight_ends_quickly(self, tmp_path, capsys, c):
+        # bead counts near 1e31 and 1e151: neighbouring totals compare equal
+        # in floats, which once sent the bead count down one bead per step
+        path = write_document(tmp_path, worked_document(strategy={"node_weighted": c}, topology=False))
+        started = time.perf_counter()
+        assert main(["bounds", path]) == 0
+        assert time.perf_counter() - started < 1.0
+        out = json.loads(capsys.readouterr().out)
+        assert out["steiner_budget"] > 10**30
+        assert 0.0 < out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
+
+    @pytest.mark.parametrize("c", [5e-324, 1e-310])
+    def test_overflowing_bead_ratio_is_input_error(self, tmp_path, capsys, c):
+        path = write_document(tmp_path, worked_document(strategy={"node_weighted": c}, topology=False))
+        assert main(["bounds", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
 
 class TestGlobalFlags:
     def test_bad_tolerance(self, tmp_path, capsys):

@@ -139,6 +139,15 @@ class TestResultDocuments:
         with pytest.raises(DocumentError, match="finite"):
             parse_result_document(doc)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, 0])
+    def test_non_positive_flow_rejected(self, worked_instance, worked_topology, value):
+        tree = solve_topology(worked_instance, worked_topology)
+        doc = result_document(tree, DegreeBound(3))
+        doc["flows"][1]["flow"] = value
+        edge = doc["flows"][1]["from"]
+        with pytest.raises(DocumentError, match=f"flow of edge {edge} must be positive"):
+            parse_result_document(doc)
+
     @pytest.mark.parametrize("key", ["from", "flow"])
     def test_boolean_edge_id_and_flow_rejected(self, worked_instance, worked_topology, key):
         # edge 1 -> 4 carries flow 1, so true would read as a valid id or flow

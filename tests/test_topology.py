@@ -55,6 +55,47 @@ class TestTopologyConstruction:
             Topology(1, 0, (7, NO_PARENT))
 
 
+class TestCachedStructure:
+    def test_children_and_degrees_are_built_once(self, worked_topology):
+        children = worked_topology.children_lists()
+        degrees = worked_topology.degrees()
+        assert worked_topology.children_lists() is children
+        assert worked_topology.degrees() is degrees
+        assert worked_topology.order_from_sink() is worked_topology.order_from_sink()
+        assert children == ((), (), (), (5,), (0, 1), (2, 4))
+        assert degrees == (1, 1, 1, 1, 3, 3)
+        assert worked_topology.order_from_sink() == (3, 5, 2, 4, 0, 1)
+
+    def test_cached_structure_is_immutable(self, worked_topology):
+        children = worked_topology.children_lists()
+        assert isinstance(children, tuple)
+        assert all(isinstance(kids, tuple) for kids in children)
+        assert isinstance(worked_topology.degrees(), tuple)
+        assert isinstance(worked_topology.order_from_sink(), tuple)
+
+    def test_cache_leaves_equality_and_hash_alone(self, worked_topology):
+        fresh = Topology(3, 2, worked_topology.parents)
+        worked_topology.order_from_sink()
+        assert fresh == worked_topology
+        assert hash(fresh) == hash(worked_topology)
+
+    @pytest.mark.parametrize(
+        "parents",
+        [
+            (2, 3, NO_PARENT, 1),  # source 1 and slot 3 form a cycle
+            (3, 2, NO_PARENT, 4, 3),  # slots 3 and 4 form a cycle
+        ],
+    )
+    def test_non_tree_raises_on_every_call(self, parents):
+        topo = Topology(2, len(parents) - 3, parents)
+        for _ in range(2):
+            with pytest.raises(TopologyError, match="cannot reach the sink"):
+                topo.order_from_sink()
+        assert topo.structural_violations()
+        with pytest.raises(TopologyError):
+            compute_flows(topo, (1.0, 1.0))
+
+
 class TestComputeFlows:
     def test_worked_example(self, worked_topology):
         flows = compute_flows(worked_topology, (1.0, 1.0, 1.0))
