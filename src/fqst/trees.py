@@ -64,28 +64,6 @@ def coordinate_table(
     return [p.x for p in points], [p.y for p in points]
 
 
-def _edge_cost(
-    parents: Sequence[int], xs: Sequence[float], ys: Sequence[float], weights: Sequence[float]
-) -> float:
-    total = 0.0
-    for node, parent in enumerate(parents):
-        if parent != NO_PARENT:
-            dx = xs[node] - xs[parent]
-            dy = ys[node] - ys[parent]
-            total += weights[node] * (dx * dx + dy * dy)
-    return total
-
-
-def _has_zero_edge(parents: Sequence[int], xs: Sequence[float], ys: Sequence[float]) -> bool:
-    for node, parent in enumerate(parents):
-        if parent != NO_PARENT:
-            dx = xs[node] - xs[parent]
-            dy = ys[node] - ys[parent]
-            if dx * dx + dy * dy == 0.0:
-                return True
-    return False
-
-
 def embedded_cost(
     instance: Instance,
     topology: Topology,
@@ -98,7 +76,26 @@ def embedded_cost(
     weights f/(p+1) it is the cost of a skeleton standing for a beaded tree.
     """
     xs, ys = coordinate_table(instance, steiner_positions)
-    return _edge_cost(topology.parents, xs, ys, edge_weights)
+    total = 0.0
+    for node, parent in enumerate(topology.parents):
+        if parent != NO_PARENT:
+            dx = xs[node] - xs[parent]
+            dy = ys[node] - ys[parent]
+            total += edge_weights[node] * (dx * dx + dy * dy)
+    return total
+
+
+def _has_zero_edge(
+    instance: Instance, topology: Topology, steiner_positions: Sequence[Point]
+) -> bool:
+    xs, ys = coordinate_table(instance, steiner_positions)
+    for node, parent in enumerate(topology.parents):
+        if parent != NO_PARENT:
+            dx = xs[node] - xs[parent]
+            dy = ys[node] - ys[parent]
+            if dx * dx + dy * dy == 0.0:
+                return True
+    return False
 
 
 def build_solved_tree(
@@ -110,12 +107,11 @@ def build_solved_tree(
     """Assemble a SolvedTree, computing its cost and degeneracy flag."""
     positions = tuple(steiner_positions)
     flows = tuple(flows)
-    xs, ys = coordinate_table(instance, positions)
     return SolvedTree(
         instance=instance,
         topology=topology,
         steiner_positions=positions,
         flows=flows,
-        cost=_edge_cost(topology.parents, xs, ys, flows),
-        degenerate=_has_zero_edge(topology.parents, xs, ys),
+        cost=embedded_cost(instance, topology, positions, flows),
+        degenerate=_has_zero_edge(instance, topology, positions),
     )
