@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certificate_oracle as oracle
-from fqst import analysis
+from fqst import analysis, solve_topology
 from fqst.errors import GeometryError
 from fqst.geometry import Point
 from fqst.strategies import DegreeBound, ExplicitBound
 from fqst.topology import Instance
 from fqst.trees import SolvedTree
-from fqst import solve_topology
 from conftest import random_general_tree
 
 STRATEGIES = (None, DegreeBound(3), DegreeBound(4), ExplicitBound(2))

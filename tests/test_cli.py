@@ -261,7 +261,6 @@ class TestCheckCommand:
         assert "all checks passed" not in captured.out
         assert "finite" in captured.err
 
-
     @pytest.mark.parametrize("flow", [0.0, -1.0])
     @pytest.mark.parametrize("edge", [0, 1])
     def test_non_positive_flow_is_input_error(self, tmp_path, capsys, edge, flow):
@@ -277,6 +276,7 @@ class TestCheckCommand:
         assert captured.out == ""
         assert f"flow of edge {result['flows'][edge]['from']} must be positive" in captured.err
         assert main(["render", result_path, "-o", str(tmp_path / "drawing.svg")]) == 2
+
 
 class TestRenderCommand:
     def test_renders_svg(self, tmp_path, capsys):
@@ -364,7 +364,6 @@ class TestBoundsCommand:
         assert out["steiner_budget"] > 10**6
         assert 0.0 < out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
 
-
     @pytest.mark.parametrize("c", [1e-60, 1e-300])
     def test_vanishing_node_weight_ends_quickly(self, tmp_path, capsys, c):
         # bead counts near 1e31 and 1e151: neighbouring totals compare equal
@@ -384,6 +383,7 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflows" in captured.err
+
 
 class TestGlobalFlags:
     def test_bad_tolerance(self, tmp_path, capsys):
