@@ -2,10 +2,9 @@
 
 Setting the gradient of the cost to zero at every Steiner point says each
 Steiner point is the weighted mean of its neighbours, with each neighbour
-weighted by the weight of the connecting edge (its flow, or a bead-reduced
-flow in exact search).  On a tree these conditions solve in two passes with
-no matrix.  Going from the leaves toward the sink, every Steiner slot s with
-out-edge weight w_s ends up as
+weighted by the flow w of the connecting edge.  On a tree these conditions
+solve in two passes with no matrix.  Going from the leaves toward the sink,
+every Steiner slot s with out-edge flow w_s ends up as
 
     x_s = a_s + b_s * x_parent,
 
@@ -14,19 +13,21 @@ position, b_c = 0).  Substituting the children into the weighted-mean
 condition gives the pivot d_s = w_s + sum_c w_c (1 - b_c), then
 a_s = sum_c w_c a_c / d_s and b_s = w_s / d_s.  Since every b_c lies in
 [0, 1], d_s >= w_s > 0, so b_s lies in (0, 1] and no pivot can vanish.  The
-pass down from the sink then places every slot after its parent.
+pass down from the sink then places every slot after its parent, and a
+residual check over every condition closes solve_topology.
 
 This is the quasi-source merge of the paper's linear-time algorithm (a_s is
-the quasi-source's position) generalised to any Steiner degree >= 2, any
-positive supplies and any positive edge weights.
+the quasi-source's position) generalised to any Steiner degree >= 2 and any
+positive supplies.
 
-The same merge also gives the optimal cost without placing anything.  A
-subtree whose out-edge ends at p costs K + W * |p - q|^2 at its best, for a
-summary (qx, qy, W, K): a terminal root is q itself, with W its out-edge
-weight and K its children's cost at q; a Steiner root merges its children
-into their weighted mean q and V = sum_c W_c, and seen through its out-edge
-of weight w acts as W = w * V / (w + V).  Exact search costs skeletons from
-these summaries.
+The same merge also gives the optimal cost without placing anything, under
+any positive edge weights (exact search weights an edge carrying p beads by
+f / (p + 1)).  A subtree whose out-edge ends at p costs K + W * |p - q|^2 at
+its best, for a summary (qx, qy, W, K): a terminal root is q itself, with W
+its out-edge weight and K its children's cost at q; a Steiner root merges
+its children into their weighted mean q and V = sum_c W_c, and seen through
+its out-edge of weight w acts as W = w * V / (w + V).  Its pivot w + V is
+checked like d_s above.  Exact search costs skeletons from these summaries.
 """
 
 from __future__ import annotations
@@ -42,85 +43,51 @@ from .trees import SolvedTree, build_solved_tree
 RESIDUAL_TOLERANCE = 1e-9
 
 
-class TreeElimination:
-    """The weight-independent part of the two passes for one topology.
+def _pivot(d: float, w: float) -> float:
+    """d, once it is finite and at least the positive edge weight w (so NaN
+    and infinity fail too): the one pivot check of both merges."""
+    if not (math.inf > d >= w > 0.0):
+        raise InternalConsistencyError(
+            f"pivot {d!r} (edge weight {w!r}) is not finite "
+            "and at least the positive edge weight"
+        )
+    return d
 
-    Flows, the leaves-first Steiner order, the child lists and the terminal
-    coordinates are built once; solve then takes any positive per-edge
-    weights (indexed like flows: weights[i] is node i's out-edge).
-    """
 
-    def __init__(self, instance: Instance, topology: Topology) -> None:
-        self.topology = topology
-        self.flows = compute_flows(topology, instance.supplies)  # also rejects non-trees
-        sink = topology.sink
-        self.children = topology.children_lists()
-        self.upward = [s for s in reversed(topology.order_from_sink()) if s > sink]
-        padding = [0.0] * topology.n_steiner
-        self.terminal_x = [p.x for p in instance.sources] + [instance.sink.x] + padding
-        self.terminal_y = [p.y for p in instance.sources] + [instance.sink.y] + padding
-
-    def solve(self, weights: Sequence[float]) -> tuple[list[float], list[float], list[float]]:
-        """Coordinates of every node and the elimination factors b.
-
-        b[s] is the weight x_s puts on its parent's position; it is 0 at
-        terminals and in (0, 1] at Steiner slots.
-        """
-        xs = self.terminal_x.copy()
-        ys = self.terminal_y.copy()
-        b = [0.0] * len(xs)
-        children = self.children
-        for s in self.upward:
-            w = weights[s]
-            d = w
-            ax = ay = 0.0
-            for c in children[s]:
-                wc = weights[c]
-                d += wc * (1.0 - b[c])
-                ax += wc * xs[c]
-                ay += wc * ys[c]
-            if not (math.inf > d >= w > 0.0):
-                raise InternalConsistencyError(
-                    f"elimination pivot {d!r} at Steiner slot {s} (edge weight {w!r}) "
-                    "is not finite and at least the positive edge weight"
-                )
-            xs[s] = ax / d
-            ys[s] = ay / d
-            b[s] = w / d
-        parents = self.topology.parents
-        for s in reversed(self.upward):
-            p = parents[s]
-            xs[s] += b[s] * xs[p]
-            ys[s] += b[s] * ys[p]
-        return xs, ys, b
-
-    def check_residual(
-        self, xs: Sequence[float], ys: Sequence[float], weights: Sequence[float]
-    ) -> None:
-        """Every weighted-mean condition holds to RESIDUAL_TOLERANCE relative
-        to the largest terminal contribution to any condition."""
-        parents = self.topology.parents
-        sink = self.topology.sink
-        residuals: list[float] = []
-        largest_rhs = 0.0
-        for s in self.upward:
-            incident = [(c, weights[c]) for c in self.children[s]]
-            incident.append((parents[s], weights[s]))
-            rx = ry = tx = ty = 0.0
-            for node, w in incident:
-                rx += w * (xs[s] - xs[node])
-                ry += w * (ys[s] - ys[node])
-                if node <= sink:
-                    tx += w * xs[node]
-                    ty += w * ys[node]
-            residuals += (abs(rx), abs(ry))
-            largest_rhs = max(largest_rhs, abs(tx), abs(ty))
-        bound = RESIDUAL_TOLERANCE * (1.0 + largest_rhs)
-        failing = [r for r in residuals if not (r <= bound)]
-        if failing:
-            raise InternalConsistencyError(
-                f"elimination residual {max(failing):.3e} exceeds {bound:.3e}"
-            )
+def _check_residual(
+    topology: Topology, xs: Sequence[float], ys: Sequence[float], flows: Sequence[float]
+) -> None:
+    """Every weighted-mean condition holds to RESIDUAL_TOLERANCE relative
+    to the largest terminal contribution to any condition."""
+    parents = topology.parents
+    children = topology.children_lists()
+    sink = topology.sink
+    worst = largest_rhs = 0.0
+    for s in topology.steiner_slots():
+        x, y = xs[s], ys[s]
+        rx = ry = tx = ty = 0.0
+        for c in children[s]:
+            w = flows[c]
+            rx += w * (x - xs[c])
+            ry += w * (y - ys[c])
+            if c <= sink:
+                tx += w * xs[c]
+                ty += w * ys[c]
+        p = parents[s]
+        w = flows[s]
+        rx += w * (x - xs[p])
+        ry += w * (y - ys[p])
+        if p <= sink:
+            tx += w * xs[p]
+            ty += w * ys[p]
+        if math.isnan(rx) or math.isnan(ry):  # max() below would drop a NaN
+            worst = math.nan
+            break
+        worst = max(worst, abs(rx), abs(ry))
+        largest_rhs = max(largest_rhs, abs(tx), abs(ty))
+    bound = RESIDUAL_TOLERANCE * (1.0 + largest_rhs)
+    if not (worst <= bound):
+        raise InternalConsistencyError(f"elimination residual {worst:.3e} exceeds {bound:.3e}")
 
 
 def merge_summaries(parts: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:
@@ -149,13 +116,7 @@ def steiner_weight(v: float, w: float) -> float:
     """W of a Steiner root whose children merge to weight v and whose
     out-edge has weight w: minimising V |y - q|^2 + w |p - y|^2 over the
     Steiner position y leaves w * V / (w + V) * |p - q|^2."""
-    d = w + v
-    if not (math.inf > d >= w > 0.0):
-        raise InternalConsistencyError(
-            f"quasi-source pivot {d!r} (edge weight {w!r}) is not finite "
-            "and at least the positive edge weight"
-        )
-    return w * v / d
+    return w * v / _pivot(w + v, w)
 
 
 def pinned_cost(x: float, y: float, parts: Sequence[Sequence[float]]) -> float:
@@ -175,9 +136,33 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
     Works for any Steiner degrees >= 2; the output satisfies the
     centre-of-mass condition at every Steiner point, checked by residual.
     """
-    elimination = TreeElimination(instance, topology)
-    flows = elimination.flows
-    xs, ys, _ = elimination.solve(flows)
-    elimination.check_residual(xs, ys, flows)
+    flows = compute_flows(topology, instance.supplies)  # also rejects non-trees
+    sink = topology.sink
+    children = topology.children_lists()
+    upward = [s for s in reversed(topology.order_from_sink()) if s > sink]
+    padding = [0.0] * topology.n_steiner
+    xs = [p.x for p in instance.sources] + [instance.sink.x] + padding
+    ys = [p.y for p in instance.sources] + [instance.sink.y] + padding
+    # b[s] is the weight x_s puts on its parent's position: 0 at terminals
+    b = [0.0] * len(xs)
+    for s in upward:
+        w = flows[s]
+        d = w
+        ax = ay = 0.0
+        for c in children[s]:
+            wc = flows[c]
+            d += wc * (1.0 - b[c])
+            ax += wc * xs[c]
+            ay += wc * ys[c]
+        d = _pivot(d, w)
+        xs[s] = ax / d
+        ys[s] = ay / d
+        b[s] = w / d
+    parents = topology.parents
+    for s in reversed(upward):
+        p = parents[s]
+        xs[s] += b[s] * xs[p]
+        ys[s] += b[s] * ys[p]
+    _check_residual(topology, xs, ys, flows)
     positions = tuple(Point(xs[s], ys[s]) for s in topology.steiner_slots())
     return build_solved_tree(instance, topology, positions, flows)

@@ -138,6 +138,12 @@ def _cmd_check(args) -> int:
     recomputed = analysis.cost(tree)
     if not (abs(recomputed - tree.cost) <= tol * (1.0 + abs(recomputed))):
         failures.append(f"cost mismatch: stored {tree.cost}, recomputed {recomputed}")
+    objective = recomputed
+    if isinstance(strategy, NodeWeighted):
+        objective += strategy.c * tree.topology.n_steiner
+    stored = parsed.objective
+    if stored is not None and not (abs(objective - stored) <= tol * (1.0 + abs(objective))):
+        failures.append(f"objective mismatch: stored {stored}, recomputed {objective}")
 
     expected_flows = compute_flows(tree.topology, tree.instance.supplies)
     flow_errors = [abs(a - b) for a, b in zip(expected_flows, tree.flows)]
@@ -250,3 +256,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

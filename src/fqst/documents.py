@@ -232,7 +232,18 @@ class ParsedResultDocument:
     strategy: BoundStrategy
     tree: SolvedTree
     claims_global_optimum: bool
-    objective: float
+    objective: float | None  # None when the document stores none
+
+
+def _flag(doc: dict, block: str, key: str) -> bool:
+    """doc[block][key] as a JSON boolean; an absent block or key is false."""
+    raw = doc.get(block, {})
+    if not isinstance(raw, dict):
+        raise DocumentError(f"'{block}' must be an object, got {raw!r}")
+    value = raw.get(key, False)
+    if not isinstance(value, bool):
+        raise DocumentError(f"'{block}.{key}' must be true or false, got {value!r}")
+    return value
 
 
 def parse_result_document(doc: Any) -> ParsedResultDocument:
@@ -290,24 +301,23 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
     raw_cost = doc.get("cost")
     if not _is_number(raw_cost) or not math.isfinite(raw_cost):
         raise DocumentError("'cost' must be a finite number")
-    claims = doc.get("claims") or {}
     tree = SolvedTree(
         instance=parsed.instance,
         topology=topology,
         steiner_positions=positions,
         flows=tuple(flows),
         cost=float(raw_cost),
-        degenerate=bool(doc.get("certificates", {}).get("degenerate", False)),
+        degenerate=_flag(doc, "certificates", "degenerate"),
     )
-    objective = doc.get("objective", raw_cost)
-    if not _is_number(objective) or not math.isfinite(objective):
+    objective = doc.get("objective")
+    if objective is not None and (not _is_number(objective) or not math.isfinite(objective)):
         raise DocumentError("'objective' must be a finite number")
     return ParsedResultDocument(
         instance=parsed.instance,
         strategy=parsed.strategy,
         tree=tree,
-        claims_global_optimum=bool(claims.get("global_optimum", False)),
-        objective=float(objective),
+        claims_global_optimum=_flag(doc, "claims", "global_optimum"),
+        objective=None if objective is None else float(objective),
     )
 
 

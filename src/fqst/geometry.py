@@ -16,12 +16,6 @@ class Point:
     x: float
     y: float
 
-    def __add__(self, other: "Point") -> "Point":
-        return Point(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return Point(self.x - other.x, self.y - other.y)
-
     def scaled(self, factor: float) -> "Point":
         return Point(self.x * factor, self.y * factor)
 

@@ -19,21 +19,23 @@ from fqst import (
     NodeWeighted,
     Point,
     Topology,
-    beaded_spanning_tree,
     check_centroid_certificate,
     compute_flows,
-    cost_node_weighted,
-    embedded_cost,
-    enumerate_bounded_topologies,
-    expand_beads,
-    lower_bound_path,
-    optimal_bead_count,
     run_geo_algorithm,
     solve_exact,
     solve_topology,
-    sq_dist,
+)
+from fqst.analysis import (
+    beaded_spanning_tree,
+    cost_node_weighted,
+    expand_beads,
+    lower_bound_path,
+    optimal_bead_count,
     steiner_count_bound,
 )
+from fqst.geometry import sq_dist
+from fqst.topology import enumerate_bounded_topologies
+from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
 from conftest import NO_PARENT, random_full_topology, random_instance
 
@@ -231,7 +233,7 @@ def test_criterion_7_structural_certificates():
             elif degrees[source] == 2:
                 children = degree_tree.topology.children_lists()[source]
                 here = degree_tree.position(source)
-                from fqst import angle_at
+                from fqst.geometry import angle_at
 
                 angle = angle_at(
                     here,
@@ -240,7 +242,7 @@ def test_criterion_7_structural_certificates():
                 )
                 if abs(angle - math.pi) > 1e-7:
                     ok = False
-        from fqst import check_angles
+        from fqst.analysis import check_angles
 
         q_total = sum(sq_dist(z, inst.sink) for z in inst.sources)
         if trial % 2 == 0:

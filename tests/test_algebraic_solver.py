@@ -9,18 +9,17 @@ from hypothesis import strategies as st
 from fqst import (
     Instance,
     InternalConsistencyError,
-    MassPoint,
     Point,
     Topology,
-    centroid,
     compute_flows,
-    embedded_cost,
-    enumerate_bounded_topologies,
     solve_topology,
-    sq_dist,
 )
+from fqst.geometry import MassPoint, centroid, sq_dist
+from fqst.topology import enumerate_bounded_topologies
+from fqst.trees import embedded_cost
+from fqst import algebraic_solver
 from fqst.algebraic_solver import (
-    TreeElimination,
+    _check_residual,
     merge_summaries,
     pinned_cost,
     steiner_weight,
@@ -345,14 +344,7 @@ class TestEliminationMatchesDenseOracle:
             1.0, *(max(abs(p.x), abs(p.y)) for p in (*inst.sources, inst.sink))
         )
 
-        elimination = TreeElimination(inst, topo)
-        xs, ys, b = elimination.solve(weights)
         expected = solve_positions(assemble_system(inst, topo, flows, weights))
-        for slot, want in zip(topo.steiner_slots(), expected):
-            assert 0.0 < b[slot] <= 1.0
-            assert abs(xs[slot] - want.x) <= 1e-12 * scale
-            assert abs(ys[slot] - want.y) <= 1e-12 * scale
-        assert all(b[node] == 0.0 for node in range(topo.sink + 1))
         assert summary_cost(inst, topo, weights) == pytest.approx(
             embedded_cost(inst, topo, expected, weights), rel=1e-12, abs=1e-12
         )
@@ -364,12 +356,37 @@ class TestEliminationMatchesDenseOracle:
             assert abs(got.y - want.y) <= 1e-12 * scale
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_bad_pivot_raises(self, worked_instance, worked_topology, bad):
-        elimination = TreeElimination(worked_instance, worked_topology)
-        weights = list(elimination.flows)
-        weights[4] = bad
+    def test_bad_pivot_raises(self, worked_instance, worked_topology, monkeypatch, bad):
+        flows = list(compute_flows(worked_topology, worked_instance.supplies))
+        flows[4] = bad
+        monkeypatch.setattr(algebraic_solver, "compute_flows", lambda topology, supplies: flows)
         with pytest.raises(InternalConsistencyError):
-            elimination.solve(weights)
+            solve_topology(worked_instance, worked_topology)
+
+
+class TestCheckResidual:
+    @staticmethod
+    def solved_tables(instance, topology):
+        tree = solve_topology(instance, topology)
+        xs, ys = tree.coordinates
+        return list(xs), list(ys), tree.flows
+
+    def test_solved_tables_pass(self, worked_instance, worked_topology):
+        _check_residual(worked_topology, *self.solved_tables(worked_instance, worked_topology))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("slot", [4, 5])
+    def test_moved_steiner_coordinate_raises(self, worked_instance, worked_topology, axis, slot):
+        tables = self.solved_tables(worked_instance, worked_topology)
+        tables[axis][slot] += 1e-6
+        with pytest.raises(InternalConsistencyError):
+            _check_residual(worked_topology, *tables)
+
+    def test_nan_coordinate_raises(self, worked_instance, worked_topology):
+        xs, ys, flows = self.solved_tables(worked_instance, worked_topology)
+        ys[4] = float("nan")
+        with pytest.raises(InternalConsistencyError):
+            _check_residual(worked_topology, xs, ys, flows)
 
 
 class TestSubtreeSummaries:

@@ -9,26 +9,28 @@ from fqst import (
     Instance,
     NodeWeighted,
     Point,
-    SplitSpec,
     Topology,
+    check_centroid_certificate,
+    compute_flows,
+    solve_exact,
+    solve_topology,
+)
+from fqst.analysis import (
+    SplitSpec,
     apply_split,
     beaded_spanning_tree,
-    build_solved_tree,
     check_angles,
-    check_centroid_certificate,
     check_degree_window,
     check_overlapping_edges,
-    compute_flows,
     cost,
     cost_node_weighted,
     expand_beads,
     lower_bound_path,
     optimal_bead_count,
-    solve_exact,
-    solve_topology,
-    sq_dist,
     steiner_count_bound,
 )
+from fqst.geometry import sq_dist
+from fqst.trees import build_solved_tree
 from fqst.analysis import _weighted_sink_distances, beaded_spanning_cost, spanning_bead_floor
 from conftest import NO_PARENT, random_instance, random_supplied_instance
 

@@ -238,6 +238,48 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "note" in out and "all checks passed" in out
 
+    @pytest.mark.parametrize(
+        "strategy, extra", [({"degree_bound": 3}, 0.0), ({"node_weighted": 2.5}, 5.0)]
+    )
+    def test_stored_objective_is_checked(self, tmp_path, capsys, strategy, extra):
+        # the node weight's objective adds c per Steiner point to the cost
+        path = write_document(tmp_path, worked_document(strategy))
+        assert main(["solve-topology", path]) == 0
+        result = loads(capsys.readouterr().out)
+        assert result["objective"] == pytest.approx(102.0 + extra, abs=1e-9)
+        assert main(["check", write_document(tmp_path, result, "result.json")]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+        result["objective"] *= 3
+        assert main(["check", write_document(tmp_path, result, "tripled.json")]) == 1
+        assert "FAIL objective mismatch" in capsys.readouterr().out
+        del result["objective"]
+        assert main(["check", write_document(tmp_path, result, "unstated.json")]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["check", "render"])
+    @pytest.mark.parametrize(
+        "block, value, message",
+        [
+            ("claims", [1], "'claims' must be an object"),
+            ("certificates", [1], "'certificates' must be an object"),
+            ("claims", {"global_optimum": "yes"}, "'claims.global_optimum' must be true or false"),
+            ("certificates", {"degenerate": 1}, "'certificates.degenerate' must be true or false"),
+        ],
+    )
+    def test_malformed_flags_are_input_errors(
+        self, tmp_path, capsys, command, block, value, message
+    ):
+        result = self._solved_document(tmp_path, capsys)
+        result[block] = value
+        result_path = write_document(tmp_path, result, "malformed.json")
+        argv = [command, result_path]
+        if command == "render":
+            argv += ["-o", str(tmp_path / "drawing.svg")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
     @pytest.mark.parametrize("edge", [0, 1])
     def test_nan_flow_is_input_error(self, tmp_path, capsys, edge):
@@ -332,6 +374,16 @@ def test_cli_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import sys, fqst.cli; assert 'numpy' not in sys.modules, 'numpy was imported'"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_module_runs_as_a_script(tmp_path):
+    src = Path(__import__("fqst").__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    path = write_document(tmp_path, worked_document())
+    target = tmp_path / "result.json"
+    command = [sys.executable, "-m", "fqst.cli", "solve-topology", path, "-o", str(target)]
+    assert subprocess.run(command, env=env).returncode == 0
+    assert loads(target.read_text())["cost"] == pytest.approx(102.0, abs=1e-9)
 
 
 class TestBoundsCommand:

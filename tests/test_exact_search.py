@@ -14,20 +14,22 @@ from fqst import (
     NodeWeighted,
     Point,
     Topology,
-    beaded_spanning_tree,
-    check_degree_window,
     compute_flows,
-    cost_node_weighted,
-    embedded_cost,
-    enumerate_bounded_topologies,
-    expand_beads,
-    lower_bound_path,
     rooted_encoding,
     solve_exact,
     solve_topology,
-    sq_dist,
+)
+from fqst.analysis import (
+    beaded_spanning_tree,
+    check_degree_window,
+    cost_node_weighted,
+    expand_beads,
+    lower_bound_path,
     steiner_count_bound,
 )
+from fqst.geometry import sq_dist
+from fqst.topology import enumerate_bounded_topologies
+from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
 from fqst import exact_search
@@ -504,7 +506,7 @@ class TestSmallSupplies:
 
 class TestBeadExpansionEquivalence:
     def test_reduced_solve_matches_expanded_solve(self):
-        from fqst import expand_beads
+        from fqst.analysis import expand_beads
 
         rng = random.Random(54)
         for _ in range(8):

@@ -6,9 +6,7 @@ import pytest
 
 from fqst import (
     Instance,
-    MassPoint,
     Point,
-    QuasiSource,
     Topology,
     UnsupportedTopologyError,
     UnsupportedWeightsError,
@@ -19,6 +17,8 @@ from fqst import (
     solve_full_topology,
     solve_topology,
 )
+from fqst.geo_solver import QuasiSource
+from fqst.geometry import MassPoint
 from conftest import NO_PARENT, random_full_topology, random_instance
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqst import GeometryError, MassPoint, Point, angle_at, centroid, sq_dist
+from fqst import GeometryError, Point
+from fqst.geometry import MassPoint, angle_at, centroid, sq_dist
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 masses = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
