@@ -36,7 +36,6 @@ import math
 from typing import Sequence
 
 from .errors import InternalConsistencyError
-from .geometry import Point
 from .topology import Instance, Topology, compute_flows
 from .trees import SolvedTree, build_solved_tree
 
@@ -164,5 +163,4 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
         xs[s] += b[s] * xs[p]
         ys[s] += b[s] * ys[p]
     _check_residual(topology, xs, ys, flows)
-    positions = tuple(Point(xs[s], ys[s]) for s in topology.steiner_slots())
-    return build_solved_tree(instance, topology, positions, flows)
+    return build_solved_tree(instance, topology, xs, ys, flows)

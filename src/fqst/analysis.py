@@ -8,7 +8,7 @@ from typing import Sequence
 
 from . import algebraic_solver
 from .errors import TopologyError
-from .geometry import MassPoint, Point, lerp, sq_dist
+from .geometry import MassPoint, Point, sq_dist
 from .strategies import BoundStrategy, DegreeBound
 from .topology import NO_PARENT, Instance, Topology, _orient_toward_sink, compute_flows
 from .trees import SolvedTree, build_solved_tree, embedded_cost
@@ -22,7 +22,7 @@ _isfinite = math.isfinite
 
 def cost(tree: SolvedTree) -> float:
     """Sum over edges of flow * squared length, recomputed from the fields."""
-    return embedded_cost(tree.instance, tree.topology, tree.steiner_positions, tree.flows)
+    return embedded_cost(tree.topology, tree.xs, tree.ys, tree.flows)
 
 
 def cost_node_weighted(tree: SolvedTree, c: float) -> float:
@@ -44,7 +44,7 @@ def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
     children = topo.children_lists()
     parents = topo.parents
     flows = tree.flows
-    xs, ys = tree.coordinates
+    xs, ys = tree.xs, tree.ys
     deviations: dict[int, float] = {}
     for slot in topo.steiner_slots():
         parent = parents[slot]
@@ -101,7 +101,7 @@ def check_angles(tree: SolvedTree, tol_radians: float = CERTIFICATE_TOLERANCE) -
     table.
     """
     children = tree.topology.children_lists()
-    xs, ys = tree.coordinates
+    xs, ys = tree.xs, tree.ys
     violations = []
     threshold = math.pi / 2.0 - tol_radians
     for node, parent in enumerate(tree.topology.parents):
@@ -147,7 +147,7 @@ def check_degree_window(
     deg = topo.degrees()
     children = topo.children_lists()
     flows = tree.flows
-    xs, ys = tree.coordinates
+    xs, ys = tree.xs, tree.ys
     violations = []
     high = 2 * phi - 3
     for slot in topo.steiner_slots():
@@ -232,7 +232,7 @@ def check_overlapping_edges(
     deg = topo.degrees()
     sink = topo.sink
     phi = strategy.phi if isinstance(strategy, DegreeBound) else None
-    xs, ys = tree.coordinates
+    xs, ys = tree.xs, tree.ys
     overlaps = []
     for node, parent in enumerate(topo.parents):
         neighbours = children[node] if parent == NO_PARENT else (*children[node], parent)
@@ -399,15 +399,16 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
     bead_counts = _spanning_bead_counts(terminals, base, flows, c)
     expanded = expand_beads(base, bead_counts)
     # expand_beads creates each edge's chain slots from the parent side
-    # toward the child, so positions go farthest-first
-    positions: list[Point] = []
+    # toward the child, so they go farthest-first, as geometry.lerp places them
+    xs = [p.x for p in terminals]
+    ys = [p.y for p in terminals]
     for child, p in zip(base.edge_children(), bead_counts):
-        start = terminals[child]
-        end = terminals[base.parents[child]]
+        parent = base.parents[child]
         for i in range(p):
-            positions.append(lerp(start, end, (p - i) / (p + 1)))
+            xs.append(xs[child] + (p - i) / (p + 1) * (xs[parent] - xs[child]))
+            ys.append(ys[child] + (p - i) / (p + 1) * (ys[parent] - ys[child]))
     expanded_flows = compute_flows(expanded, instance.supplies)
-    return build_solved_tree(instance, expanded, positions, expanded_flows)
+    return build_solved_tree(instance, expanded, xs, ys, expanded_flows)
 
 
 def beaded_spanning_cost(instance: Instance, c: float) -> float:

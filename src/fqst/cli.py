@@ -81,11 +81,7 @@ def _cmd_solve_topology(args) -> int:
     parsed = documents.parse_instance_document(_read_document(args.file))
     if parsed.topology is None:
         raise DocumentError("solve-topology needs a document with a 'topology'")
-    instance, topology = parsed.instance, parsed.topology
-    structural = topology.structural_violations()
-    if structural:
-        raise DocumentError("; ".join(structural))
-    tree = algebraic_solve(instance, topology)
+    tree = algebraic_solve(parsed.instance, parsed.topology)
     objective = tree.cost
     if isinstance(parsed.strategy, NodeWeighted):
         objective = analysis.cost_node_weighted(tree, parsed.strategy.c)

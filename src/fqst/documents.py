@@ -44,20 +44,29 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_number(value: Any) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    return isinstance(value, float) or _is_int(value)
 
 
-def _parse_point(value: Any, what: str) -> Point:
+def _finite(value: int | float, what: str) -> float:
+    """A JSON number as a finite float; an integer too large for a float,
+    like a NaN or an infinity, is a DocumentError."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise DocumentError(f"{what} must be finite, got an integer too large for a float") from None
+    if not math.isfinite(number):
+        raise DocumentError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _parse_pair(value: Any, what: str) -> tuple[float, float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(_is_number(v) for v in value)
     ):
         raise DocumentError(f"{what} must be a pair of numbers, got {value!r}")
-    point = Point(float(value[0]), float(value[1]))
-    if not point.is_finite():
-        raise DocumentError(f"{what} must be finite, got {value!r}")
-    return point
+    return _finite(value[0], what), _finite(value[1], what)
 
 
 def parse_strategy(value: Any) -> BoundStrategy:
@@ -142,15 +151,15 @@ def parse_instance_document(doc: Any) -> ParsedInstanceDocument:
     raw_sources = doc.get("sources")
     if not isinstance(raw_sources, list) or not raw_sources:
         raise DocumentError("'sources' must be a nonempty list of [x, y] pairs")
-    sources = tuple(_parse_point(p, f"source {i}") for i, p in enumerate(raw_sources))
-    sink = _parse_point(doc.get("sink"), "sink")
+    sources = tuple(Point(*_parse_pair(p, f"source {i}")) for i, p in enumerate(raw_sources))
+    sink = Point(*_parse_pair(doc.get("sink"), "sink"))
     raw_supplies = doc.get("supplies")
     if raw_supplies is None:
         supplies = (1.0,) * len(sources)
     else:
         if not isinstance(raw_supplies, list) or not all(_is_number(w) for w in raw_supplies):
             raise DocumentError("'supplies' must be a list of numbers")
-        supplies = tuple(float(w) for w in raw_supplies)
+        supplies = tuple(_finite(w, f"supply {i}") for i, w in enumerate(raw_supplies))
     try:
         instance = Instance(sources, supplies, sink)
     except ValueError as exc:
@@ -200,6 +209,7 @@ def result_document(
     claims_global_optimum: bool = False,
     extra: dict | None = None,
 ) -> dict:
+    first = tree.topology.sink + 1
     doc = {
         "schema": SCHEMA_VERSION,
         "instance": {
@@ -210,7 +220,7 @@ def result_document(
         "strategy": strategy_document(strategy),
         "topology": topology_document(tree.topology),
         "steiner_positions": [
-            [_round12(p.x), _round12(p.y)] for p in tree.steiner_positions
+            [_round12(x), _round12(y)] for x, y in zip(tree.xs[first:], tree.ys[first:])
         ],
         "flows": [
             {"from": child, "to": tree.topology.parents[child], "flow": _round12(tree.flows[child])}
@@ -268,9 +278,13 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
         raise DocumentError(
             f"'steiner_positions' must list {topology.n_steiner} [x, y] pairs"
         )
-    positions = tuple(
-        _parse_point(p, f"steiner position {i}") for i, p in enumerate(raw_positions)
-    )
+    instance = parsed.instance
+    xs = [p.x for p in instance.sources] + [instance.sink.x]
+    ys = [p.y for p in instance.sources] + [instance.sink.y]
+    for i, raw in enumerate(raw_positions):
+        x, y = _parse_pair(raw, f"steiner position {i}")
+        xs.append(x)
+        ys.append(y)
 
     raw_flows = doc.get("flows")
     edge_children = topology.edge_children()
@@ -288,36 +302,34 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
             or not _is_number(entry.get("flow"))
         ):
             raise DocumentError(f"bad flow entry {entry!r}")
-        if not math.isfinite(entry["flow"]):
-            raise DocumentError(
-                f"flow of edge {entry['from']} must be finite, got {entry['flow']!r}"
-            )
-        if not entry["flow"] > 0:
-            raise DocumentError(
-                f"flow of edge {entry['from']} must be positive, got {entry['flow']!r}"
-            )
-        flows[entry["from"]] = float(entry["flow"])
+        child = entry["from"]
+        if flows[child]:  # a listed flow is positive
+            raise DocumentError(f"flow of edge {child} is listed twice")
+        flow = flows[child] = _finite(entry["flow"], f"flow of edge {child}")
+        if not flow > 0:
+            raise DocumentError(f"flow of edge {child} must be positive, got {entry['flow']!r}")
 
     raw_cost = doc.get("cost")
-    if not _is_number(raw_cost) or not math.isfinite(raw_cost):
+    if not _is_number(raw_cost):
         raise DocumentError("'cost' must be a finite number")
     tree = SolvedTree(
-        instance=parsed.instance,
+        instance=instance,
         topology=topology,
-        steiner_positions=positions,
+        xs=tuple(xs),
+        ys=tuple(ys),
         flows=tuple(flows),
-        cost=float(raw_cost),
+        cost=_finite(raw_cost, "'cost'"),
         degenerate=_flag(doc, "certificates", "degenerate"),
     )
     objective = doc.get("objective")
-    if objective is not None and (not _is_number(objective) or not math.isfinite(objective)):
+    if objective is not None and not _is_number(objective):
         raise DocumentError("'objective' must be a finite number")
     return ParsedResultDocument(
-        instance=parsed.instance,
+        instance=instance,
         strategy=parsed.strategy,
         tree=tree,
         claims_global_optimum=_flag(doc, "claims", "global_optimum"),
-        objective=None if objective is None else float(objective),
+        objective=None if objective is None else _finite(objective, "'objective'"),
     )
 
 
@@ -338,5 +350,7 @@ def loads(text: str) -> Any:
     """Strict JSON: the NaN, Infinity and -Infinity tokens are a DocumentError."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except DocumentError:
+        raise
+    except ValueError as exc:  # also an integer literal past int's digit limit
         raise DocumentError(f"not valid JSON: {exc}") from exc

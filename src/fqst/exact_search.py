@@ -176,7 +176,9 @@ def solve_exact(
             f"raise guard_n explicitly to go further"
         )
     if isinstance(strategy, DegreeBound):
-        return _subset_search(instance, strategy, strategy.phi, 0, 0)
+        # a Steiner point has at least phi - 1 children, each over a source,
+        # so every phi >= n + 2 admits the same trees: those with none
+        return _subset_search(instance, strategy, min(strategy.phi, n + 2), 0, 0)
     if isinstance(strategy, ExplicitBound):
         _guard_budget(strategy.k, "the explicit bound is")
         return _subset_search(instance, strategy, 3, strategy.k, 1)

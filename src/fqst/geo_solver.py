@@ -259,9 +259,8 @@ def run_geo_algorithm(
         py[s] = (w0 * qy[s] + f * py[anchor]) / total
         placement_count += 1
 
-    positions = tuple(Point(px[s], py[s]) for s in range(sink + 1, n_nodes))
     flows = compute_flows(topology, instance.supplies)
-    tree = build_solved_tree(instance, topology, positions, flows)
+    tree = build_solved_tree(instance, topology, px, py, flows)
 
     steps: tuple[MergeStep, ...] = ()
     if record_steps:

@@ -17,7 +17,7 @@ NODE_RADIUS = 5.0
 
 
 def render_svg(tree: SolvedTree) -> str:
-    xs, ys = tree.coordinates
+    xs, ys = tree.xs, tree.ys
     span_x = max(xs) - min(xs)
     span_y = max(ys) - min(ys)
     span = max(span_x, span_y, 1e-9)

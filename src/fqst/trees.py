@@ -13,69 +13,58 @@ from .topology import NO_PARENT, Instance, Topology
 
 @dataclass(frozen=True)
 class SolvedTree:
-    """A topology embedded in the plane: Steiner positions, edge flows, cost.
+    """A topology embedded in the plane: a coordinate table, edge flows, cost.
 
-    flows[i] is the flow on node i's out-edge (0.0 at the sink slot); cost is
-    the sum of flow * squared length over all edges, recomputable from the
-    other fields.
+    (xs[i], ys[i]) is node i's position, over the sources, the sink and then
+    the Steiner slots; flows[i] is the flow on node i's out-edge (0.0 at the
+    sink slot); cost is the sum of flow * squared length over all edges,
+    recomputable from the other fields.
     """
 
     instance: Instance
     topology: Topology
-    steiner_positions: tuple[Point, ...]
+    xs: tuple[float, ...]
+    ys: tuple[float, ...]
     flows: tuple[float, ...]
     cost: float
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if len(self.steiner_positions) != self.topology.n_steiner:
-            raise TopologyError(
-                f"{len(self.steiner_positions)} positions for "
-                f"{self.topology.n_steiner} Steiner slots"
-            )
-        if len(self.flows) != self.topology.n_nodes:
-            raise TopologyError("flows must carry one entry per node")
+        if not len(self.xs) == len(self.ys) == len(self.flows) == self.topology.n_nodes:
+            raise TopologyError("xs, ys and flows must carry one entry per node")
 
     def position(self, node: int) -> Point:
-        sink = self.topology.sink
-        if node < sink:
-            return self.instance.sources[node]
-        if node == sink:
-            return self.instance.sink
-        return self.steiner_positions[node - sink - 1]
+        return Point(self.xs[node], self.ys[node])
 
     @cached_property
-    def coordinates(self) -> tuple[list[float], list[float]]:
-        """(xs, ys): every node's coordinates, indexed like position(),
-        built on first use and kept."""
-        return coordinate_table(self.instance, self.steiner_positions)
+    def steiner_positions(self) -> tuple[Point, ...]:
+        """The Steiner slots' rows of the table, as points."""
+        first = self.topology.sink + 1
+        return tuple(map(Point, self.xs[first:], self.ys[first:]))
 
     def with_steiner_positions(self, positions: Sequence[Point]) -> "SolvedTree":
         """Same topology and flows, new embedding; cost and degeneracy refresh."""
-        return build_solved_tree(self.instance, self.topology, positions, self.flows)
-
-
-def coordinate_table(
-    instance: Instance, steiner_positions: Sequence[Point]
-) -> tuple[list[float], list[float]]:
-    """(xs, ys) over sources, the sink and then the Steiner slots: the flat
-    form of SolvedTree.position that every O(n) pass reads."""
-    points = (*instance.sources, instance.sink, *steiner_positions)
-    return [p.x for p in points], [p.y for p in points]
+        first = self.topology.sink + 1
+        return build_solved_tree(
+            self.instance,
+            self.topology,
+            self.xs[:first] + tuple(p.x for p in positions),
+            self.ys[:first] + tuple(p.y for p in positions),
+            self.flows,
+        )
 
 
 def embedded_cost(
-    instance: Instance,
     topology: Topology,
-    steiner_positions: Sequence[Point],
+    xs: Sequence[float],
+    ys: Sequence[float],
     edge_weights: Sequence[float],
 ) -> float:
-    """Sum over edges of weight * squared length.
+    """Sum over edges of weight * squared length, over a coordinate table.
 
     With edge_weights = flows this is the tree cost; with bead-reduced
     weights f/(p+1) it is the cost of a skeleton standing for a beaded tree.
     """
-    xs, ys = coordinate_table(instance, steiner_positions)
     total = 0.0
     for node, parent in enumerate(topology.parents):
         if parent != NO_PARENT:
@@ -85,10 +74,7 @@ def embedded_cost(
     return total
 
 
-def _has_zero_edge(
-    instance: Instance, topology: Topology, steiner_positions: Sequence[Point]
-) -> bool:
-    xs, ys = coordinate_table(instance, steiner_positions)
+def _has_zero_edge(topology: Topology, xs: Sequence[float], ys: Sequence[float]) -> bool:
     for node, parent in enumerate(topology.parents):
         if parent != NO_PARENT:
             dx = xs[node] - xs[parent]
@@ -101,17 +87,19 @@ def _has_zero_edge(
 def build_solved_tree(
     instance: Instance,
     topology: Topology,
-    steiner_positions: Sequence[Point],
+    xs: Sequence[float],
+    ys: Sequence[float],
     flows: Sequence[float],
 ) -> SolvedTree:
-    """Assemble a SolvedTree, computing its cost and degeneracy flag."""
-    positions = tuple(steiner_positions)
-    flows = tuple(flows)
+    """Assemble a SolvedTree from its coordinate table, computing its cost
+    and degeneracy flag."""
+    xs, ys, flows = tuple(xs), tuple(ys), tuple(flows)
     return SolvedTree(
         instance=instance,
         topology=topology,
-        steiner_positions=positions,
+        xs=xs,
+        ys=ys,
         flows=flows,
-        cost=embedded_cost(instance, topology, positions, flows),
-        degenerate=_has_zero_edge(instance, topology, positions),
+        cost=embedded_cost(topology, xs, ys, flows),
+        degenerate=_has_zero_edge(topology, xs, ys),
     )

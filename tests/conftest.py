@@ -25,6 +25,13 @@ def worked_topology() -> Topology:
     return Topology(3, 2, (4, 4, 5, NO_PARENT, 5, 3))
 
 
+def node_table(instance: Instance, steiner_points=()) -> tuple[list[float], list[float]]:
+    """(xs, ys) over the sources, the sink and then the given Steiner points,
+    the coordinate table a SolvedTree holds."""
+    points = (*instance.sources, instance.sink, *steiner_points)
+    return [p.x for p in points], [p.y for p in points]
+
+
 def orient_edges(n_sources: int, n_steiner: int, edges) -> Topology:
     """Root an undirected edge list at the sink (test-local implementation)."""
     n_nodes = n_sources + 1 + n_steiner

@@ -37,7 +37,7 @@ from fqst.geometry import sq_dist
 from fqst.topology import enumerate_bounded_topologies
 from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
-from conftest import NO_PARENT, random_full_topology, random_instance
+from conftest import NO_PARENT, node_table, random_full_topology, random_instance
 
 
 def report(number: int, label: str, passed: bool) -> None:
@@ -125,7 +125,7 @@ def test_criterion_3_local_minimality(oracle_pairs):
             for dx, dy in directions:
                 moved = positions.copy()
                 moved[idx] = Point(point.x + dx, point.y + dy)
-                perturbed = embedded_cost(inst, topo, moved, geo.flows)
+                perturbed = embedded_cost(topo, *node_table(inst, moved), geo.flows)
                 if perturbed < base - 1e-15:
                     perturbations_ok = False
     ok = certificates_ok and perturbations_ok
@@ -160,8 +160,8 @@ def test_criterion_4_gradient_check():
                     plus[idx] = Point(p.x, p.y + step)
                     minus[idx] = Point(p.x, p.y - step)
                 fd = (
-                    embedded_cost(inst, topo, plus, flows)
-                    - embedded_cost(inst, topo, minus, flows)
+                    embedded_cost(topo, *node_table(inst, plus), flows)
+                    - embedded_cost(topo, *node_table(inst, minus), flows)
                 ) / (2 * step)
                 # the stationarity residual is half the cost gradient
                 worst = max(worst, abs(fd / 2.0 - residual))
@@ -290,7 +290,7 @@ def test_criterion_9_bead_expansion_equivalence():
             weights[child] = flows[child] / (p + 1)
         system = assemble_system(inst, topo, flows, weights)
         positions = solve_positions(system)
-        reduced = embedded_cost(inst, topo, positions, weights)
+        reduced = embedded_cost(topo, *node_table(inst, positions), weights)
         expanded = solve_topology(inst, expand_beads(topo, beads))
         if abs(expanded.cost - reduced) > 1e-9 * (1.0 + reduced):
             ok = False

@@ -27,6 +27,7 @@ from fqst.algebraic_solver import (
 from dense_oracle import SteinerSystem, assemble_system, solve_positions
 from conftest import (
     NO_PARENT,
+    node_table,
     random_full_topology,
     random_general_tree,
     random_instance,
@@ -255,8 +256,8 @@ class TestSolveTopology:
                         plus[idx] = Point(p.x, p.y + step)
                         minus[idx] = Point(p.x, p.y - step)
                     fd = (
-                        embedded_cost(inst, topo, plus, tree.flows)
-                        - embedded_cost(inst, topo, minus, tree.flows)
+                        embedded_cost(topo, *node_table(inst, plus), tree.flows)
+                        - embedded_cost(topo, *node_table(inst, minus), tree.flows)
                     ) / (2 * step)
                     assert abs(fd) <= 1e-5
 
@@ -346,7 +347,7 @@ class TestEliminationMatchesDenseOracle:
 
         expected = solve_positions(assemble_system(inst, topo, flows, weights))
         assert summary_cost(inst, topo, weights) == pytest.approx(
-            embedded_cost(inst, topo, expected, weights), rel=1e-12, abs=1e-12
+            embedded_cost(topo, *node_table(inst, expected), weights), rel=1e-12, abs=1e-12
         )
 
         tree = solve_topology(inst, topo)
@@ -368,8 +369,7 @@ class TestCheckResidual:
     @staticmethod
     def solved_tables(instance, topology):
         tree = solve_topology(instance, topology)
-        xs, ys = tree.coordinates
-        return list(xs), list(ys), tree.flows
+        return list(tree.xs), list(tree.ys), tree.flows
 
     def test_solved_tables_pass(self, worked_instance, worked_topology):
         _check_residual(worked_topology, *self.solved_tables(worked_instance, worked_topology))

@@ -32,7 +32,7 @@ from fqst.analysis import (
 from fqst.geometry import sq_dist
 from fqst.trees import build_solved_tree
 from fqst.analysis import _weighted_sink_distances, beaded_spanning_cost, spanning_bead_floor
-from conftest import NO_PARENT, random_instance, random_supplied_instance
+from conftest import NO_PARENT, node_table, random_instance, random_supplied_instance
 
 
 @pytest.fixture
@@ -63,7 +63,7 @@ class TestCost:
         inst = Instance.with_unit_supplies([Point(5, 5), Point(5, 5)], Point(0, 0))
         topo = Topology(2, 0, (1, 2, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
-        tree = build_solved_tree(inst, topo, (), flows)
+        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
         assert cost(tree) == 5.0 * 5.0 * 2.0 * 2.0 + 0.0  # z0->z1 zero, z1->sink carries 2
         # a genuinely zero tree: both sources on the sink... not allowed; use
         # the zero-length edge instead
@@ -213,7 +213,7 @@ class TestOverlappingEdges:
         inst = Instance.with_unit_supplies([Point(0, 0), Point(1, 0)], Point(2, 0))
         topo = Topology(2, 0, (2, 0, NO_PARENT))  # z1 -> z0 -> sink, z0 past z1
         flows = compute_flows(topo, inst.supplies)
-        tree = build_solved_tree(inst, topo, (), flows)
+        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
         overlaps = check_overlapping_edges(tree)
         assert len(overlaps) == 1
         assert overlaps[0].node == 0
@@ -242,7 +242,7 @@ class TestOverlappingEdges:
         inst = Instance.with_unit_supplies([Point(0, 0), Point(0, 0)], Point(2, 0))
         topo = Topology(2, 0, (1, 2, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
-        tree = build_solved_tree(inst, topo, (), flows)
+        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
         overlaps = check_overlapping_edges(tree)
         assert any(o.degenerate for o in overlaps)
 

@@ -110,7 +110,7 @@ def test_bad_mass_raises_like_the_oracle(bad, seed):
     tree = random_tree(rng, 5, 4, grid=False)
     flows = list(tree.flows)
     flows[rng.choice(tree.topology.edge_children())] = bad
-    broken = SolvedTree(tree.instance, tree.topology, tree.steiner_positions, tuple(flows), tree.cost)
+    broken = SolvedTree(tree.instance, tree.topology, tree.xs, tree.ys, tuple(flows), tree.cost)
     assert_same_certificates(broken)
 
 
@@ -119,9 +119,10 @@ def test_bad_mass_raises_like_the_oracle(bad, seed):
 def test_non_finite_position_behaves_like_the_oracle(bad, seed):
     rng = random.Random(seed)
     tree = random_tree(rng, 5, 4, grid=False)
-    positions = list(tree.steiner_positions)
-    positions[rng.randrange(len(positions))] = Point(bad, 1.0)
-    broken = SolvedTree(tree.instance, tree.topology, tuple(positions), tree.flows, tree.cost)
+    xs, ys = list(tree.xs), list(tree.ys)
+    slot = tree.topology.sink + 1 + rng.randrange(tree.topology.n_steiner)
+    xs[slot], ys[slot] = bad, 1.0
+    broken = SolvedTree(tree.instance, tree.topology, tuple(xs), tuple(ys), tree.flows, tree.cost)
     assert_same_certificates(broken)
 
 
@@ -131,6 +132,6 @@ def test_bad_mass_is_a_geometry_error(worked_instance, worked_topology, bad):
     tree = solve_topology(worked_instance, worked_topology)
     flows = list(tree.flows)
     flows[0] = bad
-    broken = SolvedTree(tree.instance, tree.topology, tree.steiner_positions, tuple(flows), tree.cost)
+    broken = SolvedTree(tree.instance, tree.topology, tree.xs, tree.ys, tuple(flows), tree.cost)
     with pytest.raises(GeometryError, match="mass must be positive and finite"):
         analysis.centroid_deviations(broken)

@@ -58,6 +58,15 @@ class TestSolveTopologyCommand:
         assert out["solver"] == "elimination"
         assert out["certificates"]["locally_minimal"] is True
 
+    def test_cyclic_parents_are_input_error(self, tmp_path, capsys):
+        doc = worked_document()
+        doc["topology"]["parents"] = [4, 4, 5, None, 5, 4]  # slots 4 and 5 feed each other
+        path = write_document(tmp_path, doc)
+        assert main(["solve-topology", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid topology" in captured.err
+
     def test_output_file(self, tmp_path):
         path = write_document(tmp_path, worked_document())
         target = tmp_path / "result.json"
@@ -320,6 +329,21 @@ class TestCheckCommand:
         assert main(["render", result_path, "-o", str(tmp_path / "drawing.svg")]) == 2
 
 
+    def test_repeated_flow_entry_is_input_error(self, tmp_path, capsys):
+        # the repeat keeps the entry count, so without the refusal edge 1
+        # would read as carrying no flow
+        result = self._solved_document(tmp_path, capsys)
+        result["flows"][1] = dict(result["flows"][0])
+        repeated = result["flows"][0]["from"]
+        result_path = write_document(tmp_path, result, "repeated.json")
+        for argv in (["check", result_path], ["render", result_path, "-o", str(tmp_path / "d.svg")]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"flow of edge {repeated} is listed twice" in captured.err
+        assert not (tmp_path / "d.svg").exists()
+
+
 class TestRenderCommand:
     def test_renders_svg(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document())
@@ -358,6 +382,42 @@ class TestStrictJson:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "total supply" in captured.err
+
+    @pytest.mark.parametrize(
+        "command,field",
+        [
+            ("exact", "source"),
+            ("exact", "sink"),
+            ("exact", "supply"),
+            ("check", "steiner position"),
+            ("check", "flow"),
+            ("check", "cost"),
+            ("check", "objective"),
+        ],
+    )
+    def test_integer_too_large_for_a_float_is_input_error(self, tmp_path, capsys, command, field):
+        huge = 10**400
+        doc = worked_document()
+        if command == "check":
+            assert main(["solve-topology", write_document(tmp_path, doc)]) == 0
+            doc = loads(capsys.readouterr().out)
+        if field == "source":
+            doc["sources"][0] = [huge, 0]
+        elif field == "sink":
+            doc["sink"] = [huge, 1]
+        elif field == "supply":
+            doc["supplies"] = [huge, 1, 1]
+        elif field == "steiner position":
+            doc["steiner_positions"][0] = [huge, 2]
+        elif field == "flow":
+            doc["flows"][0]["flow"] = huge
+        else:
+            doc[field] = huge
+        path = write_document(tmp_path, doc, "huge.json")
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "too large for a float" in captured.err
 
     def test_non_finite_token_is_input_error(self, tmp_path, capsys):
         # the token sits in a field no parser reads, so only loading can refuse it

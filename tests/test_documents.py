@@ -158,6 +158,20 @@ class TestResultDocuments:
         with pytest.raises(DocumentError, match="bad flow entry"):
             parse_result_document(doc)
 
+    def test_repeated_flow_entry_rejected(self, worked_instance, worked_topology):
+        tree = solve_topology(worked_instance, worked_topology)
+        doc = result_document(tree, DegreeBound(3))
+        doc["flows"][2] = dict(doc["flows"][1])
+        edge = doc["flows"][1]["from"]
+        with pytest.raises(DocumentError, match=f"flow of edge {edge} is listed twice"):
+            parse_result_document(doc)
+
+    def test_result_tree_holds_the_coordinate_table(self, worked_instance, worked_topology):
+        tree = solve_topology(worked_instance, worked_topology)
+        parsed = parse_result_document(loads(dumps(result_document(tree, DegreeBound(3)))))
+        assert parsed.tree.xs == tree.xs
+        assert parsed.tree.ys == tree.ys
+
     def test_dumps_refuses_non_finite_numbers(self):
         with pytest.raises(DocumentError):
             dumps({"cost": float("inf")})
@@ -173,3 +187,9 @@ class TestResultDocuments:
 def test_loads_rejects_non_finite_tokens(text):
     with pytest.raises(DocumentError, match="not valid JSON"):
         loads(text)
+
+
+def test_loads_refuses_an_integer_past_the_digit_limit():
+    # int() refuses so long a literal with a plain ValueError
+    with pytest.raises(DocumentError, match="not valid JSON"):
+        loads("[" + "9" * 5000 + "]")

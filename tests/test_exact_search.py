@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +44,7 @@ from fqst.exact_search import (
 from fqst.strategies import max_steiner_count
 from fqst.topology import skeletons
 from reference_search import local_improve_by_splits
-from conftest import NO_PARENT, random_instance, random_supplied_instance
+from conftest import NO_PARENT, node_table, random_instance, random_supplied_instance
 
 
 class TestSolveExactDegreeBound:
@@ -112,6 +113,30 @@ class TestDegreeSubsetSearch:
             again = solve_exact(inst, DegreeBound(phi))
             assert again.best.topology.parents == first.best.topology.parents
             assert again.objective == first.objective
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_phi_past_the_source_count_searches_alike(self, n):
+        # a Steiner point needs phi - 1 children, each over a source, so no
+        # phi >= n + 2 admits one
+        inst = random_supplied_instance(random.Random(70 + n), n, span=5.0)
+        phis = (n + 2, n + 3, 10**6, 10**400)
+        reports = [solve_exact(inst, DegreeBound(phi)) for phi in phis]
+        first = reports[0]
+        assert first.best.topology.n_steiner == 0
+        assert first.objective == pytest.approx(_skeleton_walk(inst, n + 2).objective, rel=1e-12, abs=0.0)
+        for phi, report in zip(phis, reports):
+            assert report.strategy == DegreeBound(phi)
+            assert report.objective == first.objective
+            assert rooted_encoding(report.best.topology) == rooted_encoding(first.best.topology)
+            counters = (report.topologies_examined, report.topologies_pruned, report.bead_vectors)
+            assert counters == (first.topologies_examined, first.topologies_pruned, first.bead_vectors)
+
+    def test_huge_phi_does_not_scale_the_search(self):
+        inst = random_instance(random.Random(74), 3, span=5.0)
+        started = time.perf_counter()
+        report = solve_exact(inst, DegreeBound(10**6))
+        assert time.perf_counter() - started < 1.0
+        assert report.objective == solve_exact(inst, DegreeBound(5)).objective
 
     def test_prunes_and_never_walks_skeletons(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -274,7 +299,7 @@ def _descend_positions(instance, topology, rng, restarts=3):
     flows = compute_flows(topology, instance.supplies)
     slots = list(topology.steiner_slots())
     if not slots:
-        return embedded_cost(instance, topology, (), flows)
+        return embedded_cost(topology, *node_table(instance), flows)
     children = topology.children_lists()
     terminals = [*instance.sources, instance.sink]
     best = math.inf
@@ -324,7 +349,7 @@ def _descend_positions(instance, topology, rng, restarts=3):
 
 def _cost_at(instance, topology, coords, slots, flows):
     points = tuple(Point(c[0], c[1]) for c in coords)
-    return embedded_cost(instance, topology, points, flows)
+    return embedded_cost(topology, *node_table(instance, points), flows)
 
 
 class TestSolveExactExplicitBound:
@@ -522,7 +547,7 @@ class TestBeadExpansionEquivalence:
                 weights[child] = flows[child] / (p + 1)
             system = assemble_system(inst, topo, flows, weights)
             positions = solve_positions(system)
-            reduced = embedded_cost(inst, topo, positions, weights)
+            reduced = embedded_cost(topo, *node_table(inst, positions), weights)
             expanded = solve_topology(inst, expand_beads(topo, beads))
             assert expanded.cost == pytest.approx(reduced, abs=1e-9, rel=1e-9)
 

@@ -1,7 +1,7 @@
 from fqst import Instance, Point, Topology, render_svg, solve_topology
 from fqst.trees import build_solved_tree
 from fqst.topology import compute_flows
-from conftest import NO_PARENT
+from conftest import NO_PARENT, node_table
 
 
 def test_worked_example_element_counts(worked_instance, worked_topology):
@@ -33,7 +33,7 @@ def test_coincident_points_render():
     inst = Instance.with_unit_supplies([Point(1, 1), Point(1, 1)], Point(1, 2))
     topo = Topology(2, 0, (1, 2, NO_PARENT))
     flows = compute_flows(topo, inst.supplies)
-    tree = build_solved_tree(inst, topo, (), flows)
+    tree = build_solved_tree(inst, topo, *node_table(inst), flows)
     svg = render_svg(tree)
     assert svg.count('class="terminal"') == 3
     assert "</svg>" in svg
