@@ -8,17 +8,31 @@ sources, then the sink, then Steiner slots; the sink's parent is null.
 Result documents add Steiner positions, per-edge flows, costs, and a
 certificate summary.  Computed numbers are rounded to 12 significant digits;
 instance echoes keep exact float round-trip.
+
+Reading.  A document is JSON data: a number is an int or a float (not a
+bool, nor a subclass of either) and a pair is a list or tuple of two
+numbers.  Each list is checked whole, in passes that run in C: the set of
+its items' types (and, for pairs, lengths), one float conversion and one
+finiteness scan per column; the parents by one count of nulls; the flows by
+one sorted comparison of their edge ids with the topology's edges and one
+comparison of their heads with its parents.  The Instance, Topology and
+SolvedTree tables are built from those columns.  Only when a whole-list
+check refuses does that list's _bad_* helper walk it, in order, and raise
+the DocumentError naming the first faulty item; every message comes from
+there or from the single-value checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Any
+from itertools import repeat
+from typing import Any, NoReturn, Sequence
 
 from . import analysis
-from .errors import DocumentError, FqstError
+from .errors import DocumentError, FqstError, InternalConsistencyError
 from .geometry import Point
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 from .topology import NO_PARENT, Instance, Topology
@@ -38,13 +52,23 @@ def _round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+# Exact types: JSON true/false load as bool, which Python counts as an int.
+_INT = {int}
+_NUMBER = {float, int}
+_PAIR = {list, tuple}
+_PARENT = {int, type(None)}
+_DICT = {dict}
+_FLOW_KEYS = ("from", "to", "flow")
+_X = operator.attrgetter("x")
+_Y = operator.attrgetter("y")
+
+
 def _is_int(value: Any) -> bool:
-    # JSON true/false load as bool, which Python counts as an int
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int
 
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, float) or _is_int(value)
+    return type(value) in _NUMBER
 
 
 def _finite(value: int | float, what: str) -> float:
@@ -59,14 +83,42 @@ def _finite(value: int | float, what: str) -> float:
     return number
 
 
-def _parse_pair(value: Any, what: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_number(v) for v in value)
-    ):
-        raise DocumentError(f"{what} must be a pair of numbers, got {value!r}")
-    return _finite(value[0], what), _finite(value[1], what)
+def _no_fault(what: str) -> NoReturn:
+    """End of a _bad_* helper: its walk found no fault the whole-list check
+    saw, which is a bug in one of the two."""
+    raise InternalConsistencyError(f"{what} failed a whole-list check, but no item is at fault")
+
+
+def _finite_column(values: Sequence[Any]) -> list[float] | None:
+    """values as floats when every one is a finite JSON number, else None."""
+    if set(map(type, values)) <= _NUMBER:
+        try:
+            column = list(map(float, values))
+        except OverflowError:  # an integer too large for a float
+            return None
+        if all(map(math.isfinite, column)):
+            return column
+    return None
+
+
+def _pair_columns(raw: list, what: str) -> tuple[list[float], list[float]]:
+    """The x and y columns of a list of [x, y] pairs of finite numbers;
+    what.format(i) names item i in an error."""
+    if set(map(type, raw)) <= _PAIR and set(map(len, raw)) <= {2}:
+        xs, ys = map(_finite_column, tuple(zip(*raw)) or ((), ()))
+        if xs is not None and ys is not None:
+            return xs, ys
+    _bad_pairs(raw, what)
+
+
+def _bad_pairs(raw: list, what: str) -> NoReturn:
+    for i, value in enumerate(raw):
+        name = what.format(i)
+        if type(value) not in _PAIR or len(value) != 2 or not all(map(_is_number, value)):
+            raise DocumentError(f"{name} must be a pair of numbers, got {value!r}")
+        _finite(value[0], name)
+        _finite(value[1], name)
+    _no_fault(what.format("*"))
 
 
 def parse_strategy(value: Any) -> BoundStrategy:
@@ -120,20 +172,36 @@ def parse_topology(value: Any, n_sources: int) -> Topology:
             "topology node kinds must be the instance's sources, then 'sink', "
             "then 'steiner' entries"
         )
-    converted = []
-    for i, parent in enumerate(parents):
-        if parent is None:
-            converted.append(NO_PARENT)
-        elif _is_int(parent):
-            converted.append(parent)
-        else:
-            raise DocumentError(f"parent of node {i} must be an integer or null")
+    sink = n_sources
+    # a null may stand only at the sink (where the integer NO_PARENT may too)
+    if not (
+        set(map(type, parents)) <= _PARENT
+        and parents.count(None) == (parents[sink] is None)
+    ):
+        _bad_parents(parents, n_sources, n_steiner)
+    converted = list(parents)
+    converted[sink] = NO_PARENT if parents[sink] is None else parents[sink]
+    return _topology(n_sources, n_steiner, converted)
+
+
+def _topology(n_sources: int, n_steiner: int, parents: list[int]) -> Topology:
     try:
-        topology = Topology(n_sources, n_steiner, tuple(converted))
+        topology = Topology(n_sources, n_steiner, tuple(parents))
         topology.order_from_sink()
     except FqstError as exc:
         raise DocumentError(f"invalid topology: {exc}") from exc
     return topology
+
+
+def _bad_parents(parents: list, n_sources: int, n_steiner: int) -> NoReturn:
+    """Name the first parent that is neither an integer nor null; past that,
+    a null off the sink or an integer on it is a topology the Topology
+    checks refuse."""
+    for i, parent in enumerate(parents):
+        if parent is not None and not _is_int(parent):
+            raise DocumentError(f"parent of node {i} must be an integer or null")
+    _topology(n_sources, n_steiner, [NO_PARENT if p is None else p for p in parents])
+    _no_fault("'parents'")
 
 
 def topology_document(topology: Topology) -> dict:
@@ -151,17 +219,17 @@ def parse_instance_document(doc: Any) -> ParsedInstanceDocument:
     raw_sources = doc.get("sources")
     if not isinstance(raw_sources, list) or not raw_sources:
         raise DocumentError("'sources' must be a nonempty list of [x, y] pairs")
-    sources = tuple(Point(*_parse_pair(p, f"source {i}")) for i, p in enumerate(raw_sources))
-    sink = Point(*_parse_pair(doc.get("sink"), "sink"))
+    sources = tuple(map(Point, *_pair_columns(raw_sources, "source {}")))
+    (sink_x,), (sink_y,) = _pair_columns([doc.get("sink")], "sink")
     raw_supplies = doc.get("supplies")
     if raw_supplies is None:
-        supplies = (1.0,) * len(sources)
+        supplies = [1.0] * len(sources)
     else:
-        if not isinstance(raw_supplies, list) or not all(_is_number(w) for w in raw_supplies):
-            raise DocumentError("'supplies' must be a list of numbers")
-        supplies = tuple(_finite(w, f"supply {i}") for i, w in enumerate(raw_supplies))
+        supplies = _finite_column(raw_supplies) if type(raw_supplies) is list else None
+        if supplies is None:
+            _bad_supplies(raw_supplies)
     try:
-        instance = Instance(sources, supplies, sink)
+        instance = Instance(sources, tuple(supplies), Point(sink_x, sink_y))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     strategy = parse_strategy(doc.get("strategy"))
@@ -169,6 +237,14 @@ def parse_instance_document(doc: Any) -> ParsedInstanceDocument:
     if doc.get("topology") is not None:
         topology = parse_topology(doc["topology"], instance.n_sources)
     return ParsedInstanceDocument(instance, strategy, topology)
+
+
+def _bad_supplies(raw: Any) -> NoReturn:
+    if type(raw) is not list or not all(map(_is_number, raw)):
+        raise DocumentError("'supplies' must be a list of numbers")
+    for i, w in enumerate(raw):
+        _finite(w, f"supply {i}")
+    _no_fault("'supplies'")
 
 
 def instance_document(
@@ -278,36 +354,16 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
         raise DocumentError(
             f"'steiner_positions' must list {topology.n_steiner} [x, y] pairs"
         )
+    steiner_xs, steiner_ys = _pair_columns(raw_positions, "steiner position {}")
     instance = parsed.instance
-    xs = [p.x for p in instance.sources] + [instance.sink.x]
-    ys = [p.y for p in instance.sources] + [instance.sink.y]
-    for i, raw in enumerate(raw_positions):
-        x, y = _parse_pair(raw, f"steiner position {i}")
-        xs.append(x)
-        ys.append(y)
+    xs = (*map(_X, instance.sources), instance.sink.x, *steiner_xs)
+    ys = (*map(_Y, instance.sources), instance.sink.y, *steiner_ys)
 
     raw_flows = doc.get("flows")
-    edge_children = topology.edge_children()
-    if not isinstance(raw_flows, list) or len(raw_flows) != len(edge_children):
-        raise DocumentError(f"'flows' must list {len(edge_children)} edges")
-    edge_set = set(edge_children)
-    flows = [0.0] * topology.n_nodes
-    for entry in raw_flows:
-        if (
-            not isinstance(entry, dict)
-            or not _is_int(entry.get("from"))
-            or entry["from"] not in edge_set
-            or not _is_int(entry.get("to"))
-            or entry["to"] != topology.parents[entry["from"]]
-            or not _is_number(entry.get("flow"))
-        ):
-            raise DocumentError(f"bad flow entry {entry!r}")
-        child = entry["from"]
-        if flows[child]:  # a listed flow is positive
-            raise DocumentError(f"flow of edge {child} is listed twice")
-        flow = flows[child] = _finite(entry["flow"], f"flow of edge {child}")
-        if not flow > 0:
-            raise DocumentError(f"flow of edge {child} must be positive, got {entry['flow']!r}")
+    n_edges = topology.n_nodes - 1
+    if not isinstance(raw_flows, list) or len(raw_flows) != n_edges:
+        raise DocumentError(f"'flows' must list {n_edges} edges")
+    flows = _flow_table(raw_flows, topology)
 
     raw_cost = doc.get("cost")
     if not _is_number(raw_cost):
@@ -315,8 +371,8 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
     tree = SolvedTree(
         instance=instance,
         topology=topology,
-        xs=tuple(xs),
-        ys=tuple(ys),
+        xs=xs,
+        ys=ys,
         flows=tuple(flows),
         cost=_finite(raw_cost, "'cost'"),
         degenerate=_flag(doc, "certificates", "degenerate"),
@@ -331,6 +387,51 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
         claims_global_optimum=_flag(doc, "claims", "global_optimum"),
         objective=None if objective is None else _finite(objective, "'objective'"),
     )
+
+
+def _flow_table(raw_flows: list, topology: Topology) -> list[float]:
+    """The flow of each node's out-edge (0.0 at the sink) from a list of
+    {"from", "to", "flow"} entries, one per edge in any order."""
+    if set(map(type, raw_flows)) <= _DICT:
+        # a missing key reads as None, which no type check below admits
+        froms, tos, values = (list(map(dict.get, raw_flows, repeat(key))) for key in _FLOW_KEYS)
+        column = _finite_column(values)
+        if (
+            set(map(type, froms)) | set(map(type, tos)) <= _INT
+            # one entry per non-sink node: membership, repeats and order at once
+            and sorted(froms) == topology.edge_children()
+            and list(map(topology.parents.__getitem__, froms)) == tos
+            and column is not None
+            and min(column) > 0.0
+        ):
+            flows = [0.0] * topology.n_nodes
+            for child, flow in zip(froms, column):
+                flows[child] = flow
+            return flows
+    _bad_flows(raw_flows, topology)
+
+
+def _bad_flows(raw_flows: list, topology: Topology) -> NoReturn:
+    edge_set = set(topology.edge_children())
+    listed = set()
+    for entry in raw_flows:
+        if (
+            type(entry) is not dict
+            or not _is_int(entry.get("from"))
+            or entry["from"] not in edge_set
+            or not _is_int(entry.get("to"))
+            or entry["to"] != topology.parents[entry["from"]]
+            or not _is_number(entry.get("flow"))
+        ):
+            raise DocumentError(f"bad flow entry {entry!r}")
+        child = entry["from"]
+        if child in listed:
+            raise DocumentError(f"flow of edge {child} is listed twice")
+        listed.add(child)
+        flow = _finite(entry["flow"], f"flow of edge {child}")
+        if not flow > 0:
+            raise DocumentError(f"flow of edge {child} must be positive, got {entry['flow']!r}")
+    _no_fault("'flows'")
 
 
 def dumps(doc: dict) -> str:

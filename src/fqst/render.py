@@ -15,6 +15,18 @@ WIDTH = 640.0
 MARGIN_FRACTION = 0.10
 NODE_RADIUS = 5.0
 
+# One %-format per edge (its line and flow label) and per node circle.
+_EDGE = (
+    '  <line class="edge" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+    'stroke="#444444" stroke-width="1.5"/>\n'
+    '  <text class="flow" x="%.4f" y="%.4f" font-size="11" fill="#666666">%.6g</text>'
+)
+_TERMINAL = f'  <circle class="terminal" cx="%.4f" cy="%.4f" r="{NODE_RADIUS:.4f}" fill="#222222"/>'
+_STEINER = (
+    f'  <circle class="steiner" cx="%.4f" cy="%.4f" r="{NODE_RADIUS:.4f}" '
+    'fill="#ffffff" stroke="#222222" stroke-width="1.5"/>'
+)
+
 
 def render_svg(tree: SolvedTree) -> str:
     xs, ys = tree.xs, tree.ys
@@ -40,29 +52,12 @@ def render_svg(tree: SolvedTree) -> str:
     parents = topo.parents
     flows = tree.flows
     for child in topo.edge_children():
-        ax, ay = sx[child], sy[child]
         parent = parents[child]
-        bx, by = sx[parent], sy[parent]
+        ax, ay, bx, by = sx[child], sy[child], sx[parent], sy[parent]
         mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
-        lines.append(
-            f'  <line class="edge" x1="{ax:.4f}" y1="{ay:.4f}" '
-            f'x2="{bx:.4f}" y2="{by:.4f}" stroke="#444444" stroke-width="1.5"/>'
-        )
-        lines.append(
-            f'  <text class="flow" x="{mx + 4.0:.4f}" y="{my - 4.0:.4f}" '
-            f'font-size="11" fill="#666666">{flows[child]:.6g}</text>'
-        )
-    sink = topo.sink
-    for node in range(topo.n_nodes):
-        if node <= sink:
-            lines.append(
-                f'  <circle class="terminal" cx="{sx[node]:.4f}" cy="{sy[node]:.4f}" '
-                f'r="{NODE_RADIUS:.4f}" fill="#222222"/>'
-            )
-        else:
-            lines.append(
-                f'  <circle class="steiner" cx="{sx[node]:.4f}" cy="{sy[node]:.4f}" '
-                f'r="{NODE_RADIUS:.4f}" fill="#ffffff" stroke="#222222" stroke-width="1.5"/>'
-            )
+        lines.append(_EDGE % (ax, ay, bx, by, mx + 4.0, my - 4.0, flows[child]))
+    first = topo.sink + 1
+    lines.extend(map(_TERMINAL.__mod__, zip(sx[:first], sy[:first])))
+    lines.extend(map(_STEINER.__mod__, zip(sx[first:], sy[first:])))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -118,7 +118,7 @@ class Topology:
 
     def edge_children(self) -> list[int]:
         """Non-sink nodes in ascending order; node i stands for the edge i -> parents[i]."""
-        return [i for i in range(self.n_nodes) if i != self.sink]
+        return [*range(self.sink), *range(self.sink + 1, self.n_nodes)]
 
     def children_lists(self) -> tuple[tuple[int, ...], ...]:
         """Each node's in-neighbours in ascending order, built once per topology."""

@@ -30,8 +30,7 @@ class SolvedTree:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if not len(self.xs) == len(self.ys) == len(self.flows) == self.topology.n_nodes:
-            raise TopologyError("xs, ys and flows must carry one entry per node")
+        _check_table(self.topology, self.xs, self.ys, self.flows)
 
     def position(self, node: int) -> Point:
         return Point(self.xs[node], self.ys[node])
@@ -52,6 +51,13 @@ class SolvedTree:
             self.ys[:first] + tuple(p.y for p in positions),
             self.flows,
         )
+
+
+def _check_table(
+    topology: Topology, xs: Sequence[float], ys: Sequence[float], flows: Sequence[float]
+) -> None:
+    if not len(xs) == len(ys) == len(flows) == topology.n_nodes:
+        raise TopologyError("xs, ys and flows must carry one entry per node")
 
 
 def embedded_cost(
@@ -94,6 +100,7 @@ def build_solved_tree(
     """Assemble a SolvedTree from its coordinate table, computing its cost
     and degeneracy flag."""
     xs, ys, flows = tuple(xs), tuple(ys), tuple(flows)
+    _check_table(topology, xs, ys, flows)  # before the cost loop indexes the table
     return SolvedTree(
         instance=instance,
         topology=topology,

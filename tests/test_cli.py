@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from fqst import NodeWeighted, Point
 from fqst.cli import main
-from fqst.documents import dumps, loads
+from fqst.documents import dumps, instance_document, loads
 from fqst.exact_search import STEINER_BUDGET_GUARD
+from fqst.topology import Instance
+from conftest import random_general_tree, random_supplied_instance
 
 
 def write_document(tmp_path, doc, name="instance.json"):
@@ -207,6 +211,43 @@ class TestCheckCommand:
         result_path = write_document(tmp_path, result, "bad.json")
         assert main(["check", result_path]) == 1
         assert "centroid" in capsys.readouterr().out
+
+    @staticmethod
+    def _scaled_result(tmp_path, capsys, coordinates, supplies):
+        """A six-source node-weighted tree solved with its coordinates and
+        supplies multiplied by the given factors."""
+        rng = random.Random(1)
+        inst = random_supplied_instance(rng, 6)
+        topology = random_general_tree(rng, 6, rng.randint(1, 5))
+        scaled = Instance(
+            tuple(p.scaled(coordinates) for p in inst.sources),
+            tuple(w * supplies for w in inst.supplies),
+            inst.sink.scaled(coordinates),
+        )
+        path = write_document(tmp_path, instance_document(scaled, NodeWeighted(2.0), topology))
+        assert main(["solve-topology", path]) == 0
+        return loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("coordinates, supplies", [(1e3, 1.0), (1e6, 1.0), (1.0, 1e6)])
+    def test_large_scale_result_passes(self, tmp_path, capsys, coordinates, supplies):
+        # positions and flows are stored to 12 significant digits, so an
+        # absolute tolerance would fail the solver's own output here
+        result = self._scaled_result(tmp_path, capsys, coordinates, supplies)
+        assert main(["check", write_document(tmp_path, result, "result.json")]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_moved_steiner_point_fails_at_every_scale(self, tmp_path, capsys, scale):
+        result = self._scaled_result(tmp_path, capsys, scale, 1.0)
+        result["steiner_positions"][0][0] += 1e-6 * scale
+        assert main(["check", write_document(tmp_path, result, "moved.json")]) == 1
+        assert "FAIL centroid certificate fails at Steiner slots [7" in capsys.readouterr().out
+
+    def test_wrong_flow_fails_at_large_supplies(self, tmp_path, capsys):
+        result = self._scaled_result(tmp_path, capsys, 1.0, 1e6)
+        result["flows"][0]["flow"] *= 1.0 + 1e-6
+        assert main(["check", write_document(tmp_path, result, "flow.json")]) == 1
+        assert "FAIL flow conservation violated" in capsys.readouterr().out
 
     def test_degree_window_enforced_for_claimed_optima(self, tmp_path, capsys):
         # a degree-4 Steiner hub claimed as a degree-bounded global optimum

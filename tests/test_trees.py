@@ -7,7 +7,7 @@ import pytest
 from fqst import Point, TopologyError, solve_topology
 from fqst.analysis import beaded_spanning_tree
 from fqst.trees import SolvedTree, build_solved_tree
-from conftest import random_general_tree, random_supplied_instance
+from conftest import node_table, random_general_tree, random_supplied_instance
 
 
 def solved_trees():
@@ -52,3 +52,8 @@ def test_rejects_a_table_of_the_wrong_length(worked_instance, worked_topology, s
     with pytest.raises(TopologyError):
         SolvedTree(worked_instance, worked_topology, cost=tree.cost, **fields)
 
+
+def test_build_rejects_a_table_without_its_steiner_rows(worked_instance, worked_topology):
+    flows = solve_topology(worked_instance, worked_topology).flows
+    with pytest.raises(TopologyError, match="one entry per node"):
+        build_solved_tree(worked_instance, worked_topology, *node_table(worked_instance), flows)
