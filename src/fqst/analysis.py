@@ -85,6 +85,25 @@ def check_centroid_certificate(tree: SolvedTree, tol: float = CERTIFICATE_TOLERA
     return {slot: dev <= tol for slot, dev in centroid_deviations(tree).items()}
 
 
+def off_centroid_slots(tree: SolvedTree, deviations: dict[int, float], tol: float) -> list[int]:
+    """The Steiner slots, in order, whose centroid deviation fails tol
+    taken to scale: tol * (1 + the largest |coordinate| of the slot and its
+    neighbours), since coordinates carry relative rounding (a stored number
+    12 significant digits).  Only deviations above tol itself are rejudged,
+    so a tree that passes the absolute test costs nothing more."""
+    failing = sorted(slot for slot, dev in deviations.items() if not dev <= tol)
+    if not failing:
+        return failing
+    parents = tree.topology.parents
+    children = tree.topology.children_lists()
+    xs, ys = tree.xs, tree.ys
+
+    def magnitude(slot: int) -> float:
+        return max(max(abs(xs[v]), abs(ys[v])) for v in (slot, parents[slot], *children[slot]))
+
+    return [slot for slot in failing if not deviations[slot] <= tol * (1.0 + magnitude(slot))]
+
+
 @dataclass(frozen=True, slots=True)
 class AngleViolation:
     node: int
@@ -501,6 +520,7 @@ __all__ = [
     "cost_node_weighted",
     "expand_beads",
     "lower_bound_path",
+    "off_centroid_slots",
     "optimal_bead_count",
     "spanning_bead_floor",
     "split_topology",

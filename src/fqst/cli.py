@@ -124,12 +124,6 @@ def _cmd_exact(args) -> int:
     return EXIT_OK
 
 
-def _neighbourhood_magnitude(tree, slot: int) -> float:
-    """The largest |coordinate| of a Steiner slot and its neighbours."""
-    nodes = (slot, tree.topology.parents[slot], *tree.topology.children_lists()[slot])
-    return max(max(abs(tree.xs[v]), abs(tree.ys[v])) for v in nodes)
-
-
 def _cmd_check(args) -> int:
     parsed = documents.parse_result_document(_read_document(args.file))
     tree, strategy = parsed.tree, parsed.strategy
@@ -162,14 +156,7 @@ def _cmd_check(args) -> int:
     structural = validate_topology(tree.topology, strategy)
     failures.extend(f"structure: {v}" for v in structural)
 
-    certificate = analysis.check_centroid_certificate(tree, tol)
-    bad = sorted(slot for slot, ok in certificate.items() if not ok)
-    if bad:  # the absolute test is the stricter one; rejudge its failures to scale
-        deviations = analysis.centroid_deviations(tree)
-        bad = [
-            slot for slot in bad
-            if not deviations[slot] <= tol * (1.0 + _neighbourhood_magnitude(tree, slot))
-        ]
+    bad = analysis.off_centroid_slots(tree, analysis.centroid_deviations(tree), tol)
     if bad:
         failures.append(f"centroid certificate fails at Steiner slots {bad}")
 

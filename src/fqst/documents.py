@@ -269,7 +269,7 @@ def certificate_summary(tree: SolvedTree, tolerance: float) -> dict:
     overlaps = analysis.check_overlapping_edges(tree)
     return {
         "centroid_max_deviation": _round12(max_deviation),
-        "locally_minimal": max_deviation <= tolerance,
+        "locally_minimal": not analysis.off_centroid_slots(tree, deviations, tolerance),
         "angle_violations": len(angle_violations),
         "edge_overlaps": len(overlaps),
         "degenerate": tree.degenerate,

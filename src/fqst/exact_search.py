@@ -12,6 +12,15 @@ f*|e|^2/(p+1): the same stationarity problem with the edge weight f
 replaced by f/(p+1).  The winner has its beads expanded back into explicit
 degree-2 Steiner slots before it is re-solved.
 
+Both searches cut with one floor, from the paper's additive flows: an
+edge's cost f_e |e|^2 splits into one share sigma_t |e|^2 for each source t
+whose path to the sink crosses it.  Take a subtree whose sources hold flow
+f, with cost K + W |x - q|^2 when its parent is at x, and a terminal z
+(the sink s, or a fixed source) that the flow reaches over at most L more
+edges and beads past x.  By Cauchy-Schwarz on their lengths, the
+subtree's sources cost at least min over x of K + W |x - q|^2 +
+g |x - z|^2 with g = f / L, that is K + (W g / (W + g)) |q - z|^2.
+
 The degree bound and the explicit bound are searched by one dynamic
 programme over source bitmasks, the Dreyfus-Wagner subset recursion split
 at terminals.  Its state is (mask, count k, part-count class c).  Under the
@@ -28,15 +37,31 @@ rest (the top class also takes a top-class rest), their counts adding up.
 A terminal has a fixed position, so the best subtree rooted at a source
 and the best tree at the sink are scalars per count: the best forest at a
 fixed anchor with at most k counted, a set-partition recursion over the
-best single subtree at that anchor.  Each list is pruned by pointwise
-dominance: a summary is dropped when one of no higher count has a cost
-function nowhere above its own.  This is exact because merging, the Steiner
-transform (see steiner_weight) and evaluation at a fixed anchor are each
-monotone in every part's cost function, and a part of lower count leaves
-more of the budget to the rest, so a dominated summary never completes a
-better tree; a forest of more parts serves wherever one of fewer parts
-does, so a class is pruned against every higher class too, but single
-subtrees never against forests.  No skeleton is visited.
+best single subtree at that anchor.
+
+Each list is cut and then pruned.  The cut drops a summary (q, W, K) over
+mask M at count k that no tree cheaper than a known one can complete (with
+a relative slack, so that ties pass).  Its floor is the one above towards
+z = s: from the parent of a subtree (the Steiner root of a forest) to the
+sink, every node is a source outside M or a Steiner point with another
+child over one, so L = n - |M| + 1 + (budget - k); each source t outside
+M reaches the sink over at most n + budget edges and beads, so it adds at
+least sigma_t |z_t - s|^2 / (n + budget).  The known tree is the best one
+found so far over some mask, with the other sources wired straight to the
+sink.  Masks are taken with the sources ordered from the dearest to wire
+straight to the sink to the cheapest, so once the last source joins the
+known tree is at least as good as "drop nearest": the best tree without
+the source cheapest to wire, plus that wire.  The prune then drops a
+summary when one of no higher count has a cost function nowhere above its
+own.  This is exact because merging, the Steiner transform (see
+steiner_weight) and evaluation at a fixed anchor are each monotone in
+every part's cost function, and a part of lower count leaves more of the
+budget to the rest, so a dominated summary never completes a better tree;
+a forest of more parts serves wherever one of fewer parts does, so a class
+is pruned against every higher class too, but single subtrees never
+against forests.  A dominator's floor is no higher than the summary's it
+dominates, so the kept lists are those of the uncut DP less the cut
+summaries, and the winner is the same.  No skeleton is visited.
 
 The node weight walks every branching skeleton (every Steiner degree >= 3)
 instead: the skeleton generator builds each subtree once per (source set,
@@ -47,14 +72,17 @@ on the bead count of its own out-edge.  The walk is a branch and bound:
 the incumbent starts at the beaded spanning tree's cost, and fixing the
 bead count on a node's out-edge is cut when every tree completing the
 prefix must cost more, by a relative margin that lets ties through.  That
-floor is the cost already fixed, K for each finished subtree whose parent
-is still to come (K + W |z - q|^2 when that parent is a terminal at z),
-plus the larger of two floors on the rest: c times the least Steiner count
-allowed, and the charge so far (c per Steiner point and bead) plus, for
-each source still to come whose parent is a terminal, the least its
-out-edge can cost with its beads charged.  A Steiner merge's K is at least
-the sum of its children's, and a source's K is the sum of its children's
-terminal-anchored shares, so the floor never falls as the prefix grows.
+floor is the cost already fixed, one share for each finished subtree whose
+parent is still to come, plus the larger of two floors on the rest: c
+times the least Steiner count allowed, and the charge so far (c per
+Steiner point and bead) plus, for each source still to come whose parent
+is a terminal, the least its out-edge can cost with its beads charged.  A
+finished subtree's share is the floor above towards its first terminal
+ancestor z, over the h Steiner edges up to z and at most min(h * cap,
+beads left) beads on them (h = 0 when the parent is z, and the share is
+then K + W |z - q|^2).  Its chain of Steiner edges stops at z, so it shares
+no edge with the source-to-terminal edges still to come, and finished
+subtrees hold different sources, so their shares add.
 A Topology is built only for a candidate that can become the incumbent.
 The DP with the count running up to the node weight's budget B is exact
 too, but slower than the walk at the budgets it meets: summaries of one
@@ -113,17 +141,20 @@ class SearchReport:
     best: SolvedTree
     objective: float
     # the degree and explicit bounds count subtree and forest summaries
-    # built and dropped as dominated, and single-subtree summaries built with
-    # beads on their out-edge; the node weight counts skeletons walked, the
-    # skeletons cut by the path bound plus the bead prefixes (a bead count
-    # on one out-edge, with those before it fixed) cut by the walk's bound,
-    # and (skeleton, bead vector) pairs costed
+    # built, those dropped by the cut or as dominated, and single-subtree
+    # summaries built with beads on their out-edge; the node weight counts
+    # skeletons walked, the skeletons cut by the path bound plus the bead
+    # prefixes (a bead count on one out-edge, with those before it fixed)
+    # cut by the walk's bound, and (skeleton, bead vector) pairs costed
     topologies_examined: int
     topologies_pruned: int
     bead_vectors: int
     strategy: BoundStrategy
     lower_bound: float
-    upper_bound: float | None = None  # node-weighted: beaded spanning tree cost
+    # the cost of a known tree the search cut with: under the node weight
+    # the beaded spanning tree's, else the best tree found over some of the
+    # sources with the others wired straight to the sink
+    upper_bound: float | None = None
     steiner_bound: int | None = None  # node-weighted: the Steiner budget B
     # seconds spent finding the winner ("search") and expanding, re-solving
     # and checking it ("resolve")
@@ -211,12 +242,14 @@ def _subset_search(
 
     A branching Steiner point adds step to the count (1 under the explicit
     bound; 0 under the degree bound, which runs with budget 0 and so places
-    no beads).  Masks are taken in increasing order, so every proper submask
-    is done first.  A list entry is (qx, qy, W, K, link): a forest's W is
-    its merged weight V, and link is a chain (part node, rest link) ending
-    in None.  A node is (source, mask of its children's sources, their
-    count, beads on the out-edge) or (STEINER, link of its children, beads
-    on the out-edge).  Anchors 0 .. n-1 are the sources and n the sink.
+    no beads).  Every mask is taken after its proper submasks, with the
+    sources ordered from the dearest to wire straight to the sink to the
+    cheapest: each prefix of that order is done before the next source
+    joins.  A list entry is (qx, qy, W, K, link): a forest's W is its merged
+    weight V, and link is a chain (part node, rest link) ending in None.  A
+    node is (source, mask of its children's sources, their count, beads on
+    the out-edge) or (STEINER, link of its children, beads on the
+    out-edge).  Anchors 0 .. n-1 are the sources and n the sink.
     """
     started = time.perf_counter()
     inf = math.inf
@@ -237,6 +270,21 @@ def _subset_search(
     sink_y = ys[n]
     supplies = instance.supplies
     flow = [0.0] * (full + 1)
+    # per mask M, the cost of wiring the sources outside M straight to the
+    # sink; a known tree is the best one over M plus those wires
+    wires = [s * ((x - sink_x) ** 2 + (y - sink_y) ** 2) for x, y, s in zip(xs, ys, supplies)]
+    wired = [0.0] * (full + 1)
+    upper = wired[0] = sum(wires)
+    # the known tree is costed in another summation order than the floors
+    limit = upper * _CUT_SLACK + _OBJECTIVE_TIE
+    order = sorted(range(n), key=wires.__getitem__, reverse=True)
+    # masks[m] holds source order[i] for each bit i of m, so taking m in
+    # increasing order takes each prefix of the order whole, and every mask
+    # after its submasks
+    masks = [0] * (full + 1)
+    for m in range(1, full + 1):
+        low = m & -m
+        masks[m] = masks[m ^ low] | 1 << order[low.bit_length() - 1]
     lists: list = [None] * (full + 1)  # lists[mask][k][c]: kept class c at count k
     # per anchor, count k and mask, each meaning "at most k": the best forest
     # hanging from the anchor and its part holding the mask's lowest source
@@ -246,10 +294,16 @@ def _subset_search(
         for value in (0.0, None, 0.0, None)
     )
     built = dropped = beaded = 0
-    for mask in range(1, full + 1):
+    for mask in masks[1:]:
         low = mask & -mask
         rest = mask ^ low
         f = flow[mask] = flow[rest] + supplies[low.bit_length() - 1]
+        wired[mask] = wired[rest] - wires[low.bit_length() - 1]
+        # the floor of the module docstring: from a summary's parent to the
+        # sink M's flow crosses at most path - k edges and beads, and a
+        # source outside M at most n + budget
+        path = n + 1 + budget - mask.bit_count()
+        room = limit - wired[mask] / (n + budget)
         raw: list = [[[] for _ in range(top + 1)] for _ in counts]  # raw, then kept
         singles = [classes[1] for classes in raw]
         weights = [f / (p + 1) for p in counts]  # of the out-edge under p beads
@@ -293,24 +347,31 @@ def _subset_search(
                                         at_sink_root[t] = (qx, qy, w, kk, ((STEINER, (anode, blink), p), None))
                     continue
                 into = raw[k1 + k2]
+                g = f / (path - k1 - k2)
                 for c in range(1, top + 1):
                     tails = tails_by_class[c]
                     if not tails:
                         continue
                     out = into[c + 1 if c < top else top]
-                    # the pairwise case of merge_summaries, in closed form
+                    before = len(out)
+                    # the pairwise case of merge_summaries, in closed form,
+                    # each forest cut on the floor of _under_floor before
+                    # it is built
                     for ax, ay, aw, ak, (anode, _) in parts:
                         for bx, by, bw, bk, blink in tails:
                             v = aw + bw
                             dx = ax - bx
                             dy = ay - by
-                            out.append((
-                                (aw * ax + bw * bx) / v,
-                                (aw * ay + bw * by) / v,
-                                v,
-                                ak + bk + aw * bw / v * (dx * dx + dy * dy),
-                                (anode, blink),
-                            ))
+                            qx = (aw * ax + bw * bx) / v
+                            qy = (aw * ay + bw * by) / v
+                            kk = ak + bk + aw * bw / v * (dx * dx + dy * dy)
+                            dx = qx - sink_x
+                            dy = qy - sink_y
+                            if kk + v * g / (v + g) * (dx * dx + dy * dy) <= room:
+                                out.append((qx, qy, v, kk, (anode, blink)))
+                    merged = len(parts) * len(tails)
+                    built += merged
+                    dropped += merged - (len(out) - before)
             sub = (sub - 1) & rest
         # per class c, the kept forests of class >= c at lower counts, by W
         lower: list = [[]] * (top + 1)
@@ -319,7 +380,6 @@ def _subset_search(
             same: list = []  # kept forests of higher classes at count k
             for c in range(top, 1, -1):
                 candidates = classes[c]
-                built += len(candidates)
                 above = sorted(lower[c] + same, key=_WEIGHT) if same else lower[c]
                 kept = classes[c] = _prune_dominated(candidates, above)
                 dropped += len(candidates) - len(kept)
@@ -355,7 +415,8 @@ def _subset_search(
             for k in counts:
                 candidates = singles[k]
                 built += len(candidates)
-                kept = singles[k] = raw[k][1] = _prune_dominated(candidates, earlier)
+                below = _under_floor(candidates, f / (path - k), sink_x, sink_y, room)
+                kept = singles[k] = raw[k][1] = _prune_dominated(below, earlier)
                 dropped += len(candidates) - len(kept)
                 if kept and k < budget:
                     earlier = sorted(earlier + kept, key=_WEIGHT)
@@ -403,6 +464,10 @@ def _subset_search(
                         choice_k = k1
                 best_a[k][mask] = total
                 cut[a][k][mask] = (choice, choice_k)
+        known = best[n][budget][mask] + wired[mask]
+        if known < upper and mask != full:
+            upper = known
+            limit = upper * _CUT_SLACK + _OBJECTIVE_TIE
 
     def anchored(a: int, mask: int, k: int) -> tuple:
         children = []
@@ -441,7 +506,23 @@ def _subset_search(
         topologies_examined=built,
         topologies_pruned=dropped,
         bead_vectors=beaded,
+        upper_bound=upper,
     )
+
+
+def _under_floor(summaries: list, g: float, sx: float, sy: float, room: float) -> list:
+    """The summaries (qx, qy, W, K, link) with K + (W g / (W + g)) |q - s|^2
+    at most room, in their order: the least their sources' shares can cost
+    when their flow f goes on from the parent to s over at most L edges
+    and beads, g = f / L (see the module docstring)."""
+    kept = []
+    for summary in summaries:
+        qx, qy, w, k, _ = summary
+        dx = qx - sx
+        dy = qy - sy
+        if k + w * g / (w + g) * (dx * dx + dy * dy) <= room:
+            kept.append(summary)
+    return kept
 
 
 _WEIGHT = itemgetter(2)
@@ -625,7 +706,7 @@ def _walk_bead_vectors(
     allowed: set[int],
     bead_charge: float,
     incumbent: "_Incumbent",
-) -> int:
+) -> tuple[int, int]:
     """Offer the skeleton under every bead vector with per-edge counts <=
     per_edge_cap and a total in allowed that can match the incumbent; return
     how many vectors were costed and how many bead prefixes were cut.
@@ -638,9 +719,9 @@ def _walk_bead_vectors(
     sink child, and its loop completes the sink's sum.
 
     A prefix (the beads up to a node's out-edge) is cut when the floor of
-    the module docstring exceeds the incumbent (see _walk_floors).  Past a
-    Steiner parent only the bead charge grows with p, so the loop stops;
-    past a terminal parent the edge's share falls as p grows, so it goes on.
+    the module docstring exceeds the incumbent (see _walk_floors).  A
+    subtree's share falls with its own beads and rises as they leave fewer
+    for the chain above it, so each p is tested.
     """
     n = instance.n_sources
     sink = instance.sink
@@ -706,34 +787,26 @@ def _walk_bead_vectors(
             # the charge so far and the least the source-to-terminal edges
             # ahead can add; all of the charge is at least charge_floor too
             rest = bead_charge * (n_steiner + used) + ahead[i]
-            anchor = anchors[i]
-            if anchor is None:
-                # a Steiner parent: the subtree adds at least its K, and only
-                # the bead charge grows with p
-                fixed[i] = k
-                done += k
-                for p in range(low, high + 1):
-                    charge = rest + bead_charge * p
-                    if charge < charge_floor:
-                        charge = charge_floor
-                    limit = (incumbent.objective + _OBJECTIVE_TIE) * _CUT_SLACK + _OBJECTIVE_TIE
-                    if done + charge > limit:
-                        cut += high + 1 - p
-                        break
-                    w = flow / (p + 1)
-                    summaries[i] = (qx, qy, w if v is None else steiner_weight(v, w), k)
-                    beads[i] = p
-                    visit(i + 1, used + p)
-                return
-            # a terminal parent: the out-edge's cost is fixed too, and falls as p grows
-            dx = anchor[0] - qx
-            dy = anchor[1] - qy
+            # the subtree's share: its cost with its out-edge into the
+            # parent, and the flow's share of the chain of h Steiner edges
+            # and their beads from the parent on to the first terminal at z
+            # (h = 0: the parent is z); by Cauchy-Schwarz the chain costs the
+            # flow at least flow |x - z|^2 / L over L edges and beads
+            zx, zy, h = anchors[i]
+            dx = zx - qx
+            dy = zy - qy
             d2 = dx * dx + dy * dy
+            chain = h * per_edge_cap
             for p in range(low, high + 1):
                 w = flow / (p + 1)
                 if v is not None:
                     w = steiner_weight(v, w)
-                share = k + w * d2
+                if h:
+                    left = highest - used - p
+                    g = flow / (h + (left if left < chain else chain))
+                    share = k + w * g / (w + g) * d2
+                else:
+                    share = k + w * d2
                 charge = rest + bead_charge * p
                 if charge < charge_floor:
                     charge = charge_floor
@@ -771,11 +844,12 @@ def _walk_floors(
     """Per position i of the walk's order, with up[i] its parent's position
     (len(order) for the sink):
 
-    - the parent's point when the parent is a terminal, else None;
+    - (zx, zy, h): the first terminal at or above i's parent, and the
+      number h of Steiner edges from the parent up to it (0 when the parent
+      is that terminal);
     - the positions before i whose parent comes after i: with i, the roots
-      of the subtrees finished when i's out-edge is fixed.  Each adds at
-      least its K (a Steiner merge's K is at least its children's), and
-      exactly K + W |z - q|^2 when its parent is a terminal at z;
+      of the subtrees finished when i's out-edge is fixed, each adding its
+      share of the module docstring;
     - over the sources after i whose parent is a terminal, the least cost
       f d^2/(p+1) + c p of their out-edges over p <= per_edge_cap.
     """
@@ -786,12 +860,17 @@ def _walk_floors(
     others: list[tuple[int, ...]] = []
     ahead = [0.0] * m
     frontier: list[int] = []
-    for i, (_, _, parent) in enumerate(order):
+    for i in range(m):
         frontier = [c for c in frontier if up[c] != i]
         others.append(tuple(frontier))
         frontier.append(i)
+    for i in range(m - 1, -1, -1):  # parents before children
+        parent = order[i][2]
         if parent <= n:
-            anchors[i] = (points[parent].x, points[parent].y)
+            anchors[i] = (points[parent].x, points[parent].y, 0)
+        else:
+            zx, zy, h = anchors[up[i]]
+            anchors[i] = (zx, zy, h + 1)
     for i in range(m - 1, 0, -1):
         tree, node, parent = order[i]
         least = 0.0

@@ -213,10 +213,10 @@ class TestCheckCommand:
         assert "centroid" in capsys.readouterr().out
 
     @staticmethod
-    def _scaled_result(tmp_path, capsys, coordinates, supplies):
+    def _scaled_result(tmp_path, capsys, coordinates, supplies, seed=1):
         """A six-source node-weighted tree solved with its coordinates and
         supplies multiplied by the given factors."""
-        rng = random.Random(1)
+        rng = random.Random(seed)
         inst = random_supplied_instance(rng, 6)
         topology = random_general_tree(rng, 6, rng.randint(1, 5))
         scaled = Instance(
@@ -233,6 +233,16 @@ class TestCheckCommand:
         # positions and flows are stored to 12 significant digits, so an
         # absolute tolerance would fail the solver's own output here
         result = self._scaled_result(tmp_path, capsys, coordinates, supplies)
+        assert main(["check", write_document(tmp_path, result, "result.json")]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_large_coordinates_are_stated_locally_minimal(self, tmp_path, capsys, seed):
+        # the solver's own deviations exceed the absolute tolerance here;
+        # the written certificate judges them to scale, as check does
+        result = self._scaled_result(tmp_path, capsys, 1e6, 1.0, seed)
+        assert result["certificates"]["centroid_max_deviation"] > 1e-9
+        assert result["certificates"]["locally_minimal"] is True
         assert main(["check", write_document(tmp_path, result, "result.json")]) == 0
         assert "all checks passed" in capsys.readouterr().out
 

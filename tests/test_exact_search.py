@@ -86,8 +86,7 @@ class TestDegreeSubsetSearch:
     def test_matches_the_skeleton_walk(self, phi, mixed):
         rng = random.Random(100 * phi + mixed)
         make = random_supplied_instance if mixed else random_instance
-        # n = 6 under phi = 3 costs the walk about a second, so it stops at 5
-        for n in range(1, 6 if phi == 3 else 7):
+        for n in range(1, 7):
             inst = make(rng, n, span=5.0)
             report = solve_exact(inst, DegreeBound(phi))
             walk = _skeleton_walk(inst, phi)
@@ -162,7 +161,8 @@ class TestExplicitSubsetSearch:
     def test_matches_the_skeleton_walk(self, k, mixed):
         rng = random.Random(200 + 10 * k + mixed)
         make = random_supplied_instance if mixed else random_instance
-        for n in range(1, 6):
+        # the walk takes seconds at n = 6 once k >= 2
+        for n in range(1, 7 if k <= 1 else 6):
             inst = make(rng, n, span=5.0)
             report = solve_exact(inst, ExplicitBound(k))
             walk = _bead_walk(inst, k)
@@ -200,6 +200,79 @@ class TestExplicitSubsetSearch:
         report = solve_exact(inst, ExplicitBound(2))
         assert report.topologies_examined > report.topologies_pruned > 0
         assert report.topologies_examined > report.bead_vectors > 0
+
+
+def _assert_same_winner(report, oracle):
+    assert report.objective == pytest.approx(oracle.objective, rel=1e-12, abs=0.0)
+    assert rooted_encoding(report.best.topology) == rooted_encoding(oracle.best.topology)
+
+
+class TestFlowSplitCut:
+    """The subset DP drops summaries whose flow-split floor exceeds a known
+    tree's cost; the winner must be the one the uncut DP finds."""
+
+    @pytest.mark.parametrize(
+        "strategy, n_max",
+        # the uncut DP takes about 2 s under ExplicitBound(2) at n = 7
+        [(DegreeBound(3), 7), (DegreeBound(4), 7), (ExplicitBound(1), 7), (ExplicitBound(2), 6)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    def test_matches_the_uncut_dp(self, monkeypatch, strategy, n_max, mixed):
+        rng = random.Random(f"flow-split/{strategy}/{mixed}")
+        make = random_supplied_instance if mixed else random_instance
+        built = uncut_built = 0
+        for n in range(1, n_max + 1):
+            inst = make(rng, n, span=5.0)
+            report = solve_exact(inst, strategy, guard_n=n)
+            with monkeypatch.context() as patch:
+                patch.setattr(exact_search, "_CUT_SLACK", math.inf)
+                uncut = solve_exact(inst, strategy, guard_n=n)
+            _assert_same_winner(report, uncut)
+            assert report.objective <= report.upper_bound * (1.0 + 1e-12)
+            built += report.topologies_examined
+            uncut_built += uncut.topologies_examined
+        assert built < uncut_built
+
+    @pytest.mark.parametrize("strategy", [DegreeBound(3), ExplicitBound(3)], ids=str)
+    def test_counts_every_edge_of_a_relayed_path(self, monkeypatch, strategy):
+        # a heavy source relayed to the sink through the Steiner points of
+        # light sources on the way: its flow crosses four edges, which cost
+        # it about a quarter of the straight wire, so a floor that took its
+        # path for one edge would cut the optimum.  The lightest source, next
+        # to the heavy one, is the cheapest to wire, so their subtree is
+        # searched last, when the known tree is near the optimum
+        inst = Instance(
+            (Point(10.0, 0.0), Point(2.5, 0.3), Point(5.0, -0.3), Point(7.5, 0.3), Point(10.3, 0.4)),
+            (10.0, 0.1, 0.1, 0.1, 0.001),
+            Point(0.0, 0.0),
+        )
+        report = solve_exact(inst, strategy)
+        assert report.objective < 0.3 * 10.0 * 100.0
+        monkeypatch.setattr(exact_search, "_CUT_SLACK", math.inf)
+        _assert_same_winner(report, solve_exact(inst, strategy))
+
+    def test_matches_the_uncut_dp_at_eight_sources(self, monkeypatch):
+        inst = random_supplied_instance(random.Random("flow-split/8"), 8, span=5.0)
+        report = solve_exact(inst, DegreeBound(3), guard_n=8)
+        monkeypatch.setattr(exact_search, "_CUT_SLACK", math.inf)
+        uncut = solve_exact(inst, DegreeBound(3), guard_n=8)
+        _assert_same_winner(report, uncut)
+        assert report.topologies_examined < uncut.topologies_examined / 2
+
+    def test_upper_bound_is_drop_nearest_or_better(self):
+        # the sources are taken dearest wire first, so the cut's known tree
+        # is at worst the best tree without the cheapest wire, plus that wire
+        inst = random_supplied_instance(random.Random("flow-split/ub"), 6, span=5.0)
+        wires = [s * sq_dist(z, inst.sink) for z, s in zip(inst.sources, inst.supplies)]
+        t = wires.index(min(wires))
+        rest = Instance(
+            inst.sources[:t] + inst.sources[t + 1 :], inst.supplies[:t] + inst.supplies[t + 1 :], inst.sink
+        )
+        for strategy in (DegreeBound(3), ExplicitBound(2)):
+            report = solve_exact(inst, strategy)
+            dropped = solve_exact(rest, strategy).objective + wires[t]
+            assert report.objective <= report.upper_bound <= dropped * (1.0 + 1e-12)
 
 
 def _at(summary, x, y):
@@ -446,6 +519,30 @@ class TestSolveExactNodeWeighted:
                 assert ratio <= (count + 1) * (count + 2) + 1e-9
 
 
+def _assert_every_tie_offered(inst, j_cap, per_edge_cap, c):
+    """An incumbent held at a fixed objective must still be offered every
+    vector within the tie of it, and nothing else, on every skeleton with at
+    most j_cap branching points (bead totals up to 4 - j), and some prefix
+    must be cut."""
+    cuts = 0
+    for j, roots in skeletons(inst.n_sources, j_cap, 3, _summarise(inst)):
+        allowed = set(range(5 - j))
+        everything = _Recorder()
+        _walk_bead_vectors(inst, j, roots, per_edge_cap, allowed, c, everything)
+        values = sorted(value for value, _, _ in everything.offers)
+        threshold = _Recorder()
+        threshold.objective = values[len(values) // 8]
+        _, cut = _walk_bead_vectors(inst, j, roots, per_edge_cap, allowed, c, threshold)
+        cuts += cut
+        expected = [
+            beads
+            for value, _, beads in everything.offers
+            if value <= threshold.objective + exact_search._OBJECTIVE_TIE
+        ]
+        assert [beads for _, _, beads in threshold.offers] == expected
+    assert cuts > 0
+
+
 class TestNodeWeightedBranchAndBound:
     """The node weight's bead walk cuts a bead prefix when a lower bound on
     every completion exceeds the incumbent."""
@@ -471,28 +568,33 @@ class TestNodeWeightedBranchAndBound:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_vector_that_can_tie_is_offered(self, seed):
-        # an incumbent held at a fixed objective must still be offered every
-        # vector within the tie of it, and nothing else
-        rng = random.Random(f"bead-cut/{seed}")
-        inst = random_supplied_instance(rng, 3, span=4.0)
-        c = 0.1 * _weighted_sink_distances(inst)
-        cuts = 0
-        for j, roots in skeletons(3, 1, 3, _summarise(inst)):
-            allowed = set(range(5 - j))
-            everything = _Recorder()
-            _walk_bead_vectors(inst, j, roots, 3, allowed, c, everything)
-            values = sorted(value for value, _, _ in everything.offers)
-            threshold = _Recorder()
-            threshold.objective = values[len(values) // 8]
-            _, cut = _walk_bead_vectors(inst, j, roots, 3, allowed, c, threshold)
-            cuts += cut
-            expected = [
-                beads
-                for value, _, beads in everything.offers
-                if value <= threshold.objective + exact_search._OBJECTIVE_TIE
-            ]
-            assert [beads for _, _, beads in threshold.offers] == expected
-        assert cuts > 0
+        inst = random_supplied_instance(random.Random(f"bead-cut/{seed}"), 3, span=4.0)
+        _assert_every_tie_offered(inst, 1, 3, 0.1 * _weighted_sink_distances(inst))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_vector_that_can_tie_is_offered_under_chains(self, seed):
+        # four sources and up to three branching points: subtrees hang below
+        # chains of up to three Steiner edges, whose share the floor counts
+        inst = random_supplied_instance(random.Random(f"chain-cut/{seed}"), 4, span=4.0)
+        _assert_every_tie_offered(inst, 3, 2, 0.05 * _weighted_sink_distances(inst))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_exhaustive_walk(self, monkeypatch, seed):
+        # ten instances a seed, n = 2-4, unit and mixed supplies
+        rng = random.Random(f"chain-floor/{seed}")
+        vectors = exhaustive_vectors = 0
+        for i in range(10):
+            n = 2 + i % 3
+            inst = (random_supplied_instance if i % 2 else random_instance)(rng, n, span=1.5)
+            c = (1.5, 2.0, 3.0, 5.0)[(i + seed) % 4]
+            report = solve_exact(inst, NodeWeighted(c))
+            with monkeypatch.context() as patch:
+                patch.setattr(exact_search, "_CUT_SLACK", math.inf)
+                exhaustive = solve_exact(inst, NodeWeighted(c))
+            _assert_same_winner(report, exhaustive)
+            vectors += report.bead_vectors
+            exhaustive_vectors += exhaustive.bead_vectors
+        assert vectors < exhaustive_vectors
 
     def test_counts_the_prefixes_it_cuts(self, monkeypatch):
         inst = random_supplied_instance(random.Random(64), 4, span=3.0)
