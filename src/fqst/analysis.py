@@ -81,8 +81,11 @@ def _require_mass_points(tree: SolvedTree, nodes: Sequence[int], masses: Sequenc
 
 def check_centroid_certificate(tree: SolvedTree, tol: float = CERTIFICATE_TOLERANCE) -> dict[int, bool]:
     """Local-minimality decision: a tree is locally minimal exactly when every
-    Steiner point sits at the centre of mass of its neighbours."""
-    return {slot: dev <= tol for slot, dev in centroid_deviations(tree).items()}
+    Steiner point sits at the centre of mass of its neighbours, each judged
+    to scale by off_centroid_slots."""
+    deviations = centroid_deviations(tree)
+    off = set(off_centroid_slots(tree, deviations, tol))
+    return {slot: slot not in off for slot in deviations}
 
 
 def off_centroid_slots(tree: SolvedTree, deviations: dict[int, float], tol: float) -> list[int]:
@@ -464,25 +467,6 @@ def _spanning_bead_counts(
     return bead_counts
 
 
-def spanning_bead_floor(instance: Instance, c: float) -> float:
-    """A lower bound on steiner_count_bound(instance, c) that places no bead.
-
-    The beaded spanning tree is itself a tree with one Steiner point per
-    bead, so the budget B is at least its bead count, and an edge's optimal
-    count p satisfies (p + 2)^2 > (p + 1)(p + 2) >= f |e|^2 / c (see
-    optimal_bead_count).  The sum is a float, infinite when f |e|^2 / c
-    overflows.
-    """
-    if not c > 0.0:
-        raise ValueError(f"node weight must be positive, got {c}")
-    terminals, base, flows = _spanning_tree(instance)
-    total = 0.0
-    for child in base.edge_children():
-        ratio = flows[child] * sq_dist(terminals[child], terminals[base.parents[child]]) / c
-        total += max(0.0, math.sqrt(ratio) - 2.0)
-    return total
-
-
 def steiner_count_bound(instance: Instance, c: float) -> int:
     """Upper bound B on the Steiner count of a node-weighted optimum.
 
@@ -522,7 +506,6 @@ __all__ = [
     "lower_bound_path",
     "off_centroid_slots",
     "optimal_bead_count",
-    "spanning_bead_floor",
     "split_topology",
     "steiner_count_bound",
 ]

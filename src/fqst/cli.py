@@ -211,13 +211,13 @@ def _cmd_bounds(args) -> int:
     elif isinstance(strategy, ExplicitBound):
         k = strategy.k
     else:
-        # the floor is infinite exactly when f L^2 / c overflows on a spanning edge
-        if not math.isfinite(analysis.spanning_bead_floor(instance, strategy.c)):
+        try:
+            k = analysis.steiner_count_bound(instance, strategy.c)
+        except ValueError as exc:
             raise DocumentError(
                 f"node weight {strategy.c!r} is too small: a spanning edge's "
                 "flow * length^2 / c overflows a float, so no bead count can be computed"
-            )
-        k = analysis.steiner_count_bound(instance, strategy.c)
+            ) from exc
     doc = {
         "schema": documents.SCHEMA_VERSION,
         "strategy": documents.strategy_document(strategy),

@@ -215,10 +215,10 @@ def solve_exact(
         return _subset_search(instance, strategy, 3, strategy.k, 1)
     if isinstance(strategy, NodeWeighted):
         c = strategy.c
-        # B comes from the beaded spanning tree's bead counts, which grow as
-        # c^-1/2; the floor bounds them without computing one
-        _guard_budget(analysis.spanning_bead_floor(instance, c), "the node weight's budget is at least")
-        budget = analysis.steiner_count_bound(instance, c)
+        try:
+            budget = analysis.steiner_count_bound(instance, c)
+        except ValueError:  # a spanning edge's f L^2 / c overflows a float
+            budget = math.inf
         _guard_budget(budget, "the node weight's budget is")
         # an edge carries at most the total supply over at most the diagonal
         cap = analysis.optimal_bead_count(instance.total_supply(), _bounding_box_diagonal(instance), c)
@@ -307,11 +307,6 @@ def _subset_search(
         raw: list = [[[] for _ in range(top + 1)] for _ in counts]  # raw, then kept
         singles = [classes[1] for classes in raw]
         weights = [f / (p + 1) for p in counts]  # of the out-edge under p beads
-        # over all sources only the sink's best tree is wanted, so a Steiner
-        # root is costed at the sink as it is merged, and per count only the
-        # first best one is kept
-        at_sink = [inf] * (budget + 1) if mask == full else None
-        at_sink_root: list = [None] * (budget + 1)
         sub = rest
         while sub:
             heads = lists[mask ^ sub]
@@ -321,31 +316,6 @@ def _subset_search(
                 if not parts:
                     continue
                 tails_by_class = tails_by_count[k2]
-                if at_sink is not None:
-                    roots = steiner_roots[k1 + k2]
-                    # a part and at least phi - 2 more: a Steiner root's children
-                    for tails in tails_by_class[top - 1 :]:
-                        merged = len(parts) * len(tails)
-                        built += merged * (1 + len(roots))
-                        beaded += merged * (len(roots) - 1)
-                        for ax, ay, aw, ak, (anode, _) in parts:
-                            for bx, by, bw, bk, blink in tails:
-                                v = aw + bw
-                                dx = ax - bx
-                                dy = ay - by
-                                qx = (aw * ax + bw * bx) / v
-                                qy = (aw * ay + bw * by) / v
-                                kk = ak + bk + aw * bw / v * (dx * dx + dy * dy)
-                                dx = sink_x - qx
-                                dy = sink_y - qy
-                                d2 = dx * dx + dy * dy
-                                for t, p in roots:
-                                    w = steiner_weight(v, weights[p])
-                                    candidate = kk + w * d2
-                                    if candidate < at_sink[t]:
-                                        at_sink[t] = candidate
-                                        at_sink_root[t] = (qx, qy, w, kk, ((STEINER, (anode, blink), p), None))
-                    continue
                 into = raw[k1 + k2]
                 g = f / (path - k1 - k2)
                 for c in range(1, top + 1):
@@ -410,22 +380,15 @@ def _subset_search(
                 ]
                 if p:
                     beaded += len(forests)
-        if at_sink is None:
-            earlier: list = []  # kept singles at lower counts, by W
-            for k in counts:
-                candidates = singles[k]
-                built += len(candidates)
-                below = _under_floor(candidates, f / (path - k), sink_x, sink_y, room)
-                kept = singles[k] = raw[k][1] = _prune_dominated(below, earlier)
-                dropped += len(candidates) - len(kept)
-                if kept and k < budget:
-                    earlier = sorted(earlier + kept, key=_WEIGHT)
-        else:
-            # the Steiner roots come after the source roots, as in a list
-            for k in counts:
-                built += len(singles[k])
-                if at_sink_root[k] is not None:
-                    singles[k].append(at_sink_root[k])
+        earlier: list = []  # kept singles at lower counts, by W
+        for k in counts:
+            candidates = singles[k]
+            built += len(candidates)
+            below = _under_floor(candidates, f / (path - k), sink_x, sink_y, room)
+            kept = singles[k] = raw[k][1] = _prune_dominated(below, earlier)
+            dropped += len(candidates) - len(kept)
+            if kept and k < budget:
+                earlier = sorted(earlier + kept, key=_WEIGHT)
         lists[mask] = raw
         for a in range(n + 1):
             if a < n and mask >> a & 1:
@@ -731,16 +694,16 @@ def _walk_bead_vectors(
     position = {node: i for i, (_, node, _) in enumerate(order)}
     below: list[list[int]] = [[] for _ in range(m)]
     first = list(range(m))  # first position of each node's subtree
-    at_sink = []
+    sink_children = []
     up = [m] * m  # the position of each node's parent (m for the sink)
     for i, (_, _, parent) in enumerate(order):
         if parent == n:
-            at_sink.append(i)
+            sink_children.append(i)
         else:
             up[i] = position[parent]
             below[up[i]].append(i)
             first[up[i]] = min(first[up[i]], first[i])
-    at_sink.pop()  # m - 1, the first placed
+    sink_children.pop()  # m - 1, the first placed
     anchors, others, ahead = _walk_floors(instance, order, up, per_edge_cap, bead_charge)
     lowest = min(allowed)
     highest = max(allowed)
@@ -819,7 +782,7 @@ def _walk_bead_vectors(
                 beads[i] = p
                 visit(i + 1, used + p)
             return
-        base = pinned_cost(sink.x, sink.y, [summaries[c] for c in at_sink]) + k
+        base = pinned_cost(sink.x, sink.y, [summaries[c] for c in sink_children]) + k
         dx = sink.x - qx
         dy = sink.y - qy
         d2 = dx * dx + dy * dy

@@ -77,10 +77,6 @@ class GeoRun:
     merge_count: int
     placement_count: int
 
-    @property
-    def operation_count(self) -> int:
-        return self.merge_count + self.placement_count
-
 
 def _require_unit(mass: float) -> None:
     if mass != 1.0:

@@ -16,9 +16,6 @@ class Point:
     x: float
     y: float
 
-    def scaled(self, factor: float) -> "Point":
-        return Point(self.x * factor, self.y * factor)
-
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
 

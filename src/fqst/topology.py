@@ -104,12 +104,6 @@ class Topology:
     def sink(self) -> int:
         return self.n_sources
 
-    def is_source(self, node: int) -> bool:
-        return node < self.n_sources
-
-    def is_steiner(self, node: int) -> bool:
-        return node > self.n_sources
-
     def is_terminal(self, node: int) -> bool:
         return node <= self.n_sources
 

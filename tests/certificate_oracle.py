@@ -114,7 +114,7 @@ def check_overlapping_edges(
         here = tree.position(node)
         caveat = (
             isinstance(strategy, DegreeBound)
-            and topo.is_steiner(node)
+            and node > topo.sink
             and deg[node] == strategy.phi
         )
         for i in range(len(neighbours)):

@@ -79,7 +79,7 @@ def assemble_system(
         incident.append((parent, weights[slot]))
         for neighbour, w in incident:
             matrix[r, r] += w
-            if topology.is_steiner(neighbour):
+            if neighbour > topology.sink:
                 matrix[r, row_of[neighbour]] -= w
             else:
                 pos = positions[neighbour]

@@ -201,7 +201,7 @@ class TestSolveTopology:
             children = topo.children_lists()
             for s0 in topo.steiner_slots():
                 s1 = topo.parents[s0]
-                if not topo.is_steiner(s1):
+                if s1 <= topo.sink:
                     continue
                 near = centroid(
                     [MassPoint(tree.position(c), tree.flows[c]) for c in children[s0]]
@@ -319,7 +319,7 @@ def summary_cost(instance, topology, weights):
         parts = [summaries[c] for c in children[node]]
         if node == topology.sink:
             return pinned_cost(instance.sink.x, instance.sink.y, parts)
-        if topology.is_source(node):
+        if node < topology.n_sources:
             z = terminals[node]
             summaries[node] = (z.x, z.y, weights[node], pinned_cost(z.x, z.y, parts))
         else:

@@ -31,7 +31,8 @@ from fqst.analysis import (
 )
 from fqst.geometry import sq_dist
 from fqst.trees import build_solved_tree
-from fqst.analysis import _weighted_sink_distances, beaded_spanning_cost, spanning_bead_floor
+from fqst.analysis import _weighted_sink_distances, beaded_spanning_cost
+from fqst.documents import certificate_summary
 from conftest import NO_PARENT, node_table, random_instance, random_supplied_instance
 
 
@@ -107,6 +108,22 @@ class TestCentroidCertificate:
 
     def test_balanced_cross_passes(self, balanced_cross_tree):
         assert all(check_centroid_certificate(balanced_cross_tree).values())
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_optimum_at_large_coordinates_passes(self, seed):
+        # float rounding alone moves these optima's Steiner points off their
+        # centroids by more than the absolute tolerance; each deviation is
+        # judged to scale, as check and the written certificates judge it
+        inst = random_supplied_instance(random.Random(seed), 6)
+        s = 1e6
+        scaled = Instance(
+            tuple(Point(p.x * s, p.y * s) for p in inst.sources),
+            inst.supplies,
+            Point(inst.sink.x * s, inst.sink.y * s),
+        )
+        tree = solve_exact(scaled, DegreeBound(3)).best
+        assert all(check_centroid_certificate(tree).values())
+        assert certificate_summary(tree, 1e-9)["locally_minimal"] is True
 
 
 class TestCertificateResidualEquivalence:
@@ -412,14 +429,12 @@ class TestSteinerCountBound:
         assert all(a >= b for a, b in zip(values, values[1:]))
         assert values[0] > values[-1]
 
-    def test_spanning_bead_floor_is_below_the_budget(self):
+    def test_spanning_bead_count_is_within_the_budget(self):
         rng = random.Random(46)
         for _ in range(20):
             inst = random_supplied_instance(rng, rng.randint(1, 5), span=4.0)
             c = rng.choice([1e-3, 1e-2, 0.1, 1.0]) * _weighted_sink_distances(inst)
-            floor = spanning_bead_floor(inst, c)
-            beads = beaded_spanning_tree(inst, c).topology.n_steiner
-            assert floor <= beads <= steiner_count_bound(inst, c)
+            assert beaded_spanning_tree(inst, c).topology.n_steiner <= steiner_count_bound(inst, c)
 
     def test_bounds_exact_optimum_count(self):
         rng = random.Random(45)

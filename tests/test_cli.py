@@ -141,7 +141,12 @@ class TestExactCommand:
 
     @pytest.mark.parametrize(
         "strategy",
-        [{"explicit_bound": 10**9}, {"node_weighted": 1e-300}, {"node_weighted": 5e-324}],
+        [
+            {"explicit_bound": 10**9},
+            {"node_weighted": 1e-300},
+            {"node_weighted": 1e-310},
+            {"node_weighted": 5e-324},
+        ],
     )
     def test_steiner_budget_guard(self, tmp_path, capsys, strategy):
         # refused before anything sized by the budget (or by the beaded
@@ -220,9 +225,9 @@ class TestCheckCommand:
         inst = random_supplied_instance(rng, 6)
         topology = random_general_tree(rng, 6, rng.randint(1, 5))
         scaled = Instance(
-            tuple(p.scaled(coordinates) for p in inst.sources),
+            tuple(Point(p.x * coordinates, p.y * coordinates) for p in inst.sources),
             tuple(w * supplies for w in inst.supplies),
-            inst.sink.scaled(coordinates),
+            Point(inst.sink.x * coordinates, inst.sink.y * coordinates),
         )
         path = write_document(tmp_path, instance_document(scaled, NodeWeighted(2.0), topology))
         assert main(["solve-topology", path]) == 0

@@ -1,7 +1,9 @@
 import itertools
+import json
 import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,7 @@ from fqst.topology import enumerate_bounded_topologies
 from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
+from fqst.documents import parse_instance_document
 from fqst import exact_search
 from fqst.exact_search import (
     _Incumbent,
@@ -503,13 +506,13 @@ class TestSolveExactNodeWeighted:
             # optimal bead count for its endpoints
             for child in topo.edge_children():
                 start = topo.parents[child]
-                child_is_bead = topo.is_steiner(child) and degrees[child] == 2
-                start_is_bead = topo.is_steiner(start) and degrees[start] == 2
+                child_is_bead = child > topo.sink and degrees[child] == 2
+                start_is_bead = start > topo.sink and degrees[start] == 2
                 if child_is_bead or not start_is_bead:
                     continue
                 count = 0
                 node = start
-                while topo.is_steiner(node) and degrees[node] == 2:
+                while node > topo.sink and degrees[node] == 2:
                     count += 1
                     node = topo.parents[node]
                 ratio = tree.flows[child] * sq_dist(
@@ -850,6 +853,19 @@ class TestDeterminism:
         assert first.objective == second.objective
         assert first.best.topology.parents == second.best.topology.parents
         assert first.topologies_examined == second.topologies_examined
+
+
+_POOL = json.loads((Path(__file__).parents[1] / "bench" / "pool.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_POOL))
+def test_bench_pool_objective(name):
+    # the benchmark's instances under every strategy, with their stored
+    # optima (12 significant digits)
+    entry = _POOL[name]
+    parsed = parse_instance_document(entry["instance"])
+    report = solve_exact(parsed.instance, parsed.strategy)
+    assert report.objective == pytest.approx(entry["objective"], rel=0.0, abs=1e-9)
 
 
 def _strategy(kind, instance, c_factor):

@@ -110,7 +110,7 @@ class TestSqDist:
     @given(coords, coords, coords, coords, st.floats(min_value=-4.0, max_value=4.0))
     def test_quadratic_scaling(self, ax, ay, bx, by, lam):
         a, b = Point(ax, ay), Point(bx, by)
-        scaled = sq_dist(a.scaled(lam), b.scaled(lam))
+        scaled = sq_dist(Point(ax * lam, ay * lam), Point(bx * lam, by * lam))
         expected = lam * lam * sq_dist(a, b)
         assert abs(scaled - expected) <= 1e-9 * (1.0 + abs(expected))
 
