@@ -2,11 +2,11 @@
 
 A directed tree carries each source's supply to a single sink; an edge with
 flow f and length L costs f * L^2.  The package embeds given topologies
-optimally (a linear-time tree elimination for any topology, and the paper's
-quasi-source merging for full degree-3 unit-supply topologies), certifies
-local and global optimality, computes bounds, and finds global optima at
-desk scale by exhaustive search under three ways of bounding the Steiner
-count.
+optimally by one linear-time tree elimination for any topology; on full
+degree-3 unit-supply topologies it is the paper's quasi-source merging, whose
+merge trace run_geo_algorithm reads off the elimination.  It certifies local
+and global optimality, computes bounds, and finds global optima at desk
+scale by exhaustive search under three ways of bounding the Steiner count.
 """
 
 from .analysis import check_centroid_certificate

@@ -16,9 +16,13 @@ a_s = sum_c w_c a_c / d_s and b_s = w_s / d_s.  Since every b_c lies in
 pass down from the sink then places every slot after its parent, and a
 residual check over every condition closes solve_topology.
 
-This is the quasi-source merge of the paper's linear-time algorithm (a_s is
-the quasi-source's position) generalised to any Steiner degree >= 2 and any
-positive supplies.
+This is the paper's linear-time algorithm generalised to any Steiner
+degree >= 2 and any positive supplies.  Slot s's merge stands its subtree in
+for a quasi-source at sum_c w_c a_c / (d_s - w_s) with formal mass
+d_s - w_s, and the pass down is the paper's back-tracking: x_s is the centre
+of mass of that quasi-source and the parent, the parent weighted by w_s.
+eliminate hands these merges to geo_solver, which reads the paper's merge
+trace off them.
 
 The same merge also gives the optimal cost without placing anything, under
 any positive edge weights (exact search weights an edge carrying p beads by
@@ -33,7 +37,7 @@ checked like d_s above.  Exact search costs skeletons from these summaries.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
 from .topology import Instance, Topology, compute_flows
@@ -135,6 +139,28 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
     Works for any Steiner degrees >= 2; the output satisfies the
     centre-of-mass condition at every Steiner point, checked by residual.
     """
+    return eliminate(instance, topology)[0]
+
+
+class UpwardMerges(NamedTuple):
+    """The upward pass's merges: the Steiner slots in merge order and, per
+    node (0.0 at terminals), the pivot d_s and the children's weighted sums
+    sum_c w_c a_c before the division by it."""
+
+    order: list[int]
+    pivots: list[float]
+    sums_x: list[float]
+    sums_y: list[float]
+
+    def quasi_source(self, slot: int, w: float) -> tuple[float, float, float]:
+        """(qx, qy, formal mass) of the paper's quasi-source for slot's merge,
+        w its out-edge flow: the sums over d_s - w."""
+        mass = self.pivots[slot] - w
+        return self.sums_x[slot] / mass, self.sums_y[slot] / mass, mass
+
+
+def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, UpwardMerges]:
+    """solve_topology's tree and the upward merges that placed it."""
     flows = compute_flows(topology, instance.supplies)  # also rejects non-trees
     sink = topology.sink
     children = topology.children_lists()
@@ -144,6 +170,9 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
     ys = [p.y for p in instance.sources] + [instance.sink.y] + padding
     # b[s] is the weight x_s puts on its parent's position: 0 at terminals
     b = [0.0] * len(xs)
+    pivots = b.copy()
+    sums_x = b.copy()
+    sums_y = b.copy()
     for s in upward:
         w = flows[s]
         d = w
@@ -153,7 +182,9 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
             d += wc * (1.0 - b[c])
             ax += wc * xs[c]
             ay += wc * ys[c]
-        d = _pivot(d, w)
+        pivots[s] = d = _pivot(d, w)
+        sums_x[s] = ax
+        sums_y[s] = ay
         xs[s] = ax / d
         ys[s] = ay / d
         b[s] = w / d
@@ -163,4 +194,5 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
         xs[s] += b[s] * xs[p]
         ys[s] += b[s] * ys[p]
     _check_residual(topology, xs, ys, flows)
-    return build_solved_tree(instance, topology, xs, ys, flows)
+    tree = build_solved_tree(instance, topology, xs, ys, flows)
+    return tree, UpwardMerges(upward, pivots, sums_x, sums_y)

@@ -11,7 +11,7 @@ from .errors import TopologyError
 from .geometry import MassPoint, Point, sq_dist
 from .strategies import BoundStrategy, DegreeBound
 from .topology import NO_PARENT, Instance, Topology, _orient_toward_sink, compute_flows
-from .trees import SolvedTree, build_solved_tree, embedded_cost
+from .trees import SolvedTree, embedded_cost
 
 OVERLAP_ANGLE_TOLERANCE = 1e-7
 CERTIFICATE_TOLERANCE = 1e-9
@@ -414,23 +414,14 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
     """Minimum spanning tree on sources plus sink, directed toward the sink,
     with the cost-minimising bead count inserted on every edge.
 
-    Its node-weighted cost (beaded_spanning_cost, without building it)
-    upper-bounds the node-weighted optimum.
+    solve_topology embeds it: a chain of beads between two terminals is
+    the embedding's own straight, evenly spaced relay.  Its node-weighted
+    cost (beaded_spanning_cost, without building it) upper-bounds the
+    node-weighted optimum.
     """
     terminals, base, flows = _spanning_tree(instance)
     bead_counts = _spanning_bead_counts(terminals, base, flows, c)
-    expanded = expand_beads(base, bead_counts)
-    # expand_beads creates each edge's chain slots from the parent side
-    # toward the child, so they go farthest-first, as geometry.lerp places them
-    xs = [p.x for p in terminals]
-    ys = [p.y for p in terminals]
-    for child, p in zip(base.edge_children(), bead_counts):
-        parent = base.parents[child]
-        for i in range(p):
-            xs.append(xs[child] + (p - i) / (p + 1) * (xs[parent] - xs[child]))
-            ys.append(ys[child] + (p - i) / (p + 1) * (ys[parent] - ys[child]))
-    expanded_flows = compute_flows(expanded, instance.supplies)
-    return build_solved_tree(instance, expanded, xs, ys, expanded_flows)
+    return algebraic_solver.solve_topology(instance, expand_beads(base, bead_counts))
 
 
 def beaded_spanning_cost(instance: Instance, c: float) -> float:

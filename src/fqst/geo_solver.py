@@ -1,35 +1,41 @@
-"""Linear-time merging solver for full topologies with degree-3 Steiner points.
+"""The paper's linear-time merging algorithm for full degree-3 topologies.
 
-The solver makes two passes over a merge order derived from one traversal of
-the topology rooted at the sink.  The forward pass repeatedly picks a Steiner
-slot whose two in-neighbours are already resolved terminals (sources or
-quasi-sources) and replaces all three nodes by a single quasi-source whose
-position and mass are closed-form functions of the inputs.  The backward pass
-then re-creates each eliminated Steiner point, in reverse order, at the
-centre of mass of its quasi-source and its already-placed out-neighbour; the
-out-neighbour's mass in that average is the flow on the connecting edge.
+Its forward pass repeatedly picks a Steiner slot whose two in-neighbours are
+already resolved terminals (sources or quasi-sources) and replaces all three
+nodes by a single quasi-source whose position and mass are closed-form
+functions of the inputs (merge_sources, merge_quasi_source,
+merge_quasi_quasi).  The backward pass then re-creates each eliminated
+Steiner point, in reverse order, at the centre of mass of its quasi-source
+and its already-placed out-neighbour; the out-neighbour's mass in that
+average is the flow on the connecting edge.
 
 Every quasi-source carries two numbers beyond its position: its formal mass
 (which has no flow interpretation) and the additive mass of the Steiner slot
 it absorbed, which equals the flow that slot sends toward the sink.  Both are
 needed by later merges and by the backward pass.
 
-Only unit supplies are supported here; the algebraic solver covers general
-supplies and general Steiner degrees.
+Both passes are algebraic_solver's tree elimination, which generalises them
+to any topology and any positive supplies: run_geo_algorithm checks that the
+topology is full and the supplies are unit, runs the elimination, and reads
+the merge trace off its upward merges.  The merge_* closed forms stay as the
+paper states them, for the trace's readers and the tests' replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
+from .algebraic_solver import UpwardMerges, eliminate, solve_topology
 from .errors import UnsupportedTopologyError, UnsupportedWeightsError
 from .geometry import MassPoint, Point, lerp
-from .topology import Instance, Topology, compute_flows
-from .trees import SolvedTree, build_solved_tree
+from .topology import Instance, Topology
+from .trees import SolvedTree
 
 SOURCE_SOURCE = "source-source"
 QUASI_SOURCE = "quasi-source"
 QUASI_QUASI = "quasi-quasi"
+_KINDS = (SOURCE_SOURCE, QUASI_SOURCE, QUASI_QUASI)  # by the count of quasi inputs
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,14 +74,36 @@ class MergeStep:
 class GeoRun:
     """A solve together with its merge trace and operation counts.
 
-    steps is empty when the run was made with record_steps=False (the large-n
-    path, which skips per-merge object construction).
+    steps, the paper's merge trace, is read off the elimination's upward
+    merges when first asked for.
     """
 
     tree: SolvedTree
-    steps: tuple[MergeStep, ...]
-    merge_count: int
-    placement_count: int
+    merges: UpwardMerges = field(repr=False)
+
+    @property
+    def merge_count(self) -> int:
+        return len(self.merges.order)
+
+    # the pass down places every merged slot once
+    placement_count = merge_count
+
+    @cached_property
+    def steps(self) -> tuple[MergeStep, ...]:
+        """Each merge as the paper's quasi-source, which absorbs its slot's
+        out-edge flow as the additive mass."""
+        topology = self.tree.topology
+        children = topology.children_lists()
+        sink = topology.sink
+        flows = self.tree.flows
+        steps = []
+        for slot in self.merges.order:
+            a, b = children[slot]
+            w = flows[slot]
+            qx, qy, mass = self.merges.quasi_source(slot, w)
+            result = QuasiSource(Point(qx, qy), mass, w, MergeProvenance(a, b, slot))
+            steps.append(MergeStep(_KINDS[(a > sink) + (b > sink)], (a, b), slot, result))
+        return tuple(steps)
 
 
 def _require_unit(mass: float) -> None:
@@ -169,114 +197,18 @@ def _check_supported(instance: Instance, topology: Topology) -> None:
             )
 
 
-def run_geo_algorithm(
-    instance: Instance, topology: Topology, record_steps: bool = True
-) -> GeoRun:
+def run_geo_algorithm(instance: Instance, topology: Topology) -> GeoRun:
     """Solve a full degree-3 topology by quasi-source merging and back-tracking.
 
     Does exactly n-1 merges and n-1 placements for n sources; the merge order
     is the reversed breadth-first order from the sink restricted to Steiner
     slots, so both in-neighbours of a slot are always resolved before it.
-
-    The merge state lives in flat float arrays (position, mass, absorbed
-    additive mass per node), which keeps the hot loops free of per-merge
-    object allocation; the MergeStep trace is materialised afterwards unless
-    record_steps is False.
     """
     _check_supported(instance, topology)
-    order = topology.order_from_sink()
-    children = topology.children_lists()
-    parents = topology.parents
-    sink = topology.sink
-    n_nodes = topology.n_nodes
-
-    qx = [0.0] * n_nodes
-    qy = [0.0] * n_nodes
-    qmass = [0.0] * n_nodes  # 0.0 marks an unresolved / source node
-    qrepl = [0.0] * n_nodes
-    for i, p in enumerate(instance.sources):
-        qx[i] = p.x
-        qy[i] = p.y
-
-    merge_slots: list[int] = []
-    merge_kinds: list[str] = []
-    merge_count = 0
-    for node in reversed(order):
-        if node <= sink:
-            continue
-        a, b = children[node]
-        ma, mb = qmass[a], qmass[b]
-        if ma == 0.0 and mb == 0.0:
-            # two unit sources; the replacement is their midpoint with mass 2
-            kind = SOURCE_SOURCE
-            qx[node] = 0.5 * (qx[a] + qx[b])
-            qy[node] = 0.5 * (qy[a] + qy[b])
-            qmass[node] = 2.0
-            qrepl[node] = 2.0
-        elif ma != 0.0 and mb != 0.0:
-            # two quasi-sources, weights w0i*wi/(w0i+wi) as in merge_quasi_quasi
-            kind = QUASI_QUASI
-            w01, w1 = ma, qrepl[a]
-            w02, w2 = mb, qrepl[b]
-            denom = w1 * w2 * (w01 + w02) + w01 * w02 * (w1 + w2)
-            t = w02 * w2 * (w01 + w1) / denom
-            qx[node] = qx[a] + t * (qx[b] - qx[a])
-            qy[node] = qy[a] + t * (qy[b] - qy[a])
-            qmass[node] = denom / ((w1 + w01) * (w2 + w02))
-            qrepl[node] = w1 + w2
-        else:
-            # one quasi-source and one unit source, as in merge_quasi_source
-            kind = QUASI_SOURCE
-            quasi, source = (a, b) if ma != 0.0 else (b, a)
-            w0, w1 = qmass[quasi], qrepl[quasi]
-            bulk = w0 + w1 + w0 * w1
-            t = (w0 + w1) / bulk
-            qx[node] = qx[quasi] + t * (qx[source] - qx[quasi])
-            qy[node] = qy[quasi] + t * (qy[source] - qy[quasi])
-            qmass[node] = bulk / (w0 + w1)
-            qrepl[node] = w1 + 1.0
-        merge_count += 1
-        merge_slots.append(node)
-        merge_kinds.append(kind)
-
-    px = qx.copy()
-    py = qy.copy()
-    px[sink] = instance.sink.x
-    py[sink] = instance.sink.y
-    placement_count = 0
-    for s in reversed(merge_slots):
-        # the out-neighbour's mass is the flow on the connecting edge, which
-        # equals the additive mass of the slot being placed
-        anchor = parents[s]
-        w0 = qmass[s]
-        f = qrepl[s]
-        total = w0 + f
-        px[s] = (w0 * qx[s] + f * px[anchor]) / total
-        py[s] = (w0 * qy[s] + f * py[anchor]) / total
-        placement_count += 1
-
-    flows = compute_flows(topology, instance.supplies)
-    tree = build_solved_tree(instance, topology, px, py, flows)
-
-    steps: tuple[MergeStep, ...] = ()
-    if record_steps:
-        steps = tuple(
-            MergeStep(
-                kind,
-                (children[slot][0], children[slot][1]),
-                slot,
-                QuasiSource(
-                    Point(qx[slot], qy[slot]),
-                    qmass[slot],
-                    qrepl[slot],
-                    MergeProvenance(children[slot][0], children[slot][1], slot),
-                ),
-            )
-            for kind, slot in zip(merge_kinds, merge_slots)
-        )
-    return GeoRun(tree, steps, merge_count, placement_count)
+    return GeoRun(*eliminate(instance, topology))
 
 
 def solve_full_topology(instance: Instance, topology: Topology) -> SolvedTree:
     """Locally minimal embedding of a full degree-3 topology, with flows and cost."""
-    return run_geo_algorithm(instance, topology, record_steps=False).tree
+    _check_supported(instance, topology)
+    return solve_topology(instance, topology)

@@ -173,17 +173,6 @@ class Topology:
             return [str(exc)]
         return []
 
-    def is_full(self) -> bool:
-        """True when every terminal has degree 1 and every Steiner slot degree > 1."""
-        deg = self.degrees()
-        for node in range(self.n_nodes):
-            if self.is_terminal(node):
-                if deg[node] != 1:
-                    return False
-            elif deg[node] <= 1:
-                return False
-        return True
-
 
 def compute_flows(topology: Topology, supplies: Sequence[float]) -> tuple[float, ...]:
     """The unique edge flows for the given supplies.

@@ -38,6 +38,7 @@ from fqst.topology import enumerate_bounded_topologies
 from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
 from conftest import NO_PARENT, node_table, random_full_topology, random_instance
+from merge_replay import replay_tree
 
 
 def report(number: int, label: str, passed: bool) -> None:
@@ -48,7 +49,8 @@ def report(number: int, label: str, passed: bool) -> None:
 @pytest.fixture(scope="module")
 def oracle_pairs():
     """200 random instances with random full degree-3 topologies, solved by
-    both solvers (shared by criteria 2 and 3); returns (pairs, solve time)."""
+    the paper's merges replayed from merge_* and by the elimination (shared
+    by criteria 2 and 3); returns (pairs, solve time)."""
     rng = random.Random(20240)
     cases = []
     for _ in range(200):
@@ -56,7 +58,7 @@ def oracle_pairs():
         cases.append((random_instance(rng, n), random_full_topology(rng, n)))
     start = time.perf_counter()
     pairs = [
-        (inst, topo, run_geo_algorithm(inst, topo, record_steps=False).tree, solve_topology(inst, topo))
+        (inst, topo, replay_tree(inst, topo), solve_topology(inst, topo))
         for inst, topo in cases
     ]
     return pairs, time.perf_counter() - start
@@ -86,7 +88,7 @@ def test_criterion_1_worked_example_golden():
     best = math.inf
     for _ in range(5):
         start = time.perf_counter()
-        run_geo_algorithm(instance, topology, record_steps=False)
+        run_geo_algorithm(instance, topology)
         best = min(best, time.perf_counter() - start)
     ok = ok and best < 1e-3
     report(1, f"worked example exact to 1e-9, solve takes {best * 1e6:.0f} us", ok)
@@ -95,14 +97,14 @@ def test_criterion_1_worked_example_golden():
 def test_criterion_2_oracle_equivalence(oracle_pairs):
     pairs, solve_time = oracle_pairs
     worst_coord = worst_cost = 0.0
-    for _, _, geo, alg in pairs:
-        for p, q in zip(geo.steiner_positions, alg.steiner_positions):
+    for _, _, replay, alg in pairs:
+        for p, q in zip(replay.steiner_positions, alg.steiner_positions):
             worst_coord = max(worst_coord, abs(p.x - q.x), abs(p.y - q.y))
-        worst_cost = max(worst_cost, abs(geo.cost - alg.cost) / max(1.0, alg.cost))
+        worst_cost = max(worst_cost, abs(replay.cost - alg.cost) / max(1.0, alg.cost))
     ok = worst_coord <= 1e-9 and worst_cost <= 1e-9 and solve_time < 5.0
     report(
         2,
-        f"200 geo-vs-algebraic solves agree (coord {worst_coord:.2e}, "
+        f"200 merge-replay-vs-elimination solves agree (coord {worst_coord:.2e}, "
         f"cost {worst_cost:.2e}, {solve_time:.2f}s)",
         ok,
     )
@@ -115,17 +117,17 @@ def test_criterion_3_local_minimality(oracle_pairs):
     ]
     certificates_ok = True
     perturbations_ok = True
-    for inst, topo, geo, _ in oracle_pairs[0]:
+    for inst, topo, _, tree in oracle_pairs[0]:
         certificates_ok = certificates_ok and all(
-            check_centroid_certificate(geo, 1e-9).values()
+            check_centroid_certificate(tree, 1e-9).values()
         )
-        base = geo.cost
-        positions = list(geo.steiner_positions)
+        base = tree.cost
+        positions = list(tree.steiner_positions)
         for idx, point in enumerate(positions):
             for dx, dy in directions:
                 moved = positions.copy()
                 moved[idx] = Point(point.x + dx, point.y + dy)
-                perturbed = embedded_cost(topo, *node_table(inst, moved), geo.flows)
+                perturbed = embedded_cost(topo, *node_table(inst, moved), tree.flows)
                 if perturbed < base - 1e-15:
                     perturbations_ok = False
     ok = certificates_ok and perturbations_ok
@@ -322,7 +324,7 @@ def test_criterion_10_geo_solver_linearity():
     suite_start = time.perf_counter()
     counts_ok = True
     for n in (2, 10, 100, 1000):
-        run = run_geo_algorithm(_scaling_instance(n), _caterpillar(n), record_steps=False)
+        run = run_geo_algorithm(_scaling_instance(n), _caterpillar(n))
         if run.merge_count + run.placement_count != 2 * (n - 1):
             counts_ok = False
 
@@ -339,7 +341,7 @@ def test_criterion_10_geo_solver_linearity():
         for _ in range(4):
             for n, (inst, topo) in cases.items():
                 start = time.perf_counter()
-                run = run_geo_algorithm(inst, topo, record_steps=False)
+                run = run_geo_algorithm(inst, topo)
                 runs[n].append(time.perf_counter() - start)
                 if run.merge_count + run.placement_count != 2 * (n - 1):
                     counts_ok = False

@@ -6,6 +6,7 @@ import pytest
 
 from fqst import (
     Instance,
+    InternalConsistencyError,
     Point,
     Topology,
     UnsupportedTopologyError,
@@ -15,11 +16,11 @@ from fqst import (
     merge_sources,
     run_geo_algorithm,
     solve_full_topology,
-    solve_topology,
 )
 from fqst.geo_solver import QuasiSource
 from fqst.geometry import MassPoint
 from conftest import NO_PARENT, random_full_topology, random_instance
+from merge_replay import replay_tree
 
 
 def unit(x, y):
@@ -219,17 +220,18 @@ class TestSolveFullTopology:
         assert tree.cost == 25.0
 
     def test_matches_algebraic_solver(self):
+        # the elimination against the paper's merges replayed from merge_*
         rng = random.Random(21)
         for _ in range(25):
             n = rng.randint(2, 8)
             inst = random_instance(rng, n)
             topo = random_full_topology(rng, n)
-            geo = solve_full_topology(inst, topo)
-            alg = solve_topology(inst, topo)
-            for p, q in zip(geo.steiner_positions, alg.steiner_positions):
+            replay = replay_tree(inst, topo)
+            alg = solve_full_topology(inst, topo)
+            for p, q in zip(replay.steiner_positions, alg.steiner_positions):
                 assert abs(p.x - q.x) <= 1e-9
                 assert abs(p.y - q.y) <= 1e-9
-            assert geo.cost == pytest.approx(alg.cost, rel=1e-9)
+            assert replay.cost == pytest.approx(alg.cost, rel=1e-9)
 
     def test_trace_matches_public_merge_functions(self):
         rng = random.Random(22)
@@ -293,6 +295,17 @@ class TestSolveFullTopology:
             assert run.merge_count == n - 1
             assert run.placement_count == n - 1
             assert run.merge_count + run.placement_count == 2 * (n - 1)
+
+    def test_overflow_raises(self, worked_topology):
+        # the elimination's placements stay finite, but the residual check
+        # overflows to NaN; it must raise rather than return a NaN cost
+        inst = Instance.with_unit_supplies(
+            [Point(1e308, 0.0), Point(-1e308, 0.0), Point(1e308, 1e308)], Point(0.0, -1e308)
+        )
+        with pytest.raises(InternalConsistencyError):
+            solve_full_topology(inst, worked_topology)
+        with pytest.raises(InternalConsistencyError):
+            run_geo_algorithm(inst, worked_topology)
 
     def test_non_unit_supplies_rejected(self, worked_topology):
         inst = Instance(
