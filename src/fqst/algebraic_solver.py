@@ -31,7 +31,7 @@ its best, for a summary (qx, qy, W, K): a terminal root is q itself, with W
 its out-edge weight and K its children's cost at q; a Steiner root merges
 its children into their weighted mean q and V = sum_c W_c, and seen through
 its out-edge of weight w acts as W = w * V / (w + V).  Its pivot w + V is
-checked like d_s above.  Exact search costs skeletons from these summaries.
+checked like d_s above.  Exact search costs every subtree by its summary.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 certificate failure, 2 input error, 3 guard refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -29,6 +30,7 @@ EXIT_INPUT = 2
 EXIT_GUARD = 3
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fqst",

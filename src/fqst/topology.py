@@ -1,4 +1,4 @@
-"""Problem instances, directed tree topologies, flows, and topology enumeration.
+"""Problem instances, directed tree topologies, flows, and placed subtrees.
 
 Node indexing convention used throughout the package: for an instance with
 n sources and j Steiner slots, nodes 0..n-1 are the sources, node n is the
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import TopologyError
 from .geometry import Point
@@ -237,8 +237,8 @@ def rooted_encoding(topology: Topology) -> tuple:
 
     Terminals keep their identities, Steiner slots are anonymous, and child
     encodings are sorted, so two topologies get equal encodings exactly when
-    one is a Steiner relabelling of the other.  Exact search breaks
-    objective ties on it, so the winner does not depend on generation order.
+    one is a Steiner relabelling of the other, which is how two searches'
+    winners are compared.
     """
     children = topology.children_lists()
     sink = topology.sink
@@ -274,109 +274,6 @@ def _orient_toward_sink(n_sources: int, n_steiner: int, edges: Sequence[tuple[in
     if len(queue) != n_nodes:
         raise TopologyError("edge list does not span all nodes")
     return Topology(n_sources, n_steiner, tuple(parents))
-
-
-def enumerate_bounded_topologies(
-    n_sources: int, max_steiner: int, min_steiner_degree: int = 3
-) -> Iterator[Topology]:
-    """Every topology on n sources + sink + j Steiner slots for 0 <= j <=
-    max_steiner, with each Steiner slot of degree >= min_steiner_degree and
-    terminals of any degree, each exactly once up to Steiner relabelling.
-
-    Built by skeletons() from source partitions, so no topology repeats and
-    nothing is deduplicated.  Steiner slots are numbered in placement order
-    (see skeleton_placement), and topologies come in nondecreasing Steiner
-    count.
-    """
-    for j, roots in skeletons(n_sources, max_steiner, min_steiner_degree, _bare_subtree):
-        yield placed_topology(n_sources, j, skeleton_placement(n_sources, roots))
-
-
-def _bare_subtree(root: int, children: tuple) -> tuple:
-    return (root, children)
-
-
-def skeletons(
-    n_sources: int,
-    max_steiner: int,
-    min_steiner_degree: int,
-    subtree: Callable[[int, tuple], tuple],
-) -> Iterator[tuple[int, tuple]]:
-    """(j, the sink's child subtrees) for every topology that
-    enumerate_bounded_topologies yields, in the same order.
-
-    A subtree over a set of sources is rooted at one of them, whose children
-    split the rest of the set, or at a Steiner slot, whose children split the
-    whole set into at least min_steiner_degree - 1 parts; the sink's children
-    split all sources.  Parts never share a source.  subtree(root, children)
-    builds each subtree, root being a source index or STEINER; it must
-    return a tuple starting with root and children, and may append a summary
-    of the subtree.  Subtrees are built once per source bitmask and Steiner
-    count, except those over all sources, which are streamed.
-    """
-    if n_sources < 1:
-        raise TopologyError("need at least one source")
-    if max_steiner < 0:
-        raise TopologyError("max Steiner count must be nonnegative")
-    if min_steiner_degree < 2:
-        raise ValueError(
-            "Steiner slots of degree < 2 carry no flow; the minimum supported degree is 2"
-        )
-    # The nested functions form a reference cycle, so the memo is cleared
-    # when the generator ends.
-    full = (1 << n_sources) - 1
-    min_children = min_steiner_degree - 1
-    memo: dict[tuple[int, int], list[tuple]] = {}
-
-    def subtrees(mask: int, k: int) -> Iterator[tuple]:
-        for s in range(n_sources):
-            if mask >> s & 1:
-                for children in forests(mask ^ (1 << s), k, 0):
-                    yield subtree(s, children)
-        if k:
-            for children in forests(mask, k - 1, min_children):
-                yield subtree(STEINER, children)
-
-    def child_subtrees(mask: int, k: int):
-        if mask == full:
-            return subtrees(mask, k)
-        if (mask, k) not in memo:
-            memo[mask, k] = list(subtrees(mask, k))
-        return memo[mask, k]
-
-    def forests(mask: int, k: int, min_parts: int) -> Iterator[tuple]:
-        """Tuples of >= min_parts subtrees that partition mask and hold k Steiner slots."""
-        if not mask:
-            if k == 0 and min_parts <= 0:
-                yield ()
-            return
-        m = mask.bit_count()
-        # each Steiner slot has >= min_children children, so a forest over
-        # m sources holds at most (m - 1) // (min_children - 1) of them
-        if min_parts > m or (min_children > 1 and k > (m - 1) // (min_children - 1)):
-            return
-        low = mask & -mask  # the lowest source opens the first part
-        sub = rest = mask ^ low
-        while True:
-            part = low | sub
-            for k_part in range(k + 1):
-                trees = child_subtrees(part, k_part)
-                if not trees:
-                    continue
-                # a streamed part covers all sources, so it meets one tail
-                for tail in forests(mask ^ part, k - k_part, min_parts - 1):
-                    for tree in trees:
-                        yield (tree, *tail)
-            if not sub:
-                return
-            sub = (sub - 1) & rest
-
-    try:
-        for j in range(max_steiner + 1):
-            for roots in forests(full, j, 1):
-                yield j, roots
-    finally:
-        memo.clear()
 
 
 def skeleton_placement(n_sources: int, roots: tuple) -> list[tuple[tuple, int, int]]:

@@ -41,17 +41,6 @@ class SolvedTree:
         first = self.topology.sink + 1
         return tuple(map(Point, self.xs[first:], self.ys[first:]))
 
-    def with_steiner_positions(self, positions: Sequence[Point]) -> "SolvedTree":
-        """Same topology and flows, new embedding; cost and degeneracy refresh."""
-        first = self.topology.sink + 1
-        return build_solved_tree(
-            self.instance,
-            self.topology,
-            self.xs[:first] + tuple(p.x for p in positions),
-            self.ys[:first] + tuple(p.y for p in positions),
-            self.flows,
-        )
-
 
 def _check_table(
     topology: Topology, xs: Sequence[float], ys: Sequence[float], flows: Sequence[float]

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from fqst import Instance, Point, Topology
+from fqst.trees import SolvedTree, build_solved_tree
 
 NO_PARENT = -1
 
@@ -30,6 +31,19 @@ def node_table(instance: Instance, steiner_points=()) -> tuple[list[float], list
     the coordinate table a SolvedTree holds."""
     points = (*instance.sources, instance.sink, *steiner_points)
     return [p.x for p in points], [p.y for p in points]
+
+
+def with_steiner_positions(tree: SolvedTree, positions) -> SolvedTree:
+    """The tree with its Steiner slots moved to positions: same topology and
+    flows, with the cost and the degeneracy flag recomputed."""
+    first = tree.topology.sink + 1
+    return build_solved_tree(
+        tree.instance,
+        tree.topology,
+        tree.xs[:first] + tuple(p.x for p in positions),
+        tree.ys[:first] + tuple(p.y for p in positions),
+        tree.flows,
+    )
 
 
 def orient_edges(n_sources: int, n_steiner: int, edges) -> Topology:

@@ -34,7 +34,7 @@ from fqst.analysis import (
     steiner_count_bound,
 )
 from fqst.geometry import sq_dist
-from fqst.topology import enumerate_bounded_topologies
+from skeleton_walk import enumerate_bounded_topologies
 from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
 from conftest import NO_PARENT, node_table, random_full_topology, random_instance

@@ -15,7 +15,7 @@ from fqst import (
     solve_topology,
 )
 from fqst.geometry import MassPoint, centroid, sq_dist
-from fqst.topology import enumerate_bounded_topologies
+from skeleton_walk import enumerate_bounded_topologies
 from fqst.trees import embedded_cost
 from fqst import algebraic_solver
 from fqst.algebraic_solver import (

@@ -19,7 +19,7 @@ from fqst.geometry import Point
 from fqst.strategies import DegreeBound, ExplicitBound
 from fqst.topology import Instance
 from fqst.trees import SolvedTree
-from conftest import random_general_tree
+from conftest import random_general_tree, with_steiner_positions
 
 STRATEGIES = (None, DegreeBound(3), DegreeBound(4), ExplicitBound(2))
 
@@ -63,7 +63,7 @@ def random_tree(rng: random.Random, n_sources: int, n_steiner: int, grid: bool) 
         elif variant == 2 and rng.random() < 0.5:
             slot = topology.sink + 1 + i
             positions[i] = tree.position(topology.parents[slot])
-    return tree.with_steiner_positions(positions)
+    return with_steiner_positions(tree, positions)
 
 
 def assert_same_certificates(tree: SolvedTree) -> None:

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from fqst import NodeWeighted, Point
-from fqst.cli import main
+from fqst.cli import _build_parser, main
 from fqst.documents import dumps, instance_document, loads
-from fqst.exact_search import STEINER_BUDGET_GUARD
+from fqst.exact_search import DEFAULT_GUARD, STEINER_BUDGET_GUARD
 from fqst.topology import Instance
 from conftest import random_general_tree, random_supplied_instance
 
@@ -182,6 +182,9 @@ class TestExactCommand:
         assert main(["--guard-n", "2", "exact", path]) == 3
         capsys.readouterr()
         assert main(["--guard-n", "3", "exact", path]) == 0
+        # the parser is built once, and an override does not stick to it
+        assert _build_parser() is _build_parser()
+        assert _build_parser().parse_args(["exact", path]).guard_n == DEFAULT_GUARD
 
     def test_node_weighted_result_passes_check(self, tmp_path, capsys):
         doc = {

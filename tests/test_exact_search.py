@@ -31,21 +31,21 @@ from fqst.analysis import (
     steiner_count_bound,
 )
 from fqst.geometry import sq_dist
-from fqst.topology import enumerate_bounded_topologies
 from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
 from fqst.documents import parse_instance_document
 from fqst import exact_search
-from fqst.exact_search import (
-    _Incumbent,
-    _prune_dominated,
-    _search,
-    _summarise,
-    _walk_bead_vectors,
-)
+from fqst.exact_search import _bead_cap, _prune_dominated
 from fqst.strategies import max_steiner_count
-from fqst.topology import skeletons
+from skeleton_walk import (
+    Incumbent,
+    enumerate_bounded_topologies,
+    skeletons,
+    summarise,
+    walk,
+    walk_bead_vectors,
+)
 from reference_search import local_improve_by_splits
 from conftest import NO_PARENT, node_table, random_instance, random_supplied_instance
 
@@ -76,11 +76,19 @@ class TestSolveExactDegreeBound:
             assert report.objective == pytest.approx(oracle, rel=1e-6)
 
 
-def _skeleton_walk(instance, phi):
-    """The skeleton walk the bead strategies still use, run under the
-    degree bound: the oracle for the subset DP that solve_exact runs."""
-    budget = max_steiner_count(instance.n_sources, phi)
-    return _search(instance, DegreeBound(phi), phi, budget, 0, 0.0, None)
+def _topologies_placed(monkeypatch):
+    """The calls exact search makes to place a topology, recorded as they
+    come: the walk places one per candidate that can become its incumbent,
+    the subset DP only its winner."""
+    placed = []
+    place = exact_search.placed_topology
+
+    def record(*args):
+        placed.append(args)
+        return place(*args)
+
+    monkeypatch.setattr(exact_search, "placed_topology", record)
+    return placed
 
 
 class TestDegreeSubsetSearch:
@@ -92,9 +100,9 @@ class TestDegreeSubsetSearch:
         for n in range(1, 7):
             inst = make(rng, n, span=5.0)
             report = solve_exact(inst, DegreeBound(phi))
-            walk = _skeleton_walk(inst, phi)
-            assert report.objective == pytest.approx(walk.objective, rel=1e-12, abs=0.0)
-            assert rooted_encoding(report.best.topology) == rooted_encoding(walk.best.topology)
+            oracle = walk(inst, DegreeBound(phi))
+            assert report.objective == pytest.approx(oracle.objective, rel=1e-12, abs=0.0)
+            assert rooted_encoding(report.best.topology) == rooted_encoding(oracle.best.topology)
             assert check_degree_window(report.best, phi) == []
 
     @pytest.mark.parametrize(
@@ -110,7 +118,7 @@ class TestDegreeSubsetSearch:
     def test_exact_ties_on_a_grid(self, sources, sink, phi):
         inst = Instance.with_unit_supplies([Point(*z) for z in sources], Point(*sink))
         first = solve_exact(inst, DegreeBound(phi))
-        assert first.objective == pytest.approx(_skeleton_walk(inst, phi).objective, rel=1e-12, abs=0.0)
+        assert first.objective == pytest.approx(walk(inst, DegreeBound(phi)).objective, rel=1e-12, abs=0.0)
         for _ in range(2):
             again = solve_exact(inst, DegreeBound(phi))
             assert again.best.topology.parents == first.best.topology.parents
@@ -125,7 +133,7 @@ class TestDegreeSubsetSearch:
         reports = [solve_exact(inst, DegreeBound(phi)) for phi in phis]
         first = reports[0]
         assert first.best.topology.n_steiner == 0
-        assert first.objective == pytest.approx(_skeleton_walk(inst, n + 2).objective, rel=1e-12, abs=0.0)
+        assert first.objective == pytest.approx(walk(inst, DegreeBound(n + 2)).objective, rel=1e-12, abs=0.0)
         for phi, report in zip(phis, reports):
             assert report.strategy == DegreeBound(phi)
             assert report.objective == first.objective
@@ -141,21 +149,12 @@ class TestDegreeSubsetSearch:
         assert report.objective == solve_exact(inst, DegreeBound(5)).objective
 
     def test_prunes_and_never_walks_skeletons(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the degree bound walked skeletons")
-
-        monkeypatch.setattr(exact_search, "skeletons", refuse)
-        monkeypatch.setattr(exact_search, "_walk_bead_vectors", refuse)
+        placed = _topologies_placed(monkeypatch)
         inst = random_supplied_instance(random.Random(63), 5, span=5.0)
         report = solve_exact(inst, DegreeBound(3))
+        assert len(placed) == 1
         assert report.topologies_examined > report.topologies_pruned > 0
         assert report.bead_vectors == 0
-
-
-def _bead_walk(instance, k):
-    """The skeleton walk the node weight still uses, run under an explicit
-    bound of k: the oracle for the subset DP that solve_exact runs."""
-    return _search(instance, ExplicitBound(k), 3, k, k, 0.0, None)
 
 
 class TestExplicitSubsetSearch:
@@ -168,10 +167,10 @@ class TestExplicitSubsetSearch:
         for n in range(1, 7 if k <= 1 else 6):
             inst = make(rng, n, span=5.0)
             report = solve_exact(inst, ExplicitBound(k))
-            walk = _bead_walk(inst, k)
-            assert report.objective == pytest.approx(walk.objective, rel=1e-12, abs=0.0)
+            oracle = walk(inst, ExplicitBound(k))
+            assert report.objective == pytest.approx(oracle.objective, rel=1e-12, abs=0.0)
             # the expanded topologies hold the skeleton and the bead vector
-            assert rooted_encoding(report.best.topology) == rooted_encoding(walk.best.topology)
+            assert rooted_encoding(report.best.topology) == rooted_encoding(oracle.best.topology)
             assert report.best.topology.n_steiner <= k
 
     @pytest.mark.parametrize(
@@ -187,20 +186,17 @@ class TestExplicitSubsetSearch:
     def test_exact_ties_on_a_grid(self, sources, sink, k):
         inst = Instance.with_unit_supplies([Point(*z) for z in sources], Point(*sink))
         first = solve_exact(inst, ExplicitBound(k))
-        assert first.objective == pytest.approx(_bead_walk(inst, k).objective, rel=1e-12, abs=0.0)
+        assert first.objective == pytest.approx(walk(inst, ExplicitBound(k)).objective, rel=1e-12, abs=0.0)
         for _ in range(2):
             again = solve_exact(inst, ExplicitBound(k))
             assert again.best.topology.parents == first.best.topology.parents
             assert again.objective == first.objective
 
     def test_prunes_and_never_walks_skeletons(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the explicit bound walked skeletons")
-
-        monkeypatch.setattr(exact_search, "skeletons", refuse)
-        monkeypatch.setattr(exact_search, "_walk_bead_vectors", refuse)
+        placed = _topologies_placed(monkeypatch)
         inst = random_supplied_instance(random.Random(64), 5, span=5.0)
         report = solve_exact(inst, ExplicitBound(2))
+        assert len(placed) == 1
         assert report.topologies_examined > report.topologies_pruned > 0
         assert report.topologies_examined > report.bead_vectors > 0
 
@@ -528,14 +524,14 @@ def _assert_every_tie_offered(inst, j_cap, per_edge_cap, c):
     most j_cap branching points (bead totals up to 4 - j), and some prefix
     must be cut."""
     cuts = 0
-    for j, roots in skeletons(inst.n_sources, j_cap, 3, _summarise(inst)):
+    for j, roots in skeletons(inst.n_sources, j_cap, 3, summarise(inst)):
         allowed = set(range(5 - j))
         everything = _Recorder()
-        _walk_bead_vectors(inst, j, roots, per_edge_cap, allowed, c, everything)
+        walk_bead_vectors(inst, j, roots, per_edge_cap, allowed, c, everything)
         values = sorted(value for value, _, _ in everything.offers)
         threshold = _Recorder()
         threshold.objective = values[len(values) // 8]
-        _, cut = _walk_bead_vectors(inst, j, roots, per_edge_cap, allowed, c, threshold)
+        _, cut = walk_bead_vectors(inst, j, roots, per_edge_cap, allowed, c, threshold)
         cuts += cut
         expected = [
             beads
@@ -547,8 +543,9 @@ def _assert_every_tie_offered(inst, j_cap, per_edge_cap, c):
 
 
 class TestNodeWeightedBranchAndBound:
-    """The node weight's bead walk cuts a bead prefix when a lower bound on
-    every completion exceeds the incumbent."""
+    """The node weight runs the subset DP with its charge folded into each
+    summary; the skeleton walk, which cuts a bead prefix when a lower bound
+    on every completion exceeds the incumbent, is its oracle."""
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
@@ -599,18 +596,62 @@ class TestNodeWeightedBranchAndBound:
             exhaustive_vectors += exhaustive.bead_vectors
         assert vectors < exhaustive_vectors
 
-    def test_counts_the_prefixes_it_cuts(self, monkeypatch):
+    def test_counts_the_summaries_it_cuts(self, monkeypatch):
         inst = random_supplied_instance(random.Random(64), 4, span=3.0)
         c = 0.1 * _weighted_sink_distances(inst)
         report = solve_exact(inst, NodeWeighted(c))
-        # no slack admits a cut; the path bound cuts the same skeletons,
-        # since the incumbent moves the same way
+        # no slack admits a cut, so only dominance drops summaries, and the
+        # uncut DP builds more of them
         monkeypatch.setattr(exact_search, "_CUT_SLACK", math.inf)
-        exhaustive = solve_exact(inst, NodeWeighted(c))
-        assert report.objective == exhaustive.objective
-        assert report.best.topology == exhaustive.best.topology
-        assert report.topologies_pruned > exhaustive.topologies_pruned
-        assert 0 < report.bead_vectors < exhaustive.bead_vectors
+        uncut = solve_exact(inst, NodeWeighted(c))
+        assert report.objective == uncut.objective
+        assert report.best.topology == uncut.best.topology
+        assert report.topologies_examined < uncut.topologies_examined
+        assert 0 < report.bead_vectors < uncut.bead_vectors
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_skeleton_walk(self, seed):
+        # twelve instances a seed, n = 1-4, unit and mixed supplies
+        rng = random.Random(f"node-weight-walk/{seed}")
+        for i in range(12):
+            n = 1 + i % 4
+            inst = (random_supplied_instance if i % 2 else random_instance)(rng, n, span=1.5)
+            c = (1.5, 2.0, 3.0, 5.0)[(i + seed) % 4]
+            report = solve_exact(inst, NodeWeighted(c))
+            oracle = walk(inst, NodeWeighted(c))
+            assert repr(report.objective) == repr(oracle.objective)
+            assert rooted_encoding(report.best.topology) == rooted_encoding(oracle.best.topology)
+
+    def test_prunes_and_never_walks_skeletons(self, monkeypatch):
+        placed = _topologies_placed(monkeypatch)
+        inst = random_supplied_instance(random.Random(65), 4, span=3.0)
+        report = solve_exact(inst, NodeWeighted(0.1 * _weighted_sink_distances(inst)))
+        assert len(placed) == 1
+        assert report.topologies_examined > report.topologies_pruned > 0
+        assert report.topologies_examined > report.bead_vectors > 0
+        assert report.objective <= report.upper_bound * (1.0 + 1e-12)
+
+
+class TestBeadCap:
+    """An out-edge's bead counts under the node weight stop at the largest
+    count that minimises f L^2/(p+1) + c p."""
+
+    def test_keeps_both_ends_of_a_tie(self):
+        # at f = 2, L = 1, c = 1 both p = 0 and p = 1 cost 2
+        assert 2.0 / 1 + 0.0 == 2.0 / 2 + 1.0
+        assert _bead_cap(2.0, 1.0, 1.0, 20) == 1
+        # at f L^2 / c = 6, p = 1 and p = 2 both cost 4
+        assert _bead_cap(6.0, 1.0, 1.0, 20) == 2
+
+    @pytest.mark.parametrize("most", [0, 1, 3, 20])
+    def test_is_the_largest_minimiser_up_to_most(self, most):
+        rng = random.Random(f"bead-cap/{most}")
+        for _ in range(200):
+            f, length, c = rng.uniform(0.1, 5.0), rng.uniform(0.1, 5.0), rng.uniform(0.05, 3.0)
+            costs = [f * length * length / (p + 1) + c * p for p in range(60)]
+            least = min(costs)
+            largest = max(p for p, value in enumerate(costs) if value <= least * (1.0 + 1e-12))
+            assert _bead_cap(f, length, c, most) == min(largest, most)
 
 
 class TestSmallSupplies:
@@ -707,10 +748,10 @@ def _walk_star(n_edges, per_edge_cap, allowed):
     inst = Instance.with_unit_supplies(
         [Point(float(i), 1.0) for i in range(n_edges)], Point(0.0, 0.0)
     )
-    subtree = _summarise(inst)
+    subtree = summarise(inst)
     roots = tuple(subtree(s, ()) for s in range(n_edges))
     recorder = _Recorder()
-    costed, cut = _walk_bead_vectors(inst, 0, roots, per_edge_cap, allowed, 0.0, recorder)
+    costed, cut = walk_bead_vectors(inst, 0, roots, per_edge_cap, allowed, 0.0, recorder)
     assert costed == len(recorder.offers)
     assert cut == 0
     return [beads for _, _, beads in recorder.offers]
@@ -744,8 +785,8 @@ class TestBeadVectors:
         rng = random.Random(62)
         inst = random_supplied_instance(rng, 3, span=4.0)
         recorder = _Recorder()
-        for j, roots in skeletons(3, 2, 3, _summarise(inst)):
-            _walk_bead_vectors(inst, j, roots, 2, {0, 1, 2}, 0.5, recorder)
+        for j, roots in skeletons(3, 2, 3, summarise(inst)):
+            walk_bead_vectors(inst, j, roots, 2, {0, 1, 2}, 0.5, recorder)
         assert len(recorder.offers) > 100
         for value, topology, beads in recorder.offers:
             expanded = solve_topology(inst, expand_beads(topology, beads))
@@ -762,8 +803,8 @@ class TestBeadVectors:
             inst = random_instance(rng, n, span=4.0)
             recorder = _Recorder()
             costed = 0
-            for j, roots in skeletons(n, min(k, max_steiner_count(n, 3)), 3, _summarise(inst)):
-                walked, cut = _walk_bead_vectors(
+            for j, roots in skeletons(n, min(k, max_steiner_count(n, 3)), 3, summarise(inst)):
+                walked, cut = walk_bead_vectors(
                     inst, j, roots, k - j, set(range(k - j + 1)), 0.0, recorder
                 )
                 assert cut == 0
@@ -787,7 +828,7 @@ class TestIncumbentTieBreak:
         chain = Topology(2, 0, (1, 2, NO_PARENT))  # source 0 feeds source 1
         assert rooted_encoding(star) < rooted_encoding(chain)
         for first, second in [(star, chain), (chain, star)]:
-            incumbent = _Incumbent(math.inf)
+            incumbent = Incumbent(math.inf)
             incumbent.offer(5.0, first, (0, 0))
             incumbent.offer(5.0 + delta, second, (0, 0))
             assert incumbent.topology == star

@@ -19,7 +19,7 @@ from fqst import (
 )
 from fqst.geo_solver import QuasiSource
 from fqst.geometry import MassPoint
-from conftest import NO_PARENT, random_full_topology, random_instance
+from conftest import NO_PARENT, random_full_topology, random_instance, with_steiner_positions
 from merge_replay import replay_tree
 
 
@@ -340,4 +340,4 @@ class TestSolveFullTopology:
                     moved[idx].x + 1e-3 * math.cos(angle),
                     moved[idx].y + 1e-3 * math.sin(angle),
                 )
-                assert tree.with_steiner_positions(moved).cost >= base - 1e-15
+                assert with_steiner_positions(tree, moved).cost >= base - 1e-15

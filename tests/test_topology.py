@@ -17,7 +17,7 @@ from fqst import (
     rooted_encoding,
     validate_topology,
 )
-from fqst.topology import enumerate_bounded_topologies
+from skeleton_walk import enumerate_bounded_topologies
 from canonical_oracle import canonical_form
 from reference_search import enumerate_full_topologies
 from conftest import NO_PARENT, orient_edges, random_full_topology

@@ -7,7 +7,7 @@ import pytest
 from fqst import Point, TopologyError, solve_topology
 from fqst.analysis import beaded_spanning_tree
 from fqst.trees import SolvedTree, build_solved_tree
-from conftest import node_table, random_general_tree, random_supplied_instance
+from conftest import node_table, random_general_tree, random_supplied_instance, with_steiner_positions
 
 
 def solved_trees():
@@ -38,7 +38,7 @@ def test_build_from_the_table_recomputes_cost(worked_instance, worked_topology):
     rebuilt = build_solved_tree(worked_instance, worked_topology, tree.xs, tree.ys, tree.flows)
     assert rebuilt == tree
     assert rebuilt.cost == pytest.approx(102.0, abs=1e-9)
-    moved = tree.with_steiner_positions([Point(5.0, 2.0), Point(9.0, 3.0)])
+    moved = with_steiner_positions(tree, [Point(5.0, 2.0), Point(9.0, 3.0)])
     assert moved.xs == tree.xs and moved.ys[-1] == 3.0
     assert moved.cost > tree.cost
 
