@@ -83,11 +83,21 @@ def _check_residual(
         if p <= sink:
             tx += w * xs[p]
             ty += w * ys[p]
-        if math.isnan(rx) or math.isnan(ry):  # max() below would drop a NaN
+        if rx != rx or ry != ry:  # NaN: the comparisons below would drop it
             worst = math.nan
             break
-        worst = max(worst, abs(rx), abs(ry))
-        largest_rhs = max(largest_rhs, abs(tx), abs(ty))
+        rx = abs(rx)
+        ry = abs(ry)
+        if rx > worst:
+            worst = rx
+        if ry > worst:
+            worst = ry
+        tx = abs(tx)
+        ty = abs(ty)
+        if tx > largest_rhs:
+            largest_rhs = tx
+        if ty > largest_rhs:
+            largest_rhs = ty
     bound = RESIDUAL_TOLERANCE * (1.0 + largest_rhs)
     if not (worst <= bound):
         raise InternalConsistencyError(f"elimination residual {worst:.3e} exceeds {bound:.3e}")

@@ -43,6 +43,18 @@ source and the best tree at the sink are scalars per count: the best
 forest at a fixed anchor with at most k counted, a set-partition recursion
 over the best single subtree at that anchor.
 
+Under the degree bound the programme builds only the paper's degree window.
+A Steiner point with more than 2 phi - 4 children, or a source with more
+than phi - 2, splits at no cost into two nodes the bound admits (phi - 1 of
+the children move to a new Steiner point at the same place), so some
+optimum has every Steiner degree in [phi, 2 phi - 3] and every source
+degree at most phi - 1 (analysis.check_degree_window screens for both).
+The classes are then exact part counts c = 1 .. 2 phi - 4 (and at most n):
+a top-class forest is not merged further, and a Steiner root is built over
+every class phi - 1 .. 2 phi - 4.  A source anchors at most phi - 2 parts,
+from its own table of the best forest of at most j parts per j; the sink
+takes any number.
+
 Under the node weight an out-edge over mask M takes 0 .. cap(M) beads,
 cap(M) the largest p minimising f D^2/(p+1) + c p at M's flow f and the
 bounding box's diagonal D.  At an optimum, re-spacing one edge's beads for
@@ -57,9 +69,9 @@ mask M at count k that no tree cheaper than a known one can complete (with
 a relative slack, so that ties pass).  Its floor is the one above towards
 z = s: from the parent of a subtree (the Steiner root of a forest) to the
 sink, every node is a source outside M or a Steiner point with another
-child over one, or one of the beads, so L = n - |M| + 1 + (budget - k),
-the budget being the explicit bound, 0 under the degree bound, and B under
-the node weight; each source t outside M reaches the sink over at most
+child over one, or one of the beads, so L = n - |M| + 1 + (budget - k), the
+budget being the explicit bound, 0 under the degree bound, and B under the
+node weight; each source t outside M reaches the sink over at most
 n + budget edges and beads, so it adds at least sigma_t |z_t - s|^2 /
 (n + budget).  Under the node weight a summary must pass a second floor
 that charges the way on: with b beads on it, M's sources pay the share
@@ -67,22 +79,27 @@ above at L = n - |M| + 1 + b and the beads c b, and a forest's Steiner root
 adds c; the least over real b in [0, B] has a closed form (see
 _charged_share).  The known tree is the best one found so far over some
 mask, with the other sources wired straight to the sink; under the node
-weight it starts as the beaded spanning tree.  Masks are taken with the sources
-ordered from the dearest to wire straight to the sink to the cheapest, so
-once the last source joins the known tree is at least as good as "drop
-nearest": the best tree without the source cheapest to wire, plus that
-wire.  The prune then drops a summary when one of no higher count has a
+weight it starts as the beaded spanning tree.  Masks are taken with the
+sources ordered from the dearest to wire straight to the sink to the
+cheapest, so once the last source joins the known tree is at least as good
+as "drop nearest": the best tree without the source cheapest to wire, plus
+that wire.  Under the degree bound the known tree starts as a greedy tree
+(see _greedy_tree), costed by re-solving it: that is the cost of a real
+tree, so the cut stays exact however far the greedy moves are from an
+optimum.  The prune then drops a summary when one of no higher count has a
 cost function nowhere above its own.  This is exact because merging, the
-Steiner transform (see steiner_weight) and evaluation at a fixed anchor
-are each monotone in every part's cost function, and a part of lower count
+Steiner transform (see steiner_weight) and evaluation at a fixed anchor are
+each monotone in every part's cost function, and a part of lower count
 leaves more of the budget to the rest, so a dominated summary never
 completes a better tree; a forest of more parts serves wherever one of
 fewer parts does, so a class is pruned against every higher class too, but
-single subtrees never against forests.  Under the node weight the charge
-is in K, so one bead count of a subtree can dominate another.  A
-dominator's floor is no higher than the summary's it dominates, so the
-kept lists are those of the uncut programme less the cut summaries, and
-the winner is the same.  No topology is visited.
+single subtrees never against forests.  Under the window, which caps the
+parts, a capped forest of more parts no longer serves wherever one of fewer
+does, so each class is pruned only within itself.  Under the node weight
+the charge is in K, so one bead count of a subtree can dominate another.  A
+dominator's floor is no higher than the summary's it dominates, so the kept
+lists are those of the uncut programme less the cut summaries, and the
+winner is the same.  No topology is visited.
 
 Everything here is deterministic.  Ties have one rule: among equal
 summaries and equal scalars, the first in generation order is kept.
@@ -94,14 +111,24 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import combinations
 from operator import itemgetter
 from typing import Sequence
 
 from . import algebraic_solver, analysis
-from .algebraic_solver import steiner_weight
+from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GuardLimitError, InternalConsistencyError
+from .geometry import sq_dist
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
-from .topology import STEINER, Instance, Topology, placed_topology, skeleton_placement
+from .topology import (
+    NO_PARENT,
+    STEINER,
+    Instance,
+    Topology,
+    placed_topology,
+    skeleton_placement,
+    validate_topology,
+)
 from .trees import SolvedTree
 
 DEFAULT_GUARD = 6
@@ -130,7 +157,8 @@ class SearchReport:
     lower_bound: float
     # the cost of the best known tree the search cut with: the best tree
     # found over some of the sources with the others wired straight to the
-    # sink, or under the node weight the beaded spanning tree if cheaper
+    # sink, or the starting tree if cheaper (under the degree bound the
+    # greedy tree, under the node weight the beaded spanning tree)
     upper_bound: float | None = None
     steiner_bound: int | None = None  # node-weighted: the Steiner budget B
     # seconds spent finding the winner ("search") and expanding, re-solving
@@ -156,7 +184,14 @@ def solve_exact(
     if isinstance(strategy, DegreeBound):
         # a Steiner point has at least phi - 1 children, each over a source,
         # so every phi >= n + 2 admits the same trees: those with none
-        return _subset_search(instance, strategy, min(strategy.phi, n + 2), 0, 0)
+        phi = min(strategy.phi, n + 2)
+        seed = _greedy_tree(instance, phi)
+        # the seed's solved cost is that of a real tree, so the cut stays
+        # exact whatever the greedy moves were
+        known = math.inf
+        if not validate_topology(seed, strategy):
+            known = algebraic_solver.solve_topology(instance, seed).cost
+        return _subset_search(instance, strategy, phi, 0, 0, known=known)
     if isinstance(strategy, ExplicitBound):
         _guard_budget(strategy.k, "the explicit bound is")
         return _subset_search(instance, strategy, 3, strategy.k, 1)
@@ -178,6 +213,83 @@ def _guard_budget(budget: float, what: str) -> None:
             f"exact search is limited to a Steiner budget of {STEINER_BUDGET_GUARD}; "
             f"{what} {budget:.6g}"
         )
+
+
+def _greedy_tree(instance: Instance, phi: int) -> Topology:
+    """A tree inside the degree bound phi's window, built greedily.
+
+    Every source starts as a root.  The best strictly improving move is
+    taken until none is left: join phi - 1 roots under a new Steiner point,
+    or hang a root under a source root with fewer than phi - 2 children.
+    Each move is costed in closed form on the roots' summaries (qx, qy, W,
+    K), a root costing its summary pinned at the sink; the roots left hang
+    from the sink.  Ties keep the first move found.  Children are ordered
+    by their lowest source and numbered as the subset DP numbers its
+    winner, so the same tree re-solves to the same cost.
+    """
+    n = instance.n_sources
+    sx = instance.sink.x
+    sy = instance.sink.y
+    wires = [sq_dist(z, instance.sink) for z in instance.sources]
+    # per root: its summary, flow and cost at the sink
+    roots = {
+        r: ((z.x, z.y, f, 0.0), f, f * wires[r])
+        for r, (z, f) in enumerate(zip(instance.sources, instance.supplies))
+    }
+    below: dict = {}  # per node, its children
+    lowest = list(range(n + 1))  # per node, its subtree's lowest source
+    free = [phi - 2] * n  # the children each source may still take
+    while True:
+        gain = 0.0
+        move = None
+        items = list(roots.items())
+        for group in combinations(items, phi - 1):
+            qx, qy, v, k = merge_summaries([member[0] for _, member in group])
+            f = saved = 0.0
+            for _, (_, flow, at_sink) in group:
+                f += flow
+                saved += at_sink
+            joined = (qx, qy, steiner_weight(v, f), k)
+            cost = pinned_cost(sx, sy, [joined])
+            if saved - cost > gain:
+                gain = saved - cost
+                move = (None, [r for r, _ in group], (joined, f, cost))
+        for r, ((x, y, w, k), _, at_sink) in items:
+            if r < n and free[r]:
+                wire = wires[r]
+                for child, (summary, flow, child_at_sink) in items:
+                    if child != r:
+                        # the root takes the child's cost pinned at it and
+                        # carries its flow on to the sink
+                        pinned = pinned_cost(x, y, [summary])
+                        saved = child_at_sink - pinned - flow * wire
+                        if saved > gain:
+                            gain = saved
+                            grown = (x, y, w + flow, k + pinned)
+                            move = (r, [child], (grown, w + flow, at_sink - saved + child_at_sink))
+        if move is None:
+            break
+        root, children, entry = move
+        if root is None:  # a new Steiner point, numbered past every node so far
+            root = len(lowest)
+            lowest.append(n)  # above every source, until its children join
+        else:
+            free[root] -= 1
+        below.setdefault(root, []).extend(children)
+        for child in children:
+            del roots[child]
+            lowest[root] = min(lowest[root], lowest[child])
+        roots[root] = entry
+
+    def subtree(node: int) -> tuple:
+        children = sorted(below.get(node, ()), key=lowest.__getitem__)
+        return (node if node < n else STEINER, tuple(map(subtree, children)), 0)
+
+    placed = skeleton_placement(n, tuple(map(subtree, sorted(roots, key=lowest.__getitem__))))
+    parents = [NO_PARENT] * (len(placed) + 1)
+    for _, node, parent in placed:
+        parents[node] = parent
+    return Topology(n, len(placed) - n, tuple(parents))
 
 
 def _subset_search(
@@ -211,7 +323,20 @@ def _subset_search(
     started = time.perf_counter()
     inf = math.inf
     n = instance.n_sources
-    top = phi - 1
+    # under the degree bound's window class c holds the forests of exactly c
+    # parts, and Steiner roots take top .. phi - 1 parts (the most first, so
+    # that of equal Steiner roots the one of more parts is kept): no more
+    # than the sources, and no forests at all when no Steiner root can take
+    # phi - 1; otherwise the top class means at least phi - 1 parts
+    window = isinstance(strategy, DegreeBound)
+    if window:
+        top = min(2 * phi - 4, n) if phi <= n + 1 else 1
+        merging = range(1, top)
+        steiner_classes = range(top, phi - 2, -1)
+    else:
+        top = phi - 1
+        merging = range(1, top + 1)
+        steiner_classes = range(top, top + 1)
     full = (1 << n) - 1
     counts = range(budget + 1)
     # the most Steiner points and beads on an optimum's way to the sink
@@ -258,6 +383,18 @@ def _subset_search(
         [[[value] * (full + 1) for _ in counts] for _ in range(n + 1)]
         for value in (0.0, None, 0.0, None)
     )
+    # under the window a source anchors at most phi - 2 parts (budget 0),
+    # which binds below n - 1: layer j holds the best forest of at most
+    # j + 1 parts and its part holding the mask's lowest source, layer 0
+    # being the single subtree
+    capped_sources = window and phi < n + 1
+    capped: list = []
+    capped_cut: list = []
+    if capped_sources:
+        for a in range(n):
+            capped.append([single[a][0]] + [[0.0] * (full + 1) for _ in range(phi - 3)])
+            capped_cut.append([None] + [[None] * (full + 1) for _ in range(phi - 3)])
+            best[a] = [capped[a][-1]]
     built = dropped = beaded = 0
     for mask in masks[1:]:
         low = mask & -mask
@@ -288,7 +425,7 @@ def _subset_search(
                 tails_by_class = tails_by_count[k2]
                 into = raw[k1 + k2]
                 g = f / (path - k1 - k2)
-                for c in range(1, top + 1):
+                for c in merging:
                     tails = tails_by_class[c]
                     if not tails:
                         continue
@@ -322,6 +459,8 @@ def _subset_search(
                     dropped += merged - (len(out) - before)
             sub = (sub - 1) & rest
         # per class c, the kept forests of class >= c at lower counts, by W
+        # (of class c alone under the window, where a forest of more parts
+        # can no longer serve wherever one of fewer parts does)
         lower: list = [[]] * (top + 1)
         for k in forest_counts:
             classes = raw[k]
@@ -331,7 +470,8 @@ def _subset_search(
                 above = sorted(lower[c] + same, key=_WEIGHT) if same else lower[c]
                 kept = classes[c] = _prune_dominated(candidates, above)
                 dropped += len(candidates) - len(kept)
-                same += kept
+                if not window:
+                    same += kept
                 if k < forest_counts[-1]:
                     lower[c] = sorted(above + kept, key=_WEIGHT) if kept else above
         for r in range(n):
@@ -348,15 +488,16 @@ def _subset_search(
                         singles[t].append((xs[r], ys[r], weights[p], k + extra, ((r, others, kc, p), None)))
                     beaded += len(edges) - 1
         for kc, edges in zip(forest_counts, steiner_edges):
-            forests = raw[kc][top]
-            for t, p, extra in edges:
-                w = weights[p]
-                singles[t] += [
-                    (qx, qy, steiner_weight(v, w), k + extra, ((STEINER, link, p), None))
-                    for qx, qy, v, k, link in forests
-                ]
-                if p:
-                    beaded += len(forests)
+            for c in steiner_classes:
+                forests = raw[kc][c]
+                for t, p, extra in edges:
+                    w = weights[p]
+                    singles[t] += [
+                        (qx, qy, steiner_weight(v, w), k + extra, ((STEINER, link, p), None))
+                        for qx, qy, v, k, link in forests
+                    ]
+                    if p:
+                        beaded += len(forests)
         earlier: list = []  # kept singles at lower counts, by W
         for k in counts:
             candidates = singles[k]
@@ -389,6 +530,23 @@ def _subset_search(
                         node = candidate_node
                 single_a[k][mask] = value
                 pick[a][k][mask] = node
+                if capped_sources and a < n:
+                    layers = capped[a]
+                    head = layers[0]
+                    for j in range(1, len(layers)):
+                        tail = layers[j - 1]
+                        total = value
+                        choice = mask
+                        sub = rest
+                        while sub:
+                            candidate = head[mask ^ sub] + tail[sub]
+                            if candidate < total:
+                                total = candidate
+                                choice = mask ^ sub
+                            sub = (sub - 1) & rest
+                        layers[j][mask] = total
+                        capped_cut[a][j][mask] = choice
+                    continue
                 total = value
                 choice = mask
                 choice_k = k
@@ -414,6 +572,14 @@ def _subset_search(
 
     def anchored(a: int, mask: int, k: int) -> tuple:
         children = []
+        if capped_sources and a < n:
+            j = len(capped[a]) - 1
+            while mask:
+                part = capped_cut[a][j][mask] if j else mask
+                children.append(subtree(pick[a][0][part]))
+                mask ^= part
+                j -= 1
+            return tuple(children)
         while mask:
             part, k_part = cut[a][k][mask]
             children.append(subtree(pick[a][k_part][part]))

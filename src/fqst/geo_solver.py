@@ -185,15 +185,15 @@ def _check_supported(instance: Instance, topology: Topology) -> None:
             f"got {topology.n_steiner}"
         )
     deg = topology.degrees()
-    for node in range(topology.n_nodes):
-        if topology.is_terminal(node):
-            if deg[node] != 1:
+    for node, d in enumerate(deg):
+        if node <= n:  # a terminal
+            if d != 1:
                 raise UnsupportedTopologyError(
-                    f"terminal {node} has degree {deg[node]}; the topology is not full"
+                    f"terminal {node} has degree {d}; the topology is not full"
                 )
-        elif deg[node] != 3:
+        elif d != 3:
             raise UnsupportedTopologyError(
-                f"Steiner slot {node} has degree {deg[node]}; only degree-3 slots are supported"
+                f"Steiner slot {node} has degree {d}; only degree-3 slots are supported"
             )
 
 

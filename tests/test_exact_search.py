@@ -21,6 +21,7 @@ from fqst import (
     rooted_encoding,
     solve_exact,
     solve_topology,
+    validate_topology,
 )
 from fqst.analysis import (
     beaded_spanning_tree,
@@ -148,6 +149,42 @@ class TestDegreeSubsetSearch:
         assert time.perf_counter() - started < 1.0
         assert report.objective == solve_exact(inst, DegreeBound(5)).objective
 
+    @pytest.mark.parametrize("phi", [3, 4, 5])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    def test_every_winner_keeps_the_degree_window(self, phi, mixed):
+        # the DP builds only the paper's window: Steiner points of phi - 1 ..
+        # 2 phi - 4 children and sources of at most phi - 2; fqst check
+        # rejects a degree-bounded optimum outside it
+        rng = random.Random(f"window/{phi}/{mixed}")
+        make = random_supplied_instance if mixed else random_instance
+        for n in range(1, 8):
+            for _ in range(2):
+                inst = make(rng, n, span=5.0)
+                report = solve_exact(inst, DegreeBound(phi), guard_n=7)
+                kinds = {violation.kind for violation in check_degree_window(report.best, phi)}
+                assert not kinds & {"steiner-degree", "source-degree"}, (n, kinds)
+
+    @pytest.mark.parametrize("phi", [3, 4, 5])
+    def test_the_greedy_seed_is_a_real_tree_above_the_winner(self, phi):
+        rng = random.Random(f"seed/{phi}")
+        seeded_below_the_wires = 0
+        for n in range(1, 8):
+            for make in (random_instance, random_supplied_instance):
+                inst = make(rng, n, span=5.0)
+                seed = exact_search._greedy_tree(inst, min(phi, n + 2))
+                assert validate_topology(seed, DegreeBound(phi)) == []
+                tree = solve_topology(inst, seed)
+                kinds = {violation.kind for violation in check_degree_window(tree, phi)}
+                assert not kinds & {"steiner-degree", "source-degree"}
+                report = solve_exact(inst, DegreeBound(phi), guard_n=7)
+                # the winner is re-solved, the upper bound may be a summed
+                # bound: they may differ in the last bits
+                assert report.objective <= report.upper_bound * (1.0 + 1e-12)
+                assert report.upper_bound <= tree.cost
+                wires = sum(s * sq_dist(z, inst.sink) for z, s in zip(inst.sources, inst.supplies))
+                seeded_below_the_wires += tree.cost < wires
+        assert seeded_below_the_wires >= 10
+
     def test_prunes_and_never_walks_skeletons(self, monkeypatch):
         placed = _topologies_placed(monkeypatch)
         inst = random_supplied_instance(random.Random(63), 5, span=5.0)
@@ -213,7 +250,13 @@ class TestFlowSplitCut:
     @pytest.mark.parametrize(
         "strategy, n_max",
         # the uncut DP takes about 2 s under ExplicitBound(2) at n = 7
-        [(DegreeBound(3), 7), (DegreeBound(4), 7), (ExplicitBound(1), 7), (ExplicitBound(2), 6)],
+        [
+            (DegreeBound(3), 7),
+            (DegreeBound(4), 7),
+            (DegreeBound(5), 7),
+            (ExplicitBound(1), 7),
+            (ExplicitBound(2), 6),
+        ],
         ids=str,
     )
     @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
