@@ -120,30 +120,9 @@ def check_angles(tree: SolvedTree, tol_radians: float = CERTIFICATE_TOLERANCE) -
     Screens node-weighted and explicitly bounded candidates for global
     optimality; zero-length edges carry no direction and are skipped.  The
     angle is geometry.angle_at's atan2(|cross|, dot), from the coordinate
-    table.
+    table (see check_edge_pairs, which computes it).
     """
-    children = tree.topology.children_lists()
-    xs, ys = tree.xs, tree.ys
-    violations = []
-    threshold = math.pi / 2.0 - tol_radians
-    for node, parent in enumerate(tree.topology.parents):
-        if parent == NO_PARENT or not children[node]:
-            continue
-        hx = xs[node]
-        hy = ys[node]
-        vx = xs[parent] - hx
-        vy = ys[parent] - hy
-        if vx * vx + vy * vy == 0.0:
-            continue
-        for child in children[node]:
-            ux = xs[child] - hx
-            uy = ys[child] - hy
-            if ux * ux + uy * uy == 0.0:
-                continue
-            angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-            if angle < threshold:
-                violations.append(AngleViolation(node, child, angle))
-    return violations
+    return check_edge_pairs(tree, tol_radians)[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -249,12 +228,27 @@ def check_overlapping_edges(
     when the common node is a Steiner point of degree exactly phi, which the
     caveat flag reports.
     """
+    return check_edge_pairs(tree, overlap_tol=tol, strategy=strategy)[1]
+
+
+def check_edge_pairs(
+    tree: SolvedTree,
+    tol_radians: float = CERTIFICATE_TOLERANCE,
+    overlap_tol: float = OVERLAP_ANGLE_TOLERANCE,
+    strategy: BoundStrategy | None = None,
+) -> tuple[list[AngleViolation], list[EdgeOverlap]]:
+    """check_angles(tree, tol_radians) and check_overlapping_edges(tree,
+    overlap_tol, strategy) from one pass over the pairs of edges at each
+    node: an in-edge/out-edge angle is the angle of the overlap pair
+    (child, parent), over the same offsets."""
     topo = tree.topology
     children = topo.children_lists()
     deg = topo.degrees()
     sink = topo.sink
     phi = strategy.phi if isinstance(strategy, DegreeBound) else None
     xs, ys = tree.xs, tree.ys
+    threshold = math.pi / 2.0 - tol_radians
+    violations = []
     overlaps = []
     for node, parent in enumerate(topo.parents):
         neighbours = children[node] if parent == NO_PARENT else (*children[node], parent)
@@ -271,9 +265,11 @@ def check_overlapping_edges(
                     overlaps.append(EdgeOverlap(node, a, b, 0.0, True, caveat))
                     continue
                 angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-                if angle <= tol:
+                if angle <= overlap_tol:
                     overlaps.append(EdgeOverlap(node, a, b, angle, False, caveat))
-    return overlaps
+                if b == parent and angle < threshold:
+                    violations.append(AngleViolation(node, a, angle))
+    return violations, overlaps
 
 
 @dataclass(frozen=True, slots=True)
@@ -490,6 +486,7 @@ __all__ = [
     "check_angles",
     "check_centroid_certificate",
     "check_degree_window",
+    "check_edge_pairs",
     "check_overlapping_edges",
     "cost",
     "cost_node_weighted",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import sys
 
@@ -86,7 +87,7 @@ def _cmd_solve_topology(args) -> int:
     tree = algebraic_solve(parsed.instance, parsed.topology)
     objective = tree.cost
     if isinstance(parsed.strategy, NodeWeighted):
-        objective = analysis.cost_node_weighted(tree, parsed.strategy.c)
+        objective += parsed.strategy.c * tree.topology.n_steiner
     doc = documents.result_document(
         tree,
         parsed.strategy,
@@ -162,6 +163,7 @@ def _cmd_check(args) -> int:
     if bad:
         failures.append(f"centroid certificate fails at Steiner slots {bad}")
 
+    angles, overlaps = analysis.check_edge_pairs(tree, tol, strategy=strategy)
     if isinstance(strategy, DegreeBound):
         optimality = [
             f"{v.kind} at node {v.node}: {v.detail}"
@@ -171,9 +173,8 @@ def _cmd_check(args) -> int:
         optimality = [
             f"angle {v.angle:.6f} rad between in-edge from {v.in_neighbour} "
             f"and out-edge at node {v.node}"
-            for v in analysis.check_angles(tree, tol)
+            for v in angles
         ]
-    overlaps = analysis.check_overlapping_edges(tree, strategy=strategy)
     optimality += [
         f"overlapping edges at node {v.node} (neighbours {v.first_neighbour}, {v.second_neighbour})"
         for v in overlaps
@@ -247,6 +248,11 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
         print("error: --tolerance must be positive and finite", file=sys.stderr)
         return EXIT_INPUT
+    # a command's tables (documents, coordinate tables, search lists) hold
+    # no reference cycles, so refcounting frees them and the cyclic
+    # collector's scans, triggered by their many allocations, find nothing
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except GuardLimitError as exc:
@@ -255,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, FqstError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entrypoint() -> None:

@@ -265,8 +265,7 @@ def instance_document(
 def certificate_summary(tree: SolvedTree, tolerance: float) -> dict:
     deviations = analysis.centroid_deviations(tree)
     max_deviation = max(deviations.values(), default=0.0)
-    angle_violations = analysis.check_angles(tree, tolerance)
-    overlaps = analysis.check_overlapping_edges(tree)
+    angle_violations, overlaps = analysis.check_edge_pairs(tree, tolerance)
     return {
         "centroid_max_deviation": _round12(max_deviation),
         "locally_minimal": not analysis.off_centroid_slots(tree, deviations, tolerance),

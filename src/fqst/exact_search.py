@@ -117,7 +117,7 @@ from typing import Sequence
 
 from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
-from .errors import GuardLimitError, InternalConsistencyError
+from .errors import GeometryError, GuardLimitError, InternalConsistencyError
 from .geometry import sq_dist
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 from .topology import (
@@ -173,13 +173,22 @@ def solve_exact(
 
     Refuses instances with more than guard_n sources, since the space grows
     factorially and this is a desk-scale exact method, and Steiner budgets
-    above STEINER_BUDGET_GUARD.
+    above STEINER_BUDGET_GUARD.  Raises GeometryError when the points lie so
+    far apart that a tree's cost could overflow a float.
     """
     n = instance.n_sources
     if n > guard_n:
         raise GuardLimitError(
             f"exact search is limited to {guard_n} sources (got {n}); "
             f"raise guard_n explicitly to go further"
+        )
+    # a tree's edges (at most 2n, beads only dividing their cost) each cost
+    # at most the total supply times the bounding box's squared diagonal
+    diagonal = _bounding_box_diagonal(instance)
+    if not math.isfinite(2 * n * instance.total_supply() * diagonal * diagonal):
+        raise GeometryError(
+            f"the sources and sink lie too far apart (bounding-box diagonal {diagonal:.6g}): "
+            "a tree's cost overflows a float"
         )
     if isinstance(strategy, DegreeBound):
         # a Steiner point has at least phi - 1 children, each over a source,
@@ -281,15 +290,24 @@ def _greedy_tree(instance: Instance, phi: int) -> Topology:
             lowest[root] = min(lowest[root], lowest[child])
         roots[root] = entry
 
-    def subtree(node: int) -> tuple:
-        children = sorted(below.get(node, ()), key=lowest.__getitem__)
-        return (node if node < n else STEINER, tuple(map(subtree, children)), 0)
-
-    placed = skeleton_placement(n, tuple(map(subtree, sorted(roots, key=lowest.__getitem__))))
+    placed = skeleton_placement(
+        n, tuple(_greedy_subtree(root, below, lowest, n) for root in sorted(roots, key=lowest.__getitem__))
+    )
     parents = [NO_PARENT] * (len(placed) + 1)
     for _, node, parent in placed:
         parents[node] = parent
     return Topology(n, len(placed) - n, tuple(parents))
+
+
+def _greedy_subtree(node: int, below: dict, lowest: list, n: int) -> tuple:
+    """The greedy tree's subtree at node, its children ordered by their
+    lowest source, in skeleton_placement's form."""
+    children = sorted(below.get(node, ()), key=lowest.__getitem__)
+    return (
+        node if node < n else STEINER,
+        tuple(_greedy_subtree(child, below, lowest, n) for child in children),
+        0,
+    )
 
 
 def _subset_search(
@@ -570,35 +588,9 @@ def _subset_search(
             upper = known
             limit = upper * _CUT_SLACK + _OBJECTIVE_TIE
 
-    def anchored(a: int, mask: int, k: int) -> tuple:
-        children = []
-        if capped_sources and a < n:
-            j = len(capped[a]) - 1
-            while mask:
-                part = capped_cut[a][j][mask] if j else mask
-                children.append(subtree(pick[a][0][part]))
-                mask ^= part
-                j -= 1
-            return tuple(children)
-        while mask:
-            part, k_part = cut[a][k][mask]
-            children.append(subtree(pick[a][k_part][part]))
-            mask ^= part
-            k -= k_part
-        return tuple(children)
-
-    def subtree(node: tuple) -> tuple:
-        if node[0] != STEINER:
-            root, below, k, p = node
-            return (root, anchored(root, below, k), p)
-        root, below, p = node
-        children = []
-        while below is not None:
-            children.append(subtree(below[0]))
-            below = below[1]
-        return (root, tuple(children), p)
-
-    placed = skeleton_placement(n, anchored(n, full, budget))
+    # the winner is rebuilt by module-level functions, which leave no
+    # reference cycle to keep the tables alive once the search returns
+    placed = skeleton_placement(n, _anchored((n, cut, pick, capped_cut), n, full, budget))
     n_steiner = sum(1 for tree, _, _ in placed if tree[0] == STEINER)
     beads = [0] * (n + 1 + n_steiner)
     for tree, node, _ in placed:
@@ -618,6 +610,41 @@ def _subset_search(
         upper_bound=upper,
         steiner_bound=steiner_bound,
     )
+
+
+def _anchored(tables: tuple, a: int, mask: int, k: int) -> tuple:
+    """The subtrees hanging from anchor a over mask at count k, as the DP's
+    choices split them; tables is (n, cut, pick, capped_cut), capped_cut
+    empty unless the window caps the parts a source anchors."""
+    n, cut, pick, capped_cut = tables
+    children = []
+    if capped_cut and a < n:
+        j = len(capped_cut[a]) - 1
+        while mask:
+            part = capped_cut[a][j][mask] if j else mask
+            children.append(_subtree(tables, pick[a][0][part]))
+            mask ^= part
+            j -= 1
+        return tuple(children)
+    while mask:
+        part, k_part = cut[a][k][mask]
+        children.append(_subtree(tables, pick[a][k_part][part]))
+        mask ^= part
+        k -= k_part
+    return tuple(children)
+
+
+def _subtree(tables: tuple, node: tuple) -> tuple:
+    """A winning node's subtree in skeleton_placement's form."""
+    if node[0] != STEINER:
+        root, below, k, p = node
+        return (root, _anchored(tables, root, below, k), p)
+    root, below, p = node
+    children = []
+    while below is not None:
+        children.append(_subtree(tables, below[0]))
+        below = below[1]
+    return (root, tuple(children), p)
 
 
 def _under_floor(summaries: list, g: float, sx: float, sy: float, room: float) -> list:

@@ -69,16 +69,6 @@ def embedded_cost(
     return total
 
 
-def _has_zero_edge(topology: Topology, xs: Sequence[float], ys: Sequence[float]) -> bool:
-    for node, parent in enumerate(topology.parents):
-        if parent != NO_PARENT:
-            dx = xs[node] - xs[parent]
-            dy = ys[node] - ys[parent]
-            if dx * dx + dy * dy == 0.0:
-                return True
-    return False
-
-
 def build_solved_tree(
     instance: Instance,
     topology: Topology,
@@ -90,12 +80,15 @@ def build_solved_tree(
     and degeneracy flag."""
     xs, ys, flows = tuple(xs), tuple(ys), tuple(flows)
     _check_table(topology, xs, ys, flows)  # before the cost loop indexes the table
-    return SolvedTree(
-        instance=instance,
-        topology=topology,
-        xs=xs,
-        ys=ys,
-        flows=flows,
-        cost=embedded_cost(topology, xs, ys, flows),
-        degenerate=_has_zero_edge(topology, xs, ys),
-    )
+    # embedded_cost's sum, in its order, with the zero-length edges noted
+    cost = 0.0
+    degenerate = False
+    for node, parent in enumerate(topology.parents):
+        if parent != NO_PARENT:
+            dx = xs[node] - xs[parent]
+            dy = ys[node] - ys[parent]
+            d2 = dx * dx + dy * dy
+            cost += flows[node] * d2
+            if d2 == 0.0:
+                degenerate = True
+    return SolvedTree(instance, topology, xs, ys, flows, cost, degenerate)

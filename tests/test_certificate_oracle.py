@@ -17,7 +17,7 @@ from fqst import analysis, solve_topology
 from fqst.errors import GeometryError
 from fqst.geometry import Point
 from fqst.strategies import DegreeBound, ExplicitBound
-from fqst.topology import Instance
+from fqst.topology import NO_PARENT, Instance, Topology
 from fqst.trees import SolvedTree
 from conftest import random_general_tree, with_steiner_positions
 
@@ -101,6 +101,42 @@ def test_bench_sized_tree_matches_the_oracle():
     rng = random.Random(5)
     assert_same_certificates(random_tree(rng, 300, 200, grid=False))
     assert_same_certificates(random_tree(rng, 200, 150, grid=True))
+
+
+@st.composite
+def degenerate_trees(draw) -> SolvedTree:
+    """A tree whose sink has at least two children, grown by hanging each
+    further node from an earlier one, with points on a small grid or
+    anywhere: leaves, coincident points (a zero-length edge at a leaf at
+    least) and collinear edges all occur."""
+    n_sources = draw(st.integers(min_value=1, max_value=6))
+    n_steiner = draw(st.integers(min_value=0 if n_sources > 1 else 1, max_value=5))
+    sink = n_sources
+    n_nodes = n_sources + 1 + n_steiner
+    order = draw(st.permutations([v for v in range(n_nodes) if v != sink]))
+    parents = [NO_PARENT] * n_nodes
+    for i, node in enumerate(order):
+        parents[node] = sink if i < 2 else draw(st.sampled_from([sink, *order[:i]]))
+    coordinate = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(-3.0, 3.0))
+    xs = [draw(coordinate) for _ in range(n_nodes)]
+    ys = [draw(coordinate) for _ in range(n_nodes)]
+    leaf = order[-1]
+    xs[leaf], ys[leaf] = xs[parents[leaf]], ys[parents[leaf]]
+    # the certificates read positions from the table, so the instance's are placeholders
+    instance = Instance.with_unit_supplies([Point(float(i), 0.0) for i in range(n_sources)], Point(-1.0, 1.0))
+    flows = tuple(0.0 if node == sink else 1.0 for node in range(n_nodes))
+    topology = Topology(n_sources, n_steiner, tuple(parents))
+    return SolvedTree(instance, topology, tuple(xs), tuple(ys), flows, 0.0)
+
+
+@given(degenerate_trees())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_over_edge_pairs_matches_the_two_screens(tree):
+    for strategy in STRATEGIES:
+        for tol, overlap_tol in ((analysis.CERTIFICATE_TOLERANCE, analysis.OVERLAP_ANGLE_TOLERANCE), (1.0, 0.5)):
+            assert outcome(analysis.check_edge_pairs, tree, tol, overlap_tol, strategy) == repr(
+                (oracle.check_angles(tree, tol), oracle.check_overlapping_edges(tree, overlap_tol, strategy))
+            )
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from fqst import NodeWeighted, Point
+from fqst import cli
 from fqst.cli import _build_parser, main
 from fqst.documents import dumps, instance_document, loads
 from fqst.exact_search import DEFAULT_GUARD, STEINER_BUDGET_GUARD
@@ -138,6 +140,21 @@ class TestExactCommand:
         path = write_document(tmp_path, doc)
         assert main(["exact", path]) == 3
         assert "limited" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", [{"degree_bound": 3}, {"explicit_bound": 2}])
+    def test_overflowing_distances_are_input_error(self, tmp_path, capsys, strategy):
+        # the squares of these coordinates overflow a float
+        doc = {
+            "schema": 1,
+            "sources": [[0.0, 0.0], [2e160, 4e160], [11e160, 5e160]],
+            "sink": [11e160, 1e160],
+            "strategy": strategy,
+        }
+        assert main(["exact", write_document(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "overflows a float" in line
 
     @pytest.mark.parametrize(
         "strategy",
@@ -554,6 +571,62 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflows" in captured.err
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector paused, and main leaves it
+    as it found it, however the command ends."""
+
+    @staticmethod
+    def _arguments(tmp_path, capsys, outcome):
+        path = write_document(tmp_path, worked_document())
+        if outcome == 0:
+            return ["solve-topology", path]
+        if outcome == 1:
+            assert main(["solve-topology", path]) == 0
+            result = loads(capsys.readouterr().out)
+            result["steiner_positions"][0] = [5.3, 2.0]
+            return ["check", write_document(tmp_path, result, "bad.json")]
+        if outcome == 2:
+            return ["solve-topology", write_document(tmp_path, worked_document(topology=False))]
+        doc = worked_document(topology=False)
+        doc["sources"] = [[float(i), float(i % 3)] for i in range(DEFAULT_GUARD + 1)]
+        return ["exact", write_document(tmp_path, doc)]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("outcome", [0, 1, 2, 3])
+    def test_exit_restores_the_collector(self, tmp_path, capsys, enabled, outcome):
+        argv = self._arguments(tmp_path, capsys, outcome)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = main(argv)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert code == outcome
+        assert after is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_raise_restores_the_collector(self, tmp_path, monkeypatch, enabled):
+        seen = []
+
+        def failing(args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("a command failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "render", failing)
+        argv = ["render", write_document(tmp_path, worked_document()), "-o", str(tmp_path / "t.svg")]
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            with pytest.raises(RuntimeError, match="a command failed"):
+                main(argv)
+            after = gc.isenabled()
+        finally:
+            (gc.enable if before else gc.disable)()
+        assert seen == [False]  # the body ran paused
+        assert after is enabled
 
 
 class TestGlobalFlags:

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import math
@@ -926,6 +927,28 @@ class TestLocalImproveBySplits:
             )
             improved = local_improve_by_splits(base, ExplicitBound(3))
             assert improved.cost <= base.cost + 1e-12
+
+
+@pytest.mark.parametrize(
+    "strategy,n",
+    # DegreeBound(6) admits every part count at n = 5, so no source's parts are capped
+    [(DegreeBound(3), 5), (DegreeBound(4), 5), (DegreeBound(6), 5), (ExplicitBound(2), 5),
+     (NodeWeighted(2.0), 4)],
+)
+def test_search_leaves_no_cyclic_garbage(strategy, n):
+    # a command runs with the cyclic collector paused, so tables that only
+    # a reference cycle kept alive would live until the command ends
+    instance = random_instance(random.Random(1), n, 2.5)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        solve_exact(instance, strategy)
+        leftover = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert leftover == 0
 
 
 class TestDeterminism:

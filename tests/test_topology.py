@@ -1,9 +1,12 @@
 import gc
 import itertools
+import math
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqst import (
     DegreeBound,
@@ -31,6 +34,48 @@ class TestInstance:
     def test_supplies_must_be_positive(self):
         with pytest.raises(ValueError):
             Instance((Point(0, 0),), (0.0,), Point(1, 1))
+
+    @staticmethod
+    def _first_fault(sources, supplies, sink):
+        """The message of the first fault, checked one item at a time in
+        the order Instance names them; None when there is none."""
+        if len(sources) < 1:
+            return "an instance needs at least one source"
+        if len(supplies) != len(sources):
+            return f"{len(supplies)} supplies for {len(sources)} sources"
+        if not sink.is_finite():
+            return "sink has non-finite coordinates"
+        for i, p in enumerate(sources):
+            if not p.is_finite():
+                return f"source {i} has non-finite coordinates"
+            if p == sink:
+                return f"source {i} coincides with the sink"
+        for i, w in enumerate(supplies):
+            if not w > 0.0:
+                return f"supply of source {i} must be positive, got {w}"
+        if not math.isfinite(sum(supplies)):
+            return "the total supply must be finite; flows would overflow"
+        return None
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan, math.inf, -math.inf]),
+                      st.sampled_from([0.0, 1.0, math.nan])),
+            max_size=6,
+        ),
+        st.lists(st.sampled_from([1.0, 2.5, 0.0, -0.0, -1.0, math.nan, math.inf, 1e308]), max_size=7),
+        st.tuples(st.sampled_from([0.0, 1.0, math.inf]), st.sampled_from([0.0, 1.0, math.nan])),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_faults_are_named_in_order(self, points, supplies, sink):
+        sources = tuple(Point(x, y) for x, y in points)
+        expected = self._first_fault(sources, tuple(supplies), Point(*sink))
+        try:
+            Instance(sources, tuple(supplies), Point(*sink))
+        except ValueError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
 
     def test_coincident_sources_allowed(self):
         inst = Instance.with_unit_supplies([Point(0, 0), Point(0, 0)], Point(1, 0))
