@@ -210,7 +210,6 @@ class EdgeOverlap:
     first_neighbour: int
     second_neighbour: int
     angle: float
-    degenerate: bool
     degree_phi_caveat: bool
 
 
@@ -222,11 +221,12 @@ def check_overlapping_edges(
     """Incident edge pairs where one lies inside the other.
 
     Edges sharing a node overlap exactly when the angle between them vanishes
-    (the shorter then lies in the longer); zero-length edges overlap
-    degenerately with everything at their node.  Any hit rules out global
+    (the shorter then lies in the longer).  Any hit rules out global
     optimality, except that under a degree bound the argument does not apply
     when the common node is a Steiner point of degree exactly phi, which the
-    caveat flag reports.
+    caveat flag reports.  Rerouting the longer edge vb of a pair through
+    the nearer end a saves 2 f |va| |ab|, so a pair is exempt where that is
+    0: when one of its edges has zero length, or both end at one point.
     """
     return check_edge_pairs(tree, overlap_tol=tol, strategy=strategy)[1]
 
@@ -257,16 +257,17 @@ def check_edge_pairs(
         hx = xs[node]
         hy = ys[node]
         caveat = node > sink and deg[node] == phi
-        offsets = [(v, xs[v] - hx, ys[v] - hy) for v in neighbours]
+        offsets = []  # a zero-length edge has no direction and is skipped
+        for v in neighbours:
+            dx = xs[v] - hx
+            dy = ys[v] - hy
+            if dx * dx + dy * dy != 0.0:
+                offsets.append((v, dx, dy))
         for i, (a, ux, uy) in enumerate(offsets):
-            a_zero = ux * ux + uy * uy == 0.0
             for b, vx, vy in offsets[i + 1:]:
-                if a_zero or vx * vx + vy * vy == 0.0:
-                    overlaps.append(EdgeOverlap(node, a, b, 0.0, True, caveat))
-                    continue
                 angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-                if angle <= overlap_tol:
-                    overlaps.append(EdgeOverlap(node, a, b, angle, False, caveat))
+                if angle <= overlap_tol and (xs[a] != xs[b] or ys[a] != ys[b]):
+                    overlaps.append(EdgeOverlap(node, a, b, angle, caveat))
                 if b == parent and angle < threshold:
                     violations.append(AngleViolation(node, a, angle))
     return violations, overlaps

@@ -121,10 +121,11 @@ def check_overlapping_edges(
             for j in range(i + 1, len(neighbours)):
                 a, b = neighbours[i], neighbours[j]
                 pa, pb = tree.position(a), tree.position(b)
-                if sq_dist(here, pa) == 0.0 or sq_dist(here, pb) == 0.0:
-                    overlaps.append(EdgeOverlap(node, a, b, 0.0, True, caveat))
+                # the reroute saves 2 f |va| |ab|: nothing over a zero-length
+                # edge, nor between two edges ending at one point
+                if sq_dist(here, pa) == 0.0 or sq_dist(here, pb) == 0.0 or pa == pb:
                     continue
                 angle = angle_at(here, pa, pb)
                 if angle <= tol:
-                    overlaps.append(EdgeOverlap(node, a, b, angle, False, caveat))
+                    overlaps.append(EdgeOverlap(node, a, b, angle, caveat))
     return overlaps

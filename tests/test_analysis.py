@@ -261,13 +261,24 @@ class TestOverlappingEdges:
     def test_generic_tree_has_none(self, worked_tree):
         assert check_overlapping_edges(worked_tree) == []
 
-    def test_zero_length_edge_reported_degenerate(self):
+    def test_zero_length_edge_is_exempt(self):
+        # rerouting over the zero-length edge 0 -> 1 saves nothing
         inst = Instance.with_unit_supplies([Point(0, 0), Point(0, 0)], Point(2, 0))
         topo = Topology(2, 0, (1, 2, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
         tree = build_solved_tree(inst, topo, *node_table(inst), flows)
-        overlaps = check_overlapping_edges(tree)
-        assert any(o.degenerate for o in overlaps)
+        assert tree.degenerate
+        assert check_overlapping_edges(tree) == []
+
+    def test_edges_ending_at_one_point_are_exempt(self):
+        # sources 0 and 1 coincide and both feed the sink: the edges overlap
+        # whole, and rerouting one through the other's end saves nothing
+        inst = Instance.with_unit_supplies([Point(0, 0), Point(0, 0)], Point(2, 0))
+        topo = Topology(2, 0, (2, 2, NO_PARENT))
+        flows = compute_flows(topo, inst.supplies)
+        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
+        assert check_overlapping_edges(tree) == []
+
 
 
 class TestApplySplit:

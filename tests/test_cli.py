@@ -218,6 +218,42 @@ class TestExactCommand:
         assert main(["check", result_path]) == 0
 
 
+DEGENERATE_FAMILIES = {
+    "two coincident sources": ([[0, 0], [0, 0], [1, 1]], [5, 5]),
+    "three coincident sources": ([[1, 1]] * 3, [4, 0]),
+    "collinear sources": ([[0, 0], [1, 0], [2, 0]], [1, 3]),
+    "symmetric square": ([[0, 0], [0, 2], [2, 0], [2, 2]], [1, 1]),
+    "source on the sink": ([[0, 0], [1, 1]], [1, 1]),
+}
+DEGENERATE_STRATEGIES = (
+    {"degree_bound": 3},
+    {"degree_bound": 4},
+    {"explicit_bound": 1},
+    {"explicit_bound": 3},
+    {"node_weighted": 1},
+    {"node_weighted": 0.3},
+)
+
+
+@pytest.mark.parametrize("strategy", DEGENERATE_STRATEGIES, ids=json.dumps)
+@pytest.mark.parametrize("family", sorted(DEGENERATE_FAMILIES))
+def test_degenerate_optima_pass_check(tmp_path, capsys, family, strategy):
+    """Every global optimum exact writes on a degenerate input passes check."""
+    sources, sink = DEGENERATE_FAMILIES[family]
+    doc = {"schema": 1, "sources": sources, "sink": sink, "strategy": strategy}
+    result = str(tmp_path / "result.json")
+    code = main(["exact", write_document(tmp_path, doc), "-o", result])
+    if family == "source on the sink":
+        assert code == 2  # an input error
+        return
+    if family == "two coincident sources" and strategy == {"node_weighted": 0.3}:
+        assert code == 3  # its Steiner budget, 26, is above the guard
+        return
+    assert code == 0
+    capsys.readouterr()
+    assert main(["check", result]) == 0, capsys.readouterr().out
+
+
 class TestCheckCommand:
     def _solved_document(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document())
@@ -283,6 +319,25 @@ class TestCheckCommand:
         result["flows"][0]["flow"] *= 1.0 + 1e-6
         assert main(["check", write_document(tmp_path, result, "flow.json")]) == 1
         assert "FAIL flow conservation violated" in capsys.readouterr().out
+
+    def test_overlapping_edges_are_noted_or_fail_a_claim(self, tmp_path, capsys):
+        # source 0 hangs from source 1 on its way to the sink: the two edges
+        # at source 1 lie along one ray, and hanging source 0 from the sink
+        # instead would be cheaper
+        doc = worked_document(topology=False)
+        doc |= {
+            "sources": [[1.0, 0.0], [2.0, 0.0]],
+            "sink": [0.0, 0.0],
+            "topology": {"nodes": ["source", "source", "sink"], "parents": [1, 2, None]},
+        }
+        assert main(["solve-topology", write_document(tmp_path, doc)]) == 0
+        result = loads(capsys.readouterr().out)
+        assert result["certificates"]["edge_overlaps"] == 1
+        assert main(["check", write_document(tmp_path, result, "local.json")]) == 0
+        assert "note overlapping edges at node 1 (neighbours 0, 2)" in capsys.readouterr().out
+        result["claims"]["global_optimum"] = True
+        assert main(["check", write_document(tmp_path, result, "claimed.json")]) == 1
+        assert "FAIL optimality: overlapping edges at node 1 (neighbours 0, 2)" in capsys.readouterr().out
 
     def test_degree_window_enforced_for_claimed_optima(self, tmp_path, capsys):
         # a degree-4 Steiner hub claimed as a degree-bounded global optimum
