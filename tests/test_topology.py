@@ -65,10 +65,13 @@ class TestInstance:
         ),
         st.lists(st.sampled_from([1.0, 2.5, 0.0, -0.0, -1.0, math.nan, math.inf, 1e308]), max_size=7),
         st.tuples(st.sampled_from([0.0, 1.0, math.inf]), st.sampled_from([0.0, 1.0, math.nan])),
+        st.booleans(),
     )
     @settings(max_examples=400, deadline=None)
-    def test_faults_are_named_in_order(self, points, supplies, sink):
+    def test_faults_are_named_in_order(self, points, supplies, sink, matched):
         sources = tuple(Point(x, y) for x, y in points)
+        if matched:  # one supply per source, so the later checks are reached
+            supplies = (supplies + [1.0] * len(points))[: len(points)]
         expected = self._first_fault(sources, tuple(supplies), Point(*sink))
         try:
             Instance(sources, tuple(supplies), Point(*sink))
