@@ -224,9 +224,11 @@ def check_overlapping_edges(
     (the shorter then lies in the longer).  Any hit rules out global
     optimality, except that under a degree bound the argument does not apply
     when the common node is a Steiner point of degree exactly phi, which the
-    caveat flag reports.  Rerouting the longer edge vb of a pair through
-    the nearer end a saves 2 f |va| |ab|, so a pair is exempt where that is
-    0: when one of its edges has zero length, or both end at one point.
+    caveat flag reports.  A pair is exempt where the reroute saves nothing:
+    when one of its edges has zero length, or both go to children ending at
+    one point (rerouting the child edge vb through the nearer child a saves
+    2 f |va| |ab|).  A child a on the parent b is not exempt: hanging a
+    from b saves 2 f_a |va| |vb|.
     """
     return check_edge_pairs(tree, overlap_tol=tol, strategy=strategy)[1]
 
@@ -266,7 +268,7 @@ def check_edge_pairs(
         for i, (a, ux, uy) in enumerate(offsets):
             for b, vx, vy in offsets[i + 1:]:
                 angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-                if angle <= overlap_tol and (xs[a] != xs[b] or ys[a] != ys[b]):
+                if angle <= overlap_tol and (b == parent or xs[a] != xs[b] or ys[a] != ys[b]):
                     overlaps.append(EdgeOverlap(node, a, b, angle, caveat))
                 if b == parent and angle < threshold:
                     violations.append(AngleViolation(node, a, angle))

@@ -121,9 +121,11 @@ def check_overlapping_edges(
             for j in range(i + 1, len(neighbours)):
                 a, b = neighbours[i], neighbours[j]
                 pa, pb = tree.position(a), tree.position(b)
-                # the reroute saves 2 f |va| |ab|: nothing over a zero-length
-                # edge, nor between two edges ending at one point
-                if sq_dist(here, pa) == 0.0 or sq_dist(here, pb) == 0.0 or pa == pb:
+                # the reroute saves nothing over a zero-length edge, nor
+                # between two child edges ending at one point (2 f |va| |ab|)
+                if sq_dist(here, pa) == 0.0 or sq_dist(here, pb) == 0.0:
+                    continue
+                if pa == pb and topo.parents[node] not in (a, b):
                     continue
                 angle = angle_at(here, pa, pb)
                 if angle <= tol:

@@ -279,6 +279,16 @@ class TestOverlappingEdges:
         tree = build_solved_tree(inst, topo, *node_table(inst), flows)
         assert check_overlapping_edges(tree) == []
 
+    def test_child_ending_on_the_parent_is_not_exempt(self):
+        # source 0 sits on source 2, source 1's parent: hanging source 0
+        # from source 2 saves 2 f |va| |vb| > 0
+        inst = Instance.with_unit_supplies(
+            [Point(1, 0), Point(0, 0), Point(1, 0)], Point(5, 5)
+        )
+        topo = Topology(3, 0, (1, 2, 3, NO_PARENT))
+        flows = compute_flows(topo, inst.supplies)
+        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
+        assert [(o.node, o.first_neighbour, o.second_neighbour) for o in check_overlapping_edges(tree)] == [(1, 0, 2)]
 
 
 class TestApplySplit:

@@ -339,6 +339,24 @@ class TestCheckCommand:
         assert main(["check", write_document(tmp_path, result, "claimed.json")]) == 1
         assert "FAIL optimality: overlapping edges at node 1 (neighbours 0, 2)" in capsys.readouterr().out
 
+    def test_child_on_the_parent_fails_a_claim(self, tmp_path, capsys):
+        # source 0 sits on source 2, and its path runs out to source 1 and
+        # back: hanging source 0 from source 2 saves 2 f |va| |vb| (cost 126
+        # -> 124), so a child ending on the parent is no exempt pair
+        doc = {
+            "schema": 1,
+            "sources": [[1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+            "sink": [5.0, 5.0],
+            "strategy": {"degree_bound": 4},
+            "topology": {"nodes": ["source"] * 3 + ["sink"], "parents": [1, 2, 3, None]},
+        }
+        assert main(["solve-topology", write_document(tmp_path, doc)]) == 0
+        result = loads(capsys.readouterr().out)
+        assert result["objective"] == 126.0
+        result["claims"]["global_optimum"] = True
+        assert main(["check", write_document(tmp_path, result, "claimed.json")]) == 1
+        assert "FAIL optimality: overlapping edges at node 1 (neighbours 0, 2)" in capsys.readouterr().out
+
     def test_degree_window_enforced_for_claimed_optima(self, tmp_path, capsys):
         # a degree-4 Steiner hub claimed as a degree-bounded global optimum
         doc = {
