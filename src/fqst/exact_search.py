@@ -185,10 +185,11 @@ def solve_exact(
     # a tree's edges (at most 2n, beads only dividing their cost) each cost
     # at most the total supply times the bounding box's squared diagonal
     diagonal = _bounding_box_diagonal(instance)
-    if not math.isfinite(2 * n * instance.total_supply() * diagonal * diagonal):
+    supply = instance.total_supply()
+    if not math.isfinite(2 * n * supply * diagonal * diagonal):
         raise GeometryError(
-            f"the sources and sink lie too far apart (bounding-box diagonal {diagonal:.6g}): "
-            "a tree's cost overflows a float"
+            f"a tree's cost may overflow: {2 * n} edges x total supply {supply:.6g} "
+            f"x squared bounding-box diagonal {diagonal:.6g}^2 overflows a float"
         )
     if isinstance(strategy, DegreeBound):
         # a Steiner point has at least phi - 1 children, each over a source,

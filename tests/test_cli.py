@@ -155,6 +155,22 @@ class TestExactCommand:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "overflows a float" in line
+        assert "diagonal 1.2" in line
+
+    def test_overflowing_supply_times_distances_is_input_error(self, tmp_path, capsys):
+        # small distances, but the supplies times their squares overflow
+        doc = {
+            "schema": 1,
+            "sources": [[0.0, 0.0], [100.0, 0.0]],
+            "supplies": [1e307, 1e307],
+            "sink": [0.0, 100.0],
+            "strategy": {"explicit_bound": 1},
+        }
+        assert main(["exact", write_document(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "total supply 2e+307" in line
 
     @pytest.mark.parametrize(
         "strategy",
