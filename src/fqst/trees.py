@@ -60,13 +60,27 @@ def embedded_cost(
     With edge_weights = flows this is the tree cost; with bead-reduced
     weights f/(p+1) it is the cost of a skeleton standing for a beaded tree.
     """
+    return _cost_and_zero_edge(topology, xs, ys, edge_weights)[0]
+
+
+def _cost_and_zero_edge(
+    topology: Topology,
+    xs: Sequence[float],
+    ys: Sequence[float],
+    edge_weights: Sequence[float],
+) -> tuple[float, bool]:
+    """embedded_cost's sum, and whether some edge has zero length."""
     total = 0.0
+    zero_edge = False
     for node, parent in enumerate(topology.parents):
         if parent != NO_PARENT:
             dx = xs[node] - xs[parent]
             dy = ys[node] - ys[parent]
-            total += edge_weights[node] * (dx * dx + dy * dy)
-    return total
+            d2 = dx * dx + dy * dy
+            total += edge_weights[node] * d2
+            if d2 == 0.0:
+                zero_edge = True
+    return total, zero_edge
 
 
 def build_solved_tree(
@@ -80,15 +94,5 @@ def build_solved_tree(
     and degeneracy flag."""
     xs, ys, flows = tuple(xs), tuple(ys), tuple(flows)
     _check_table(topology, xs, ys, flows)  # before the cost loop indexes the table
-    # embedded_cost's sum, in its order, with the zero-length edges noted
-    cost = 0.0
-    degenerate = False
-    for node, parent in enumerate(topology.parents):
-        if parent != NO_PARENT:
-            dx = xs[node] - xs[parent]
-            dy = ys[node] - ys[parent]
-            d2 = dx * dx + dy * dy
-            cost += flows[node] * d2
-            if d2 == 0.0:
-                degenerate = True
+    cost, degenerate = _cost_and_zero_edge(topology, xs, ys, flows)
     return SolvedTree(instance, topology, xs, ys, flows, cost, degenerate)
