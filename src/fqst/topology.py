@@ -10,10 +10,8 @@ out-neighbour, so the one-out-edge rule cannot be violated by construction.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Sequence
 
 from .errors import TopologyError
@@ -22,9 +20,6 @@ from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 
 NO_PARENT = -1  # parent entry of the sink slot
 STEINER = -1  # root of a generated subtree that is a Steiner slot
-
-_X = operator.attrgetter("x")
-_Y = operator.attrgetter("y")
 
 
 @dataclass(frozen=True)
@@ -44,19 +39,14 @@ class Instance:
             )
         if not self.sink.is_finite():
             raise ValueError("sink has non-finite coordinates")
-        # whole-column passes; the items are walked only to name the first fault
-        xs = list(map(_X, self.sources))
-        ys = list(map(_Y, self.sources))
-        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))) or self.sink.x in xs:
-            for i, p in enumerate(self.sources):
-                if not p.is_finite():
-                    raise ValueError(f"source {i} has non-finite coordinates")
-                if p == self.sink:
-                    raise ValueError(f"source {i} coincides with the sink")
-        if not all(map(operator.gt, self.supplies, repeat(0.0))):
-            for i, w in enumerate(self.supplies):
-                if not w > 0.0:
-                    raise ValueError(f"supply of source {i} must be positive, got {w}")
+        for i, p in enumerate(self.sources):
+            if not p.is_finite():
+                raise ValueError(f"source {i} has non-finite coordinates")
+            if p == self.sink:
+                raise ValueError(f"source {i} coincides with the sink")
+        for i, w in enumerate(self.supplies):
+            if not w > 0.0:
+                raise ValueError(f"supply of source {i} must be positive, got {w}")
         if not math.isfinite(self.total_supply()):
             raise ValueError("the total supply must be finite; flows would overflow")
 
