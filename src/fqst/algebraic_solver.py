@@ -3,35 +3,34 @@
 Setting the gradient of the cost to zero at every Steiner point says each
 Steiner point is the weighted mean of its neighbours, with each neighbour
 weighted by the flow w of the connecting edge.  On a tree these conditions
-solve in two passes with no matrix.  Going from the leaves toward the sink,
-every Steiner slot s with out-edge flow w_s ends up as
+solve in two passes with no matrix, by subtree summaries.  Under positive
+edge weights (the flows here; exact search weights an edge carrying p beads
+by f / (p + 1)), a subtree whose out-edge ends at p costs at its best
 
-    x_s = a_s + b_s * x_parent,
+    K + W * |p - q|^2
 
-because each child c already has that form (a terminal child has a_c = its
-position, b_c = 0).  Substituting the children into the weighted-mean
-condition gives the pivot d_s = w_s + sum_c w_c (1 - b_c), then
-a_s = sum_c w_c a_c / d_s and b_s = w_s / d_s.  Since every b_c lies in
-[0, 1], d_s >= w_s > 0, so b_s lies in (0, 1] and no pivot can vanish.  The
-pass down from the sink then places every slot after its parent, and a
-residual check over every condition closes solve_topology.
+for a summary (qx, qy, W, K).  A terminal root is q itself, with W its
+out-edge weight and K its children's cost at q.  A Steiner root s merges its
+children into their W-weighted mean q_s and V_s = sum_c W_c, with K the sum
+of theirs plus their spread about q_s (merge_summaries): that is the paper's
+quasi-source, at q_s with formal mass V_s.  Minimising
+V_s |x_s - q_s|^2 + w_s |p - x_s|^2 over the Steiner position x_s, w_s the
+out-edge weight, places it at the centre of mass of the quasi-source and
+the parent,
 
-This is the paper's linear-time algorithm generalised to any Steiner
-degree >= 2 and any positive supplies.  Slot s's merge stands its subtree in
-for a quasi-source at sum_c w_c a_c / (d_s - w_s) with formal mass
-d_s - w_s, and the pass down is the paper's back-tracking: x_s is the centre
-of mass of that quasi-source and the parent, the parent weighted by w_s.
-eliminate hands these merges to geo_solver, which reads the paper's merge
-trace off them.
+    x_s = (V_s q_s + w_s p) / (V_s + w_s),
 
-The same merge also gives the optimal cost without placing anything, under
-any positive edge weights (exact search weights an edge carrying p beads by
-f / (p + 1)).  A subtree whose out-edge ends at p costs K + W * |p - q|^2 at
-its best, for a summary (qx, qy, W, K): a terminal root is q itself, with W
-its out-edge weight and K its children's cost at q; a Steiner root merges
-its children into their weighted mean q and V = sum_c W_c, and seen through
-its out-edge of weight w acts as W = w * V / (w + V).  Its pivot w + V is
-checked like d_s above.  Exact search costs every subtree by its summary.
+and leaves the subtree seen through its out-edge with W_s = w_s V_s /
+(w_s + V_s) (steiner_weight).  The pivot w_s + V_s is checked in
+steiner_weight, finite with both terms positive, and nowhere else.
+
+eliminate's pass up from the leaves builds (q, V) and W for every Steiner
+slot, and its pass down from the sink, the paper's back-tracking, places
+every slot after its parent; a residual check over every condition closes
+solve_topology.  This is the paper's linear-time algorithm generalised to
+any Steiner degree >= 2 and any positive supplies, and geo_solver reads the
+paper's merge trace off the upward pass.  Exact search costs every subtree
+by its summary without placing anything.
 """
 
 from __future__ import annotations
@@ -44,17 +43,6 @@ from .topology import Instance, Topology, compute_flows
 from .trees import SolvedTree, build_solved_tree
 
 RESIDUAL_TOLERANCE = 1e-9
-
-
-def _pivot(d: float, w: float) -> float:
-    """d, once it is finite and at least the positive edge weight w (so NaN
-    and infinity fail too): the one pivot check of both merges."""
-    if not (math.inf > d >= w > 0.0):
-        raise InternalConsistencyError(
-            f"pivot {d!r} (edge weight {w!r}) is not finite "
-            "and at least the positive edge weight"
-        )
-    return d
 
 
 def _check_residual(
@@ -128,8 +116,18 @@ def merge_summaries(parts: Sequence[Sequence[float]]) -> tuple[float, float, flo
 def steiner_weight(v: float, w: float) -> float:
     """W of a Steiner root whose children merge to weight v and whose
     out-edge has weight w: minimising V |y - q|^2 + w |p - y|^2 over the
-    Steiner position y leaves w * V / (w + V) * |p - q|^2."""
-    return w * v / _pivot(w + v, w)
+    Steiner position y leaves w * V / (w + V) * |p - q|^2.
+
+    The pivot w + V must be finite with both terms positive (so NaN and
+    infinity fail too): the one pivot check of both the solver's merges and
+    the search's."""
+    d = w + v
+    if not (w > 0.0 < v and d < math.inf):
+        raise InternalConsistencyError(
+            f"pivot {d!r} (edge weight {w!r}, merged weight {v!r}) is not finite "
+            "with both terms positive"
+        )
+    return w * v / d
 
 
 def pinned_cost(x: float, y: float, parts: Sequence[Sequence[float]]) -> float:
@@ -154,19 +152,14 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
 
 class UpwardMerges(NamedTuple):
     """The upward pass's merges: the Steiner slots in merge order and, per
-    node (0.0 at terminals), the pivot d_s and the children's weighted sums
-    sum_c w_c a_c before the division by it."""
+    node, the summary position q (a terminal's own) and the merged weight V
+    (0.0 at terminals).  A slot's (q, V) is the paper's quasi-source: its
+    position and formal mass."""
 
     order: list[int]
-    pivots: list[float]
-    sums_x: list[float]
-    sums_y: list[float]
-
-    def quasi_source(self, slot: int, w: float) -> tuple[float, float, float]:
-        """(qx, qy, formal mass) of the paper's quasi-source for slot's merge,
-        w its out-edge flow: the sums over d_s - w."""
-        mass = self.pivots[slot] - w
-        return self.sums_x[slot] / mass, self.sums_y[slot] / mass, mass
+    qx: list[float]
+    qy: list[float]
+    v: list[float]
 
 
 def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, UpwardMerges]:
@@ -176,33 +169,36 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
     children = topology.children_lists()
     upward = [s for s in reversed(topology.order_from_sink()) if s > sink]
     padding = [0.0] * topology.n_steiner
-    xs = [p.x for p in instance.sources] + [instance.sink.x] + padding
-    ys = [p.y for p in instance.sources] + [instance.sink.y] + padding
-    # b[s] is the weight x_s puts on its parent's position: 0 at terminals
-    b = [0.0] * len(xs)
-    pivots = b.copy()
-    sums_x = b.copy()
-    sums_y = b.copy()
+    qx = [p.x for p in instance.sources] + [instance.sink.x] + padding
+    qy = [p.y for p in instance.sources] + [instance.sink.y] + padding
+    v = [0.0] * len(qx)
+    # the positions are the same under any common scale of the weights, and
+    # a power of two that brings the total flow near 1 changes no bit of
+    # them; it keeps steiner_weight's products in range at any supplies
+    scale = math.ldexp(1.0, -math.frexp(instance.total_supply())[1])
+    scaled = [f * scale for f in flows]
+    weights = scaled.copy()  # W of each node's summary: a terminal's out-edge flow
     for s in upward:
-        w = flows[s]
-        d = w
-        ax = ay = 0.0
+        vs = sx = sy = 0.0
         for c in children[s]:
-            wc = flows[c]
-            d += wc * (1.0 - b[c])
-            ax += wc * xs[c]
-            ay += wc * ys[c]
-        pivots[s] = d = _pivot(d, w)
-        sums_x[s] = ax
-        sums_y[s] = ay
-        xs[s] = ax / d
-        ys[s] = ay / d
-        b[s] = w / d
+            wc = weights[c]
+            vs += wc
+            sx += wc * qx[c]
+            sy += wc * qy[c]
+        weights[s] = steiner_weight(vs, scaled[s])
+        qx[s] = sx / vs
+        qy[s] = sy / vs
+        v[s] = vs
+    xs = qx.copy()
+    ys = qy.copy()
     parents = topology.parents
     for s in reversed(upward):
         p = parents[s]
-        xs[s] += b[s] * xs[p]
-        ys[s] += b[s] * ys[p]
+        w = scaled[s]
+        vs = v[s]
+        d = vs + w
+        xs[s] = (vs * qx[s] + w * xs[p]) / d
+        ys[s] = (vs * qy[s] + w * ys[p]) / d
     _check_residual(topology, xs, ys, flows)
     tree = build_solved_tree(instance, topology, xs, ys, flows)
-    return tree, UpwardMerges(upward, pivots, sums_x, sums_y)
+    return tree, UpwardMerges(upward, qx, qy, [m / scale for m in v])

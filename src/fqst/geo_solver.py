@@ -90,18 +90,19 @@ class GeoRun:
 
     @cached_property
     def steps(self) -> tuple[MergeStep, ...]:
-        """Each merge as the paper's quasi-source, which absorbs its slot's
-        out-edge flow as the additive mass."""
+        """Each merge as the paper's quasi-source, at the slot's summary
+        position with its merged weight as the formal mass, which absorbs
+        the slot's out-edge flow as the additive mass."""
         topology = self.tree.topology
         children = topology.children_lists()
         sink = topology.sink
         flows = self.tree.flows
+        qx, qy, mass = self.merges.qx, self.merges.qy, self.merges.v
         steps = []
         for slot in self.merges.order:
             a, b = children[slot]
-            w = flows[slot]
-            qx, qy, mass = self.merges.quasi_source(slot, w)
-            result = QuasiSource(Point(qx, qy), mass, w, MergeProvenance(a, b, slot))
+            position = Point(qx[slot], qy[slot])
+            result = QuasiSource(position, mass[slot], flows[slot], MergeProvenance(a, b, slot))
             steps.append(MergeStep(_KINDS[(a > sink) + (b > sink)], (a, b), slot, result))
         return tuple(steps)
 

@@ -356,6 +356,18 @@ class TestEliminationMatchesDenseOracle:
             assert abs(got.x - want.x) <= 1e-12 * scale
             assert abs(got.y - want.y) <= 1e-12 * scale
 
+    @pytest.mark.parametrize("factor", [2.0**-700, 2.0**600], ids=["tiny", "huge"])
+    def test_positions_ignore_the_supply_scale(self, factor):
+        # unscaled, w V / (w + V) would underflow or overflow at these
+        # supplies; a power of two leaves every bit of the positions
+        rng = random.Random(int(math.log2(factor)))
+        topo = random_general_tree(rng, 6, 5)
+        inst = random_supplied_instance(rng, 6)
+        scaled = Instance(inst.sources, tuple(w * factor for w in inst.supplies), inst.sink)
+        expected = solve_topology(inst, topo)
+        got = solve_topology(scaled, topo)
+        assert (got.xs, got.ys) == (expected.xs, expected.ys)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_pivot_raises(self, worked_instance, worked_topology, monkeypatch, bad):
         flows = list(compute_flows(worked_topology, worked_instance.supplies))

@@ -313,7 +313,7 @@ class TestCheckCommand:
         assert main(["check", write_document(tmp_path, result, "result.json")]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("seed", [7, 8])
+    @pytest.mark.parametrize("seed", [8, 52])
     def test_large_coordinates_are_stated_locally_minimal(self, tmp_path, capsys, seed):
         # the solver's own deviations exceed the absolute tolerance here;
         # the written certificate judges them to scale, as check does
