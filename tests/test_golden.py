@@ -79,13 +79,13 @@ GOLDEN = {
         "0e64416ccc317dd03dd7f174260f966a26bb5405f11791d07b258dba8761d9b6",
     ),
     "mixed-degree": (
-        "8be2d4b02b5167e9389135ddad4734372a6c04000b1d5b6d1bdb75d87908e37a",
+        "75a520914bf90f9c4231b9681ca1cebf011594965b86bb93cfacab6e1c85879c",
         "74f08e0ea3a247941d2b5c96bcd52fd9ce34f3589e9fc411e02ccf69d9e1965b",
         "f3e759d213b30c6909b6c3c33d016ac1879d968876c8c68299ef8b4f84cb0515",
         "899a7d273af40225f8196c5c03ada7c3e38178d4d047fa39f771c176d9af0496",
     ),
     "mixed-explicit": (
-        "46963be72e63d97664430a82f70024ba6cd013dbe69381cb64b90c184b4c7c7f",
+        "0a613b58d1ada2214fae5750aed7d99f974dfe95f80e79c60fcec9ce7d39b715",
         "72b275d8ab51ef61f1dd8916e3a724d3f9be18a4b3aa4d49aac7f9b41bb32315",
         "24827f9e5125ecc12f80a9d5551296689587627f41aa29639b2279abf5c5906e",
         "899a7d273af40225f8196c5c03ada7c3e38178d4d047fa39f771c176d9af0496",
