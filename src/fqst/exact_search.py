@@ -41,7 +41,9 @@ the rest (the top class also takes a top-class rest), their counts adding
 up.  A terminal has a fixed position, so the best subtree rooted at a
 source and the best tree at the sink are scalars per count: the best
 forest at a fixed anchor with at most k counted, a set-partition recursion
-over the best single subtree at that anchor.
+over the best single subtree at that anchor.  Per anchor, layer 0 holds the
+best single subtree and layer 1 the best forest: its part holding the
+mask's lowest source from layer 0, its rest from layer 1 itself.
 
 Under the degree bound the programme builds only the paper's degree window.
 A Steiner point with more than 2 phi - 4 children, or a source with more
@@ -51,9 +53,9 @@ optimum has every Steiner degree in [phi, 2 phi - 3] and every source
 degree at most phi - 1 (analysis.check_degree_window screens for both).
 The classes are then exact part counts c = 1 .. 2 phi - 4 (and at most n):
 a top-class forest is not merged further, and a Steiner root is built over
-every class phi - 1 .. 2 phi - 4.  A source anchors at most phi - 2 parts,
-from its own table of the best forest of at most j parts per j; the sink
-takes any number.
+every class phi - 1 .. 2 phi - 4.  A source anchors at most phi - 2 parts:
+its forests take layers 1 .. phi - 3, layer j holding those of at most
+j + 1 parts, their rest from layer j - 1.  The sink takes any number.
 
 Under the node weight an out-edge over mask M takes 0 .. cap(M) beads,
 cap(M) the largest p minimising f D^2/(p+1) + c p at M's flow f and the
@@ -395,25 +397,19 @@ def _subset_search(
         low = m & -m
         masks[m] = masks[m ^ low] | 1 << order[low.bit_length() - 1]
     lists: list = [None] * (full + 1)  # lists[mask][k][c]: kept class c at count k
-    # per anchor, count k and mask, each meaning "at most k": the best forest
-    # hanging from the anchor and its part holding the mask's lowest source
-    # (with that part's count); the best single subtree and its root
-    best, cut, single, pick = (
-        [[[value] * (full + 1) for _ in counts] for _ in range(n + 1)]
-        for value in (0.0, None, 0.0, None)
-    )
-    # under the window a source anchors at most phi - 2 parts (budget 0),
-    # which binds below n - 1: layer j holds the best forest of at most
-    # j + 1 parts and its part holding the mask's lowest source, layer 0
-    # being the single subtree
-    capped_sources = window and phi < n + 1
-    capped: list = []
-    capped_cut: list = []
-    if capped_sources:
-        for a in range(n):
-            capped.append([single[a][0]] + [[0.0] * (full + 1) for _ in range(phi - 3)])
-            capped_cut.append([None] + [[None] * (full + 1) for _ in range(phi - 3)])
-            best[a] = [capped[a][-1]]
+    # per anchor, layers of tables by count k and mask, each meaning "at
+    # most k" (see the module docstring): layer 0 the best single subtree
+    # hanging from the anchor, layer j >= 1 the best forest, its rest from
+    # layer j - shift.  The window's cap of phi - 2 parts at a source binds
+    # below n - 1 (shift 1); elsewhere shift is 0.  cut holds each forest's
+    # part with the mask's lowest source and that part's count, pick each
+    # single subtree's root.
+    capped = window and phi < n + 1
+    depths = [phi - 2 if capped else 2] * n + [2]
+    shifts = [int(capped)] * n + [0]
+    layers = [[[[0.0] * (full + 1) for _ in counts] for _ in range(depth)] for depth in depths]
+    cut = [[None] + [[[None] * (full + 1) for _ in counts] for _ in range(1, depth)] for depth in depths]
+    pick = [[[None] * (full + 1) for _ in counts] for _ in range(n + 1)]
     built = dropped = beaded = 0
     for mask in masks[1:]:
         low = mask & -mask
@@ -497,7 +493,7 @@ def _subset_search(
             if mask >> r & 1:
                 others = mask ^ (1 << r)
                 previous = inf
-                for kc, below in enumerate(best[r]):
+                for kc, below in enumerate(layers[r][-1]):
                     k = below[others]
                     if not k < previous:  # the same forest at a higher count
                         continue
@@ -535,8 +531,9 @@ def _subset_search(
                 continue
             px = xs[a]
             py = ys[a]
-            single_a = single[a]
-            best_a = best[a]
+            layers_a = layers[a]
+            single_a = layers_a[0]
+            shift = shifts[a]
             value = inf
             node = None
             for k in counts:
@@ -549,13 +546,15 @@ def _subset_search(
                         node = candidate_node
                 single_a[k][mask] = value
                 pick[a][k][mask] = node
-                if capped_sources and a < n:
-                    layers = capped[a]
-                    head = layers[0]
-                    for j in range(1, len(layers)):
-                        tail = layers[j - 1]
-                        total = value
-                        choice = mask
+                for j in range(1, len(layers_a)):
+                    forests = layers_a[j - shift]
+                    total = value
+                    choice = mask
+                    choice_k = k
+                    for k1 in range(k + 1):
+                        head = single_a[k1]
+                        tail = forests[k - k1]
+                        before = total
                         sub = rest
                         while sub:
                             candidate = head[mask ^ sub] + tail[sub]
@@ -563,35 +562,18 @@ def _subset_search(
                                 total = candidate
                                 choice = mask ^ sub
                             sub = (sub - 1) & rest
-                        layers[j][mask] = total
-                        capped_cut[a][j][mask] = choice
-                    continue
-                total = value
-                choice = mask
-                choice_k = k
-                for k1 in range(k + 1):
-                    head = single_a[k1]
-                    tail = best_a[k - k1]
-                    before = total
-                    sub = rest
-                    while sub:
-                        candidate = head[mask ^ sub] + tail[sub]
-                        if candidate < total:
-                            total = candidate
-                            choice = mask ^ sub
-                        sub = (sub - 1) & rest
-                    if total < before:
-                        choice_k = k1
-                best_a[k][mask] = total
-                cut[a][k][mask] = (choice, choice_k)
-        known = best[n][budget][mask] + wired[mask]
+                        if total < before:
+                            choice_k = k1
+                    layers_a[j][k][mask] = total
+                    cut[a][j][k][mask] = (choice, choice_k)
+        known = layers[n][-1][budget][mask] + wired[mask]
         if known < upper and mask != full:
             upper = known
             limit = upper * _CUT_SLACK + _OBJECTIVE_TIE
 
     # the winner is rebuilt by module-level functions, which leave no
     # reference cycle to keep the tables alive once the search returns
-    placed = skeleton_placement(n, _anchored((n, cut, pick, capped_cut), n, full, budget))
+    placed = skeleton_placement(n, _anchored((cut, pick, shifts), n, full, budget))
     n_steiner = sum(1 for tree, _, _ in placed if tree[0] == STEINER)
     beads = [0] * (n + 1 + n_steiner)
     for tree, node, _ in placed:
@@ -602,7 +584,7 @@ def _subset_search(
         strategy,
         placed_topology(n, n_steiner, placed),
         tuple(beads),
-        best[n][budget][full],
+        layers[n][-1][budget][full],
         charge,
         started,
         topologies_examined=built,
@@ -615,23 +597,16 @@ def _subset_search(
 
 def _anchored(tables: tuple, a: int, mask: int, k: int) -> tuple:
     """The subtrees hanging from anchor a over mask at count k, as the DP's
-    choices split them; tables is (n, cut, pick, capped_cut), capped_cut
-    empty unless the window caps the parts a source anchors."""
-    n, cut, pick, capped_cut = tables
+    choices split them; tables is (cut, pick, shifts)."""
+    cut, pick, shifts = tables
     children = []
-    if capped_cut and a < n:
-        j = len(capped_cut[a]) - 1
-        while mask:
-            part = capped_cut[a][j][mask] if j else mask
-            children.append(_subtree(tables, pick[a][0][part]))
-            mask ^= part
-            j -= 1
-        return tuple(children)
+    j = len(cut[a]) - 1
     while mask:
-        part, k_part = cut[a][k][mask]
+        part, k_part = cut[a][j][k][mask] if j else (mask, k)
         children.append(_subtree(tables, pick[a][k_part][part]))
         mask ^= part
         k -= k_part
+        j -= shifts[a]
     return tuple(children)
 
 

@@ -94,7 +94,9 @@ def _topologies_placed(monkeypatch):
 
 
 class TestDegreeSubsetSearch:
-    @pytest.mark.parametrize("phi", [3, 4, 5])
+    # at n = 6, phi = 6 lets a source anchor 4 parts: the deepest stack of
+    # forest layers
+    @pytest.mark.parametrize("phi", [3, 4, 5, 6])
     @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
     def test_matches_the_skeleton_walk(self, phi, mixed):
         rng = random.Random(100 * phi + mixed)
