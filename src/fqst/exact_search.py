@@ -123,7 +123,6 @@ from .errors import GeometryError, GuardLimitError, InternalConsistencyError
 from .geometry import sq_dist
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 from .topology import (
-    NO_PARENT,
     STEINER,
     Instance,
     Topology,
@@ -296,10 +295,7 @@ def _greedy_tree(instance: Instance, phi: int) -> Topology:
     placed = skeleton_placement(
         n, tuple(_greedy_subtree(root, below, lowest, n) for root in sorted(roots, key=lowest.__getitem__))
     )
-    parents = [NO_PARENT] * (len(placed) + 1)
-    for _, node, parent in placed:
-        parents[node] = parent
-    return Topology(n, len(placed) - n, tuple(parents))
+    return placed_topology(n, len(placed) - n, placed)
 
 
 def _greedy_subtree(node: int, below: dict, lowest: list, n: int) -> tuple:

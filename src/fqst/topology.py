@@ -104,9 +104,6 @@ class Topology:
     def sink(self) -> int:
         return self.n_sources
 
-    def is_terminal(self, node: int) -> bool:
-        return node <= self.n_sources
-
     def steiner_slots(self) -> range:
         return range(self.n_sources + 1, self.n_nodes)
 
