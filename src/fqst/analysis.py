@@ -466,12 +466,21 @@ def steiner_count_bound(instance: Instance, c: float) -> int:
     c*k^2 + (c*(n+1) - U)*k + (Q - (n+1)*U) <= 0 and B is the floor of the
     larger root (the optimum's own k satisfies the inequality, so the root
     is real and at least that k).
+
+    U, Q and c are first scaled by the one power of two that brings the
+    largest of them below 1, so that no square overflows; that changes no
+    bit of the root wherever the unscaled formula neither overflows nor
+    underflows.  The root is at most U / c: a sum of f L^2 / ((p+1) c) + p
+    over the spanning edges, each finite once its bead count p is computed.
     """
     n = instance.n_sources
     upper = beaded_spanning_cost(instance, c)
     q_total = _weighted_sink_distances(instance)
+    scale = math.ldexp(1.0, -math.frexp(max(upper, q_total, c))[1])
+    c *= scale
+    upper *= scale
     b_lin = c * (n + 1) - upper
-    b_const = q_total - (n + 1) * upper
+    b_const = q_total * scale - (n + 1) * upper
     disc = b_lin * b_lin - 4.0 * c * b_const
     root = (-b_lin + math.sqrt(max(disc, 0.0))) / (2.0 * c)
     return max(0, math.floor(root + 1e-9))

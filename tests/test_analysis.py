@@ -1,6 +1,7 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from fqst import (
@@ -471,6 +472,61 @@ class TestSteinerCountBound:
             c = rng.uniform(q / 16.0, q / 4.0)
             report = solve_exact(inst, NodeWeighted(c))
             assert report.best.topology.n_steiner <= steiner_count_bound(inst, c)
+
+    @staticmethod
+    def larger_root(instance, c):
+        """The bound's larger root in 60-digit arithmetic, from the same U
+        and Q as steiner_count_bound."""
+        n = instance.n_sources
+        with mpmath.workdps(60):
+            u = mpmath.mpf(beaded_spanning_cost(instance, c))
+            q = mpmath.mpf(_weighted_sink_distances(instance))
+            c = mpmath.mpf(c)
+            b_lin = c * (n + 1) - u
+            disc = b_lin * b_lin - 4 * c * (q - (n + 1) * u)
+            return (-b_lin + mpmath.sqrt(max(disc, 0))) / (2 * c)
+
+    @staticmethod
+    def unscaled_bound(instance, c):
+        """The bound as computed before its coefficients were scaled: None
+        where a square overflows."""
+        n = instance.n_sources
+        upper = beaded_spanning_cost(instance, c)
+        b_lin = c * (n + 1) - upper
+        b_const = _weighted_sink_distances(instance) - (n + 1) * upper
+        disc = b_lin * b_lin - 4.0 * c * b_const
+        if not math.isfinite(disc):
+            return None
+        return max(0, math.floor((-b_lin + math.sqrt(max(disc, 0.0))) / (2.0 * c) + 1e-9))
+
+    @pytest.mark.parametrize("c", [1e10, 1e100])
+    def test_huge_coordinates_and_node_weight_give_a_finite_bound(self, c):
+        # U is finite (4e200 at c = 1e100), but U^2 overflows a float
+        inst = Instance.with_unit_supplies([Point(0, 0), Point(1e150, 1e150)], Point(1e150, 0))
+        assert self.unscaled_bound(inst, c) is None
+        bound = steiner_count_bound(inst, c)
+        assert bound == pytest.approx(float(self.larger_root(inst, c)), rel=1e-12)
+
+    def test_matches_the_root_to_the_floor(self):
+        rng = random.Random(47)
+        for _ in range(40):
+            inst = random_supplied_instance(rng, rng.randint(1, 6), span=4.0)
+            c = rng.choice([1e-2, 0.1, 1.0]) * _weighted_sink_distances(inst)
+            expected = int(mpmath.floor(self.larger_root(inst, c) + mpmath.mpf(1e-9)))
+            assert steiner_count_bound(inst, c) == max(0, expected)
+
+    def test_unchanged_where_the_unscaled_bound_is_finite(self):
+        rng = random.Random(48)
+        checked = 0
+        for _ in range(200):
+            span = 10.0 ** rng.uniform(-60, 60)
+            inst = random_supplied_instance(rng, rng.randint(1, 6), span=span)
+            c = 10.0 ** rng.uniform(-3, 1) * _weighted_sink_distances(inst)
+            unscaled = self.unscaled_bound(inst, c)
+            if unscaled is not None:
+                assert steiner_count_bound(inst, c) == unscaled
+                checked += 1
+        assert checked > 150
 
 
 class TestExpandBeads:

@@ -653,6 +653,22 @@ class TestBoundsCommand:
         assert out["steiner_budget"] > 10**30
         assert 0.0 < out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
 
+    @pytest.mark.parametrize("c", [1e10, 1e100])
+    def test_huge_node_weight_on_huge_coordinates_is_bounded(self, tmp_path, capsys, c):
+        # every f L^2 / c and the beaded cost (4e200 at c = 1e100) are
+        # finite; squaring that cost once made the bound NaN, refused as a
+        # node weight too small
+        doc = {
+            "schema": 1,
+            "sources": [[0.0, 0.0], [1e150, 1e150]],
+            "sink": [1e150, 0.0],
+            "strategy": {"node_weighted": c},
+        }
+        assert main(["bounds", write_document(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert type(out["steiner_budget"]) is int and out["steiner_budget"] > 10**90
+        assert 0.0 < out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
+
     @pytest.mark.parametrize("c", [5e-324, 1e-310])
     def test_overflowing_bead_ratio_is_input_error(self, tmp_path, capsys, c):
         path = write_document(tmp_path, worked_document(strategy={"node_weighted": c}, topology=False))
