@@ -172,9 +172,10 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
     qx = [p.x for p in instance.sources] + [instance.sink.x] + padding
     qy = [p.y for p in instance.sources] + [instance.sink.y] + padding
     v = [0.0] * len(qx)
-    # the positions are the same under any common scale of the weights, and
-    # a power of two that brings the total flow near 1 changes no bit of
-    # them; it keeps steiner_weight's products in range at any supplies
+    # the positions are the same under any common scale of the weights: a
+    # power of two that brings the total flow near 1 changes no bit of them
+    # and keeps steiner_weight's products in range whatever the supplies'
+    # common magnitude
     scale = math.ldexp(1.0, -math.frexp(instance.total_supply())[1])
     scaled = [f * scale for f in flows]
     weights = scaled.copy()  # W of each node's summary: a terminal's out-edge flow

@@ -81,7 +81,8 @@ class TestSolveExactDegreeBound:
 def _topologies_placed(monkeypatch):
     """The calls exact search makes to place a topology, recorded as they
     come: the walk places one per candidate that can become its incumbent,
-    the subset DP only its winner."""
+    the subset DP only its winner, and under the degree bound its greedy
+    seed."""
     placed = []
     place = exact_search.placed_topology
 
@@ -192,7 +193,7 @@ class TestDegreeSubsetSearch:
         placed = _topologies_placed(monkeypatch)
         inst = random_supplied_instance(random.Random(63), 5, span=5.0)
         report = solve_exact(inst, DegreeBound(3))
-        assert len(placed) == 1
+        assert len(placed) == 2  # the greedy seed, then the winner
         assert report.topologies_examined > report.topologies_pruned > 0
         assert report.bead_vectors == 0
 
