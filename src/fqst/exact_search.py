@@ -406,6 +406,8 @@ def _subset_search(
     layers = [[[[0.0] * (full + 1) for _ in counts] for _ in range(depth)] for depth in depths]
     cut = [[None] + [[[None] * (full + 1) for _ in counts] for _ in range(1, depth)] for depth in depths]
     pick = [[[None] * (full + 1) for _ in counts] for _ in range(n + 1)]
+    # per anchor and forest layer: the layer, its cuts and the layer of its rests
+    stacks = [[(t[j], c[j], t[j - s]) for j in range(1, len(t))] for t, c, s in zip(layers, cut, shifts)]
     built = dropped = beaded = 0
     for mask in masks[1:]:
         low = mask & -mask
@@ -527,9 +529,8 @@ def _subset_search(
                 continue
             px = xs[a]
             py = ys[a]
-            layers_a = layers[a]
-            single_a = layers_a[0]
-            shift = shifts[a]
+            single_a = layers[a][0]
+            stack = stacks[a]
             value = inf
             node = None
             for k in counts:
@@ -542,14 +543,13 @@ def _subset_search(
                         node = candidate_node
                 single_a[k][mask] = value
                 pick[a][k][mask] = node
-                for j in range(1, len(layers_a)):
-                    forests = layers_a[j - shift]
+                for forests, cuts, rests in stack:
                     total = value
                     choice = mask
                     choice_k = k
                     for k1 in range(k + 1):
                         head = single_a[k1]
-                        tail = forests[k - k1]
+                        tail = rests[k - k1]
                         before = total
                         sub = rest
                         while sub:
@@ -560,8 +560,8 @@ def _subset_search(
                             sub = (sub - 1) & rest
                         if total < before:
                             choice_k = k1
-                    layers_a[j][k][mask] = total
-                    cut[a][j][k][mask] = (choice, choice_k)
+                    forests[k][mask] = total
+                    cuts[k][mask] = (choice, choice_k)
         known = layers[n][-1][budget][mask] + wired[mask]
         if known < upper and mask != full:
             upper = known
