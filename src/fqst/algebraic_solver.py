@@ -36,6 +36,7 @@ by its summary without placing anything.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
@@ -43,6 +44,7 @@ from .topology import Instance, Topology, compute_flows
 from .trees import SolvedTree, build_solved_tree
 
 RESIDUAL_TOLERANCE = 1e-9
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def _check_residual(
@@ -120,14 +122,18 @@ def steiner_weight(v: float, w: float) -> float:
 
     The pivot w + V must be finite with both terms positive (so NaN and
     infinity fail too): the one pivot check of both the solver's merges and
-    the search's."""
+    the search's.  Where the product w * V leaves the normal range (two
+    tiny weights, or two huge ones), w * (V / (w + V)) keeps W in range;
+    elsewhere the product form stays, whose last bit exact search's
+    tie-breaks and counts depend on."""
     d = w + v
     if not (w > 0.0 < v and d < math.inf):
         raise InternalConsistencyError(
             f"pivot {d!r} (edge weight {w!r}, merged weight {v!r}) is not finite "
             "with both terms positive"
         )
-    return w * v / d
+    product = w * v
+    return product / d if _SMALLEST_NORMAL <= product < math.inf else w * (v / d)
 
 
 def pinned_cost(x: float, y: float, parts: Sequence[Sequence[float]]) -> float:
@@ -172,13 +178,7 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
     qx = [p.x for p in instance.sources] + [instance.sink.x] + padding
     qy = [p.y for p in instance.sources] + [instance.sink.y] + padding
     v = [0.0] * len(qx)
-    # the positions are the same under any common scale of the weights: a
-    # power of two that brings the total flow near 1 changes no bit of them
-    # and keeps steiner_weight's products in range whatever the supplies'
-    # common magnitude
-    scale = math.ldexp(1.0, -math.frexp(instance.total_supply())[1])
-    scaled = [f * scale for f in flows]
-    weights = scaled.copy()  # W of each node's summary: a terminal's out-edge flow
+    weights = list(flows)  # W of each node's summary: a terminal's out-edge flow
     for s in upward:
         vs = sx = sy = 0.0
         for c in children[s]:
@@ -186,7 +186,7 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
             vs += wc
             sx += wc * qx[c]
             sy += wc * qy[c]
-        weights[s] = steiner_weight(vs, scaled[s])
+        weights[s] = steiner_weight(vs, flows[s])
         qx[s] = sx / vs
         qy[s] = sy / vs
         v[s] = vs
@@ -195,11 +195,11 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
     parents = topology.parents
     for s in reversed(upward):
         p = parents[s]
-        w = scaled[s]
+        w = flows[s]
         vs = v[s]
         d = vs + w
         xs[s] = (vs * qx[s] + w * xs[p]) / d
         ys[s] = (vs * qy[s] + w * ys[p]) / d
     _check_residual(topology, xs, ys, flows)
     tree = build_solved_tree(instance, topology, xs, ys, flows)
-    return tree, UpwardMerges(upward, qx, qy, [m / scale for m in v])
+    return tree, UpwardMerges(upward, qx, qy, v)

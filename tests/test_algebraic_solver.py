@@ -356,17 +356,35 @@ class TestEliminationMatchesDenseOracle:
             assert abs(got.x - want.x) <= 1e-12 * scale
             assert abs(got.y - want.y) <= 1e-12 * scale
 
+    def test_positions_with_supplies_spread_over_170_orders(self):
+        # below one Steiner slot of this tree every supply is 1e-170, where
+        # the product w * V underflows to 0; w * (V / (w + V)) does not
+        rng = random.Random(133)
+        topo = random_general_tree(rng, 6, 5)
+        inst = random_supplied_instance(rng, 6)
+        supplies = tuple(w * (1e-170 if i % 2 else 1.0) for i, w in enumerate(inst.supplies))
+        inst = Instance(inst.sources, supplies, inst.sink)
+        scale = max(1.0, *(max(abs(p.x), abs(p.y)) for p in (*inst.sources, inst.sink)))
+        tree = solve_topology(inst, topo)
+        expected = solve_positions(assemble_system(inst, topo, compute_flows(topo, inst.supplies)))
+        for got, want in zip(tree.steiner_positions, expected):
+            assert abs(got.x - want.x) <= 1e-12 * scale
+            assert abs(got.y - want.y) <= 1e-12 * scale
+
     @pytest.mark.parametrize("factor", [2.0**-700, 2.0**600], ids=["tiny", "huge"])
     def test_positions_ignore_the_supply_scale(self, factor):
-        # unscaled, w V / (w + V) would underflow or overflow at these
-        # supplies; a power of two leaves every bit of the positions
+        # w * V underflows or overflows at these supplies; the positions
+        # are those of the unscaled supplies up to rounding
         rng = random.Random(int(math.log2(factor)))
         topo = random_general_tree(rng, 6, 5)
         inst = random_supplied_instance(rng, 6)
         scaled = Instance(inst.sources, tuple(w * factor for w in inst.supplies), inst.sink)
+        scale = max(1.0, *(max(abs(p.x), abs(p.y)) for p in (*inst.sources, inst.sink)))
         expected = solve_topology(inst, topo)
         got = solve_topology(scaled, topo)
-        assert (got.xs, got.ys) == (expected.xs, expected.ys)
+        for a, b in zip(got.steiner_positions, expected.steiner_positions):
+            assert abs(a.x - b.x) <= 1e-12 * scale
+            assert abs(a.y - b.y) <= 1e-12 * scale
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_pivot_raises(self, worked_instance, worked_topology, monkeypatch, bad):
@@ -418,6 +436,9 @@ class TestSubtreeSummaries:
 
     def test_steiner_weight_is_the_series_weight(self):
         assert steiner_weight(3.0, 1.0) == pytest.approx(0.75, rel=1e-15)
+        # where w * V underflows or overflows
+        assert steiner_weight(3e-170, 1e-170) == pytest.approx(0.75e-170, rel=1e-15)
+        assert steiner_weight(3e200, 1e200) == pytest.approx(0.75e200, rel=1e-15)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_pivot_raises(self, bad):
