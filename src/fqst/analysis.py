@@ -108,24 +108,6 @@ def off_centroid_slots(tree: SolvedTree, deviations: dict[int, float], tol: floa
 
 
 @dataclass(frozen=True, slots=True)
-class AngleViolation:
-    node: int
-    in_neighbour: int
-    angle: float
-
-
-def check_angles(tree: SolvedTree, tol_radians: float = CERTIFICATE_TOLERANCE) -> list[AngleViolation]:
-    """In-edge/out-edge pairs meeting at less than a right angle.
-
-    Screens node-weighted and explicitly bounded candidates for global
-    optimality; zero-length edges carry no direction and are skipped.  The
-    angle is geometry.angle_at's atan2(|cross|, dot), from the coordinate
-    table (see check_edge_pairs, which computes it).
-    """
-    return check_edge_pairs(tree, tol_radians)[0]
-
-
-@dataclass(frozen=True, slots=True)
 class DegreeViolation:
     kind: str  # "steiner-degree" | "source-degree" | "source-midpoint"
     node: int
@@ -205,6 +187,13 @@ def check_degree_window(
 
 
 @dataclass(frozen=True, slots=True)
+class AngleViolation:
+    node: int
+    in_neighbour: int
+    angle: float
+
+
+@dataclass(frozen=True, slots=True)
 class EdgeOverlap:
     node: int
     first_neighbour: int
@@ -213,36 +202,30 @@ class EdgeOverlap:
     degree_phi_caveat: bool
 
 
-def check_overlapping_edges(
-    tree: SolvedTree,
-    tol: float = OVERLAP_ANGLE_TOLERANCE,
-    strategy: BoundStrategy | None = None,
-) -> list[EdgeOverlap]:
-    """Incident edge pairs where one lies inside the other.
-
-    Edges sharing a node overlap exactly when the angle between them vanishes
-    (the shorter then lies in the longer).  Any hit rules out global
-    optimality, except that under a degree bound the argument does not apply
-    when the common node is a Steiner point of degree exactly phi, which the
-    caveat flag reports.  A pair is exempt where the reroute saves nothing:
-    when one of its edges has zero length, or both go to children ending at
-    one point (rerouting the child edge vb through the nearer child a saves
-    2 f |va| |ab|).  A child a on the parent b is not exempt: hanging a
-    from b saves 2 f_a |va| |vb|.
-    """
-    return check_edge_pairs(tree, overlap_tol=tol, strategy=strategy)[1]
-
-
 def check_edge_pairs(
     tree: SolvedTree,
     tol_radians: float = CERTIFICATE_TOLERANCE,
     overlap_tol: float = OVERLAP_ANGLE_TOLERANCE,
     strategy: BoundStrategy | None = None,
 ) -> tuple[list[AngleViolation], list[EdgeOverlap]]:
-    """check_angles(tree, tol_radians) and check_overlapping_edges(tree,
-    overlap_tol, strategy) from one pass over the pairs of edges at each
-    node: an in-edge/out-edge angle is the angle of the overlap pair
-    (child, parent), over the same offsets."""
+    """The global-optimality screens on the pairs of edges at each node:
+    in-edge/out-edge pairs meeting at less than a right angle (to within
+    tol_radians), and incident pairs where one edge lies inside the other.
+
+    One pass computes both: the angle of a pair is geometry.angle_at's
+    atan2(|cross|, dot) from the coordinate table, and an in-edge/out-edge
+    angle is that of the pair (child, parent).  Zero-length edges carry no
+    direction and are skipped.  Edges sharing a node overlap exactly when
+    their angle vanishes (at most overlap_tol).  A pair is exempt from the
+    overlap screen where the reroute saves nothing: when one of its edges
+    has zero length, or both go to children ending at one point (rerouting
+    the child edge vb through the nearer child a saves 2 f |va| |ab|).  A
+    child a on the parent b is not exempt: hanging a from b saves
+    2 f_a |va| |vb|.  Any hit rules out global optimality, except that
+    under a degree bound the overlap argument does not apply when the
+    common node is a Steiner point of degree exactly phi, which the
+    overlap's degree_phi_caveat flag reports.
+    """
     topo = tree.topology
     children = topo.children_lists()
     deg = topo.degrees()
@@ -298,16 +281,6 @@ def split_topology(topology: Topology, spec: SplitSpec) -> Topology:
     for member in spec.members:
         parents[member] = new_slot
     return Topology(topology.n_sources, topology.n_steiner + 1, tuple(parents))
-
-
-def apply_split(tree: SolvedTree, spec: SplitSpec) -> SolvedTree:
-    """The re-solved tree after splitting; beneficial when its cost is lower.
-
-    All Steiner points (old and new) are re-placed by the algebraic solver.
-    """
-    return algebraic_solver.solve_topology(
-        tree.instance, split_topology(tree.topology, spec)
-    )
 
 
 def optimal_bead_count(f: float, length: float, c: float) -> int:
@@ -491,15 +464,12 @@ __all__ = [
     "DegreeViolation",
     "EdgeOverlap",
     "SplitSpec",
-    "apply_split",
     "beaded_spanning_cost",
     "beaded_spanning_tree",
     "centroid_deviations",
-    "check_angles",
     "check_centroid_certificate",
     "check_degree_window",
     "check_edge_pairs",
-    "check_overlapping_edges",
     "cost",
     "cost_node_weighted",
     "expand_beads",

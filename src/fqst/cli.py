@@ -109,10 +109,9 @@ def _cmd_exact(args) -> int:
             "bead_vectors": report.bead_vectors,
             "lower_bound": report.lower_bound,
             "phase_s": report.phase_s,
+            "upper_bound": report.upper_bound,
         }
     }
-    if report.upper_bound is not None:
-        extra["search"]["upper_bound"] = report.upper_bound
     if report.steiner_bound is not None:
         extra["search"]["steiner_bound"] = report.steiner_bound
     doc = documents.result_document(

@@ -160,7 +160,7 @@ class SearchReport:
     # found over some of the sources with the others wired straight to the
     # sink, or the starting tree if cheaper (under the degree bound the
     # greedy tree, under the node weight the beaded spanning tree)
-    upper_bound: float | None = None
+    upper_bound: float
     steiner_bound: int | None = None  # node-weighted: the Steiner budget B
     # seconds spent finding the winner ("search") and expanding, re-solving
     # and checking it ("resolve")

@@ -39,15 +39,6 @@ _KINDS = (SOURCE_SOURCE, QUASI_SOURCE, QUASI_QUASI)  # by the count of quasi inp
 
 
 @dataclass(frozen=True, slots=True)
-class MergeProvenance:
-    """Which two terminals and which Steiner slot a quasi-source replaced."""
-
-    first: int
-    second: int
-    steiner_slot: int
-
-
-@dataclass(frozen=True, slots=True)
 class QuasiSource:
     """A synthetic terminal standing in for a Steiner slot and its two inputs.
 
@@ -59,7 +50,6 @@ class QuasiSource:
     position: Point
     mass: float
     replaced_steiner_mass: float
-    provenance: MergeProvenance | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +92,7 @@ class GeoRun:
         for slot in self.merges.order:
             a, b = children[slot]
             position = Point(qx[slot], qy[slot])
-            result = QuasiSource(position, mass[slot], flows[slot], MergeProvenance(a, b, slot))
+            result = QuasiSource(position, mass[slot], flows[slot])
             steps.append(MergeStep(_KINDS[(a > sink) + (b > sink)], (a, b), slot, result))
         return tuple(steps)
 
@@ -115,9 +105,7 @@ def _require_unit(mass: float) -> None:
         )
 
 
-def merge_sources(
-    z1: MassPoint, z2: MassPoint, provenance: MergeProvenance | None = None
-) -> QuasiSource:
+def merge_sources(z1: MassPoint, z2: MassPoint) -> QuasiSource:
     """Replace two unit sources and their common Steiner slot.
 
     The quasi-source sits at the midpoint and carries mass 2; the absorbed
@@ -125,12 +113,10 @@ def merge_sources(
     """
     _require_unit(z1.mass)
     _require_unit(z2.mass)
-    return QuasiSource(lerp(z1.position, z2.position, 0.5), 2.0, 2.0, provenance)
+    return QuasiSource(lerp(z1.position, z2.position, 0.5), 2.0, 2.0)
 
 
-def merge_quasi_source(
-    q: QuasiSource, z: MassPoint, provenance: MergeProvenance | None = None
-) -> QuasiSource:
+def merge_quasi_source(q: QuasiSource, z: MassPoint) -> QuasiSource:
     """Replace a quasi-source, a unit source, and their common Steiner slot.
 
     With w0 = w(q) and w1 the mass of the slot q absorbed, the replacement
@@ -142,14 +128,10 @@ def merge_quasi_source(
     w1 = q.replaced_steiner_mass
     bulk = w0 + w1 + w0 * w1
     position = lerp(q.position, z.position, (w0 + w1) / bulk)
-    return QuasiSource(
-        position, bulk / (w0 + w1), q.replaced_steiner_mass + z.mass, provenance
-    )
+    return QuasiSource(position, bulk / (w0 + w1), q.replaced_steiner_mass + z.mass)
 
 
-def merge_quasi_quasi(
-    q1: QuasiSource, q2: QuasiSource, provenance: MergeProvenance | None = None
-) -> QuasiSource:
+def merge_quasi_quasi(q1: QuasiSource, q2: QuasiSource) -> QuasiSource:
     """Replace two quasi-sources and their common Steiner slot.
 
     Eliminating the two absorbed Steiner points from the centre-of-mass
@@ -167,7 +149,7 @@ def merge_quasi_quasi(
     denom = w1 * w2 * (w01 + w02) + w01 * w02 * (w1 + w2)
     position = lerp(q1.position, q2.position, w02 * w2 * (w01 + w1) / denom)
     mass = denom / ((w1 + w01) * (w2 + w02))
-    return QuasiSource(position, mass, w1 + w2, provenance)
+    return QuasiSource(position, mass, w1 + w2)
 
 
 def _check_supported(instance: Instance, topology: Topology) -> None:

@@ -163,13 +163,6 @@ class Topology:
             raise TopologyError(f"nodes {missing} cannot reach the sink (cycle or disconnection)")
         return tuple(order)
 
-    def structural_violations(self) -> list[str]:
-        try:
-            self.order_from_sink()
-        except TopologyError as exc:
-            return [str(exc)]
-        return []
-
 
 def compute_flows(topology: Topology, supplies: Sequence[float]) -> tuple[float, ...]:
     """The unique edge flows for the given supplies.
@@ -204,9 +197,11 @@ def compute_flows(topology: Topology, supplies: Sequence[float]) -> tuple[float,
 
 def validate_topology(topology: Topology, strategy: BoundStrategy) -> list[str]:
     """Structural and strategy-specific violations; an empty list means ok."""
-    violations = topology.structural_violations()
-    if violations:
-        return violations
+    try:
+        topology.order_from_sink()
+    except TopologyError as exc:
+        return [str(exc)]
+    violations = []
     deg = topology.degrees()
     for s in topology.steiner_slots():
         if deg[s] < 2:

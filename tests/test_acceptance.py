@@ -244,7 +244,7 @@ def test_criterion_7_structural_certificates():
                 )
                 if abs(angle - math.pi) > 1e-7:
                     ok = False
-        from fqst.analysis import check_angles
+        from fqst.analysis import check_edge_pairs
 
         q_total = sum(sq_dist(z, inst.sink) for z in inst.sources)
         if trial % 2 == 0:
@@ -252,7 +252,7 @@ def test_criterion_7_structural_certificates():
         else:
             strategy = NodeWeighted(rng.uniform(q_total / (10 * (n + 1)), q_total / (n + 1)))
         free_tree = solve_exact(inst, strategy).best
-        if check_angles(free_tree, 1e-7):
+        if check_edge_pairs(free_tree, 1e-7)[0]:
             ok = False
     report(7, "exact optima satisfy the degree window and right-angle screens", ok)
 

@@ -18,16 +18,15 @@ from fqst import (
 )
 from fqst.analysis import (
     SplitSpec,
-    apply_split,
     beaded_spanning_tree,
-    check_angles,
     check_degree_window,
-    check_overlapping_edges,
+    check_edge_pairs,
     cost,
     cost_node_weighted,
     expand_beads,
     lower_bound_path,
     optimal_bead_count,
+    split_topology,
     steiner_count_bound,
 )
 from fqst.geometry import sq_dist
@@ -175,7 +174,7 @@ class TestCheckAngles:
     def test_straight_path_has_none(self):
         inst = Instance.with_unit_supplies([Point(0, 0)], Point(3, 0))
         topo = Topology(1, 2, (2, NO_PARENT, 3, 1))
-        assert check_angles(solve_topology(inst, topo)) == []
+        assert check_edge_pairs(solve_topology(inst, topo))[0] == []
 
     def test_sixty_degree_bend_flagged(self):
         # source relays through another source with a 60 degree turn
@@ -184,7 +183,7 @@ class TestCheckAngles:
         )
         topo = Topology(2, 0, (1, 2, NO_PARENT))
         tree = solve_topology(inst, topo)
-        violations = check_angles(tree)
+        violations = check_edge_pairs(tree)[0]
         assert len(violations) == 1
         assert violations[0].node == 1
         assert violations[0].angle == pytest.approx(math.pi / 3, abs=1e-12)
@@ -194,7 +193,7 @@ class TestCheckAngles:
         for _ in range(5):
             inst = random_instance(rng, 3)
             report = solve_exact(inst, ExplicitBound(1))
-            assert check_angles(report.best, 1e-7) == []
+            assert check_edge_pairs(report.best, 1e-7)[0] == []
 
 
 class TestDegreeWindow:
@@ -238,7 +237,7 @@ class TestOverlappingEdges:
         topo = Topology(2, 0, (2, 0, NO_PARENT))  # z1 -> z0 -> sink, z0 past z1
         flows = compute_flows(topo, inst.supplies)
         tree = build_solved_tree(inst, topo, *node_table(inst), flows)
-        overlaps = check_overlapping_edges(tree)
+        overlaps = check_edge_pairs(tree)[1]
         assert len(overlaps) == 1
         assert overlaps[0].node == 0
         assert not overlaps[0].degree_phi_caveat
@@ -248,19 +247,19 @@ class TestOverlappingEdges:
         inst = Instance.with_unit_supplies([Point(0, 0)], Point(2, 0))
         topo = Topology(1, 1, (2, NO_PARENT, 1))
         tree = solve_topology(inst, topo)
-        assert check_overlapping_edges(tree) == []
+        assert check_edge_pairs(tree)[1] == []
 
     def test_degree_phi_caveat_under_degree_bound(self):
         # force a degree-3 Steiner slot with two collinear incident edges
         inst = Instance.with_unit_supplies([Point(-1, 0), Point(-2, 0)], Point(1, 0))
         topo = Topology(2, 1, (3, 3, NO_PARENT, 2))
         tree = solve_topology(inst, topo)
-        overlaps = check_overlapping_edges(tree, strategy=DegreeBound(3))
+        overlaps = check_edge_pairs(tree, strategy=DegreeBound(3))[1]
         assert overlaps
         assert all(o.degree_phi_caveat for o in overlaps if o.node == 3)
 
     def test_generic_tree_has_none(self, worked_tree):
-        assert check_overlapping_edges(worked_tree) == []
+        assert check_edge_pairs(worked_tree)[1] == []
 
     def test_zero_length_edge_is_exempt(self):
         # rerouting over the zero-length edge 0 -> 1 saves nothing
@@ -269,7 +268,7 @@ class TestOverlappingEdges:
         flows = compute_flows(topo, inst.supplies)
         tree = build_solved_tree(inst, topo, *node_table(inst), flows)
         assert tree.degenerate
-        assert check_overlapping_edges(tree) == []
+        assert check_edge_pairs(tree)[1] == []
 
     def test_edges_ending_at_one_point_are_exempt(self):
         # sources 0 and 1 coincide and both feed the sink: the edges overlap
@@ -278,7 +277,7 @@ class TestOverlappingEdges:
         topo = Topology(2, 0, (2, 2, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
         tree = build_solved_tree(inst, topo, *node_table(inst), flows)
-        assert check_overlapping_edges(tree) == []
+        assert check_edge_pairs(tree)[1] == []
 
     def test_child_ending_on_the_parent_is_not_exempt(self):
         # source 0 sits on source 2, source 1's parent: hanging source 0
@@ -289,12 +288,14 @@ class TestOverlappingEdges:
         topo = Topology(3, 0, (1, 2, 3, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
         tree = build_solved_tree(inst, topo, *node_table(inst), flows)
-        assert [(o.node, o.first_neighbour, o.second_neighbour) for o in check_overlapping_edges(tree)] == [(1, 0, 2)]
+        assert [(o.node, o.first_neighbour, o.second_neighbour) for o in check_edge_pairs(tree)[1]] == [(1, 0, 2)]
 
 
 class TestApplySplit:
     def test_balanced_cross_split_is_not_beneficial(self, balanced_cross_tree):
-        split = apply_split(balanced_cross_tree, SplitSpec(4, (0, 1)))
+        split = solve_topology(
+            balanced_cross_tree.instance, split_topology(balanced_cross_tree.topology, SplitSpec(4, (0, 1)))
+        )
         assert split.cost == pytest.approx(balanced_cross_tree.cost, abs=1e-9)
         # the new slot lands exactly on the old one
         assert split.steiner_positions[0].x == pytest.approx(0.0, abs=1e-9)
@@ -310,18 +311,18 @@ class TestApplySplit:
         import itertools
 
         best = min(
-            apply_split(tree, SplitSpec(5, pair)).cost
+            solve_topology(tree.instance, split_topology(tree.topology, SplitSpec(5, pair))).cost
             for pair in itertools.combinations(range(4), 2)
         )
         assert best < tree.cost - 1e-9
 
     def test_full_split_strictly_improves(self, worked_tree):
-        split = apply_split(worked_tree, SplitSpec(4, (0, 1)))
+        split = solve_topology(worked_tree.instance, split_topology(worked_tree.topology, SplitSpec(4, (0, 1))))
         assert split.cost < worked_tree.cost - 1e-12
 
     def test_invalid_member_rejected(self, worked_tree):
         with pytest.raises(ValueError):
-            apply_split(worked_tree, SplitSpec(4, (2,)))
+            split_topology(worked_tree.topology, SplitSpec(4, (2,)))
 
 
 class TestOptimalBeadCount:

@@ -71,12 +71,12 @@ def assert_same_certificates(tree: SolvedTree) -> None:
         oracle.centroid_deviations, tree
     )
     for tol in (analysis.CERTIFICATE_TOLERANCE, 0.3):
-        assert outcome(analysis.check_angles, tree, tol) == outcome(
+        assert outcome(lambda: analysis.check_edge_pairs(tree, tol)[0]) == outcome(
             oracle.check_angles, tree, tol
         )
     for strategy in STRATEGIES:
         for tol in (analysis.OVERLAP_ANGLE_TOLERANCE, 0.5):
-            assert outcome(analysis.check_overlapping_edges, tree, tol, strategy) == outcome(
+            assert outcome(lambda: analysis.check_edge_pairs(tree, overlap_tol=tol, strategy=strategy)[1]) == outcome(
                 oracle.check_overlapping_edges, tree, tol, strategy
             )
     for phi in (3, 4, 5):

@@ -139,7 +139,7 @@ class TestCachedStructure:
         for _ in range(2):
             with pytest.raises(TopologyError, match="cannot reach the sink"):
                 topo.order_from_sink()
-        assert topo.structural_violations()
+        assert validate_topology(topo, DegreeBound(3))
         with pytest.raises(TopologyError):
             compute_flows(topo, (1.0, 1.0))
 
