@@ -110,6 +110,7 @@ summaries and equal scalars, the first in generation order is kept.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -374,7 +375,15 @@ def _subset_search(
     ys = [p.y for p in instance.sources] + [instance.sink.y]
     sink_x = xs[n]
     sink_y = ys[n]
-    supplies = instance.supplies
+    # supplies scaled by the power of two that brings the largest into
+    # [1, 2) (as near as a float scale goes), the charge and known cost
+    # alike: no product of two weights underflows or overflows.  A charge
+    # scaled past every float, held finite, outweighs any tree all the same.
+    scale = math.ldexp(1.0, min(1 - math.frexp(max(instance.supplies))[1], 1023))
+    supplies = [w * scale for w in instance.supplies]
+    bead_charge = charge
+    charge = min(charge * scale, sys.float_info.max)
+    known *= scale
     flow = [0.0] * (full + 1)
     # per mask M, the cost of wiring the sources outside M straight to the
     # sink; a known tree is the best one over M plus those wires
@@ -580,13 +589,13 @@ def _subset_search(
         strategy,
         placed_topology(n, n_steiner, placed),
         tuple(beads),
-        layers[n][-1][budget][full],
-        charge,
+        layers[n][-1][budget][full] / scale,
+        bead_charge,
         started,
         topologies_examined=built,
         topologies_pruned=dropped,
         bead_vectors=beaded,
-        upper_bound=upper,
+        upper_bound=upper / scale,
         steiner_bound=steiner_bound,
     )
 

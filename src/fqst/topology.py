@@ -24,7 +24,12 @@ STEINER = -1  # root of a generated subtree that is a Steiner slot
 
 @dataclass(frozen=True)
 class Instance:
-    """Sources with positive supplies and a single sink."""
+    """Sources with positive supplies and a single sink.
+
+    A source on the sink is an error: its flow reaches the sink over a
+    zero-length edge at no cost, and whatever hangs from it can hang from
+    the sink instead, so the instance without it has the same optimum.
+    """
 
     sources: tuple[Point, ...]
     supplies: tuple[float, ...]

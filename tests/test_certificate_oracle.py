@@ -76,9 +76,8 @@ def assert_same_certificates(tree: SolvedTree) -> None:
         )
     for strategy in STRATEGIES:
         for tol in (analysis.OVERLAP_ANGLE_TOLERANCE, 0.5):
-            assert outcome(lambda: analysis.check_edge_pairs(tree, overlap_tol=tol, strategy=strategy)[1]) == outcome(
-                oracle.check_overlapping_edges, tree, tol, strategy
-            )
+            overlaps = lambda: analysis.check_edge_pairs(tree, overlap_tol=tol, strategy=strategy)[1]
+            assert outcome(overlaps) == outcome(oracle.check_overlapping_edges, tree, tol, strategy)
     for phi in (3, 4, 5):
         for tol in (analysis.CERTIFICATE_TOLERANCE, 1.0):
             assert outcome(analysis.check_degree_window, tree, phi, tol) == outcome(

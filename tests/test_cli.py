@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqst import NodeWeighted, Point
 from fqst import cli
@@ -233,6 +237,29 @@ class TestExactCommand:
         result_path = write_document(tmp_path, result, "nw.json")
         assert main(["check", result_path]) == 0
 
+    def test_tiny_common_supplies_find_the_optimum(self, tmp_path, capsys):
+        # products of two supplies of 1e-200 underflow; the search scales
+        # them by a power of two, and finds the optimum at supply 1
+        # (26.7069096757) times 1e-200
+        doc = {
+            "schema": 1,
+            "sources": [[3.444219, 2.579544], [-0.794284, -2.410832], [0.112747, -0.950659]],
+            "sink": [2.837986, -1.966873],
+            "supplies": [1e-200, 1e-200, 1e-200],
+            "strategy": {"degree_bound": 3},
+        }
+        result = str(tmp_path / "result.json")
+        assert main(["exact", write_document(tmp_path, doc), "-o", result]) == 0
+        assert f"{loads(Path(result).read_text())['objective']:.12g}" == "2.67069096757e-199"
+        assert main(["check", result]) == 0
+
+    def test_huge_common_supplies_are_searched(self, tmp_path, capsys):
+        doc = worked_document(topology=False)
+        doc["supplies"] = [1e200, 1e200, 1e200]
+        result = str(tmp_path / "result.json")
+        assert main(["exact", write_document(tmp_path, doc), "-o", result]) == 0
+        assert main(["check", result]) == 0
+
 
 DEGENERATE_FAMILIES = {
     "two coincident sources": ([[0, 0], [0, 0], [1, 1]], [5, 5]),
@@ -268,6 +295,64 @@ def test_degenerate_optima_pass_check(tmp_path, capsys, family, strategy):
     assert code == 0
     capsys.readouterr()
     assert main(["check", result]) == 0, capsys.readouterr().out
+
+
+@st.composite
+def degenerate_layouts(draw):
+    """(sources, sink) of at most five sources, none on the sink: coincident
+    sources, collinear sources, a regular polygon around the sink, or
+    points of a small integer grid."""
+    small = st.integers(-2, 2)
+    family = draw(st.sampled_from(["coincident", "collinear", "polygon", "grid"]))
+    if family == "coincident":
+        point = [draw(small), draw(small)]
+        others = draw(st.lists(st.tuples(small, small).map(list), max_size=3))
+        sources = [point] * draw(st.integers(2, 5 - len(others))) + others
+        sink = draw(st.tuples(small, small).map(list).filter(lambda s: s not in sources))
+    elif family == "collinear":
+        direction = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]))
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+        sources = [[t * direction[0], t * direction[1]] for t in steps]
+        off_line = draw(st.sampled_from([0, 1, 2]))
+        on = draw(st.integers(-3, 3).filter(lambda t: off_line or t not in steps))
+        sink = [on * direction[0] - off_line * direction[1], on * direction[1] + off_line * direction[0]]
+    elif family == "polygon":
+        sink = [draw(small), draw(small)]
+        turn = draw(st.sampled_from([0.0, math.pi / 4, 0.3]))
+        m = draw(st.integers(2, 5))
+        radius = draw(st.integers(1, 3))
+        sources = [
+            [sink[0] + radius * math.cos(turn + 2 * math.pi * i / m),
+             sink[1] + radius * math.sin(turn + 2 * math.pi * i / m)]
+            for i in range(m)
+        ]
+    else:
+        cells = st.tuples(st.integers(0, 2), st.integers(0, 2)).map(list)
+        sources = draw(st.lists(cells, min_size=1, max_size=5))
+        sink = draw(cells.filter(lambda s: s not in sources))
+    return sources, sink
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [{"degree_bound": 3}, {"degree_bound": 4}, {"degree_bound": 5}, {"explicit_bound": 1},
+     {"explicit_bound": 3}, {"node_weighted": 1}, {"node_weighted": 3}],
+    ids=json.dumps,
+)
+@given(layout=degenerate_layouts())
+@settings(max_examples=12, deadline=None)
+def test_degenerate_layouts_pass_check(tmp_path_factory, strategy, layout):
+    """Every global optimum exact writes on a degenerate layout passes check;
+    the search may refuse a Steiner budget above its guard (exit 3)."""
+    sources, sink = layout
+    workdir = tmp_path_factory.getbasetemp()
+    doc = {"schema": 1, "sources": sources, "sink": sink, "strategy": strategy}
+    result = str(workdir / "layout-result.json")
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["exact", write_document(workdir, doc, "layout.json"), "-o", result])
+        assert code in (0, 3), err.getvalue()
+        if code == 0:
+            assert main(["check", result]) == 0, out.getvalue()
 
 
 class TestCheckCommand:

@@ -722,6 +722,44 @@ class TestSmallSupplies:
         ) + 1e-9
 
 
+class TestCommonSupplyScale:
+    """A common factor on the supplies (and the node weight) scales the
+    objective and keeps the winner, at magnitudes where a product of two
+    supplies underflows or overflows."""
+
+    @pytest.mark.parametrize("scale", [2.0**-600, 1e-200, 1e200], ids=["2^-600", "1e-200", "1e200"])
+    @pytest.mark.parametrize("strategy", [DegreeBound(3), ExplicitBound(1), NodeWeighted(3.0)], ids=str)
+    def test_winner_is_the_unscaled_one(self, strategy, scale):
+        for seed in range(4):
+            rng = random.Random(seed)
+            inst = (random_supplied_instance if seed % 2 else random_instance)(rng, 3 + seed % 3, 3.0)
+            scaled = Instance(inst.sources, tuple(w * scale for w in inst.supplies), inst.sink)
+            reference = solve_exact(inst, strategy)
+            alike = NodeWeighted(strategy.c * scale) if isinstance(strategy, NodeWeighted) else strategy
+            report = solve_exact(scaled, alike)
+            assert rooted_encoding(report.best.topology) == rooted_encoding(reference.best.topology)
+            assert math.isclose(report.objective, reference.objective * scale, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("strategy", [DegreeBound(3), ExplicitBound(1)], ids=str)
+    def test_subnormal_supplies_find_the_unit_winner(self, strategy):
+        # no float scale brings 5e-324 to 1; the largest, 2^1023, still
+        # brings it to 2^-51, where no product of two weights underflows
+        for seed in range(3):
+            inst = random_instance(random.Random(seed), 3 + seed, 3.0)
+            tiny = Instance(inst.sources, (5e-324,) * inst.n_sources, inst.sink)
+            assert rooted_encoding(solve_exact(tiny, strategy).best.topology) == rooted_encoding(
+                solve_exact(inst, strategy).best.topology
+            )
+
+    def test_node_weight_past_every_scaled_float(self):
+        # scaled with supplies of 1e-10, this charge passes every float; it
+        # still outweighs any tree, so the winner places no Steiner point
+        inst = Instance((Point(0, 0), Point(2, 4), Point(11, 5)), (1e-10,) * 3, Point(11, 1))
+        report = solve_exact(inst, NodeWeighted(1e300))
+        assert report.best.topology.n_steiner == 0
+        assert report.objective == solve_exact(inst, ExplicitBound(0)).objective
+
+
 class TestBeadExpansionEquivalence:
     def test_reduced_solve_matches_expanded_solve(self):
         from fqst.analysis import expand_beads
