@@ -26,8 +26,11 @@ steiner_weight, finite with both terms positive, and nowhere else.
 
 eliminate's pass up from the leaves builds (q, V) and W for every Steiner
 slot, and its pass down from the sink, the paper's back-tracking, places
-every slot after its parent; a residual check over every condition closes
-solve_topology.  This is the paper's linear-time algorithm generalised to
+every slot after its parent.  Both passes run on the flows scaled by
+geometry.mass_scale, which moves no bit while the weights stay in the normal
+range and keeps tiny or huge supplies from leaving it.  The centroid
+certificate that fqst check applies (trees.centroid_deviations) closes
+every solve.  This is the paper's linear-time algorithm generalised to
 any Steiner degree >= 2 and any positive supplies, and geo_solver reads the
 paper's merge trace off the upward pass.  Exact search costs every subtree
 by its summary without placing anything.
@@ -39,58 +42,12 @@ import math
 import sys
 from typing import NamedTuple, Sequence
 
-from .errors import InternalConsistencyError
+from .errors import GeometryError, InternalConsistencyError
+from .geometry import mass_scale
 from .topology import Instance, Topology, compute_flows
-from .trees import SolvedTree, build_solved_tree
+from .trees import CERTIFICATE_TOLERANCE, SolvedTree, build_solved_tree, off_centroid_slots
 
-RESIDUAL_TOLERANCE = 1e-9
 _SMALLEST_NORMAL = sys.float_info.min
-
-
-def _check_residual(
-    topology: Topology, xs: Sequence[float], ys: Sequence[float], flows: Sequence[float]
-) -> None:
-    """Every weighted-mean condition holds to RESIDUAL_TOLERANCE relative
-    to the largest terminal contribution to any condition."""
-    parents = topology.parents
-    children = topology.children_lists()
-    sink = topology.sink
-    worst = largest_rhs = 0.0
-    for s in topology.steiner_slots():
-        x, y = xs[s], ys[s]
-        rx = ry = tx = ty = 0.0
-        for c in children[s]:
-            w = flows[c]
-            rx += w * (x - xs[c])
-            ry += w * (y - ys[c])
-            if c <= sink:
-                tx += w * xs[c]
-                ty += w * ys[c]
-        p = parents[s]
-        w = flows[s]
-        rx += w * (x - xs[p])
-        ry += w * (y - ys[p])
-        if p <= sink:
-            tx += w * xs[p]
-            ty += w * ys[p]
-        if rx != rx or ry != ry:  # NaN: the comparisons below would drop it
-            worst = math.nan
-            break
-        rx = abs(rx)
-        ry = abs(ry)
-        if rx > worst:
-            worst = rx
-        if ry > worst:
-            worst = ry
-        tx = abs(tx)
-        ty = abs(ty)
-        if tx > largest_rhs:
-            largest_rhs = tx
-        if ty > largest_rhs:
-            largest_rhs = ty
-    bound = RESIDUAL_TOLERANCE * (1.0 + largest_rhs)
-    if not (worst <= bound):
-        raise InternalConsistencyError(f"elimination residual {worst:.3e} exceeds {bound:.3e}")
 
 
 def merge_summaries(parts: Sequence[Sequence[float]]) -> tuple[float, float, float, float]:
@@ -150,8 +107,8 @@ def pinned_cost(x: float, y: float, parts: Sequence[Sequence[float]]) -> float:
 def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
     """Locally minimal embedding for any valid topology and positive supplies.
 
-    Works for any Steiner degrees >= 2; the output satisfies the
-    centre-of-mass condition at every Steiner point, checked by residual.
+    Works for any Steiner degrees >= 2; the output passes the centroid
+    certificate at every Steiner point, or InternalConsistencyError is raised.
     """
     return eliminate(instance, topology)[0]
 
@@ -159,8 +116,8 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
 class UpwardMerges(NamedTuple):
     """The upward pass's merges: the Steiner slots in merge order and, per
     node, the summary position q (a terminal's own) and the merged weight V
-    (0.0 at terminals).  A slot's (q, V) is the paper's quasi-source: its
-    position and formal mass."""
+    in the flows' own scale (0.0 at terminals).  A slot's (q, V) is the
+    paper's quasi-source: its position and formal mass."""
 
     order: list[int]
     qx: list[float]
@@ -171,6 +128,8 @@ class UpwardMerges(NamedTuple):
 def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, UpwardMerges]:
     """solve_topology's tree and the upward merges that placed it."""
     flows = compute_flows(topology, instance.supplies)  # also rejects non-trees
+    scale = mass_scale(max(flows))
+    scaled = [f * scale for f in flows]
     sink = topology.sink
     children = topology.children_lists()
     upward = [s for s in reversed(topology.order_from_sink()) if s > sink]
@@ -178,7 +137,7 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
     qx = [p.x for p in instance.sources] + [instance.sink.x] + padding
     qy = [p.y for p in instance.sources] + [instance.sink.y] + padding
     v = [0.0] * len(qx)
-    weights = list(flows)  # W of each node's summary: a terminal's out-edge flow
+    weights = scaled.copy()  # W of each node's summary: a terminal's out-edge weight
     for s in upward:
         vs = sx = sy = 0.0
         for c in children[s]:
@@ -186,7 +145,7 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
             vs += wc
             sx += wc * qx[c]
             sy += wc * qy[c]
-        weights[s] = steiner_weight(vs, flows[s])
+        weights[s] = steiner_weight(vs, scaled[s])
         qx[s] = sx / vs
         qy[s] = sy / vs
         v[s] = vs
@@ -195,11 +154,17 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
     parents = topology.parents
     for s in reversed(upward):
         p = parents[s]
-        w = flows[s]
+        w = scaled[s]
         vs = v[s]
         d = vs + w
         xs[s] = (vs * qx[s] + w * xs[p]) / d
         ys[s] = (vs * qy[s] + w * ys[p]) / d
-    _check_residual(topology, xs, ys, flows)
     tree = build_solved_tree(instance, topology, xs, ys, flows)
-    return tree, UpwardMerges(upward, qx, qy, v)
+    try:
+        deviations = tree.deviations
+    except GeometryError as exc:  # a placement that is not finite
+        raise InternalConsistencyError(f"elimination left a non-finite placement: {exc}") from None
+    off = off_centroid_slots(tree, deviations, CERTIFICATE_TOLERANCE)
+    if off:
+        raise InternalConsistencyError(f"elimination left Steiner slots {off} off their centroids")
+    return tree, UpwardMerges(upward, qx, qy, [x / scale for x in v])

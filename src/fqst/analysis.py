@@ -8,16 +8,19 @@ from typing import Sequence
 
 from . import algebraic_solver
 from .errors import TopologyError
-from .geometry import MassPoint, Point, sq_dist
+from .geometry import Point, mass_scale, sq_dist
 from .strategies import BoundStrategy, DegreeBound
 from .topology import NO_PARENT, Instance, Topology, _orient_toward_sink, compute_flows
-from .trees import SolvedTree, embedded_cost
+from .trees import (
+    CERTIFICATE_TOLERANCE,
+    SolvedTree,
+    centroid_deviations,
+    embedded_cost,
+    off_centroid_slots,
+    weighted_mean,
+)
 
 OVERLAP_ANGLE_TOLERANCE = 1e-7
-CERTIFICATE_TOLERANCE = 1e-9
-
-_INF = math.inf
-_isfinite = math.isfinite
 
 
 def cost(tree: SolvedTree) -> float:
@@ -32,79 +35,13 @@ def cost_node_weighted(tree: SolvedTree, c: float) -> float:
     return cost(tree) + c * tree.topology.n_steiner
 
 
-def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
-    """Distance of each Steiner point from the centre of mass of its
-    neighbours, where in-neighbours weigh their in-edge flows and the
-    out-neighbour weighs the out-edge flow.
-
-    The centre of mass is geometry.centroid's arithmetic over the tree's
-    coordinate table, in-neighbours first, without building mass points.
-    """
-    topo = tree.topology
-    children = topo.children_lists()
-    parents = topo.parents
-    flows = tree.flows
-    xs, ys = tree.xs, tree.ys
-    deviations: dict[int, float] = {}
-    for slot in topo.steiner_slots():
-        parent = parents[slot]
-        sx = sy = sm = 0.0
-        masses_ok = True
-        for c in children[slot]:
-            m = flows[c]
-            masses_ok = masses_ok and 0.0 < m < _INF
-            sx += m * xs[c]
-            sy += m * ys[c]
-            sm += m
-        m = flows[slot]
-        masses_ok = masses_ok and 0.0 < m < _INF
-        sx += m * xs[parent]
-        sy += m * ys[parent]
-        sm += m
-        if not (masses_ok and _isfinite(sx) and _isfinite(sy)):
-            _require_mass_points(
-                tree, (*children[slot], parent), [*(flows[c] for c in children[slot]), m]
-            )
-        dx = xs[slot] - sx / sm
-        dy = ys[slot] - sy / sm
-        deviations[slot] = math.sqrt(dx * dx + dy * dy)
-    return deviations
-
-
-def _require_mass_points(tree: SolvedTree, nodes: Sequence[int], masses: Sequence[float]) -> None:
-    """Raise the GeometryError that MassPoint raises for the first node with
-    a non-finite position or a non-positive or non-finite mass, as the
-    centroid over these mass points would; return when there is none."""
-    for node, mass in zip(nodes, masses):
-        MassPoint(tree.position(node), mass)
-
-
 def check_centroid_certificate(tree: SolvedTree, tol: float = CERTIFICATE_TOLERANCE) -> dict[int, bool]:
     """Local-minimality decision: a tree is locally minimal exactly when every
     Steiner point sits at the centre of mass of its neighbours, each judged
     to scale by off_centroid_slots."""
-    deviations = centroid_deviations(tree)
+    deviations = tree.deviations
     off = set(off_centroid_slots(tree, deviations, tol))
     return {slot: slot not in off for slot in deviations}
-
-
-def off_centroid_slots(tree: SolvedTree, deviations: dict[int, float], tol: float) -> list[int]:
-    """The Steiner slots, in order, whose centroid deviation fails tol
-    taken to scale: tol * (1 + the largest |coordinate| of the slot and its
-    neighbours), since coordinates carry relative rounding (a stored number
-    12 significant digits).  Only deviations above tol itself are rejudged,
-    so a tree that passes the absolute test costs nothing more."""
-    failing = sorted(slot for slot, dev in deviations.items() if not dev <= tol)
-    if not failing:
-        return failing
-    parents = tree.topology.parents
-    children = tree.topology.children_lists()
-    xs, ys = tree.xs, tree.ys
-
-    def magnitude(slot: int) -> float:
-        return max(max(abs(xs[v]), abs(ys[v])) for v in (slot, parents[slot], *children[slot]))
-
-    return [slot for slot in failing if not deviations[slot] <= tol * (1.0 + magnitude(slot))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,7 +66,8 @@ def check_degree_window(
     topo = tree.topology
     deg = topo.degrees()
     children = topo.children_lists()
-    flows = tree.flows
+    supplies = tree.instance.supplies
+    scale = mass_scale(max(tree.flows))
     xs, ys = tree.xs, tree.ys
     violations = []
     high = 2 * phi - 3
@@ -153,24 +91,8 @@ def check_degree_window(
             )
         elif deg[source] == phi - 1 and children[source]:
             # the centroid of the source (weighing its supply) and its
-            # in-neighbours, as geometry.centroid computes it
-            kids = children[source]
-            w = tree.instance.supplies[source]
-            sx = sy = sm = 0.0
-            sx += w * xs[source]
-            sy += w * ys[source]
-            sm += w
-            masses_ok = 0.0 < w < _INF
-            for c in kids:
-                m = flows[c]
-                masses_ok = masses_ok and 0.0 < m < _INF
-                sx += m * xs[c]
-                sy += m * ys[c]
-                sm += m
-            if not (masses_ok and _isfinite(sx) and _isfinite(sy)):
-                _require_mass_points(tree, (source, *kids), [w, *(flows[c] for c in kids)])
-            cx = sx / sm
-            cy = sy / sm
+            # in-neighbours
+            cx, cy = weighted_mean(tree, children[source], source, supplies[source], scale)
             parent = topo.parents[source]
             dx = xs[source] - (cx + 0.5 * (xs[parent] - cx))
             dy = ys[source] - (cy + 0.5 * (ys[parent] - cy))
@@ -440,16 +362,16 @@ def steiner_count_bound(instance: Instance, c: float) -> int:
     larger root (the optimum's own k satisfies the inequality, so the root
     is real and at least that k).
 
-    U, Q and c are first scaled by the one power of two that brings the
-    largest of them below 1, so that no square overflows; that changes no
-    bit of the root wherever the unscaled formula neither overflows nor
-    underflows.  The root is at most U / c: a sum of f L^2 / ((p+1) c) + p
-    over the spanning edges, each finite once its bead count p is computed.
+    U, Q and c are first scaled by geometry.mass_scale of the largest of
+    them, so that no square overflows; that changes no bit of the root
+    wherever the unscaled formula neither overflows nor underflows.  The
+    root is at most U / c: a sum of f L^2 / ((p+1) c) + p over the spanning
+    edges, each finite once its bead count p is computed.
     """
     n = instance.n_sources
     upper = beaded_spanning_cost(instance, c)
     q_total = _weighted_sink_distances(instance)
-    scale = math.ldexp(1.0, -math.frexp(max(upper, q_total, c))[1])
+    scale = mass_scale(max(upper, q_total, c))
     c *= scale
     upper *= scale
     b_lin = c * (n + 1) - upper

@@ -37,8 +37,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fqst",
         description="Flow-dependent quadratic Steiner trees: solve, search, check, draw.",
     )
-    parser.add_argument("--tolerance", type=float, default=1e-9,
-                        help="certificate tolerance (default 1e-9)")
+    parser.add_argument("--tolerance", type=float, default=analysis.CERTIFICATE_TOLERANCE,
+                        help="certificate tolerance (default %(default)g)")
     parser.add_argument("--guard-n", type=int, default=exact_search.DEFAULT_GUARD,
                         help="largest source count exact search accepts")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,7 +158,7 @@ def _cmd_check(args) -> int:
     structural = validate_topology(tree.topology, strategy)
     failures.extend(f"structure: {v}" for v in structural)
 
-    bad = analysis.off_centroid_slots(tree, analysis.centroid_deviations(tree), tol)
+    bad = analysis.off_centroid_slots(tree, tree.deviations, tol)
     if bad:
         failures.append(f"centroid certificate fails at Steiner slots {bad}")
 

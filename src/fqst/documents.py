@@ -263,7 +263,7 @@ def instance_document(
 
 
 def certificate_summary(tree: SolvedTree, tolerance: float) -> dict:
-    deviations = analysis.centroid_deviations(tree)
+    deviations = tree.deviations
     max_deviation = max(deviations.values(), default=0.0)
     angle_violations, overlaps = analysis.check_edge_pairs(tree, tolerance)
     return {
@@ -279,7 +279,7 @@ def result_document(
     tree: SolvedTree,
     strategy: BoundStrategy,
     *,
-    tolerance: float = 1e-9,
+    tolerance: float = analysis.CERTIFICATE_TOLERANCE,
     objective: float | None = None,
     claims_global_optimum: bool = False,
     extra: dict | None = None,

@@ -121,7 +121,7 @@ from typing import Sequence
 from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GeometryError, GuardLimitError, InternalConsistencyError
-from .geometry import sq_dist
+from .geometry import mass_scale, sq_dist
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 from .topology import (
     STEINER,
@@ -185,10 +185,11 @@ def solve_exact(
             f"raise guard_n explicitly to go further"
         )
     # a tree's edges (at most 2n, beads only dividing their cost) each cost
-    # at most the total supply times the bounding box's squared diagonal
+    # at most the total supply times the bounding box's squared diagonal,
+    # which must itself be finite: the search squares distances unweighted
     diagonal = _bounding_box_diagonal(instance)
     supply = instance.total_supply()
-    if not math.isfinite(2 * n * supply * diagonal * diagonal):
+    if not math.isfinite(2 * n * supply * (diagonal * diagonal)):
         raise GeometryError(
             f"a tree's cost may overflow: {2 * n} edges x total supply {supply:.6g} "
             f"x squared bounding-box diagonal {diagonal:.6g}^2 overflows a float"
@@ -375,11 +376,10 @@ def _subset_search(
     ys = [p.y for p in instance.sources] + [instance.sink.y]
     sink_x = xs[n]
     sink_y = ys[n]
-    # supplies scaled by the power of two that brings the largest into
-    # [1, 2) (as near as a float scale goes), the charge and known cost
+    # supplies scaled by geometry.mass_scale, the charge and known cost
     # alike: no product of two weights underflows or overflows.  A charge
     # scaled past every float, held finite, outweighs any tree all the same.
-    scale = math.ldexp(1.0, min(1 - math.frexp(max(instance.supplies))[1], 1023))
+    scale = mass_scale(max(instance.supplies))
     supplies = [w * scale for w in instance.supplies]
     bead_charge = charge
     charge = min(charge * scale, sys.float_info.max)
@@ -739,8 +739,8 @@ def _report(
     started: float,
     **counters,
 ) -> SearchReport:
-    """Expand the winner's beads, re-solve it (with the solver's residual
-    check) and check its objective against the searched one."""
+    """Expand the winner's beads, re-solve it (the solver closes with the
+    centroid certificate) and check its objective against the searched one."""
     resolving = time.perf_counter()
     if any(beads):
         topology = analysis.expand_beads(topology, beads)

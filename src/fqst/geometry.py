@@ -64,6 +64,13 @@ def centroid(points: Iterable[MassPoint]) -> Point:
     return Point(sx / sm, sy / sm)
 
 
+def mass_scale(largest: float) -> float:
+    """The power of two that brings the largest mass into [1, 2), as near as
+    a float scale goes: masses scaled by it keep their bits wherever they
+    and their products stay normal, and none of them overflows."""
+    return math.ldexp(1.0, min(1 - math.frexp(largest)[1], 1023))
+
+
 def angle_at(vertex: Point, a: Point, b: Point) -> float:
     """Interior angle in [0, pi] between the rays vertex->a and vertex->b.
 

@@ -1,14 +1,21 @@
-"""Embedded solution trees and their flow-weighted quadratic cost."""
+"""Embedded solution trees, their flow-weighted quadratic cost, and the
+centroid certificate of local minimality."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import TopologyError
-from .geometry import Point
+from .geometry import MassPoint, Point, mass_scale
 from .topology import NO_PARENT, Instance, Topology
+
+CERTIFICATE_TOLERANCE = 1e-9
+
+_INF = math.inf
+_isfinite = math.isfinite
 
 
 @dataclass(frozen=True)
@@ -40,6 +47,12 @@ class SolvedTree:
         """The Steiner slots' rows of the table, as points."""
         first = self.topology.sink + 1
         return tuple(map(Point, self.xs[first:], self.ys[first:]))
+
+    @cached_property
+    def deviations(self) -> dict[int, float]:
+        """centroid_deviations(self), computed once: the solver's closing
+        check and the result's certificates read the same pass."""
+        return centroid_deviations(self)
 
 
 def _check_table(
@@ -96,3 +109,78 @@ def build_solved_tree(
     _check_table(topology, xs, ys, flows)  # before the cost loop indexes the table
     cost, degenerate = _cost_and_zero_edge(topology, xs, ys, flows)
     return SolvedTree(instance, topology, xs, ys, flows, cost, degenerate)
+
+
+def weighted_mean(
+    tree: SolvedTree, kids: Sequence[int], other: int, mass: float, scale: float
+) -> tuple[float, float]:
+    """The centre of mass of a node's in-neighbours kids, each weighing the
+    flow of its out-edge, and of the node other, weighing mass:
+    geometry.centroid's arithmetic over the coordinate table, kids first,
+    in masses times scale.  With scale the tree's geometry.mass_scale no
+    bit moves in the normal range, and tiny flows keep their digits.
+    Raises the GeometryError that MassPoint raises for a non-finite position
+    or a non-positive or non-finite mass."""
+    flows, xs, ys = tree.flows, tree.xs, tree.ys
+    sx = sy = sm = 0.0
+    masses_ok = 0.0 < mass < _INF
+    for c in kids:
+        m = flows[c]
+        masses_ok = masses_ok and 0.0 < m < _INF
+        m *= scale
+        sx += m * xs[c]
+        sy += m * ys[c]
+        sm += m
+    m = mass * scale
+    sx += m * xs[other]
+    sy += m * ys[other]
+    sm += m
+    if not (masses_ok and _isfinite(sx) and _isfinite(sy)):
+        _require_mass_points(tree, (*kids, other), [*map(flows.__getitem__, kids), mass])
+    return sx / sm, sy / sm
+
+
+def _require_mass_points(tree: SolvedTree, nodes: Sequence[int], masses: Sequence[float]) -> None:
+    """Raise the GeometryError that MassPoint raises for the first node with
+    a non-finite position or a non-positive or non-finite mass, as the
+    centroid over these mass points would; return when there is none."""
+    for node, mass in zip(nodes, masses):
+        MassPoint(tree.position(node), mass)
+
+
+def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
+    """Distance of each Steiner point from the centre of mass of its
+    neighbours (weighted_mean), where in-neighbours weigh their in-edge
+    flows and the out-neighbour weighs the out-edge flow."""
+    topo = tree.topology
+    children = topo.children_lists()
+    parents = topo.parents
+    flows = tree.flows
+    xs, ys = tree.xs, tree.ys
+    scale = mass_scale(max(flows))
+    deviations: dict[int, float] = {}
+    for slot in topo.steiner_slots():
+        cx, cy = weighted_mean(tree, children[slot], parents[slot], flows[slot], scale)
+        dx = xs[slot] - cx
+        dy = ys[slot] - cy
+        deviations[slot] = math.sqrt(dx * dx + dy * dy)
+    return deviations
+
+
+def off_centroid_slots(tree: SolvedTree, deviations: dict[int, float], tol: float) -> list[int]:
+    """The Steiner slots, in order, whose centroid deviation fails tol
+    taken to scale: tol * (1 + the largest |coordinate| of the slot and its
+    neighbours), since coordinates carry relative rounding (a stored number
+    12 significant digits).  Only deviations above tol itself are rejudged,
+    so a tree that passes the absolute test costs nothing more."""
+    failing = sorted(slot for slot, dev in deviations.items() if not dev <= tol)
+    if not failing:
+        return failing
+    parents = tree.topology.parents
+    children = tree.topology.children_lists()
+    xs, ys = tree.xs, tree.ys
+
+    def magnitude(slot: int) -> float:
+        return max(max(abs(xs[v]), abs(ys[v])) for v in (slot, parents[slot], *children[slot]))
+
+    return [slot for slot in failing if not deviations[slot] <= tol * (1.0 + magnitude(slot))]

@@ -16,10 +16,9 @@ from fqst import (
 )
 from fqst.geometry import MassPoint, centroid, sq_dist
 from skeleton_walk import enumerate_bounded_topologies
-from fqst.trees import embedded_cost
+from fqst.trees import CERTIFICATE_TOLERANCE, centroid_deviations, embedded_cost, off_centroid_slots
 from fqst import algebraic_solver
 from fqst.algebraic_solver import (
-    _check_residual,
     merge_summaries,
     pinned_cost,
     steiner_weight,
@@ -373,18 +372,37 @@ class TestEliminationMatchesDenseOracle:
 
     @pytest.mark.parametrize("factor", [2.0**-700, 2.0**600], ids=["tiny", "huge"])
     def test_positions_ignore_the_supply_scale(self, factor):
-        # w * V underflows or overflows at these supplies; the positions
-        # are those of the unscaled supplies up to rounding
+        # w * V underflows or overflows at these supplies unscaled; the
+        # passes run on flows scaled by a power of two, so the positions
+        # are those of the unscaled supplies bit for bit
         rng = random.Random(int(math.log2(factor)))
         topo = random_general_tree(rng, 6, 5)
         inst = random_supplied_instance(rng, 6)
         scaled = Instance(inst.sources, tuple(w * factor for w in inst.supplies), inst.sink)
-        scale = max(1.0, *(max(abs(p.x), abs(p.y)) for p in (*inst.sources, inst.sink)))
         expected = solve_topology(inst, topo)
         got = solve_topology(scaled, topo)
-        for a, b in zip(got.steiner_positions, expected.steiner_positions):
-            assert abs(a.x - b.x) <= 1e-12 * scale
-            assert abs(a.y - b.y) <= 1e-12 * scale
+        assert (got.xs, got.ys) == (expected.xs, expected.ys)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        multiples=st.lists(st.integers(1, 8), min_size=2, max_size=7),
+        power=st.integers(-1070, 1000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_supplies_keep_every_bit(self, seed, multiples, power):
+        # integer supplies times 2^power, from subnormal to near overflow:
+        # the positions are those at power 0 bit for bit, and every tree
+        # passes the certificate that check applies
+        rng = random.Random(seed)
+        n = len(multiples)
+        topo = random_general_tree(rng, n, rng.randint(1, n))
+        inst = random_instance(rng, n)
+        unit = Instance(inst.sources, tuple(float(m) for m in multiples), inst.sink)
+        scaled = Instance(inst.sources, tuple(math.ldexp(m, power) for m in multiples), inst.sink)
+        expected = solve_topology(unit, topo)
+        got = solve_topology(scaled, topo)
+        assert (got.xs, got.ys) == (expected.xs, expected.ys)
+        assert off_centroid_slots(got, centroid_deviations(got), CERTIFICATE_TOLERANCE) == []
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_pivot_raises(self, worked_instance, worked_topology, monkeypatch, bad):
@@ -395,28 +413,39 @@ class TestEliminationMatchesDenseOracle:
             solve_topology(worked_instance, worked_topology)
 
 
-class TestCheckResidual:
-    @staticmethod
-    def solved_tables(instance, topology):
-        tree = solve_topology(instance, topology)
-        return list(tree.xs), list(tree.ys), tree.flows
+class TestClosingCertificate:
+    """solve_topology closes with the centroid certificate: a placement that
+    fails it raises instead of returning."""
 
-    def test_solved_tables_pass(self, worked_instance, worked_topology):
-        _check_residual(worked_topology, *self.solved_tables(worked_instance, worked_topology))
+    @staticmethod
+    def inject(monkeypatch, slot, axis, change):
+        # the fault enters between the downward pass and the certificate
+        build = algebraic_solver.build_solved_tree
+
+        def faulty(instance, topology, xs, ys, flows):
+            table = [list(xs), list(ys)]
+            table[axis][slot] = change(table[axis][slot])
+            return build(instance, topology, *table, flows)
+
+        monkeypatch.setattr(algebraic_solver, "build_solved_tree", faulty)
+
+    def test_solved_tree_passes(self, worked_instance, worked_topology):
+        tree = solve_topology(worked_instance, worked_topology)
+        assert tree.deviations == centroid_deviations(tree)
+        assert off_centroid_slots(tree, tree.deviations, CERTIFICATE_TOLERANCE) == []
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("slot", [4, 5])
-    def test_moved_steiner_coordinate_raises(self, worked_instance, worked_topology, axis, slot):
-        tables = self.solved_tables(worked_instance, worked_topology)
-        tables[axis][slot] += 1e-6
-        with pytest.raises(InternalConsistencyError):
-            _check_residual(worked_topology, *tables)
+    def test_moved_placement_raises(self, worked_instance, worked_topology, monkeypatch, axis, slot):
+        self.inject(monkeypatch, slot, axis, lambda value: value + 1e-6)
+        with pytest.raises(InternalConsistencyError, match="off their centroids"):
+            solve_topology(worked_instance, worked_topology)
 
-    def test_nan_coordinate_raises(self, worked_instance, worked_topology):
-        xs, ys, flows = self.solved_tables(worked_instance, worked_topology)
-        ys[4] = float("nan")
+    @pytest.mark.parametrize("slot", [4, 5])
+    def test_nan_placement_raises(self, worked_instance, worked_topology, monkeypatch, slot):
+        self.inject(monkeypatch, slot, 1, lambda value: math.nan)
         with pytest.raises(InternalConsistencyError):
-            _check_residual(worked_topology, xs, ys, flows)
+            solve_topology(worked_instance, worked_topology)
 
 
 class TestSubtreeSummaries:

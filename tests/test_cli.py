@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqst import NodeWeighted, Point
-from fqst import cli
+from fqst import cli, trees
 from fqst.cli import _build_parser, main
 from fqst.documents import dumps, instance_document, loads
 from fqst.exact_search import DEFAULT_GUARD, STEINER_BUDGET_GUARD
@@ -53,6 +53,14 @@ class TestSolveTopologyCommand:
         assert out["steiner_positions"] == [[5.0, 2.0], [9.0, 2.0]]
         assert out["solver"] == "elimination"
         assert out["certificates"]["locally_minimal"] is True
+
+    def test_one_centroid_pass(self, tmp_path, capsys, monkeypatch):
+        # the solver's closing certificate is the one the document reports
+        calls = []
+        deviations = trees.centroid_deviations
+        monkeypatch.setattr(trees, "centroid_deviations", lambda tree: calls.append(1) or deviations(tree))
+        assert main(["solve-topology", write_document(tmp_path, worked_document())]) == 0
+        assert len(calls) == 1
 
     def test_missing_topology_is_usage_error(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document(topology=False))
@@ -176,6 +184,19 @@ class TestExactCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "total supply 2e+307" in line
 
+    def test_overflowing_squared_diagonal_is_input_error(self, tmp_path, capsys):
+        # README's points times 3e153: the squared diagonal overflows, while
+        # supplies of 1e-200 keep the product with it finite
+        doc = worked_document(topology=False)
+        doc["sources"] = [[x * 3e153, y * 3e153] for x, y in doc["sources"]]
+        doc["sink"] = [c * 3e153 for c in doc["sink"]]
+        doc["supplies"] = [1e-200, 1e-200, 1e-200]
+        assert main(["exact", write_document(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "overflows a float" in line
+
     @pytest.mark.parametrize(
         "strategy",
         [
@@ -252,6 +273,16 @@ class TestExactCommand:
         assert main(["exact", write_document(tmp_path, doc), "-o", result]) == 0
         assert f"{loads(Path(result).read_text())['objective']:.12g}" == "2.67069096757e-199"
         assert main(["check", result]) == 0
+
+    def test_subnormal_supplies_pass_check(self, tmp_path, capsys):
+        # the re-solve and check weigh the subnormal flows scaled by a power
+        # of two, as the search does
+        doc = worked_document(topology=False)
+        doc["supplies"] = [5e-324, 5e-324, 1e-320]
+        result = str(tmp_path / "result.json")
+        assert main(["exact", write_document(tmp_path, doc), "-o", result]) == 0
+        assert main(["check", result]) == 0
+        assert "all checks passed" in capsys.readouterr().out
 
     def test_huge_common_supplies_are_searched(self, tmp_path, capsys):
         doc = worked_document(topology=False)
@@ -339,14 +370,16 @@ def degenerate_layouts(draw):
      {"explicit_bound": 3}, {"node_weighted": 1}, {"node_weighted": 3}],
     ids=json.dumps,
 )
-@given(layout=degenerate_layouts())
+@given(layout=degenerate_layouts(), power=st.integers(-1070, 1000))
 @settings(max_examples=12, deadline=None)
-def test_degenerate_layouts_pass_check(tmp_path_factory, strategy, layout):
-    """Every global optimum exact writes on a degenerate layout passes check;
-    the search may refuse a Steiner budget above its guard (exit 3)."""
+def test_degenerate_layouts_pass_check(tmp_path_factory, strategy, layout, power):
+    """Every global optimum exact writes on a degenerate layout, at a common
+    supply of 2^power, passes check; the search may refuse a Steiner budget
+    above its guard (exit 3)."""
     sources, sink = layout
     workdir = tmp_path_factory.getbasetemp()
-    doc = {"schema": 1, "sources": sources, "sink": sink, "strategy": strategy}
+    supplies = [math.ldexp(1.0, power)] * len(sources)
+    doc = {"schema": 1, "sources": sources, "supplies": supplies, "sink": sink, "strategy": strategy}
     result = str(workdir / "layout-result.json")
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(["exact", write_document(workdir, doc, "layout.json"), "-o", result])
@@ -753,6 +786,19 @@ class TestBoundsCommand:
         out = json.loads(capsys.readouterr().out)
         assert type(out["steiner_budget"]) is int and out["steiner_budget"] > 10**90
         assert 0.0 < out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
+
+    def test_subnormal_costs_and_node_weight_are_bounded(self, tmp_path, capsys):
+        # U, Q and c all lie below 2^-1050, so the power of two that would
+        # bring them into [1, 2) is no float; the scale stops at 2^1023
+        doc = {
+            "schema": 1,
+            "sources": [[0.0, 0.0], [0.5, 0.5]],
+            "supplies": [5e-324, 5e-324],
+            "sink": [1.0, 0.0],
+            "strategy": {"node_weighted": 5e-324},
+        }
+        assert main(["bounds", write_document(tmp_path, doc)]) == 0
+        assert type(json.loads(capsys.readouterr().out)["steiner_budget"]) is int
 
     @pytest.mark.parametrize("c", [5e-324, 1e-310])
     def test_overflowing_bead_ratio_is_input_error(self, tmp_path, capsys, c):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fqst import (
+    DegreeBound,
     Instance,
-    InternalConsistencyError,
     Point,
     Topology,
     UnsupportedTopologyError,
@@ -17,6 +17,8 @@ from fqst import (
     run_geo_algorithm,
     solve_full_topology,
 )
+from fqst.cli import main
+from fqst.documents import dumps, instance_document
 from fqst.geo_solver import QuasiSource
 from fqst.geometry import MassPoint
 from conftest import NO_PARENT, random_full_topology, random_instance, with_steiner_positions
@@ -296,16 +298,26 @@ class TestSolveFullTopology:
             assert run.placement_count == n - 1
             assert run.merge_count + run.placement_count == 2 * (n - 1)
 
-    def test_overflow_raises(self, worked_topology):
-        # the elimination's placements stay finite, but the residual check
-        # overflows to NaN; it must raise rather than return a NaN cost
+    def test_overflowing_cost_is_placed_exactly(self, tmp_path, capsys, worked_topology):
+        # squared edge lengths overflow, but the placements, weighted means
+        # in scaled flows, are exact and pass the certificate; the cost is
+        # infinite, which solve-topology refuses to write (exit 2)
         inst = Instance.with_unit_supplies(
             [Point(1e308, 0.0), Point(-1e308, 0.0), Point(1e308, 1e308)], Point(0.0, -1e308)
         )
-        with pytest.raises(InternalConsistencyError):
-            solve_full_topology(inst, worked_topology)
-        with pytest.raises(InternalConsistencyError):
-            run_geo_algorithm(inst, worked_topology)
+        for tree in (
+            solve_full_topology(inst, worked_topology),
+            run_geo_algorithm(inst, worked_topology).tree,
+        ):
+            assert tree.steiner_positions == (Point(1e307, -2e307), Point(2e307, -4e307))
+            assert tree.deviations == {4: 0.0, 5: 0.0}
+            assert tree.cost == math.inf
+        path = tmp_path / "instance.json"
+        path.write_text(dumps(instance_document(inst, DegreeBound(3), worked_topology)))
+        assert main(["solve-topology", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_non_unit_supplies_rejected(self, worked_topology):
         inst = Instance(
