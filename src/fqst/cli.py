@@ -126,6 +126,19 @@ def _cmd_exact(args) -> int:
     return EXIT_OK
 
 
+def _agrees(recomputed: float, stored: float, tol: float, unit: float) -> bool:
+    """Whether a stored value matches its recomputed one: within tol
+    relative to the recomputed magnitude plus an absolute floor of tol
+    times unit, the largest flow capped at 1.  Below unit flows the floor
+    also takes the value's float spacing, so that at subnormal flows, where
+    tol * unit underflows, an exact match still passes and nothing else
+    does; at unit flows and above this is tol * (1 + |recomputed|)."""
+    bound = tol * (unit + abs(recomputed))
+    if unit < 1.0:
+        bound += math.ulp(recomputed)
+    return abs(recomputed - stored) <= bound
+
+
 def _cmd_check(args) -> int:
     parsed = documents.parse_result_document(_read_document(args.file))
     tree, strategy = parsed.tree, parsed.strategy
@@ -133,24 +146,23 @@ def _cmd_check(args) -> int:
     failures: list[str] = []
     notes: list[str] = []
 
+    # stored numbers carry 12 significant digits, so the cost, the
+    # objective and the flows are each compared relative to the magnitude
+    # they are recomputed at, above an absolute floor at the tree's flow
+    # scale (see _agrees)
+    expected_flows = compute_flows(tree.topology, tree.instance.supplies)
+    unit = min(max(expected_flows), 1.0)
     recomputed = analysis.cost(tree)
-    if not (abs(recomputed - tree.cost) <= tol * (1.0 + abs(recomputed))):
+    if not _agrees(recomputed, tree.cost, tol, unit):
         failures.append(f"cost mismatch: stored {tree.cost}, recomputed {recomputed}")
     objective = recomputed
     if isinstance(strategy, NodeWeighted):
         objective += strategy.c * tree.topology.n_steiner
     stored = parsed.objective
-    if stored is not None and not (abs(objective - stored) <= tol * (1.0 + abs(objective))):
+    if stored is not None and not _agrees(objective, stored, tol, unit):
         failures.append(f"objective mismatch: stored {stored}, recomputed {objective}")
 
-    # stored numbers carry 12 significant digits, so every comparison is
-    # relative to the magnitude it is made at, like the cost's above
-    expected_flows = compute_flows(tree.topology, tree.instance.supplies)
-    flow_errors = [
-        error
-        for a, b in zip(expected_flows, tree.flows)
-        if not (error := abs(a - b)) <= tol * (1.0 + abs(a))
-    ]
+    flow_errors = [abs(a - b) for a, b in zip(expected_flows, tree.flows) if not _agrees(a, b, tol, unit)]
     if flow_errors:
         worst_flow = max(flow_errors, key=lambda e: (math.isnan(e), e))
         failures.append(f"flow conservation violated by {worst_flow:.3e}")

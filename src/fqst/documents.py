@@ -247,21 +247,6 @@ def _bad_supplies(raw: Any) -> NoReturn:
     _no_fault("'supplies'")
 
 
-def instance_document(
-    instance: Instance, strategy: BoundStrategy, topology: Topology | None = None
-) -> dict:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "sources": [[p.x, p.y] for p in instance.sources],
-        "supplies": list(instance.supplies),
-        "sink": [instance.sink.x, instance.sink.y],
-        "strategy": strategy_document(strategy),
-    }
-    if topology is not None:
-        doc["topology"] = topology_document(topology)
-    return doc
-
-
 def certificate_summary(tree: SolvedTree, tolerance: float) -> dict:
     deviations = tree.deviations
     max_deviation = max(deviations.values(), default=0.0)

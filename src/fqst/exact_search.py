@@ -51,11 +51,20 @@ than phi - 2, splits at no cost into two nodes the bound admits (phi - 1 of
 the children move to a new Steiner point at the same place), so some
 optimum has every Steiner degree in [phi, 2 phi - 3] and every source
 degree at most phi - 1 (analysis.check_degree_window screens for both).
-The classes are then exact part counts c = 1 .. 2 phi - 4 (and at most n):
-a top-class forest is not merged further, and a Steiner root is built over
-every class phi - 1 .. 2 phi - 4.  A source anchors at most phi - 2 parts:
-its forests take layers 1 .. phi - 3, layer j holding those of at most
-j + 1 parts, their rest from layer j - 1.  The sink takes any number.
+A source with exactly phi - 2 children turns at no cost into a new Steiner
+point at its place, whose children are the source's and the source itself,
+a leaf on a zero-length edge: that point has phi - 1 children, inside the
+window, and the bound caps no Steiner count, so the tree stays feasible,
+and moving the point to its centroid cannot raise the cost.  So some
+optimum also has every source with at most phi - 3 children (at phi = 3,
+every source a leaf); only ties lose a tree.  The classes are then exact
+part counts c = 1 .. 2 phi - 4 (and at most n): a top-class forest is not
+merged further, and a Steiner root is built over every class phi - 1 ..
+2 phi - 4.  A source anchors at most phi - 3 parts: its forests take
+layers 1 .. phi - 4, layer j holding those of at most j + 1 parts, their
+rest from layer j - 1, and at phi = 3 it has no layers at all, its single
+subtree being the bare source over itself alone.  The sink takes any
+number.
 
 Under the node weight an out-edge over mask M takes 0 .. cap(M) beads,
 cap(M) the largest p minimising f D^2/(p+1) + c p at M's flow f and the
@@ -239,6 +248,11 @@ def _greedy_tree(instance: Instance, phi: int) -> Topology:
     from the sink.  Ties keep the first move found.  Children are ordered
     by their lowest source and numbered as the subset DP numbers its
     winner, so the same tree re-solves to the same cost.
+
+    A source may so take phi - 2 children, which the subset DP never
+    builds: the greedy tree may lie outside the DP's family.  It is still a
+    tree inside the bound, so its cost is at least the optimum's, and the
+    cut it seeds stays exact.
     """
     n = instance.n_sources
     sx = instance.sink.x
@@ -405,16 +419,22 @@ def _subset_search(
     # per anchor, layers of tables by count k and mask, each meaning "at
     # most k" (see the module docstring): layer 0 the best single subtree
     # hanging from the anchor, layer j >= 1 the best forest, its rest from
-    # layer j - shift.  The window's cap of phi - 2 parts at a source binds
-    # below n - 1 (shift 1); elsewhere shift is 0.  cut holds each forest's
-    # part with the mask's lowest source and that part's count, pick each
-    # single subtree's root.
-    capped = window and phi < n + 1
-    depths = [phi - 2 if capped else 2] * n + [2]
+    # layer j - shift.  The window's cap of phi - 3 parts at a source binds
+    # when phi - 3 is below the n - 1 other sources (phi < n + 2), with
+    # shift 1 there, and at phi = 3 leaves a source no layer at all;
+    # elsewhere shift is 0.  cut holds each forest's part with the mask's
+    # lowest source and that part's count, pick each single subtree's root.
+    capped = window and phi < n + 2
+    depths = [phi - 3 if capped else 2] * n + [2]
     shifts = [int(capped)] * n + [0]
     layers = [[[[0.0] * (full + 1) for _ in counts] for _ in range(depth)] for depth in depths]
     cut = [[None] + [[[None] * (full + 1) for _ in counts] for _ in range(1, depth)] for depth in depths]
     pick = [[[None] * (full + 1) for _ in counts] for _ in range(n + 1)]
+    anchors = [a for a in range(n + 1) if layers[a]]
+    # per source, its children's best forest by count and mask: a leaf has
+    # one, over no sources
+    leaf = [[0.0] + [inf] * full for _ in counts]
+    below_sources = [t[-1] if t else leaf for t in layers[:n]]
     # per anchor and forest layer: the layer, its cuts and the layer of its rests
     stacks = [[(t[j], c[j], t[j - s]) for j in range(1, len(t))] for t, c, s in zip(layers, cut, shifts)]
     built = dropped = beaded = 0
@@ -500,7 +520,7 @@ def _subset_search(
             if mask >> r & 1:
                 others = mask ^ (1 << r)
                 previous = inf
-                for kc, below in enumerate(layers[r][-1]):
+                for kc, below in enumerate(below_sources[r]):
                     k = below[others]
                     if not k < previous:  # the same forest at a higher count
                         continue
@@ -533,7 +553,7 @@ def _subset_search(
             if kept and k < budget:
                 earlier = sorted(earlier + kept, key=_WEIGHT)
         lists[mask] = raw
-        for a in range(n + 1):
+        for a in anchors:
             if a < n and mask >> a & 1:
                 continue
             px = xs[a]

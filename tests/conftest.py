@@ -7,6 +7,8 @@ import random
 import pytest
 
 from fqst import Instance, Point, Topology
+from fqst.documents import SCHEMA_VERSION, strategy_document, topology_document
+from fqst.strategies import BoundStrategy
 from fqst.trees import SolvedTree, build_solved_tree
 
 NO_PARENT = -1
@@ -24,6 +26,23 @@ def worked_instance() -> Instance:
 def worked_topology() -> Topology:
     """z0, z1 into slot 4; slot 4 and z2 into slot 5; slot 5 into the sink."""
     return Topology(3, 2, (4, 4, 5, NO_PARENT, 5, 3))
+
+
+def instance_document(
+    instance: Instance, strategy: BoundStrategy, topology: Topology | None = None
+) -> dict:
+    """The instance document of an instance, a strategy and optionally a
+    topology, its numbers as they are in memory."""
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "sources": [[p.x, p.y] for p in instance.sources],
+        "supplies": list(instance.supplies),
+        "sink": [instance.sink.x, instance.sink.y],
+        "strategy": strategy_document(strategy),
+    }
+    if topology is not None:
+        doc["topology"] = topology_document(topology)
+    return doc
 
 
 def node_table(instance: Instance, steiner_points=()) -> tuple[list[float], list[float]]:

@@ -17,10 +17,10 @@ from hypothesis import strategies as st
 from fqst import NodeWeighted, Point
 from fqst import cli, trees
 from fqst.cli import _build_parser, main
-from fqst.documents import dumps, instance_document, loads
+from fqst.documents import dumps, loads
 from fqst.exact_search import DEFAULT_GUARD, STEINER_BUDGET_GUARD
 from fqst.topology import Instance
-from conftest import random_general_tree, random_supplied_instance
+from conftest import instance_document, random_general_tree, random_supplied_instance
 
 
 def write_document(tmp_path, doc, name="instance.json"):
@@ -283,6 +283,26 @@ class TestExactCommand:
         assert main(["exact", write_document(tmp_path, doc), "-o", result]) == 0
         assert main(["check", result]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+    def test_subnormal_tampering_fails_check(self, tmp_path, capsys):
+        # below unit flows check judges the cost, the objective and the
+        # flows at the tree's own flow scale: an absolute 1e-9 would pass
+        # every subnormal value
+        doc = worked_document(topology=False)
+        doc["supplies"] = [5e-324, 5e-324, 1e-320]
+        result = tmp_path / "result.json"
+        assert main(["exact", write_document(tmp_path, doc), "-o", str(result)]) == 0
+        assert main(["check", str(result)]) == 0
+        tampered = loads(result.read_text())
+        for edge in tampered["flows"]:
+            edge["flow"] *= 3
+        tampered["cost"] *= 5
+        tampered["objective"] *= 5
+        capsys.readouterr()
+        assert main(["check", write_document(tmp_path, tampered, "tampered.json")]) == 1
+        out = capsys.readouterr().out
+        for failure in ("cost mismatch", "objective mismatch", "flow conservation violated"):
+            assert failure in out
 
     def test_huge_common_supplies_are_searched(self, tmp_path, capsys):
         doc = worked_document(topology=False)

@@ -16,7 +16,7 @@ import document_oracle as oracle
 from fqst import documents, solve_topology
 from fqst.errors import DocumentError
 from fqst.strategies import DegreeBound, NodeWeighted
-from conftest import random_general_tree, random_supplied_instance
+from conftest import instance_document, random_general_tree, random_supplied_instance
 
 # Values that are not a finite JSON number, or not one where a pair, a
 # parent or a flow entry is expected.  NaN and the infinities cannot come
@@ -38,7 +38,7 @@ def instance_doc(rng: random.Random) -> dict:
     instance = random_supplied_instance(rng, n_sources)
     topology = random_general_tree(rng, n_sources, rng.randint(0, 4))
     strategy = rng.choice((DegreeBound(3), NodeWeighted(2.0)))
-    doc = documents.loads(documents.dumps(documents.instance_document(instance, strategy, topology)))
+    doc = documents.loads(documents.dumps(instance_document(instance, strategy, topology)))
     if rng.random() < 0.3:
         del doc["supplies"]
     return doc

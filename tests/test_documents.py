@@ -3,12 +3,12 @@ import pytest
 from fqst import DegreeBound, DocumentError, ExplicitBound, NodeWeighted, solve_topology
 from fqst.documents import (
     dumps,
-    instance_document,
     loads,
     parse_instance_document,
     parse_result_document,
     result_document,
 )
+from conftest import instance_document
 
 
 def worked_document():

@@ -36,7 +36,8 @@ from fqst.geometry import sq_dist
 from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
-from fqst.documents import parse_instance_document
+from fqst.cli import main
+from fqst.documents import dumps, parse_instance_document
 from fqst import exact_search
 from fqst.exact_search import _bead_cap, _prune_dominated
 from fqst.strategies import max_steiner_count
@@ -49,7 +50,7 @@ from skeleton_walk import (
     walk_bead_vectors,
 )
 from reference_search import local_improve_by_splits
-from conftest import NO_PARENT, node_table, random_instance, random_supplied_instance
+from conftest import NO_PARENT, instance_document, node_table, random_instance, random_supplied_instance
 
 
 class TestSolveExactDegreeBound:
@@ -95,9 +96,9 @@ def _topologies_placed(monkeypatch):
 
 
 class TestDegreeSubsetSearch:
-    # at n = 6, phi = 6 lets a source anchor 4 parts: the deepest stack of
+    # at n = 6, phi = 7 lets a source anchor 4 parts: the deepest stack of
     # forest layers
-    @pytest.mark.parametrize("phi", [3, 4, 5, 6])
+    @pytest.mark.parametrize("phi", [3, 4, 5, 6, 7])
     @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
     def test_matches_the_skeleton_walk(self, phi, mixed):
         rng = random.Random(100 * phi + mixed)
@@ -157,7 +158,7 @@ class TestDegreeSubsetSearch:
     @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
     def test_every_winner_keeps_the_degree_window(self, phi, mixed):
         # the DP builds only the paper's window: Steiner points of phi - 1 ..
-        # 2 phi - 4 children and sources of at most phi - 2; fqst check
+        # 2 phi - 4 children and sources of at most phi - 3; fqst check
         # rejects a degree-bounded optimum outside it
         rng = random.Random(f"window/{phi}/{mixed}")
         make = random_supplied_instance if mixed else random_instance
@@ -167,6 +168,51 @@ class TestDegreeSubsetSearch:
                 report = solve_exact(inst, DegreeBound(phi), guard_n=7)
                 kinds = {violation.kind for violation in check_degree_window(report.best, phi)}
                 assert not kinds & {"steiner-degree", "source-degree"}, (n, kinds)
+
+    @pytest.mark.parametrize("phi", [3, 4, 5])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    def test_sources_anchor_at_most_phi_minus_three_parts(self, phi, mixed):
+        # a source with phi - 2 children turns at no cost into a Steiner
+        # point of phi - 1 children, the source among them, so the DP builds
+        # none; the skeleton walk still builds them and finds the same
+        # optimum (50 cases per phi and supply kind)
+        rng = random.Random(f"cap/{phi}/{mixed}")
+        make = random_supplied_instance if mixed else random_instance
+        for n, repeats in ((2, 12), (3, 12), (4, 12), (5, 12), (6, 2)):
+            for _ in range(repeats):
+                inst = make(rng, n, span=5.0)
+                report = solve_exact(inst, DegreeBound(phi))
+                oracle = walk(inst, DegreeBound(phi))
+                assert report.objective == pytest.approx(oracle.objective, rel=0.0, abs=1e-9)
+                children = report.best.topology.children_lists()
+                assert max(len(children[s]) for s in range(n)) <= phi - 3, (n, children)
+
+    @pytest.mark.parametrize(
+        "sources,phi,objective",
+        [([(1, 0), (3, 0)], 3, 6.0), ([(1, 0), (3, 0), (1, 2), (1, -2)], 4, 14.0)],
+    )
+    def test_sources_with_children_on_a_line(self, tmp_path, sources, phi, objective):
+        # at phi = 3 the chain through source 0 (source 1 its one child)
+        # ties the Steiner point on source 0 that the DP builds; at phi = 4
+        # the one optimum keeps source 1 under source 0, the phi - 3
+        # children a source may still take
+        inst = Instance.with_unit_supplies([Point(*z) for z in sources], Point(0, 0))
+        report = solve_exact(inst, DegreeBound(phi))
+        assert report.objective == objective
+        assert report.objective == walk(inst, DegreeBound(phi)).objective
+        path = tmp_path / "instance.json"
+        path.write_text(dumps(instance_document(inst, DegreeBound(phi))))
+        result = str(tmp_path / "result.json")
+        assert main(["exact", str(path), "-o", result]) == 0
+        assert main(["check", result]) == 0
+
+    def test_phi_three_makes_the_source_a_leaf_on_a_steiner_point(self):
+        # the bare source hangs from a Steiner point at its own place, over
+        # a zero-length edge, as the chain through the source did
+        inst = Instance.with_unit_supplies([Point(1, 0), Point(3, 0)], Point(0, 0))
+        best = solve_exact(inst, DegreeBound(3)).best
+        assert best.topology.parents == (3, 3, NO_PARENT, 2)
+        assert (best.xs[3], best.ys[3]) == (1.0, 0.0)
 
     @pytest.mark.parametrize("phi", [3, 4, 5])
     def test_the_greedy_seed_is_a_real_tree_above_the_winner(self, phi):

@@ -18,10 +18,10 @@ from fqst import (
     solve_full_topology,
 )
 from fqst.cli import main
-from fqst.documents import dumps, instance_document
+from fqst.documents import dumps
 from fqst.geo_solver import QuasiSource
 from fqst.geometry import MassPoint
-from conftest import NO_PARENT, random_full_topology, random_instance, with_steiner_positions
+from conftest import NO_PARENT, instance_document, random_full_topology, random_instance, with_steiner_positions
 from merge_replay import replay_tree
 
 
