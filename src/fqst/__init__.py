@@ -7,6 +7,10 @@ degree-3 unit-supply topologies it is the paper's quasi-source merging, whose
 merge trace run_geo_algorithm reads off the elimination.  It certifies local
 and global optimality, computes bounds, and finds global optima at desk
 scale by exhaustive search under three ways of bounding the Steiner count.
+
+The namespace holds what README's example and the CLI use, and the error
+classes; the paper's closed-form merges and the other test oracles live
+beside the tests.
 """
 
 from .analysis import check_centroid_certificate
@@ -22,23 +26,11 @@ from .errors import (
     UnsupportedWeightsError,
 )
 from .exact_search import solve_exact
-from .geo_solver import (
-    merge_quasi_quasi,
-    merge_quasi_source,
-    merge_sources,
-    run_geo_algorithm,
-    solve_full_topology,
-)
+from .geo_solver import run_geo_algorithm
 from .geometry import Point
 from .render import render_svg
 from .strategies import DegreeBound, ExplicitBound, NodeWeighted, max_steiner_count
-from .topology import (
-    Instance,
-    Topology,
-    compute_flows,
-    rooted_encoding,
-    validate_topology,
-)
+from .topology import Instance, Topology, compute_flows, validate_topology
 
 __version__ = "0.1.0"
 
@@ -60,14 +52,9 @@ __all__ = [
     "check_centroid_certificate",
     "compute_flows",
     "max_steiner_count",
-    "merge_quasi_quasi",
-    "merge_quasi_source",
-    "merge_sources",
     "render_svg",
-    "rooted_encoding",
     "run_geo_algorithm",
     "solve_exact",
-    "solve_full_topology",
     "solve_topology",
     "validate_topology",
 ]

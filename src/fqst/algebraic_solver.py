@@ -45,7 +45,13 @@ from typing import NamedTuple, Sequence
 from .errors import GeometryError, InternalConsistencyError
 from .geometry import mass_scale
 from .topology import Instance, Topology, compute_flows
-from .trees import CERTIFICATE_TOLERANCE, SolvedTree, build_solved_tree, off_centroid_slots
+from .trees import (
+    CERTIFICATE_TOLERANCE,
+    SolvedTree,
+    build_solved_tree,
+    off_centroid_slots,
+    require_finite_cost,
+)
 
 _SMALLEST_NORMAL = sys.float_info.min
 
@@ -161,10 +167,11 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
         ys[s] = (vs * qy[s] + w * ys[p]) / d
     tree = build_solved_tree(instance, topology, xs, ys, flows)
     try:
-        deviations = tree.deviations
+        off = off_centroid_slots(tree, CERTIFICATE_TOLERANCE)
     except GeometryError as exc:  # a placement that is not finite
         raise InternalConsistencyError(f"elimination left a non-finite placement: {exc}") from None
-    off = off_centroid_slots(tree, deviations, CERTIFICATE_TOLERANCE)
     if off:
+        # far out, a rounding-size offset squares to inf as the cost does
+        require_finite_cost(tree)
         raise InternalConsistencyError(f"elimination left Steiner slots {off} off their centroids")
     return tree, UpwardMerges(upward, qx, qy, [x / scale for x in v])

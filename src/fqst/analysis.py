@@ -39,9 +39,8 @@ def check_centroid_certificate(tree: SolvedTree, tol: float = CERTIFICATE_TOLERA
     """Local-minimality decision: a tree is locally minimal exactly when every
     Steiner point sits at the centre of mass of its neighbours, each judged
     to scale by off_centroid_slots."""
-    deviations = tree.deviations
-    off = set(off_centroid_slots(tree, deviations, tol))
-    return {slot: slot not in off for slot in deviations}
+    off = set(off_centroid_slots(tree, tol))
+    return {slot: slot not in off for slot in tree.deviations}
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,8 +133,8 @@ def check_edge_pairs(
     in-edge/out-edge pairs meeting at less than a right angle (to within
     tol_radians), and incident pairs where one edge lies inside the other.
 
-    One pass computes both: the angle of a pair is geometry.angle_at's
-    atan2(|cross|, dot) from the coordinate table, and an in-edge/out-edge
+    One pass computes both: the angle of a pair is atan2(|cross|, dot) of
+    its two edge vectors from the coordinate table, and an in-edge/out-edge
     angle is that of the pair (child, parent).  Zero-length edges carry no
     direction and are skipped.  Edges sharing a node overlap exactly when
     their angle vanishes (at most overlap_tol).  A pair is exempt from the

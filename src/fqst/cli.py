@@ -24,6 +24,7 @@ from .errors import DocumentError, FqstError, GuardLimitError
 from .render import render_svg
 from .strategies import DegreeBound, ExplicitBound, NodeWeighted, max_steiner_count
 from .topology import compute_flows, validate_topology
+from .trees import require_finite_cost
 
 EXIT_OK = 0
 EXIT_CERTIFICATE = 1
@@ -85,6 +86,7 @@ def _cmd_solve_topology(args) -> int:
     if parsed.topology is None:
         raise DocumentError("solve-topology needs a document with a 'topology'")
     tree = algebraic_solve(parsed.instance, parsed.topology)
+    require_finite_cost(tree)
     objective = tree.cost
     if isinstance(parsed.strategy, NodeWeighted):
         objective += parsed.strategy.c * tree.topology.n_steiner
@@ -170,7 +172,7 @@ def _cmd_check(args) -> int:
     structural = validate_topology(tree.topology, strategy)
     failures.extend(f"structure: {v}" for v in structural)
 
-    bad = analysis.off_centroid_slots(tree, tree.deviations, tol)
+    bad = analysis.off_centroid_slots(tree, tol)
     if bad:
         failures.append(f"centroid certificate fails at Steiner slots {bad}")
 

@@ -248,12 +248,11 @@ def _bad_supplies(raw: Any) -> NoReturn:
 
 
 def certificate_summary(tree: SolvedTree, tolerance: float) -> dict:
-    deviations = tree.deviations
-    max_deviation = max(deviations.values(), default=0.0)
+    max_deviation = max(tree.deviations.values(), default=0.0)
     angle_violations, overlaps = analysis.check_edge_pairs(tree, tolerance)
     return {
         "centroid_max_deviation": _round12(max_deviation),
-        "locally_minimal": not analysis.off_centroid_slots(tree, deviations, tolerance),
+        "locally_minimal": not analysis.off_centroid_slots(tree, tolerance),
         "angle_violations": len(angle_violations),
         "edge_overlaps": len(overlaps),
         "degenerate": tree.degenerate,

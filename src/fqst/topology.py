@@ -229,24 +229,6 @@ def validate_topology(topology: Topology, strategy: BoundStrategy) -> list[str]:
     return violations
 
 
-def rooted_encoding(topology: Topology) -> tuple:
-    """Canonical sink-rooted encoding, invariant under Steiner relabelling.
-
-    Terminals keep their identities, Steiner slots are anonymous, and child
-    encodings are sorted, so two topologies get equal encodings exactly when
-    one is a Steiner relabelling of the other, which is how two searches'
-    winners are compared.
-    """
-    children = topology.children_lists()
-    sink = topology.sink
-
-    def encode(node: int) -> tuple:
-        label = node if node <= sink else -2
-        return (label, tuple(sorted(encode(c) for c in children[node])))
-
-    return encode(sink)
-
-
 def _orient_toward_sink(n_sources: int, n_steiner: int, edges: Sequence[tuple[int, int]]) -> Topology:
     """Build a Topology from an undirected edge list by rooting at the sink."""
     n_nodes = n_sources + 1 + n_steiner

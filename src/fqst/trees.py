@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import TopologyError
+from .errors import GeometryError, TopologyError
 from .geometry import MassPoint, Point, mass_scale
 from .topology import NO_PARENT, Instance, Topology
 
@@ -111,13 +111,23 @@ def build_solved_tree(
     return SolvedTree(instance, topology, xs, ys, flows, cost, degenerate)
 
 
+def require_finite_cost(tree: SolvedTree) -> None:
+    """Raise GeometryError when the tree's cost is not finite: the flows
+    times squared edge lengths overflow a float, so no cost can be stated."""
+    if not _isfinite(tree.cost):
+        raise GeometryError(
+            f"the tree's cost is non-finite ({tree.cost!r}): "
+            "its flow * squared edge lengths overflow a float"
+        )
+
+
 def weighted_mean(
     tree: SolvedTree, kids: Sequence[int], other: int, mass: float, scale: float
 ) -> tuple[float, float]:
     """The centre of mass of a node's in-neighbours kids, each weighing the
-    flow of its out-edge, and of the node other, weighing mass:
-    geometry.centroid's arithmetic over the coordinate table, kids first,
-    in masses times scale.  With scale the tree's geometry.mass_scale no
+    flow of its out-edge, and of the node other, weighing mass: the
+    mass * coordinate and mass sums over the coordinate table, kids first,
+    in masses times scale, divided once at the end.  With scale the tree's geometry.mass_scale no
     bit moves in the normal range, and tiny flows keep their digits.
     Raises the GeometryError that MassPoint raises for a non-finite position
     or a non-positive or non-finite mass."""
@@ -167,12 +177,13 @@ def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
     return deviations
 
 
-def off_centroid_slots(tree: SolvedTree, deviations: dict[int, float], tol: float) -> list[int]:
-    """The Steiner slots, in order, whose centroid deviation fails tol
+def off_centroid_slots(tree: SolvedTree, tol: float) -> list[int]:
+    """The Steiner slots, in order, whose tree.deviations entry fails tol
     taken to scale: tol * (1 + the largest |coordinate| of the slot and its
     neighbours), since coordinates carry relative rounding (a stored number
     12 significant digits).  Only deviations above tol itself are rejudged,
     so a tree that passes the absolute test costs nothing more."""
+    deviations = tree.deviations
     failing = sorted(slot for slot, dev in deviations.items() if not dev <= tol)
     if not failing:
         return failing

@@ -1,10 +1,11 @@
-"""Brute-force canonical form of a topology under Steiner relabelling.
+"""Canonical forms of a topology under Steiner relabelling.
 
-The package canonicalises topologies with the sink-rooted encoding
-(fqst.topology.rooted_encoding).  This independent key tries every
-relabelling of the Steiner slots and keeps the smallest parent array, so the
-enumeration tests can check deduplication against something that shares no
-code with it.  Its cost grows as n_steiner factorial.
+rooted_encoding is the sink-rooted encoding that the tests compare two
+searches' winners by.  canonical_form is an independent brute-force key:
+it tries every relabelling of the Steiner slots and keeps the smallest
+parent array, so the enumeration tests can check deduplication against
+something that shares no code with the encoding.  Its cost grows as
+n_steiner factorial.
 """
 
 from __future__ import annotations
@@ -12,6 +13,24 @@ from __future__ import annotations
 import itertools
 
 from fqst.topology import NO_PARENT, Topology
+
+
+def rooted_encoding(topology: Topology) -> tuple:
+    """Canonical sink-rooted encoding, invariant under Steiner relabelling.
+
+    Terminals keep their identities, Steiner slots are anonymous, and child
+    encodings are sorted, so two topologies get equal encodings exactly when
+    one is a Steiner relabelling of the other, which is how two searches'
+    winners are compared.
+    """
+    children = topology.children_lists()
+    sink = topology.sink
+
+    def encode(node: int) -> tuple:
+        label = node if node <= sink else -2
+        return (label, tuple(sorted(encode(c) for c in children[node])))
+
+    return encode(sink)
 
 
 def canonical_form(topology: Topology) -> tuple[int, ...]:

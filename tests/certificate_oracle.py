@@ -1,15 +1,16 @@
 """Point/MassPoint oracle for the optimality certificates.
 
-These are the certificate functions written over the geometry primitives:
-every neighbour becomes a Point or MassPoint, centroids go through
-geometry.centroid and angles through geometry.angle_at.  fqst.analysis
-computes the same quantities from the solved tree's flat coordinate table
-with the arithmetic inlined; the tests check that both return equal results.
+These are the certificate functions written over point primitives: every
+neighbour becomes a Point or MassPoint, centroids go through centroid and
+angles through angle_at, both defined here.  fqst.analysis computes the
+same quantities from the solved tree's flat coordinate table with the
+arithmetic inlined; the tests check that both return equal results.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from fqst.analysis import (
     CERTIFICATE_TOLERANCE,
@@ -18,10 +19,45 @@ from fqst.analysis import (
     DegreeViolation,
     EdgeOverlap,
 )
-from fqst.geometry import MassPoint, angle_at, centroid, lerp, sq_dist
+from fqst.errors import GeometryError
+from fqst.geometry import MassPoint, Point, sq_dist
 from fqst.strategies import BoundStrategy, DegreeBound
 from fqst.topology import NO_PARENT
 from fqst.trees import SolvedTree
+from merge_replay import lerp
+
+
+def centroid(points: Iterable[MassPoint]) -> Point:
+    """Mass-weighted mean of a nonempty collection of mass points.
+
+    The mass*coordinate and mass sums are accumulated separately and divided
+    once at the end, which keeps mass merging associative to rounding error.
+    """
+    sx = sy = sm = 0.0
+    count = 0
+    for mp in points:
+        sx += mp.mass * mp.position.x
+        sy += mp.mass * mp.position.y
+        sm += mp.mass
+        count += 1
+    if count == 0:
+        raise GeometryError("centroid of an empty collection is undefined")
+    return Point(sx / sm, sy / sm)
+
+
+def angle_at(vertex: Point, a: Point, b: Point) -> float:
+    """Interior angle in [0, pi] between the rays vertex->a and vertex->b.
+
+    Uses atan2(|cross|, dot), which keeps full accuracy near 0 and pi where
+    acos of a normalised dot product loses digits.
+    """
+    ux, uy = a.x - vertex.x, a.y - vertex.y
+    vx, vy = b.x - vertex.x, b.y - vertex.y
+    if (ux == 0.0 and uy == 0.0) or (vx == 0.0 and vy == 0.0):
+        raise GeometryError("angle undefined: a ray endpoint coincides with the vertex")
+    cross = ux * vy - uy * vx
+    dot = ux * vx + uy * vy
+    return math.atan2(abs(cross), dot)
 
 
 def centroid_deviations(tree: SolvedTree) -> dict[int, float]:

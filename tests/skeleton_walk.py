@@ -51,9 +51,9 @@ from fqst.topology import (
     Instance,
     Topology,
     placed_topology,
-    rooted_encoding,
     skeleton_placement,
 )
+from canonical_oracle import rooted_encoding
 
 
 def enumerate_bounded_topologies(

@@ -235,7 +235,7 @@ def test_criterion_7_structural_certificates():
             elif degrees[source] == 2:
                 children = degree_tree.topology.children_lists()[source]
                 here = degree_tree.position(source)
-                from fqst.geometry import angle_at
+                from certificate_oracle import angle_at
 
                 angle = angle_at(
                     here,

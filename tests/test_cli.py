@@ -85,6 +85,29 @@ class TestSolveTopologyCommand:
         assert captured.out == ""
         assert "invalid topology" in captured.err
 
+    @pytest.mark.parametrize("scale", [1e153, 2e153, 1e154, 1e160, 1e200])
+    def test_overflowing_cost_is_named(self, tmp_path, capsys, scale):
+        # the worked instance scaled: at 1e153 the cost stays finite; above
+        # it the squared lengths overflow, and at 1e200 a rounding-size
+        # offset from a centroid squares to inf as well
+        doc = worked_document()
+        doc["sources"] = [[x * scale, y * scale] for x, y in doc["sources"]]
+        doc["sink"] = [c * scale for c in doc["sink"]]
+        path = write_document(tmp_path, doc)
+        target = tmp_path / "result.json"
+        status = main(["solve-topology", path, "-o", str(target)])
+        captured = capsys.readouterr()
+        if scale == 1e153:
+            assert status == 0
+            assert main(["check", str(target)]) == 0
+            return
+        assert status == 2
+        assert not target.exists()
+        assert captured.err.splitlines() == [
+            "error: the tree's cost is non-finite (inf): "
+            "its flow * squared edge lengths overflow a float"
+        ]
+
     def test_output_file(self, tmp_path):
         path = write_document(tmp_path, worked_document())
         target = tmp_path / "result.json"

@@ -19,7 +19,6 @@ from fqst import (
     Point,
     Topology,
     compute_flows,
-    rooted_encoding,
     solve_exact,
     solve_topology,
     validate_topology,
@@ -50,6 +49,7 @@ from skeleton_walk import (
     walk_bead_vectors,
 )
 from reference_search import local_improve_by_splits
+from canonical_oracle import rooted_encoding
 from conftest import NO_PARENT, instance_document, node_table, random_instance, random_supplied_instance
 
 

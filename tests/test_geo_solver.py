@@ -11,18 +11,15 @@ from fqst import (
     Topology,
     UnsupportedTopologyError,
     UnsupportedWeightsError,
-    merge_quasi_quasi,
-    merge_quasi_source,
-    merge_sources,
     run_geo_algorithm,
-    solve_full_topology,
+    solve_topology,
 )
 from fqst.cli import main
 from fqst.documents import dumps
 from fqst.geo_solver import QuasiSource
 from fqst.geometry import MassPoint
 from conftest import NO_PARENT, instance_document, random_full_topology, random_instance, with_steiner_positions
-from merge_replay import replay_tree
+from merge_replay import merge_quasi_quasi, merge_quasi_source, merge_sources, replay_tree
 
 
 def unit(x, y):
@@ -210,7 +207,7 @@ class TestSolveFullTopology:
         d = 7.0
         inst = Instance.with_unit_supplies([Point(0, 0), Point(0, 0)], Point(d, 0))
         topo = Topology(2, 1, (3, 3, NO_PARENT, 2))
-        tree = solve_full_topology(inst, topo)
+        tree = run_geo_algorithm(inst, topo).tree
         assert tree.steiner_positions[0] == Point(d / 2, 0.0)
         assert tree.cost == pytest.approx(d * d, rel=1e-12)
         assert not tree.degenerate
@@ -218,7 +215,7 @@ class TestSolveFullTopology:
     def test_single_source_edge(self):
         inst = Instance.with_unit_supplies([Point(0, 0)], Point(3, 4))
         topo = Topology(1, 0, (1, NO_PARENT))
-        tree = solve_full_topology(inst, topo)
+        tree = run_geo_algorithm(inst, topo).tree
         assert tree.cost == 25.0
 
     def test_matches_algebraic_solver(self):
@@ -229,7 +226,7 @@ class TestSolveFullTopology:
             inst = random_instance(rng, n)
             topo = random_full_topology(rng, n)
             replay = replay_tree(inst, topo)
-            alg = solve_full_topology(inst, topo)
+            alg = run_geo_algorithm(inst, topo).tree
             for p, q in zip(replay.steiner_positions, alg.steiner_positions):
                 assert abs(p.x - q.x) <= 1e-9
                 assert abs(p.y - q.y) <= 1e-9
@@ -277,11 +274,11 @@ class TestSolveFullTopology:
             n = rng.randint(2, 6)
             inst = random_instance(rng, n)
             topo = random_full_topology(rng, n)
-            base = solve_full_topology(inst, topo)
+            base = run_geo_algorithm(inst, topo).tree
             moved_inst = Instance.with_unit_supplies(
                 [move(p) for p in inst.sources], move(inst.sink)
             )
-            moved = solve_full_topology(moved_inst, topo)
+            moved = run_geo_algorithm(moved_inst, topo).tree
             for p, q in zip(base.steiner_positions, moved.steiner_positions):
                 expected = move(p)
                 assert abs(expected.x - q.x) <= 1e-9
@@ -306,7 +303,7 @@ class TestSolveFullTopology:
             [Point(1e308, 0.0), Point(-1e308, 0.0), Point(1e308, 1e308)], Point(0.0, -1e308)
         )
         for tree in (
-            solve_full_topology(inst, worked_topology),
+            solve_topology(inst, worked_topology),
             run_geo_algorithm(inst, worked_topology).tree,
         ):
             assert tree.steiner_positions == (Point(1e307, -2e307), Point(2e307, -4e307))
@@ -324,25 +321,25 @@ class TestSolveFullTopology:
             (Point(0, 0), Point(2, 4), Point(11, 5)), (1.0, 2.0, 1.0), Point(11, 1)
         )
         with pytest.raises(UnsupportedWeightsError):
-            solve_full_topology(inst, worked_topology)
+            run_geo_algorithm(inst, worked_topology).tree
 
     def test_non_full_topology_rejected(self, worked_instance):
         # a path through the sources has terminals of degree 2
         topo = Topology(3, 0, (1, 2, 3, NO_PARENT))
         with pytest.raises(UnsupportedTopologyError):
-            solve_full_topology(worked_instance, topo)
+            run_geo_algorithm(worked_instance, topo).tree
 
     def test_degree_four_steiner_rejected(self):
         inst = random_instance(random.Random(25), 3)
         topo = Topology(3, 1, (4, 4, 4, NO_PARENT, 3))
         with pytest.raises(UnsupportedTopologyError):
-            solve_full_topology(inst, topo)
+            run_geo_algorithm(inst, topo).tree
 
     def test_perturbing_any_steiner_increases_cost(self):
         rng = random.Random(26)
         inst = random_instance(rng, 5)
         topo = random_full_topology(rng, 5)
-        tree = solve_full_topology(inst, topo)
+        tree = run_geo_algorithm(inst, topo).tree
         base = tree.cost
         for idx in range(len(tree.steiner_positions)):
             for k in range(16):

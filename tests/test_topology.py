@@ -17,11 +17,10 @@ from fqst import (
     Topology,
     TopologyError,
     compute_flows,
-    rooted_encoding,
     validate_topology,
 )
 from skeleton_walk import enumerate_bounded_topologies
-from canonical_oracle import canonical_form
+from canonical_oracle import canonical_form, rooted_encoding
 from reference_search import enumerate_full_topologies
 from conftest import NO_PARENT, orient_edges, random_full_topology
 
