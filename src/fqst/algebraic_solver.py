@@ -169,6 +169,10 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
     try:
         off = off_centroid_slots(tree, CERTIFICATE_TOLERANCE)
     except GeometryError as exc:  # a placement that is not finite
+        # an infinite coordinate is the weighted means overflowing, far out
+        # where the cost's squares overflow too; a NaN one is a fault
+        if any(map(math.isinf, tree.xs + tree.ys)):
+            require_finite_cost(tree)
         raise InternalConsistencyError(f"elimination left a non-finite placement: {exc}") from None
     if off:
         # far out, a rounding-size offset squares to inf as the cost does

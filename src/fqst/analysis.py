@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import algebraic_solver
 from .errors import TopologyError
@@ -43,8 +42,7 @@ def check_centroid_certificate(tree: SolvedTree, tol: float = CERTIFICATE_TOLERA
     return {slot: slot not in off for slot in tree.deviations}
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeViolation:
+class DegreeViolation(NamedTuple):
     kind: str  # "steiner-degree" | "source-degree" | "source-midpoint"
     node: int
     detail: str
@@ -107,15 +105,13 @@ def check_degree_window(
     return violations
 
 
-@dataclass(frozen=True, slots=True)
-class AngleViolation:
+class AngleViolation(NamedTuple):
     node: int
     in_neighbour: int
     angle: float
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeOverlap:
+class EdgeOverlap(NamedTuple):
     node: int
     first_neighbour: int
     second_neighbour: int
@@ -179,8 +175,7 @@ def check_edge_pairs(
     return violations, overlaps
 
 
-@dataclass(frozen=True, slots=True)
-class SplitSpec:
+class SplitSpec(NamedTuple):
     """Reroute the in-neighbours in `members` through a new Steiner point that
     feeds `target`."""
 

@@ -18,11 +18,11 @@ import gc
 import math
 import sys
 
-from . import analysis, documents, exact_search
+from . import analysis, documents
 from .algebraic_solver import solve_topology as algebraic_solve
 from .errors import DocumentError, FqstError, GuardLimitError
 from .render import render_svg
-from .strategies import DegreeBound, ExplicitBound, NodeWeighted, max_steiner_count
+from .strategies import DEFAULT_GUARD, DegreeBound, ExplicitBound, NodeWeighted, max_steiner_count
 from .topology import compute_flows, validate_topology
 from .trees import require_finite_cost
 
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--tolerance", type=float, default=analysis.CERTIFICATE_TOLERANCE,
                         help="certificate tolerance (default %(default)g)")
-    parser.add_argument("--guard-n", type=int, default=exact_search.DEFAULT_GUARD,
+    parser.add_argument("--guard-n", type=int, default=DEFAULT_GUARD,
                         help="largest source count exact search accepts")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -102,6 +102,8 @@ def _cmd_solve_topology(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from . import exact_search  # the one command that searches loads the search
+
     parsed = documents.parse_instance_document(_read_document(args.file))
     report = exact_search.solve_exact(parsed.instance, parsed.strategy, guard_n=args.guard_n)
     extra = {

@@ -27,9 +27,8 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Any, NoReturn, Sequence
+from typing import Any, NamedTuple, NoReturn, Sequence
 
 from . import analysis
 from .errors import DocumentError, FqstError, InternalConsistencyError
@@ -41,8 +40,7 @@ from .trees import SolvedTree
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class ParsedInstanceDocument:
+class ParsedInstanceDocument(NamedTuple):
     instance: Instance
     strategy: BoundStrategy
     topology: Topology | None
@@ -295,8 +293,7 @@ def result_document(
     return doc
 
 
-@dataclass(frozen=True)
-class ParsedResultDocument:
+class ParsedResultDocument(NamedTuple):
     instance: Instance
     strategy: BoundStrategy
     tree: SolvedTree

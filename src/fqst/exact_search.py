@@ -131,7 +131,7 @@ from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GeometryError, GuardLimitError, InternalConsistencyError
 from .geometry import mass_scale, sq_dist
-from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
+from .strategies import DEFAULT_GUARD, BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 from .topology import (
     STEINER,
     Instance,
@@ -142,7 +142,6 @@ from .topology import (
 )
 from .trees import SolvedTree
 
-DEFAULT_GUARD = 6
 # the largest Steiner budget searched: an explicit bound's k, which the
 # count dimension of every list grows with, or the node weight's B, which
 # caps the beads on an out-edge and lengthens the cut's paths

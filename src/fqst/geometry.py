@@ -1,12 +1,12 @@
-"""Plane points, mass points, squared distance and the power-of-two mass
-scale that the solver, the search and the certificates share."""
+"""Plane points, squared distance and the power-of-two mass scale that the
+solver, the search and the certificates share.  The package weighs masses
+in its coordinate tables, so the mass point (MassPoint) is only the test
+oracles' primitive, in tests/certificate_oracle.py."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .errors import GeometryError
 
 
 @dataclass(frozen=True, slots=True)
@@ -18,20 +18,6 @@ class Point:
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
-
-
-@dataclass(frozen=True, slots=True)
-class MassPoint:
-    """A point carrying a positive scalar mass (a flow weight)."""
-
-    position: Point
-    mass: float
-
-    def __post_init__(self) -> None:
-        if not self.position.is_finite():
-            raise GeometryError(f"mass point at non-finite position {self.position}")
-        if not (self.mass > 0.0 and math.isfinite(self.mass)):
-            raise GeometryError(f"mass must be positive and finite, got {self.mass}")
 
 
 def sq_dist(a: Point, b: Point) -> float:

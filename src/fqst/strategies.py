@@ -47,6 +47,9 @@ class NodeWeighted:
 
 BoundStrategy = Union[DegreeBound, ExplicitBound, NodeWeighted]
 
+# the largest source count exact search accepts unless told otherwise
+DEFAULT_GUARD = 6
+
 
 def max_steiner_count(n_sources: int, phi: int) -> int:
     """Largest Steiner count a tree on n sources plus a sink can host when

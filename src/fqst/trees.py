@@ -9,7 +9,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import GeometryError, TopologyError
-from .geometry import MassPoint, Point, mass_scale
+from .geometry import Point, mass_scale
 from .topology import NO_PARENT, Instance, Topology
 
 CERTIFICATE_TOLERANCE = 1e-9
@@ -129,8 +129,8 @@ def weighted_mean(
     mass * coordinate and mass sums over the coordinate table, kids first,
     in masses times scale, divided once at the end.  With scale the tree's geometry.mass_scale no
     bit moves in the normal range, and tiny flows keep their digits.
-    Raises the GeometryError that MassPoint raises for a non-finite position
-    or a non-positive or non-finite mass."""
+    Raises a GeometryError for a non-finite position or a non-positive or
+    non-finite mass (_require_mass_points)."""
     flows, xs, ys = tree.flows, tree.xs, tree.ys
     sx = sy = sm = 0.0
     masses_ok = 0.0 < mass < _INF
@@ -151,11 +151,15 @@ def weighted_mean(
 
 
 def _require_mass_points(tree: SolvedTree, nodes: Sequence[int], masses: Sequence[float]) -> None:
-    """Raise the GeometryError that MassPoint raises for the first node with
-    a non-finite position or a non-positive or non-finite mass, as the
-    centroid over these mass points would; return when there is none."""
+    """Raise a GeometryError for the first node with a non-finite position
+    or a non-positive or non-finite mass, position checked first; return
+    when there is none."""
     for node, mass in zip(nodes, masses):
-        MassPoint(tree.position(node), mass)
+        position = tree.position(node)
+        if not position.is_finite():
+            raise GeometryError(f"mass point at non-finite position {position}")
+        if not (mass > 0.0 and _isfinite(mass)):
+            raise GeometryError(f"mass must be positive and finite, got {mass}")
 
 
 def centroid_deviations(tree: SolvedTree) -> dict[int, float]:

@@ -2,14 +2,17 @@
 
 These are the certificate functions written over point primitives: every
 neighbour becomes a Point or MassPoint, centroids go through centroid and
-angles through angle_at, both defined here.  fqst.analysis computes the
-same quantities from the solved tree's flat coordinate table with the
-arithmetic inlined; the tests check that both return equal results.
+angles through angle_at.  MassPoint, which checks its position and mass,
+and lerp, which the merge replay shares, are defined here too.
+fqst.analysis computes the same quantities from the solved tree's flat
+coordinate table with the arithmetic inlined; the tests check that both
+return equal results.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 from fqst.analysis import (
@@ -20,11 +23,29 @@ from fqst.analysis import (
     EdgeOverlap,
 )
 from fqst.errors import GeometryError
-from fqst.geometry import MassPoint, Point, sq_dist
+from fqst.geometry import Point, sq_dist
 from fqst.strategies import BoundStrategy, DegreeBound
 from fqst.topology import NO_PARENT
 from fqst.trees import SolvedTree
-from merge_replay import lerp
+
+
+@dataclass(frozen=True, slots=True)
+class MassPoint:
+    """A point carrying a positive scalar mass (a flow weight)."""
+
+    position: Point
+    mass: float
+
+    def __post_init__(self) -> None:
+        if not self.position.is_finite():
+            raise GeometryError(f"mass point at non-finite position {self.position}")
+        if not (self.mass > 0.0 and math.isfinite(self.mass)):
+            raise GeometryError(f"mass must be positive and finite, got {self.mass}")
+
+
+def lerp(a: Point, b: Point, t: float) -> Point:
+    """The point a + t*(b - a)."""
+    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
 def centroid(points: Iterable[MassPoint]) -> Point:

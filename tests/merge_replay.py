@@ -13,16 +13,11 @@ as an oracle for it.
 
 from __future__ import annotations
 
+from certificate_oracle import MassPoint, lerp
 from fqst.errors import UnsupportedWeightsError
 from fqst.geo_solver import QuasiSource
-from fqst.geometry import MassPoint, Point
 from fqst.topology import Instance, Topology, compute_flows
 from fqst.trees import SolvedTree, build_solved_tree
-
-
-def lerp(a: Point, b: Point, t: float) -> Point:
-    """The point a + t*(b - a)."""
-    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
 
 def _require_unit(mass: float) -> None:

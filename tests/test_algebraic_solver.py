@@ -14,8 +14,8 @@ from fqst import (
     compute_flows,
     solve_topology,
 )
-from fqst.geometry import MassPoint, sq_dist
-from certificate_oracle import centroid
+from fqst.geometry import sq_dist
+from certificate_oracle import MassPoint, centroid
 from skeleton_walk import enumerate_bounded_topologies
 from fqst.trees import CERTIFICATE_TOLERANCE, centroid_deviations, embedded_cost, off_centroid_slots
 from fqst import algebraic_solver

@@ -85,11 +85,13 @@ class TestSolveTopologyCommand:
         assert captured.out == ""
         assert "invalid topology" in captured.err
 
-    @pytest.mark.parametrize("scale", [1e153, 2e153, 1e154, 1e160, 1e200])
+    @pytest.mark.parametrize("scale", [1e153, 2e153, 1e154, 1e160, 1e200, 9e306, 1e307, 1.5e307])
     def test_overflowing_cost_is_named(self, tmp_path, capsys, scale):
         # the worked instance scaled: at 1e153 the cost stays finite; above
-        # it the squared lengths overflow, and at 1e200 a rounding-size
-        # offset from a centroid squares to inf as well
+        # it the squared lengths overflow, at 1e200 a rounding-size offset
+        # from a centroid squares to inf as well, and from 9e306 the
+        # downward pass's weighted means overflow too (a Steiner x of inf),
+        # so the cost reads nan
         doc = worked_document()
         doc["sources"] = [[x * scale, y * scale] for x, y in doc["sources"]]
         doc["sink"] = [c * scale for c in doc["sink"]]
@@ -103,8 +105,9 @@ class TestSolveTopologyCommand:
             return
         assert status == 2
         assert not target.exists()
+        cost = "nan" if scale >= 9e306 else "inf"
         assert captured.err.splitlines() == [
-            "error: the tree's cost is non-finite (inf): "
+            f"error: the tree's cost is non-finite ({cost}): "
             "its flow * squared edge lengths overflow a float"
         ]
 

@@ -17,7 +17,7 @@ from fqst import (
 from fqst.cli import main
 from fqst.documents import dumps
 from fqst.geo_solver import QuasiSource
-from fqst.geometry import MassPoint
+from certificate_oracle import MassPoint
 from conftest import NO_PARENT, instance_document, random_full_topology, random_instance, with_steiner_positions
 from merge_replay import merge_quasi_quasi, merge_quasi_source, merge_sources, replay_tree
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqst import GeometryError, Point
-from fqst.geometry import MassPoint, sq_dist
-from certificate_oracle import angle_at, centroid
+from fqst.geometry import sq_dist
+from certificate_oracle import MassPoint, angle_at, centroid
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 masses = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)

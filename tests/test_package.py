@@ -2,12 +2,16 @@
 
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fqst
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 README_NAMES = [
     "DegreeBound", "ExplicitBound", "NodeWeighted", "Instance", "Point", "Topology",
@@ -28,6 +32,36 @@ def test_namespace_is_the_documented_surface():
     assert len(set(fqst.__all__)) == 22
     for name in fqst.__all__:
         assert getattr(fqst, name) is not None
+
+
+# run in a fresh interpreter, where nothing has loaded the search yet, with
+# the public names as its arguments
+LAZY_IMPORTS = """
+import sys
+import fqst.cli
+import fqst
+assert not {"fqst.exact_search", "fqst.geo_solver"} & set(sys.modules), sorted(sys.modules)
+public = set(sys.argv[1:])
+assert public <= set(dir(fqst)), sorted(public - set(dir(fqst)))
+names = {}
+exec("from fqst import *", names)
+assert set(names) - {"__builtins__"} == public, sorted(names)
+assert fqst.solve_exact is fqst.exact_search.solve_exact
+assert fqst.run_geo_algorithm is fqst.geo_solver.run_geo_algorithm
+try:
+    fqst.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("fqst.no_such_name did not raise")
+"""
+
+
+def test_search_and_merge_trace_load_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-c", LAZY_IMPORTS, *PUBLIC_NAMES]
+    done = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_names_its_names():
