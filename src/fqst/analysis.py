@@ -9,7 +9,7 @@ from . import algebraic_solver
 from .errors import TopologyError
 from .geometry import Point, mass_scale, sq_dist
 from .strategies import BoundStrategy, DegreeBound
-from .topology import NO_PARENT, Instance, Topology, _orient_toward_sink, compute_flows
+from .topology import NO_PARENT, Instance, Topology, compute_flows
 from .trees import (
     CERTIFICATE_TOLERANCE,
     SolvedTree,
@@ -230,11 +230,16 @@ def lower_bound_path(instance: Instance, k: int) -> float:
     The cost is sum_i w_i * sum_{e in P_i} |e|^2 over the path P_i from
     source i to the sink, and P_i has at most n + k edges, so by
     Cauchy-Schwarz the cost is at least Q/(n + k + 1) with Q the
-    supply-weighted squared source-sink distances.
+    supply-weighted squared source-sink distances.  A count past float
+    range bounds nothing: the bound is then 0.
     """
     if k < 0:
         raise ValueError(f"Steiner budget must be nonnegative, got {k}")
-    return _weighted_sink_distances(instance) / (instance.n_sources + k + 1)
+    q_total = _weighted_sink_distances(instance)
+    try:
+        return q_total / (instance.n_sources + k + 1)
+    except OverflowError:  # the int n + k + 1 has no float value
+        return 0.0
 
 
 def _weighted_sink_distances(instance: Instance) -> float:
@@ -243,14 +248,15 @@ def _weighted_sink_distances(instance: Instance) -> float:
     )
 
 
-def _prim_spanning_tree(points: Sequence[Point]) -> list[tuple[int, int]]:
-    """Minimum spanning tree edges over the points (greedy, quadratic)."""
+def _prim_spanning_tree(points: Sequence[Point]) -> list[int]:
+    """Minimum spanning tree over the points (greedy, quadratic), as the
+    parent array directed toward the last point."""
     m = len(points)
     in_tree = [False] * m
     in_tree[0] = True
     best_dist = [sq_dist(points[0], p) for p in points]
-    best_link = [0] * m
-    edges = []
+    # each point's tree neighbour on its way to point 0
+    best_link = [NO_PARENT] + [0] * (m - 1)
     for _ in range(m - 1):
         pick = -1
         pick_dist = math.inf
@@ -259,14 +265,18 @@ def _prim_spanning_tree(points: Sequence[Point]) -> list[tuple[int, int]]:
                 pick = i
                 pick_dist = best_dist[i]
         in_tree[pick] = True
-        edges.append((pick, best_link[pick]))
         for i in range(m):
             if not in_tree[i]:
                 d = sq_dist(points[pick], points[i])
                 if d < best_dist[i]:
                     best_dist[i] = d
                     best_link[i] = pick
-    return edges
+    # the links lead to point 0; reversing those on the last point's way
+    # there leads every point to the last one instead
+    node, previous = m - 1, NO_PARENT
+    while node != NO_PARENT:
+        best_link[node], previous, node = previous, node, best_link[node]
+    return best_link
 
 
 def expand_beads(topology: Topology, bead_counts: Sequence[int]) -> Topology:
@@ -327,9 +337,9 @@ def beaded_spanning_cost(instance: Instance, c: float) -> float:
 
 def _spanning_tree(instance: Instance) -> tuple[list[Point], Topology, tuple[float, ...]]:
     """The terminals (sources, then the sink), their minimum spanning tree
-    directed toward the sink, and its flows."""
+    as Prim's links directed toward the sink, and its flows."""
     terminals = [*instance.sources, instance.sink]
-    base = _orient_toward_sink(instance.n_sources, 0, _prim_spanning_tree(terminals))
+    base = Topology(instance.n_sources, 0, tuple(_prim_spanning_tree(terminals)))
     return terminals, base, compute_flows(base, instance.supplies)
 
 

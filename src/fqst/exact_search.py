@@ -125,21 +125,14 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GeometryError, GuardLimitError, InternalConsistencyError
 from .geometry import mass_scale, sq_dist
 from .strategies import DEFAULT_GUARD, BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
-from .topology import (
-    STEINER,
-    Instance,
-    Topology,
-    placed_topology,
-    skeleton_placement,
-    validate_topology,
-)
+from .topology import NO_PARENT, Instance, Topology, validate_topology
 from .trees import SolvedTree
 
 # the largest Steiner budget searched: an explicit bound's k, which the
@@ -151,6 +144,8 @@ _OBJECTIVE_TIE = 1e-12
 # known tree's cost) cuts only beyond this relative slack, on top of the
 # absolute tie
 _CUT_SLACK = 1.0 + 1e-9
+# the first entry of a Steiner root's node in the subset DP's lists
+_STEINER = -1
 
 
 @dataclass(frozen=True)
@@ -212,10 +207,10 @@ def solve_exact(
         known = math.inf
         if not validate_topology(seed, strategy):
             known = algebraic_solver.solve_topology(instance, seed).cost
-        return _subset_search(instance, strategy, phi, 0, 0, known=known)
+        return _subset_search(instance, strategy, diagonal, phi, 0, 0, known=known)
     if isinstance(strategy, ExplicitBound):
         _guard_budget(strategy.k, "the explicit bound is")
-        return _subset_search(instance, strategy, 3, strategy.k, 1)
+        return _subset_search(instance, strategy, diagonal, 3, strategy.k, 1)
     if isinstance(strategy, NodeWeighted):
         c = strategy.c
         try:
@@ -224,7 +219,7 @@ def solve_exact(
             budget = math.inf
         _guard_budget(budget, "the node weight's budget is")
         upper = analysis.beaded_spanning_cost(instance, c)
-        return _subset_search(instance, strategy, 3, 0, 0, c, budget, upper)
+        return _subset_search(instance, strategy, diagonal, 3, 0, 0, c, budget, upper)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 
@@ -232,7 +227,7 @@ def _guard_budget(budget: float, what: str) -> None:
     if budget > STEINER_BUDGET_GUARD:
         raise GuardLimitError(
             f"exact search is limited to a Steiner budget of {STEINER_BUDGET_GUARD}; "
-            f"{what} {budget:.6g}"
+            f"{what} {budget}"
         )
 
 
@@ -245,8 +240,9 @@ def _greedy_tree(instance: Instance, phi: int) -> Topology:
     Each move is costed in closed form on the roots' summaries (qx, qy, W,
     K), a root costing its summary pinned at the sink; the roots left hang
     from the sink.  Ties keep the first move found.  Children are ordered
-    by their lowest source and numbered as the subset DP numbers its
-    winner, so the same tree re-solves to the same cost.
+    by their lowest source, and _parent_array numbers the tree as it
+    numbers the subset DP's winner, so the same tree re-solves to the same
+    cost.
 
     A source may so take phi - 2 children, which the subset DP never
     builds: the greedy tree may lie outside the DP's family.  It is still a
@@ -307,26 +303,44 @@ def _greedy_tree(instance: Instance, phi: int) -> Topology:
             lowest[root] = min(lowest[root], lowest[child])
         roots[root] = entry
 
-    placed = skeleton_placement(
-        n, tuple(_greedy_subtree(root, below, lowest, n) for root in sorted(roots, key=lowest.__getitem__))
-    )
-    return placed_topology(n, len(placed) - n, placed)
+    return _parent_array(
+        n,
+        sorted(roots, key=lowest.__getitem__),
+        lambda node: (node if node < n else None, 0, sorted(below.get(node, ()), key=lowest.__getitem__)),
+    )[0]
 
 
-def _greedy_subtree(node: int, below: dict, lowest: list, n: int) -> tuple:
-    """The greedy tree's subtree at node, its children ordered by their
-    lowest source, in skeleton_placement's form."""
-    children = sorted(below.get(node, ()), key=lowest.__getitem__)
-    return (
-        node if node < n else STEINER,
-        tuple(_greedy_subtree(child, below, lowest, n) for child in children),
-        0,
-    )
+def _parent_array(n: int, roots: Sequence, expand: Callable) -> tuple[Topology, tuple[int, ...]]:
+    """The tree of n sources whose sink takes the given roots, and the
+    beads on each out-edge in edge_children order.
+
+    expand(node) gives the node's source index (None at a Steiner point),
+    the beads on its out-edge and its children.  Nodes are visited depth
+    first, the last root and the last child first, and Steiner points take
+    slots n + 1, n + 2, ... in visit order.
+    """
+    parents = [NO_PARENT] * (n + 1)
+    beads = [0] * (n + 1)
+    stack = [(root, n) for root in roots]
+    while stack:
+        node, parent = stack.pop()
+        slot, p, children = expand(node)
+        if slot is None:
+            slot = len(parents)
+            parents.append(parent)
+            beads.append(p)
+        else:
+            parents[slot] = parent
+            beads[slot] = p
+        stack += [(child, slot) for child in children]
+    del beads[n]
+    return Topology(n, len(parents) - n - 1, tuple(parents)), tuple(beads)
 
 
 def _subset_search(
     instance: Instance,
     strategy: BoundStrategy,
+    diagonal: float,
     phi: int,
     budget: int,
     step: int,
@@ -334,7 +348,8 @@ def _subset_search(
     steiner_bound: int | None = None,
     known: float = math.inf,
 ) -> SearchReport:
-    """The subset DP of the module docstring, over counts 0 .. budget.
+    """The subset DP of the module docstring, over counts 0 .. budget, in
+    the bounding box of the given diagonal.
 
     A branching Steiner point adds step to the count (1 under the explicit
     bound; 0 under the degree bound, which runs with budget 0 and so places
@@ -349,7 +364,7 @@ def _subset_search(
     next source joins.  A list entry is (qx, qy, W, K, link): a forest's W is its merged
     weight V, and link is a chain (part node, rest link) ending in None.  A
     node is (source, mask of its children's sources, their count, beads on
-    the out-edge) or (STEINER, link of its children, beads on the
+    the out-edge) or (_STEINER, link of its children, beads on the
     out-edge).  Anchors 0 .. n-1 are the sources and n the sink.
     """
     started = time.perf_counter()
@@ -384,7 +399,6 @@ def _subset_search(
         [(kc + step + p, p, 0.0) for p in range(len(forest_counts) - kc)] for kc in forest_counts
     ]
     bead_counts = counts
-    diagonal = _bounding_box_diagonal(instance)
     xs = [p.x for p in instance.sources] + [instance.sink.x]
     ys = [p.y for p in instance.sources] + [instance.sink.y]
     sink_x = xs[n]
@@ -534,7 +548,7 @@ def _subset_search(
                 for t, p, extra in edges:
                     w = weights[p]
                     singles[t] += [
-                        (qx, qy, steiner_weight(v, w), k + extra, ((STEINER, link, p), None))
+                        (qx, qy, steiner_weight(v, w), k + extra, ((_STEINER, link, p), None))
                         for qx, qy, v, k, link in forests
                     ]
                     if p:
@@ -595,19 +609,15 @@ def _subset_search(
             upper = known
             limit = upper * _CUT_SLACK + _OBJECTIVE_TIE
 
-    # the winner is rebuilt by module-level functions, which leave no
-    # reference cycle to keep the tables alive once the search returns
-    placed = skeleton_placement(n, _anchored((cut, pick, shifts), n, full, budget))
-    n_steiner = sum(1 for tree, _, _ in placed if tree[0] == STEINER)
-    beads = [0] * (n + 1 + n_steiner)
-    for tree, node, _ in placed:
-        beads[node] = tree[2]
-    del beads[n]
+    # rebuilt by module-level functions and an expand that does not refer to
+    # itself, the winner leaves no reference cycle to keep the tables alive
+    tables = (cut, pick, shifts)
+    topology, beads = _parent_array(n, _anchored(tables, n, full, budget), lambda node: _expand(tables, node))
     return _report(
         instance,
         strategy,
-        placed_topology(n, n_steiner, placed),
-        tuple(beads),
+        topology,
+        beads,
         layers[n][-1][budget][full] / scale,
         bead_charge,
         started,
@@ -619,32 +629,33 @@ def _subset_search(
     )
 
 
-def _anchored(tables: tuple, a: int, mask: int, k: int) -> tuple:
-    """The subtrees hanging from anchor a over mask at count k, as the DP's
-    choices split them; tables is (cut, pick, shifts)."""
+def _anchored(tables: tuple, a: int, mask: int, k: int) -> list:
+    """The DP's nodes of the subtrees hanging from anchor a over mask at
+    count k, as its choices split them; tables is (cut, pick, shifts)."""
     cut, pick, shifts = tables
-    children = []
+    nodes = []
     j = len(cut[a]) - 1
     while mask:
         part, k_part = cut[a][j][k][mask] if j else (mask, k)
-        children.append(_subtree(tables, pick[a][k_part][part]))
+        nodes.append(pick[a][k_part][part])
         mask ^= part
         k -= k_part
         j -= shifts[a]
-    return tuple(children)
+    return nodes
 
 
-def _subtree(tables: tuple, node: tuple) -> tuple:
-    """A winning node's subtree in skeleton_placement's form."""
-    if node[0] != STEINER:
+def _expand(tables: tuple, node: tuple) -> tuple:
+    """A winning node's source index (None at a Steiner point), the beads
+    on its out-edge and its children's nodes, for _parent_array."""
+    if node[0] != _STEINER:
         root, below, k, p = node
-        return (root, _anchored(tables, root, below, k), p)
-    root, below, p = node
+        return root, p, _anchored(tables, root, below, k)
+    _, link, p = node
     children = []
-    while below is not None:
-        children.append(_subtree(tables, below[0]))
-        below = below[1]
-    return (root, tuple(children), p)
+    while link is not None:
+        children.append(link[0])
+        link = link[1]
+    return None, p, children
 
 
 def _under_floor(summaries: list, g: float, sx: float, sy: float, room: float) -> list:

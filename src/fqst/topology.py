@@ -1,4 +1,4 @@
-"""Problem instances, directed tree topologies, flows, and placed subtrees.
+"""Problem instances, directed tree topologies, and their flows.
 
 Node indexing convention used throughout the package: for an instance with
 n sources and j Steiner slots, nodes 0..n-1 are the sources, node n is the
@@ -19,7 +19,6 @@ from .geometry import Point
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 
 NO_PARENT = -1  # parent entry of the sink slot
-STEINER = -1  # root of a generated subtree that is a Steiner slot
 
 
 @dataclass(frozen=True)
@@ -154,17 +153,13 @@ class Topology:
     @cached_property
     def _sink_order(self) -> tuple[int, ...]:
         children = self._children
+        # every non-sink node has one parent, so it sits in one child list
+        # and the walk reaches it at most once
         order = [self.sink]
-        seen = [False] * self.n_nodes
-        seen[self.sink] = True
         for node in order:
-            for child in children[node]:
-                if seen[child]:
-                    raise TopologyError(f"node {child} is reached twice; not a tree")
-                seen[child] = True
-                order.append(child)
+            order.extend(children[node])
         if len(order) != self.n_nodes:
-            missing = [i for i in range(self.n_nodes) if not seen[i]]
+            missing = sorted(set(range(self.n_nodes)).difference(order))
             raise TopologyError(f"nodes {missing} cannot reach the sink (cycle or disconnection)")
         return tuple(order)
 
@@ -227,59 +222,3 @@ def validate_topology(topology: Topology, strategy: BoundStrategy) -> list[str]:
     else:
         raise TypeError(f"unknown strategy {strategy!r}")
     return violations
-
-
-def _orient_toward_sink(n_sources: int, n_steiner: int, edges: Sequence[tuple[int, int]]) -> Topology:
-    """Build a Topology from an undirected edge list by rooting at the sink."""
-    n_nodes = n_sources + 1 + n_steiner
-    adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    parents = [NO_PARENT] * n_nodes
-    sink = n_sources
-    seen = [False] * n_nodes
-    seen[sink] = True
-    queue = [sink]
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        for nb in adjacency[node]:
-            if not seen[nb]:
-                seen[nb] = True
-                parents[nb] = node
-                queue.append(nb)
-    if len(queue) != n_nodes:
-        raise TopologyError("edge list does not span all nodes")
-    return Topology(n_sources, n_steiner, tuple(parents))
-
-
-def skeleton_placement(n_sources: int, roots: tuple) -> list[tuple[tuple, int, int]]:
-    """(subtree, node, parent node) for every subtree under the sink's
-    children roots, in depth-first preorder: each subtree is a contiguous
-    run that starts at its root.
-
-    A source root keeps its index; Steiner roots get slots n_sources + 1,
-    n_sources + 2, ... in this order.
-    """
-    placed = []
-    next_slot = n_sources + 1
-    stack = [(tree, n_sources) for tree in roots]
-    while stack:
-        tree, parent = stack.pop()
-        node = tree[0]
-        if node == STEINER:
-            node = next_slot
-            next_slot += 1
-        placed.append((tree, node, parent))
-        stack.extend((child, node) for child in tree[1])
-    return placed
-
-
-def placed_topology(n_sources: int, n_steiner: int, placed: list[tuple[tuple, int, int]]) -> Topology:
-    """The topology of a skeleton from its skeleton_placement."""
-    parents = [NO_PARENT] * (n_sources + 1 + n_steiner)
-    for _, node, parent in placed:
-        parents[node] = parent
-    return Topology(n_sources, n_steiner, tuple(parents))

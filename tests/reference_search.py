@@ -10,13 +10,39 @@ points of local improvement.  Neither is used by the CLI.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from fqst import algebraic_solver, analysis
 from fqst.errors import TopologyError
 from fqst.strategies import BoundStrategy, NodeWeighted
-from fqst.topology import Topology, _orient_toward_sink, validate_topology
+from fqst.topology import NO_PARENT, Topology, validate_topology
 from fqst.trees import SolvedTree
+
+
+def _orient_toward_sink(n_sources: int, n_steiner: int, edges: Sequence[tuple[int, int]]) -> Topology:
+    """Build a Topology from an undirected edge list by rooting at the sink."""
+    n_nodes = n_sources + 1 + n_steiner
+    adjacency: list[list[int]] = [[] for _ in range(n_nodes)]
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    parents = [NO_PARENT] * n_nodes
+    sink = n_sources
+    seen = [False] * n_nodes
+    seen[sink] = True
+    queue = [sink]
+    head = 0
+    while head < len(queue):
+        node = queue[head]
+        head += 1
+        for nb in adjacency[node]:
+            if not seen[nb]:
+                seen[nb] = True
+                parents[nb] = node
+                queue.append(nb)
+    if len(queue) != n_nodes:
+        raise TopologyError("edge list does not span all nodes")
+    return Topology(n_sources, n_steiner, tuple(parents))
 
 
 def enumerate_full_topologies(n_sources: int) -> Iterator[Topology]:

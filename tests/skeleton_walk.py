@@ -46,14 +46,10 @@ from fqst.exact_search import (
 )
 from fqst.geometry import sq_dist
 from fqst.strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted, max_steiner_count
-from fqst.topology import (
-    STEINER,
-    Instance,
-    Topology,
-    placed_topology,
-    skeleton_placement,
-)
+from fqst.topology import NO_PARENT, Instance, Topology
 from canonical_oracle import rooted_encoding
+
+STEINER = -1  # root of a generated subtree that is a Steiner slot
 
 
 def enumerate_bounded_topologies(
@@ -70,6 +66,36 @@ def enumerate_bounded_topologies(
     """
     for j, roots in skeletons(n_sources, max_steiner, min_steiner_degree, _bare_subtree):
         yield placed_topology(n_sources, j, skeleton_placement(n_sources, roots))
+
+
+def skeleton_placement(n_sources: int, roots: tuple) -> list[tuple[tuple, int, int]]:
+    """(subtree, node, parent node) for every subtree under the sink's
+    children roots, in depth-first preorder: each subtree is a contiguous
+    run that starts at its root.
+
+    A source root keeps its index; Steiner roots get slots n_sources + 1,
+    n_sources + 2, ... in this order.
+    """
+    placed = []
+    next_slot = n_sources + 1
+    stack = [(tree, n_sources) for tree in roots]
+    while stack:
+        tree, parent = stack.pop()
+        node = tree[0]
+        if node == STEINER:
+            node = next_slot
+            next_slot += 1
+        placed.append((tree, node, parent))
+        stack.extend((child, node) for child in tree[1])
+    return placed
+
+
+def placed_topology(n_sources: int, n_steiner: int, placed: list[tuple[tuple, int, int]]) -> Topology:
+    """The topology of a skeleton from its skeleton_placement."""
+    parents = [NO_PARENT] * (n_sources + 1 + n_steiner)
+    for _, node, parent in placed:
+        parents[node] = parent
+    return Topology(n_sources, n_steiner, tuple(parents))
 
 
 def _bare_subtree(root: int, children: tuple) -> tuple:

@@ -31,7 +31,7 @@ from fqst.analysis import (
 )
 from fqst.geometry import sq_dist
 from fqst.trees import build_solved_tree
-from fqst.analysis import _weighted_sink_distances, beaded_spanning_cost
+from fqst.analysis import _spanning_tree, _weighted_sink_distances, beaded_spanning_cost
 from fqst.documents import certificate_summary
 from conftest import (
     NO_PARENT,
@@ -444,6 +444,49 @@ class TestBeadedSpanningTree:
             c = rng.choice([1e-3, 1e-2, 0.1, 1.0]) * _weighted_sink_distances(inst)
             built = cost_node_weighted(beaded_spanning_tree(inst, c), c)
             assert beaded_spanning_cost(inst, c) == pytest.approx(built, rel=1e-12, abs=0.0)
+
+
+    @pytest.mark.parametrize(
+        "sources,spanning,pinned",
+        [
+            (
+                [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)],
+                (1, 5, 1, 0, 2, NO_PARENT),
+                [
+                    (0.3, 6.283333333333333, 20, (7, 10, 12, 13, 14, NO_PARENT, 1, 6, 5, 8, 9, 1, 11, 0, 2)),
+                    (2.0, 10.5, 4, (1, 6, 1, 0, 2, NO_PARENT, 5)),
+                    (9.0, 11.0, 1, (1, 5, 1, 0, 2, NO_PARENT)),
+                ],
+            ),
+            (
+                [(0, 0), (2, 0), (0, 2), (2, 2), (1, 0)],
+                (4, 4, 5, 5, 5, NO_PARENT),
+                [
+                    (0.3, 5.7333333333333325, 17, (6, 7, 9, 11, 13, NO_PARENT, 4, 4, 5, 8, 5, 10, 5, 12)),
+                    (2.0, 9.0, 4, (4, 4, 5, 5, 5, NO_PARENT)),
+                    (9.0, 9.0, 0, (4, 4, 5, 5, 5, NO_PARENT)),
+                ],
+            ),
+            (
+                [(1, 0), (0, 1), (2, 1), (1, 2), (3, 2)],
+                (5, 5, 5, 5, 2, NO_PARENT),
+                [
+                    (0.3, 4.933333333333334, 15, (6, 7, 9, 10, 12, NO_PARENT, 5, 5, 5, 8, 5, 2, 11)),
+                    (2.0, 7.0, 3, (5, 5, 5, 5, 2, NO_PARENT)),
+                    (9.0, 7.0, 0, (5, 5, 5, 5, 2, NO_PARENT)),
+                ],
+            ),
+        ],
+    )
+    def test_pinned_on_tied_lattices(self, sources, spanning, pinned):
+        # unit lattices around the sink (1, 1), where Prim's algorithm
+        # meets equal distances: the tree, its costs and its beads' slots
+        inst = Instance.with_unit_supplies([Point(*z) for z in sources], Point(1, 1))
+        assert _spanning_tree(inst)[1].parents == spanning
+        for c, cost, bound, parents in pinned:
+            assert beaded_spanning_cost(inst, c) == cost
+            assert steiner_count_bound(inst, c) == bound
+            assert beaded_spanning_tree(inst, c).topology.parents == parents
 
 
 class TestSteinerCountBound:

@@ -227,6 +227,8 @@ class TestExactCommand:
         "strategy",
         [
             {"explicit_bound": 10**9},
+            {"explicit_bound": 2**1024},
+            {"explicit_bound": 10**400},
             {"node_weighted": 1e-300},
             {"node_weighted": 1e-310},
             {"node_weighted": 5e-324},
@@ -237,7 +239,8 @@ class TestExactCommand:
         # spanning tree it is computed from) is built
         path = write_document(tmp_path, worked_document(strategy, topology=False))
         assert main(["exact", path]) == 3
-        assert "Steiner budget" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "Steiner budget" in line
 
     def test_steiner_budget_guard_admits_its_limit(self, tmp_path, capsys):
         limit = STEINER_BUDGET_GUARD
@@ -782,6 +785,21 @@ class TestBoundsCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["steiner_budget"] == 2
         assert out["lower_bound_path"] == pytest.approx(228.0 / 6.0)
+
+    def test_explicit_bound(self, tmp_path, capsys):
+        # a bound past float range states its integer budget and a path
+        # bound of 0, no larger than at any smaller k
+        previous = math.inf
+        for k in (2, 2**53, 2**1024, 10**400):
+            path = write_document(tmp_path, worked_document({"explicit_bound": k}, topology=False))
+            assert main(["bounds", path]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["steiner_budget"] == k
+            assert 0.0 <= out["lower_bound_path"] <= previous
+            previous = out["lower_bound_path"]
+            if k == 2:
+                assert out["lower_bound_path"] == 38.0
+        assert previous == 0.0
 
     def test_node_weighted_includes_upper_bound(self, tmp_path, capsys):
         path = write_document(

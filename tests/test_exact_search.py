@@ -80,18 +80,17 @@ class TestSolveExactDegreeBound:
 
 
 def _topologies_placed(monkeypatch):
-    """The calls exact search makes to place a topology, recorded as they
-    come: the walk places one per candidate that can become its incumbent,
-    the subset DP only its winner, and under the degree bound its greedy
-    seed."""
+    """The calls exact search makes to write a tree's parent array,
+    recorded as they come: the subset DP writes only its winner, and under
+    the degree bound its greedy seed."""
     placed = []
-    place = exact_search.placed_topology
+    place = exact_search._parent_array
 
     def record(*args):
         placed.append(args)
         return place(*args)
 
-    monkeypatch.setattr(exact_search, "placed_topology", record)
+    monkeypatch.setattr(exact_search, "_parent_array", record)
     return placed
 
 
@@ -1047,6 +1046,39 @@ class TestDeterminism:
         assert first.objective == second.objective
         assert first.best.topology.parents == second.best.topology.parents
         assert first.topologies_examined == second.topologies_examined
+
+
+class TestParentArrays:
+    """The parent arrays exact search writes, pinned: Steiner points and
+    beads take slots n + 1, n + 2, ... depth first, the last child first."""
+
+    def test_node_weighted_winner_numbers_its_beads(self, worked_instance):
+        best = solve_exact(worked_instance, NodeWeighted(4.0)).best
+        assert best.topology.parents == (5, 4, 6, NO_PARENT, 11, 4, 3, 3, 7, 8, 9, 10)
+
+    def test_degree_bound_winner_at_seven_sources(self):
+        sources = [(0, 0), (2, 4), (11, 5), (4, 1), (7, 6), (1, 3), (9, 0)]
+        inst = Instance.with_unit_supplies([Point(*z) for z in sources], Point(11, 1))
+        best = solve_exact(inst, DegreeBound(5), guard_n=7).best
+        assert best.topology.parents == (9, 9, 8, 9, 8, 9, 8, NO_PARENT, 7, 8)
+
+    @pytest.mark.parametrize(
+        "phi,mixed,parents",
+        [
+            (3, False, (11, 8, 10, 9, 11, 8, NO_PARENT, 6, 7, 7, 9, 10)),
+            (3, True, (9, 11, 7, 11, 8, 10, NO_PARENT, 6, 7, 8, 9, 10)),
+            (4, False, (6, 7, 8, 8, 8, 7, NO_PARENT, 6, 7)),
+            (4, True, (8, 7, 8, 8, 7, 6, NO_PARENT, 6, 7)),
+            (5, False, (7, 6, 7, 6, 7, 7, NO_PARENT, 3)),
+            (5, True, (1, 6, 7, 7, 7, 7, NO_PARENT, 0)),
+        ],
+    )
+    def test_greedy_tree(self, phi, mixed, parents):
+        rng = random.Random(f"greedy/{phi}")
+        inst = random_instance(rng, 6, span=5.0)
+        if mixed:
+            inst = random_supplied_instance(rng, 6, span=5.0)
+        assert exact_search._greedy_tree(inst, phi).parents == parents
 
 
 _POOL = json.loads((Path(__file__).parents[1] / "bench" / "pool.json").read_text())
