@@ -1,11 +1,10 @@
-"""Cost functions, structural optimality certificates, splits, and bounds."""
+"""Cost functions, structural optimality certificates, and bounds."""
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple, Sequence
 
-from . import algebraic_solver
 from .errors import TopologyError
 from .geometry import Point, mass_scale, sq_dist
 from .strategies import BoundStrategy, DegreeBound
@@ -14,7 +13,7 @@ from .trees import (
     CERTIFICATE_TOLERANCE,
     SolvedTree,
     centroid_deviations,
-    embedded_cost,
+    cost_and_zero_edge,
     off_centroid_slots,
     weighted_mean,
 )
@@ -24,14 +23,7 @@ OVERLAP_ANGLE_TOLERANCE = 1e-7
 
 def cost(tree: SolvedTree) -> float:
     """Sum over edges of flow * squared length, recomputed from the fields."""
-    return embedded_cost(tree.topology, tree.xs, tree.ys, tree.flows)
-
-
-def cost_node_weighted(tree: SolvedTree, c: float) -> float:
-    """cost(tree) plus c per Steiner point."""
-    if not c > 0.0:
-        raise ValueError(f"node weight must be positive, got {c}")
-    return cost(tree) + c * tree.topology.n_steiner
+    return cost_and_zero_edge(tree.topology, tree.xs, tree.ys, tree.flows)[0]
 
 
 def check_centroid_certificate(tree: SolvedTree, tol: float = CERTIFICATE_TOLERANCE) -> dict[int, bool]:
@@ -175,30 +167,6 @@ def check_edge_pairs(
     return violations, overlaps
 
 
-class SplitSpec(NamedTuple):
-    """Reroute the in-neighbours in `members` through a new Steiner point that
-    feeds `target`."""
-
-    target: int
-    members: tuple[int, ...]
-
-
-def split_topology(topology: Topology, spec: SplitSpec) -> Topology:
-    """The topology after rerouting spec.members through a new Steiner slot."""
-    children = set(topology.children_lists()[spec.target])
-    if not spec.members:
-        raise ValueError("a split needs at least one in-neighbour")
-    if not set(spec.members) <= children:
-        raise ValueError(
-            f"{sorted(set(spec.members) - children)} are not in-neighbours of node {spec.target}"
-        )
-    new_slot = topology.n_nodes
-    parents = list(topology.parents) + [spec.target]
-    for member in spec.members:
-        parents[member] = new_slot
-    return Topology(topology.n_sources, topology.n_steiner + 1, tuple(parents))
-
-
 def optimal_bead_count(f: float, length: float, c: float) -> int:
     """The integer bead count minimising f*length^2/(p+1) + c*p, ties toward
     smaller p.
@@ -308,24 +276,12 @@ def expand_beads(topology: Topology, bead_counts: Sequence[int]) -> Topology:
     return Topology(topology.n_sources, topology.n_steiner + added, tuple(parents))
 
 
-def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
-    """Minimum spanning tree on sources plus sink, directed toward the sink,
-    with the cost-minimising bead count inserted on every edge.
-
-    solve_topology embeds it: a chain of beads between two terminals is
-    the embedding's own straight, evenly spaced relay.  Its node-weighted
-    cost (beaded_spanning_cost, without building it) upper-bounds the
-    node-weighted optimum.
-    """
-    terminals, base, flows = _spanning_tree(instance)
-    bead_counts = _spanning_bead_counts(terminals, base, flows, c)
-    return algebraic_solver.solve_topology(instance, expand_beads(base, bead_counts))
-
-
 def beaded_spanning_cost(instance: Instance, c: float) -> float:
-    """cost_node_weighted(beaded_spanning_tree(instance, c), c), summed per
-    spanning edge without placing a bead: p equally spaced beads split an
-    edge of flow f and length d into p + 1 segments, f d^2/(p+1) + c p."""
+    """The node-weighted cost of the minimum spanning tree on the sources
+    and the sink with the cost-minimising bead count p on each edge, an
+    upper bound on the node-weighted optimum.  p equally spaced beads split
+    an edge of flow f and length d into p + 1 segments, so the sum over the
+    spanning edges is of f d^2/(p+1) + c p; no bead is placed."""
     terminals, base, flows = _spanning_tree(instance)
     bead_counts = _spanning_bead_counts(terminals, base, flows, c)
     total = 0.0
@@ -389,19 +345,15 @@ __all__ = [
     "AngleViolation",
     "DegreeViolation",
     "EdgeOverlap",
-    "SplitSpec",
     "beaded_spanning_cost",
-    "beaded_spanning_tree",
     "centroid_deviations",
     "check_centroid_certificate",
     "check_degree_window",
     "check_edge_pairs",
     "cost",
-    "cost_node_weighted",
     "expand_beads",
     "lower_bound_path",
     "off_centroid_slots",
     "optimal_bead_count",
-    "split_topology",
     "steiner_count_bound",
 ]

@@ -18,7 +18,7 @@ import gc
 import math
 import sys
 
-from . import analysis, documents
+from . import analysis, documents, strategies
 from .algebraic_solver import solve_topology as algebraic_solve
 from .errors import DocumentError, FqstError, GuardLimitError
 from .render import render_svg
@@ -87,15 +87,8 @@ def _cmd_solve_topology(args) -> int:
         raise DocumentError("solve-topology needs a document with a 'topology'")
     tree = algebraic_solve(parsed.instance, parsed.topology)
     require_finite_cost(tree)
-    objective = tree.cost
-    if isinstance(parsed.strategy, NodeWeighted):
-        objective += parsed.strategy.c * tree.topology.n_steiner
     doc = documents.result_document(
-        tree,
-        parsed.strategy,
-        tolerance=args.tolerance,
-        objective=objective,
-        extra={"solver": "elimination"},
+        tree, parsed.strategy, tolerance=args.tolerance, extra={"solver": "elimination"}
     )
     _write_output(documents.dumps(doc), args.output)
     return EXIT_OK
@@ -119,12 +112,7 @@ def _cmd_exact(args) -> int:
     if report.steiner_bound is not None:
         extra["search"]["steiner_bound"] = report.steiner_bound
     doc = documents.result_document(
-        report.best,
-        parsed.strategy,
-        tolerance=args.tolerance,
-        objective=report.objective,
-        claims_global_optimum=True,
-        extra=extra,
+        report.best, parsed.strategy, tolerance=args.tolerance, claims_global_optimum=True, extra=extra
     )
     _write_output(documents.dumps(doc), args.output)
     return EXIT_OK
@@ -159,9 +147,7 @@ def _cmd_check(args) -> int:
     recomputed = analysis.cost(tree)
     if not _agrees(recomputed, tree.cost, tol, unit):
         failures.append(f"cost mismatch: stored {tree.cost}, recomputed {recomputed}")
-    objective = recomputed
-    if isinstance(strategy, NodeWeighted):
-        objective += strategy.c * tree.topology.n_steiner
+    objective = strategies.objective(strategy, recomputed, tree.topology.n_steiner)
     stored = parsed.objective
     if stored is not None and not _agrees(objective, stored, tol, unit):
         failures.append(f"objective mismatch: stored {stored}, recomputed {objective}")

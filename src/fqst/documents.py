@@ -33,7 +33,7 @@ from typing import Any, NamedTuple, NoReturn, Sequence
 from . import analysis
 from .errors import DocumentError, FqstError, InternalConsistencyError
 from .geometry import Point
-from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
+from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted, objective
 from .topology import NO_PARENT, Instance, Topology
 from .trees import SolvedTree
 
@@ -262,7 +262,6 @@ def result_document(
     strategy: BoundStrategy,
     *,
     tolerance: float = analysis.CERTIFICATE_TOLERANCE,
-    objective: float | None = None,
     claims_global_optimum: bool = False,
     extra: dict | None = None,
 ) -> dict:
@@ -284,7 +283,7 @@ def result_document(
             for child in tree.topology.edge_children()
         ],
         "cost": _round12(tree.cost),
-        "objective": _round12(tree.cost if objective is None else objective),
+        "objective": _round12(objective(strategy, tree.cost, tree.topology.n_steiner)),
         "claims": {"locally_minimal": True, "global_optimum": claims_global_optimum},
         "certificates": certificate_summary(tree, tolerance),
     }
@@ -357,15 +356,15 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
         cost=_finite(raw_cost, "'cost'"),
         degenerate=_flag(doc, "certificates", "degenerate"),
     )
-    objective = doc.get("objective")
-    if objective is not None and not _is_number(objective):
+    raw_objective = doc.get("objective")
+    if raw_objective is not None and not _is_number(raw_objective):
         raise DocumentError("'objective' must be a finite number")
     return ParsedResultDocument(
         instance=instance,
         strategy=parsed.strategy,
         tree=tree,
         claims_global_optimum=_flag(doc, "claims", "global_optimum"),
-        objective=None if objective is None else _finite(objective, "'objective'"),
+        objective=None if raw_objective is None else _finite(raw_objective, "'objective'"),
     )
 
 

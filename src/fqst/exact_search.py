@@ -131,7 +131,7 @@ from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GeometryError, GuardLimitError, InternalConsistencyError
 from .geometry import mass_scale, sq_dist
-from .strategies import DEFAULT_GUARD, BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
+from .strategies import DEFAULT_GUARD, BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted, objective
 from .topology import NO_PARENT, Instance, Topology, validate_topology
 from .trees import SolvedTree
 
@@ -408,7 +408,6 @@ def _subset_search(
     # scaled past every float, held finite, outweighs any tree all the same.
     scale = mass_scale(max(instance.supplies))
     supplies = [w * scale for w in instance.supplies]
-    bead_charge = charge
     charge = min(charge * scale, sys.float_info.max)
     known *= scale
     flow = [0.0] * (full + 1)
@@ -619,7 +618,6 @@ def _subset_search(
         topology,
         beads,
         layers[n][-1][budget][full] / scale,
-        bead_charge,
         started,
         topologies_examined=built,
         topologies_pruned=dropped,
@@ -765,7 +763,6 @@ def _report(
     topology: Topology,
     beads: tuple[int, ...],
     searched: float,
-    bead_charge: float,
     started: float,
     **counters,
 ) -> SearchReport:
@@ -776,7 +773,7 @@ def _report(
         topology = analysis.expand_beads(topology, beads)
     best = algebraic_solver.solve_topology(instance, topology)
     total_steiner = best.topology.n_steiner
-    final_objective = best.cost + bead_charge * total_steiner
+    final_objective = objective(strategy, best.cost, total_steiner)
     if not math.isclose(final_objective, searched, rel_tol=1e-9, abs_tol=1e-9):
         raise InternalConsistencyError(
             f"expanded winner objective {final_objective} drifted from searched {searched}"

@@ -47,6 +47,14 @@ class NodeWeighted:
 
 BoundStrategy = Union[DegreeBound, ExplicitBound, NodeWeighted]
 
+
+def objective(strategy: BoundStrategy, cost: float, n_steiner: int) -> float:
+    """The objective of a tree of the given cost and Steiner count: the cost
+    plus c per Steiner point under the node weight, the cost otherwise."""
+    if isinstance(strategy, NodeWeighted):
+        return cost + strategy.c * n_steiner
+    return cost
+
 # the largest source count exact search accepts unless told otherwise
 DEFAULT_GUARD = 6
 

@@ -62,27 +62,11 @@ def _check_table(
         raise TopologyError("xs, ys and flows must carry one entry per node")
 
 
-def embedded_cost(
-    topology: Topology,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    edge_weights: Sequence[float],
-) -> float:
-    """Sum over edges of weight * squared length, over a coordinate table.
-
-    With edge_weights = flows this is the tree cost; with bead-reduced
-    weights f/(p+1) it is the cost of a skeleton standing for a beaded tree.
-    """
-    return _cost_and_zero_edge(topology, xs, ys, edge_weights)[0]
-
-
-def _cost_and_zero_edge(
-    topology: Topology,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    edge_weights: Sequence[float],
+def cost_and_zero_edge(
+    topology: Topology, xs: Sequence[float], ys: Sequence[float], flows: Sequence[float]
 ) -> tuple[float, bool]:
-    """embedded_cost's sum, and whether some edge has zero length."""
+    """The sum over edges of flow * squared length over a coordinate table,
+    and whether some edge has zero length."""
     total = 0.0
     zero_edge = False
     for node, parent in enumerate(topology.parents):
@@ -90,7 +74,7 @@ def _cost_and_zero_edge(
             dx = xs[node] - xs[parent]
             dy = ys[node] - ys[parent]
             d2 = dx * dx + dy * dy
-            total += edge_weights[node] * d2
+            total += flows[node] * d2
             if d2 == 0.0:
                 zero_edge = True
     return total, zero_edge
@@ -107,7 +91,7 @@ def build_solved_tree(
     and degeneracy flag."""
     xs, ys, flows = tuple(xs), tuple(ys), tuple(flows)
     _check_table(topology, xs, ys, flows)  # before the cost loop indexes the table
-    cost, degenerate = _cost_and_zero_edge(topology, xs, ys, flows)
+    cost, degenerate = cost_and_zero_edge(topology, xs, ys, flows)
     return SolvedTree(instance, topology, xs, ys, flows, cost, degenerate)
 
 

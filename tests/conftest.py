@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from fqst import Instance, Point, Topology
+from fqst import Instance, Point, Topology, solve_topology
+from fqst.analysis import _spanning_bead_counts, _spanning_tree, cost, expand_beads
 from fqst.documents import SCHEMA_VERSION, strategy_document, topology_document
-from fqst.strategies import BoundStrategy
-from fqst.trees import SolvedTree, build_solved_tree
+from fqst.strategies import BoundStrategy, NodeWeighted, objective
+from fqst.trees import SolvedTree, build_solved_tree, cost_and_zero_edge
 
 NO_PARENT = -1
 
@@ -50,6 +51,34 @@ def node_table(instance: Instance, steiner_points=()) -> tuple[list[float], list
     the coordinate table a SolvedTree holds."""
     points = (*instance.sources, instance.sink, *steiner_points)
     return [p.x for p in points], [p.y for p in points]
+
+
+def embedded_cost(topology: Topology, xs, ys, edge_weights) -> float:
+    """Sum over edges of weight * squared length, over a coordinate table.
+
+    With edge_weights = flows this is the tree cost; with bead-reduced
+    weights f/(p+1) it is the cost of a skeleton standing for a beaded tree.
+    """
+    return cost_and_zero_edge(topology, xs, ys, edge_weights)[0]
+
+
+def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
+    """Minimum spanning tree on sources plus sink, directed toward the sink,
+    with the cost-minimising bead count inserted on every edge.
+
+    solve_topology embeds it: a chain of beads between two terminals is
+    the embedding's own straight, evenly spaced relay.  Its node-weighted
+    cost is what analysis.beaded_spanning_cost sums without building it.
+    """
+    terminals, base, flows = _spanning_tree(instance)
+    bead_counts = _spanning_bead_counts(terminals, base, flows, c)
+    return solve_topology(instance, expand_beads(base, bead_counts))
+
+
+def node_weighted_objective(tree: SolvedTree, c: float) -> float:
+    """The tree's objective under NodeWeighted(c), its cost recomputed from
+    the coordinate table."""
+    return objective(NodeWeighted(c), cost(tree), tree.topology.n_steiner)
 
 
 def with_steiner_positions(tree: SolvedTree, positions) -> SolvedTree:

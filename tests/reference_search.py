@@ -2,19 +2,20 @@
 
 enumerate_full_topologies builds every full degree-3 topology by edge
 insertion, an independent count and cross-check for the partition generator
-in fqst.topology.  local_improve_by_splits applies beneficial J-splits until
-none is left, so the tests can check that exact-search winners are fixed
-points of local improvement.  Neither is used by the CLI.
+in fqst.topology.  local_improve_by_splits applies beneficial J-splits
+(split_topology) until none is left, so the tests can check that
+exact-search winners are fixed points of local improvement.  None of them
+is used by the CLI.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from fqst import algebraic_solver, analysis
 from fqst.errors import TopologyError
-from fqst.strategies import BoundStrategy, NodeWeighted
+from fqst.strategies import BoundStrategy, objective
 from fqst.topology import NO_PARENT, Topology, validate_topology
 from fqst.trees import SolvedTree
 
@@ -73,10 +74,32 @@ def enumerate_full_topologies(n_sources: int) -> Iterator[Topology]:
     yield from insert(base, 2, first_steiner + 1)
 
 
+class SplitSpec(NamedTuple):
+    """Reroute the in-neighbours in `members` through a new Steiner point that
+    feeds `target`."""
+
+    target: int
+    members: tuple[int, ...]
+
+
+def split_topology(topology: Topology, spec: SplitSpec) -> Topology:
+    """The topology after rerouting spec.members through a new Steiner slot."""
+    children = set(topology.children_lists()[spec.target])
+    if not spec.members:
+        raise ValueError("a split needs at least one in-neighbour")
+    if not set(spec.members) <= children:
+        raise ValueError(
+            f"{sorted(set(spec.members) - children)} are not in-neighbours of node {spec.target}"
+        )
+    new_slot = topology.n_nodes
+    parents = list(topology.parents) + [spec.target]
+    for member in spec.members:
+        parents[member] = new_slot
+    return Topology(topology.n_sources, topology.n_steiner + 1, tuple(parents))
+
+
 def _objective(tree: SolvedTree, strategy: BoundStrategy) -> float:
-    if isinstance(strategy, NodeWeighted):
-        return analysis.cost_node_weighted(tree, strategy.c)
-    return analysis.cost(tree)
+    return objective(strategy, analysis.cost(tree), tree.topology.n_steiner)
 
 
 def local_improve_by_splits(tree: SolvedTree, strategy: BoundStrategy) -> SolvedTree:
@@ -98,8 +121,7 @@ def local_improve_by_splits(tree: SolvedTree, strategy: BoundStrategy) -> Solved
                 continue
             for size in range(1, len(in_neighbours) + 1):
                 for members in itertools.combinations(in_neighbours, size):
-                    spec = analysis.SplitSpec(target, members)
-                    new_topology = analysis.split_topology(current.topology, spec)
+                    new_topology = split_topology(current.topology, SplitSpec(target, members))
                     if validate_topology(new_topology, strategy):
                         continue
                     candidate = algebraic_solver.solve_topology(current.instance, new_topology)

@@ -295,7 +295,6 @@ def search(
         incumbent.topology,
         incumbent.beads,
         incumbent.objective,
-        bead_charge,
         started,
         topologies_examined=examined,
         topologies_pruned=pruned,

@@ -26,8 +26,6 @@ from fqst import (
     solve_topology,
 )
 from fqst.analysis import (
-    beaded_spanning_tree,
-    cost_node_weighted,
     expand_beads,
     lower_bound_path,
     optimal_bead_count,
@@ -35,9 +33,16 @@ from fqst.analysis import (
 )
 from fqst.geometry import sq_dist
 from skeleton_walk import enumerate_bounded_topologies
-from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
-from conftest import NO_PARENT, node_table, random_full_topology, random_instance
+from conftest import (
+    NO_PARENT,
+    beaded_spanning_tree,
+    embedded_cost,
+    node_table,
+    node_weighted_objective,
+    random_full_topology,
+    random_instance,
+)
 from merge_replay import replay_tree
 
 
@@ -211,7 +216,7 @@ def test_criterion_6_bound_sandwich():
             ok = False
         if isinstance(strategy, NodeWeighted):
             bst = beaded_spanning_tree(inst, strategy.c)
-            if result.objective > cost_node_weighted(bst, strategy.c) + 1e-9:
+            if result.objective > node_weighted_objective(bst, strategy.c) + 1e-9:
                 ok = False
             if k > steiner_count_bound(inst, strategy.c):
                 ok = False

@@ -17,7 +17,7 @@ from fqst import (
 from fqst.geometry import sq_dist
 from certificate_oracle import MassPoint, centroid
 from skeleton_walk import enumerate_bounded_topologies
-from fqst.trees import CERTIFICATE_TOLERANCE, centroid_deviations, embedded_cost, off_centroid_slots
+from fqst.trees import CERTIFICATE_TOLERANCE, centroid_deviations, off_centroid_slots
 from fqst import algebraic_solver
 from fqst.algebraic_solver import (
     merge_summaries,
@@ -27,6 +27,7 @@ from fqst.algebraic_solver import (
 from dense_oracle import SteinerSystem, assemble_system, solve_positions
 from conftest import (
     NO_PARENT,
+    embedded_cost,
     node_table,
     random_full_topology,
     random_general_tree,

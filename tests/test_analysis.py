@@ -17,25 +17,25 @@ from fqst import (
     solve_topology,
 )
 from fqst.analysis import (
-    SplitSpec,
-    beaded_spanning_tree,
     check_degree_window,
     check_edge_pairs,
     cost,
-    cost_node_weighted,
     expand_beads,
     lower_bound_path,
     optimal_bead_count,
-    split_topology,
     steiner_count_bound,
 )
 from fqst.geometry import sq_dist
+from fqst.strategies import objective
 from fqst.trees import build_solved_tree
 from fqst.analysis import _spanning_tree, _weighted_sink_distances, beaded_spanning_cost
 from fqst.documents import certificate_summary
+from reference_search import SplitSpec, split_topology
 from conftest import (
     NO_PARENT,
+    beaded_spanning_tree,
     node_table,
+    node_weighted_objective,
     random_instance,
     random_supplied_instance,
     with_steiner_positions,
@@ -83,20 +83,25 @@ class TestCost:
         assert cost(tree) == 12.0
 
 
-class TestCostNodeWeighted:
+class TestObjective:
     def test_worked_example_with_charge(self, worked_tree):
-        assert cost_node_weighted(worked_tree, 10.0) == pytest.approx(122.0, abs=1e-12)
+        value = objective(NodeWeighted(10.0), cost(worked_tree), worked_tree.topology.n_steiner)
+        assert value == pytest.approx(122.0, abs=1e-12)
 
     def test_no_steiner_equals_cost(self):
         inst = Instance.with_unit_supplies([Point(0, 0)], Point(1, 0))
         tree = solve_topology(inst, Topology(1, 0, (1, NO_PARENT)))
-        assert cost_node_weighted(tree, 7.0) == cost(tree)
+        assert objective(NodeWeighted(7.0), cost(tree), tree.topology.n_steiner) == cost(tree)
 
     def test_beaded_path(self):
         inst = Instance.with_unit_supplies([Point(0, 0)], Point(3, 0))
         topo = Topology(1, 2, (2, NO_PARENT, 3, 1))
         tree = solve_topology(inst, topo)
-        assert cost_node_weighted(tree, 1.0) == pytest.approx(5.0, abs=1e-12)
+        assert objective(NodeWeighted(1.0), cost(tree), tree.topology.n_steiner) == pytest.approx(5.0, abs=1e-12)
+
+    @pytest.mark.parametrize("strategy", [DegreeBound(3), ExplicitBound(2)])
+    def test_other_strategies_charge_nothing(self, worked_tree, strategy):
+        assert objective(strategy, worked_tree.cost, 2) == worked_tree.cost
 
 
 class TestCentroidCertificate:
@@ -421,7 +426,7 @@ class TestBeadedSpanningTree:
             c = rng.uniform(q / 16.0, q / 4.0)
             report = solve_exact(inst, NodeWeighted(c))
             bst = beaded_spanning_tree(inst, c)
-            assert report.objective <= cost_node_weighted(bst, c) + 1e-9
+            assert report.objective <= node_weighted_objective(bst, c) + 1e-9
 
     def test_edge_length_bound_holds(self):
         rng = random.Random(44)
@@ -442,7 +447,7 @@ class TestBeadedSpanningTree:
         for _ in range(20):
             inst = random_supplied_instance(rng, rng.randint(1, 5), span=4.0)
             c = rng.choice([1e-3, 1e-2, 0.1, 1.0]) * _weighted_sink_distances(inst)
-            built = cost_node_weighted(beaded_spanning_tree(inst, c), c)
+            built = node_weighted_objective(beaded_spanning_tree(inst, c), c)
             assert beaded_spanning_cost(inst, c) == pytest.approx(built, rel=1e-12, abs=0.0)
 
 
@@ -492,7 +497,7 @@ class TestBeadedSpanningTree:
 class TestSteinerCountBound:
     def test_expensive_steiner_gives_zero(self, worked_instance):
         bst = beaded_spanning_tree(worked_instance, 1000.0)
-        assert cost_node_weighted(bst, 1000.0) < 1000.0 * 2
+        assert node_weighted_objective(bst, 1000.0) < 1000.0 * 2
         assert steiner_count_bound(worked_instance, 1000.0) == 0
 
     def test_monotone_nonincreasing_in_charge(self, worked_instance):

@@ -8,6 +8,7 @@ from fqst.documents import (
     parse_result_document,
     result_document,
 )
+from fqst.cli import main
 from conftest import instance_document
 
 
@@ -97,7 +98,7 @@ class TestInstanceDocuments:
 class TestResultDocuments:
     def test_result_round_trip(self, worked_instance, worked_topology):
         tree = solve_topology(worked_instance, worked_topology)
-        doc = result_document(tree, DegreeBound(3), objective=tree.cost)
+        doc = result_document(tree, DegreeBound(3))
         parsed = parse_result_document(loads(dumps(doc)))
         assert parsed.instance == worked_instance
         assert parsed.strategy == DegreeBound(3)
@@ -107,6 +108,21 @@ class TestResultDocuments:
             assert a.x == pytest.approx(b.x, abs=1e-9)
             assert a.y == pytest.approx(b.y, abs=1e-9)
         assert not parsed.claims_global_optimum
+
+    def test_node_weighted_result_stores_the_charged_objective(
+        self, worked_instance, worked_topology, tmp_path, capsys
+    ):
+        # the writer charges c per Steiner point itself, so a document
+        # written with no objective of its own passes check
+        tree = solve_topology(worked_instance, worked_topology)
+        doc = result_document(tree, NodeWeighted(10.0))
+        assert doc["cost"] == pytest.approx(102.0, abs=1e-9)
+        assert doc["objective"] == pytest.approx(tree.cost + 2 * 10.0, rel=1e-12)
+        assert doc["objective"] == pytest.approx(122.0, abs=1e-9)
+        path = tmp_path / "weighted-result.json"
+        path.write_text(dumps(doc))
+        assert main(["check", str(path)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
 
     def test_certificate_summary_present(self, worked_instance, worked_topology):
         tree = solve_topology(worked_instance, worked_topology)

@@ -24,22 +24,19 @@ from fqst import (
     validate_topology,
 )
 from fqst.analysis import (
-    beaded_spanning_tree,
     check_degree_window,
-    cost_node_weighted,
     expand_beads,
     lower_bound_path,
     steiner_count_bound,
 )
 from fqst.geometry import sq_dist
-from fqst.trees import embedded_cost
 from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
 from fqst.cli import main
 from fqst.documents import dumps, parse_instance_document
 from fqst import exact_search
 from fqst.exact_search import _bead_cap, _prune_dominated
-from fqst.strategies import max_steiner_count
+from fqst.strategies import max_steiner_count, objective
 from skeleton_walk import (
     Incumbent,
     enumerate_bounded_topologies,
@@ -50,7 +47,16 @@ from skeleton_walk import (
 )
 from reference_search import local_improve_by_splits
 from canonical_oracle import rooted_encoding
-from conftest import NO_PARENT, instance_document, node_table, random_instance, random_supplied_instance
+from conftest import (
+    NO_PARENT,
+    beaded_spanning_tree,
+    embedded_cost,
+    instance_document,
+    node_table,
+    node_weighted_objective,
+    random_instance,
+    random_supplied_instance,
+)
 
 
 class TestSolveExactDegreeBound:
@@ -145,6 +151,19 @@ class TestDegreeSubsetSearch:
             assert rooted_encoding(report.best.topology) == rooted_encoding(first.best.topology)
             counters = (report.topologies_examined, report.topologies_pruned, report.bead_vectors)
             assert counters == (first.topologies_examined, first.topologies_pruned, first.bead_vectors)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    def test_no_room_for_a_steiner_point_is_the_explicit_bound_at_zero(self, n, mixed):
+        # every phi >= n + 2 admits exactly the trees with no Steiner point,
+        # those of the explicit bound at 0: the same winner, bit for bit
+        rng = random.Random(f"no-steiner-room/{n}/{mixed}")
+        inst = (random_supplied_instance if mixed else random_instance)(rng, n, span=5.0)
+        zero = solve_exact(inst, ExplicitBound(0))
+        for phi in (n + 2, n + 3):
+            report = solve_exact(inst, DegreeBound(phi))
+            assert report.objective == zero.objective
+            assert report.best.topology.parents == zero.best.topology.parents
 
     def test_huge_phi_does_not_scale_the_search(self):
         inst = random_instance(random.Random(74), 3, span=5.0)
@@ -567,8 +586,8 @@ class TestSolveExactNodeWeighted:
             k = report.best.topology.n_steiner
             assert report.objective >= lower_bound_path(inst, k) - 1e-9
             bst = beaded_spanning_tree(inst, c)
-            assert report.objective <= cost_node_weighted(bst, c) + 1e-9
-            recomputed = cost_node_weighted(report.best, c)
+            assert report.objective <= node_weighted_objective(bst, c) + 1e-9
+            recomputed = node_weighted_objective(report.best, c)
             assert recomputed == pytest.approx(report.objective, rel=1e-9)
 
     def test_single_source_relay_chain(self):
@@ -653,10 +672,17 @@ class TestNodeWeightedBranchAndBound:
             if 3 <= budget <= 9:
                 break
         report = solve_exact(inst, NodeWeighted(c))
-        oracle = min(
-            solve_exact(inst, ExplicitBound(k)).objective + c * k for k in range(budget + 1)
-        )
-        assert report.objective == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        charged = [
+            objective(NodeWeighted(c), solve_exact(inst, ExplicitBound(k)).objective, k)
+            for k in range(budget + 1)
+        ]
+        assert report.objective == pytest.approx(min(charged), rel=1e-12, abs=0.0)
+        # at the winner's own Steiner count k* the explicit bound's optimum
+        # charged c k* is the node weight's objective bit for bit, and no
+        # smaller count does better
+        k_star = report.best.topology.n_steiner
+        assert report.objective == charged[k_star]
+        assert all(charged[k] >= report.objective for k in range(k_star))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_every_vector_that_can_tie_is_offered(self, seed):
@@ -760,9 +786,9 @@ class TestSmallSupplies:
 
     def test_node_weighted_returns_a_tree(self, light_instance):
         report = solve_exact(light_instance, NodeWeighted(0.1))
-        recomputed = cost_node_weighted(report.best, 0.1)
+        recomputed = node_weighted_objective(report.best, 0.1)
         assert recomputed == pytest.approx(report.objective, rel=1e-9)
-        assert report.objective <= cost_node_weighted(
+        assert report.objective <= node_weighted_objective(
             beaded_spanning_tree(light_instance, 0.1), 0.1
         ) + 1e-9
 
@@ -842,7 +868,7 @@ class TestFoldedSearchMatchesExplicitEnumeration:
             c = rng.uniform(q / 12.0, q / 3.0)
             report = solve_exact(inst, NodeWeighted(c))
             naive = min(
-                cost_node_weighted(solve_topology(inst, topo), c)
+                node_weighted_objective(solve_topology(inst, topo), c)
                 for topo in enumerate_bounded_topologies(n, report.steiner_bound, 2)
             )
             assert report.objective == pytest.approx(naive, rel=1e-9)
@@ -994,7 +1020,7 @@ class TestLocalImproveBySplits:
         base = solve_topology(inst, Topology(4, 0, (4, 4, 4, 4, NO_PARENT)))
         strategy = NodeWeighted(30.0)
         improved = local_improve_by_splits(base, strategy)
-        assert cost_node_weighted(improved, 30.0) < cost_node_weighted(base, 30.0) - 1e-9
+        assert node_weighted_objective(improved, 30.0) < node_weighted_objective(base, 30.0) - 1e-9
         assert improved.topology.n_steiner >= 1
 
     def test_exact_winner_is_a_fixed_point(self):

@@ -5,9 +5,14 @@ import random
 import pytest
 
 from fqst import Point, TopologyError, solve_topology
-from fqst.analysis import beaded_spanning_tree
 from fqst.trees import SolvedTree, build_solved_tree
-from conftest import node_table, random_general_tree, random_supplied_instance, with_steiner_positions
+from conftest import (
+    beaded_spanning_tree,
+    node_table,
+    random_general_tree,
+    random_supplied_instance,
+    with_steiner_positions,
+)
 
 
 def solved_trees():
