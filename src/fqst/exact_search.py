@@ -122,7 +122,6 @@ import math
 import sys
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -130,7 +129,7 @@ from typing import Callable, Sequence
 from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GeometryError, GuardLimitError, InternalConsistencyError
-from .geometry import mass_scale, sq_dist
+from .geometry import Record, mass_scale, sq_dist
 from .strategies import DEFAULT_GUARD, BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted, objective
 from .topology import NO_PARENT, Instance, Topology, validate_topology
 from .trees import SolvedTree
@@ -148,27 +147,28 @@ _CUT_SLACK = 1.0 + 1e-9
 _STEINER = -1
 
 
-@dataclass(frozen=True)
-class SearchReport:
-    best: SolvedTree
-    objective: float
-    # subtree and forest summaries built, those dropped by the cut or as
-    # dominated, and single-subtree summaries built with beads on their
-    # out-edge
-    topologies_examined: int
-    topologies_pruned: int
-    bead_vectors: int
-    strategy: BoundStrategy
-    lower_bound: float
-    # the cost of the best known tree the search cut with: the best tree
-    # found over some of the sources with the others wired straight to the
-    # sink, or the starting tree if cheaper (under the degree bound the
-    # greedy tree, under the node weight the beaded spanning tree)
-    upper_bound: float
-    steiner_bound: int | None = None  # node-weighted: the Steiner budget B
-    # seconds spent finding the winner ("search") and expanding, re-solving
-    # and checking it ("resolve")
-    phase_s: dict[str, float] = field(default_factory=dict)
+class SearchReport(Record):
+    """What solve_exact found and did.  topologies_examined, topologies_pruned
+    and bead_vectors count the subtree and forest summaries built, those
+    dropped by the cut or as dominated, and the single-subtree summaries
+    built with beads on their out-edge.  upper_bound is the cost of the best
+    known tree the search cut with: the best tree found over some of the
+    sources with the others wired straight to the sink, or the starting tree
+    if cheaper (under the degree bound the greedy tree, under the node
+    weight the beaded spanning tree).  steiner_bound is the node weight's
+    Steiner budget B.  phase_s holds the seconds spent finding the winner
+    ("search") and expanding, re-solving and checking it ("resolve"), by
+    default in a new empty dict."""
+
+    def __init__(
+        self, best: SolvedTree, objective: float, topologies_examined: int, topologies_pruned: int,
+        bead_vectors: int, strategy: BoundStrategy, lower_bound: float, upper_bound: float,
+        steiner_bound: int | None = None, phase_s: dict[str, float] | None = None,
+    ) -> None:
+        self._store(
+            best, objective, topologies_examined, topologies_pruned, bead_vectors, strategy,
+            lower_bound, upper_bound, steiner_bound, {} if phase_s is None else phase_s,
+        )
 
 
 def solve_exact(
@@ -408,6 +408,12 @@ def _subset_search(
     # scaled past every float, held finite, outweighs any tree all the same.
     scale = mass_scale(max(instance.supplies))
     supplies = [w * scale for w in instance.supplies]
+    # every weight the search divides by is at least the least supply over
+    # a path's n + 1 + reach edges and beads, less a subnormal rounding per
+    # edge: refuse supplies spread so far that this bound reaches 0
+    if min(supplies) / (n + 1 + reach) ** 2 == 0.0:
+        lo, hi = min(instance.supplies), max(instance.supplies)
+        raise GeometryError(f"supplies spread from {lo:.6g} to {hi:.6g}: the least would weigh 0 in the search")
     charge = min(charge * scale, sys.float_info.max)
     known *= scale
     flow = [0.0] * (full + 1)

@@ -22,12 +22,11 @@ three kinds of merge are the tests' oracle (tests/merge_replay.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .algebraic_solver import UpwardMerges, eliminate
 from .errors import UnsupportedTopologyError, UnsupportedWeightsError
-from .geometry import Point
+from .geometry import Point, Record
 from .topology import Instance, Topology
 from .trees import SolvedTree
 
@@ -37,8 +36,7 @@ QUASI_QUASI = "quasi-quasi"
 _KINDS = (SOURCE_SOURCE, QUASI_SOURCE, QUASI_QUASI)  # by the count of quasi inputs
 
 
-@dataclass(frozen=True, slots=True)
-class QuasiSource:
+class QuasiSource(Record):
     """A synthetic terminal standing in for a Steiner slot and its two inputs.
 
     mass is the formal mass w(q); replaced_steiner_mass is the additive mass
@@ -46,29 +44,31 @@ class QuasiSource:
     later merges and as the out-neighbour weight during back-tracking.
     """
 
-    position: Point
-    mass: float
-    replaced_steiner_mass: float
+    __slots__ = ("position", "mass", "replaced_steiner_mass")
+
+    def __init__(self, position: Point, mass: float, replaced_steiner_mass: float) -> None:
+        self._store(position, mass, replaced_steiner_mass)
 
 
-@dataclass(frozen=True, slots=True)
-class MergeStep:
-    kind: str
-    inputs: tuple[int, int]
-    steiner_slot: int
-    result: QuasiSource
+class MergeStep(Record):
+    __slots__ = ("kind", "inputs", "steiner_slot", "result")
+
+    def __init__(self, kind: str, inputs: tuple[int, int], steiner_slot: int, result: QuasiSource) -> None:
+        self._store(kind, inputs, steiner_slot, result)
 
 
-@dataclass(frozen=True)
-class GeoRun:
+class GeoRun(Record):
     """A solve together with its merge trace and operation counts.
 
     steps, the paper's merge trace, is read off the elimination's upward
     merges when first asked for.
     """
 
-    tree: SolvedTree
-    merges: UpwardMerges = field(repr=False)
+    def __init__(self, tree: SolvedTree, merges: UpwardMerges) -> None:
+        self._store(tree, merges)
+
+    def __repr__(self) -> str:
+        return f"GeoRun(tree={self.tree!r})"  # not the merges, tables over every node
 
     @property
     def merge_count(self) -> int:

@@ -8,41 +8,42 @@ ways of bounding it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
+from .geometry import Record
 
-@dataclass(frozen=True, slots=True)
-class DegreeBound:
+
+class DegreeBound(Record):
     """Require every Steiner point to have degree at least phi (phi >= 3)."""
 
-    phi: int
+    __slots__ = ("phi",)
 
-    def __post_init__(self) -> None:
-        if self.phi < 3:
-            raise ValueError(f"degree bound requires phi >= 3, got {self.phi}")
+    def __init__(self, phi: int) -> None:
+        if phi < 3:
+            raise ValueError(f"degree bound requires phi >= 3, got {phi}")
+        self._store(phi)
 
 
-@dataclass(frozen=True, slots=True)
-class ExplicitBound:
+class ExplicitBound(Record):
     """Cap the number of Steiner points at k (k >= 0)."""
 
-    k: int
+    __slots__ = ("k",)
 
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"explicit bound requires k >= 0, got {self.k}")
+    def __init__(self, k: int) -> None:
+        if k < 0:
+            raise ValueError(f"explicit bound requires k >= 0, got {k}")
+        self._store(k)
 
 
-@dataclass(frozen=True, slots=True)
-class NodeWeighted:
+class NodeWeighted(Record):
     """Charge a fixed cost c > 0 per Steiner point in the objective."""
 
-    c: float
+    __slots__ = ("c",)
 
-    def __post_init__(self) -> None:
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise ValueError(f"node weight must be positive and finite, got {self.c}")
+    def __init__(self, c: float) -> None:
+        if not (c > 0.0 and math.isfinite(c)):
+            raise ValueError(f"node weight must be positive and finite, got {c}")
+        self._store(c)
 
 
 BoundStrategy = Union[DegreeBound, ExplicitBound, NodeWeighted]

@@ -10,19 +10,17 @@ out-neighbour, so the one-out-edge rule cannot be violated by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import TopologyError
-from .geometry import Point
+from .geometry import Point, Record
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 
 NO_PARENT = -1  # parent entry of the sink slot
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Record):
     """Sources with positive supplies and a single sink.
 
     A source on the sink is an error: its flow reaches the sink over a
@@ -30,11 +28,8 @@ class Instance:
     the sink instead, so the instance without it has the same optimum.
     """
 
-    sources: tuple[Point, ...]
-    supplies: tuple[float, ...]
-    sink: Point
-
-    def __post_init__(self) -> None:
+    def __init__(self, sources: tuple[Point, ...], supplies: tuple[float, ...], sink: Point) -> None:
+        self._store(sources, supplies, sink)
         if len(self.sources) < 1:
             raise ValueError("an instance needs at least one source")
         if len(self.supplies) != len(self.sources):
@@ -71,8 +66,7 @@ class Instance:
         return sum(self.supplies)
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     """A directed labelled tree on source slots, Steiner slots, and the sink.
 
     Every directed path follows parent links and terminates at the sink.
@@ -80,11 +74,8 @@ class Topology:
     and kept as tuples.
     """
 
-    n_sources: int
-    n_steiner: int
-    parents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, n_sources: int, n_steiner: int, parents: tuple[int, ...]) -> None:
+        self._store(n_sources, n_steiner, parents)
         n_nodes = self.n_sources + 1 + self.n_steiner
         if self.n_sources < 1 or self.n_steiner < 0:
             raise TopologyError("need at least one source and a nonnegative Steiner count")

@@ -4,12 +4,11 @@ centroid certificate of local minimality."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import GeometryError, TopologyError
-from .geometry import Point, mass_scale
+from .geometry import Point, Record, mass_scale
 from .topology import NO_PARENT, Instance, Topology
 
 CERTIFICATE_TOLERANCE = 1e-9
@@ -18,8 +17,7 @@ _INF = math.inf
 _isfinite = math.isfinite
 
 
-@dataclass(frozen=True)
-class SolvedTree:
+class SolvedTree(Record):
     """A topology embedded in the plane: a coordinate table, edge flows, cost.
 
     (xs[i], ys[i]) is node i's position, over the sources, the sink and then
@@ -28,16 +26,12 @@ class SolvedTree:
     recomputable from the other fields.
     """
 
-    instance: Instance
-    topology: Topology
-    xs: tuple[float, ...]
-    ys: tuple[float, ...]
-    flows: tuple[float, ...]
-    cost: float
-    degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        _check_table(self.topology, self.xs, self.ys, self.flows)
+    def __init__(
+        self, instance: Instance, topology: Topology, xs: tuple[float, ...], ys: tuple[float, ...],
+        flows: tuple[float, ...], cost: float, degenerate: bool = False,
+    ) -> None:
+        self._store(instance, topology, xs, ys, flows, cost, degenerate)
+        _check_table(topology, xs, ys, flows)
 
     def position(self, node: int) -> Point:
         return Point(self.xs[node], self.ys[node])

@@ -210,6 +210,46 @@ class TestExactCommand:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "total supply 2e+307" in line
 
+    @pytest.mark.parametrize(
+        "supplies, strategy",
+        [
+            ([5e-324, 1, 2], {"degree_bound": 3}),
+            ([5e-324, 1, 1], {"explicit_bound": 2}),
+            ([1e-200, 1, 1e200], {"degree_bound": 3}),
+            ([1e-200, 1, 1e200], {"explicit_bound": 2}),
+            ([5e-324, 1, 2], {"node_weighted": 20}),
+        ],
+    )
+    def test_supplies_spread_past_one_float_scale_are_input_error(
+        self, tmp_path, capsys, supplies, strategy
+    ):
+        # with the largest supply scaled into [1, 2) the least weighs 0, and
+        # the search divided by it (ZeroDivisionError); it now names the
+        # spread before searching, while solve-topology and check accept
+        # the same supplies
+        doc = worked_document(strategy, topology=False)
+        doc["supplies"] = supplies
+        assert main(["exact", write_document(tmp_path, doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: supplies spread from {min(supplies):.6g} to {max(supplies):.6g}")
+        doc = worked_document(strategy)
+        doc["supplies"] = supplies
+        result = str(tmp_path / "result.json")
+        assert main(["solve-topology", write_document(tmp_path, doc), "-o", result]) == 0
+        assert main(["check", result]) == 0
+
+    @pytest.mark.parametrize("supplies", [[1e-300, 1, 1e10], [5e-324, 5e-324, 1e-320]])
+    @pytest.mark.parametrize("strategy", [{"degree_bound": 3}, {"explicit_bound": 2}])
+    def test_supplies_spread_within_one_float_scale_are_searched(
+        self, tmp_path, capsys, supplies, strategy
+    ):
+        doc = worked_document(strategy, topology=False)
+        doc["supplies"] = supplies
+        assert main(["exact", write_document(tmp_path, doc)]) == 0
+        assert "objective" in json.loads(capsys.readouterr().out)
+
     def test_overflowing_squared_diagonal_is_input_error(self, tmp_path, capsys):
         # README's points times 3e153: the squared diagonal overflows, while
         # supplies of 1e-200 keep the product with it finite

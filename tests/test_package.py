@@ -35,12 +35,16 @@ def test_namespace_is_the_documented_surface():
 
 
 # run in a fresh interpreter, where nothing has loaded the search yet, with
-# the public names as its arguments
+# the public names as its arguments; no module of the package, the search
+# included, loads dataclasses (and with it inspect, ast and dis)
 LAZY_IMPORTS = """
 import sys
 import fqst.cli
+assert "dataclasses" not in sys.modules, sorted(sys.modules)
 import fqst
 assert not {"fqst.exact_search", "fqst.geo_solver"} & set(sys.modules), sorted(sys.modules)
+import fqst.exact_search
+assert "dataclasses" not in sys.modules, sorted(sys.modules)
 public = set(sys.argv[1:])
 assert public <= set(dir(fqst)), sorted(public - set(dir(fqst)))
 names = {}
@@ -54,6 +58,7 @@ except AttributeError as exc:
     assert "no_such_name" in str(exc), exc
 else:
     raise AssertionError("fqst.no_such_name did not raise")
+assert "dataclasses" not in sys.modules, sorted(sys.modules)
 """
 
 
