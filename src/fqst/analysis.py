@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations, compress
 from typing import NamedTuple, Sequence
 
 from .errors import TopologyError
@@ -138,32 +139,38 @@ def check_edge_pairs(
     topo = tree.topology
     children = topo.children_lists()
     deg = topo.degrees()
+    parents = topo.parents
     sink = topo.sink
     phi = strategy.phi if isinstance(strategy, DegreeBound) else None
     xs, ys = tree.xs, tree.ys
     threshold = math.pi / 2.0 - tol_radians
+    # a pair with a negative dot product meets at more than a right angle,
+    # which neither screen can hit under these tolerances; a dot product of
+    # 0 may have underflowed, so that pair takes the full test
+    skip_obtuse = threshold <= math.pi / 2.0 and overlap_tol < math.pi / 2.0
+    atan2 = math.atan2
     violations = []
     overlaps = []
-    for node, parent in enumerate(topo.parents):
-        neighbours = children[node] if parent == NO_PARENT else (*children[node], parent)
-        if len(neighbours) < 2:
-            continue
+    # a node of degree below 2 has no pair of edges
+    for node in compress(range(topo.n_nodes), map((2).__le__, deg)):
+        parent = parents[node]
         hx = xs[node]
         hy = ys[node]
-        caveat = node > sink and deg[node] == phi
         offsets = []  # a zero-length edge has no direction and is skipped
-        for v in neighbours:
+        for v in children[node] if parent == NO_PARENT else (*children[node], parent):
             dx = xs[v] - hx
             dy = ys[v] - hy
             if dx * dx + dy * dy != 0.0:
                 offsets.append((v, dx, dy))
-        for i, (a, ux, uy) in enumerate(offsets):
-            for b, vx, vy in offsets[i + 1:]:
-                angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-                if angle <= overlap_tol and (b == parent or xs[a] != xs[b] or ys[a] != ys[b]):
-                    overlaps.append(EdgeOverlap(node, a, b, angle, caveat))
-                if b == parent and angle < threshold:
-                    violations.append(AngleViolation(node, a, angle))
+        for (a, ux, uy), (b, vx, vy) in combinations(offsets, 2):
+            dot = ux * vx + uy * vy
+            if dot < 0.0 and skip_obtuse:
+                continue
+            angle = atan2(abs(ux * vy - uy * vx), dot)
+            if angle <= overlap_tol and (b == parent or xs[a] != xs[b] or ys[a] != ys[b]):
+                overlaps.append(EdgeOverlap(node, a, b, angle, node > sink and deg[node] == phi))
+            if b == parent and angle < threshold:
+                violations.append(AngleViolation(node, a, angle))
     return violations, overlaps
 
 

@@ -152,7 +152,10 @@ def _cmd_check(args) -> int:
     if stored is not None and not _agrees(objective, stored, tol, unit):
         failures.append(f"objective mismatch: stored {stored}, recomputed {objective}")
 
-    flow_errors = [abs(a - b) for a, b in zip(expected_flows, tree.flows) if not _agrees(a, b, tol, unit)]
+    # a bit-equal flow agrees at any positive tolerance
+    flow_errors = [
+        abs(a - b) for a, b in zip(expected_flows, tree.flows) if a != b and not _agrees(a, b, tol, unit)
+    ]
     if flow_errors:
         worst_flow = max(flow_errors, key=lambda e: (math.isnan(e), e))
         failures.append(f"flow conservation violated by {worst_flow:.3e}")

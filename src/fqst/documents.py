@@ -415,11 +415,16 @@ def _bad_flows(raw_flows: list, topology: Topology) -> NoReturn:
 
 def dumps(doc: dict) -> str:
     """Strict JSON on one line: a NaN or infinity anywhere in doc is a
-    DocumentError.  No indent, so the stdlib's C encoder does the work."""
+    DocumentError.  No indent, so the stdlib's C encoder does the work.
+    The documents written here are built fresh from the tables and hold no
+    cycle, so the encoder skips its per-container cycle check; a cycle
+    still ends in a DocumentError, by the encoder's recursion limit."""
     try:
-        return json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(doc, sort_keys=True, allow_nan=False, check_circular=False) + "\n"
     except ValueError as exc:
         raise DocumentError(f"cannot emit a non-finite number as JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError(f"cannot emit a self-referencing or too deeply nested document as JSON: {exc}") from exc
 
 
 def _reject_constant(token: str) -> Any:

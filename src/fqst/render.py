@@ -15,15 +15,16 @@ WIDTH = 640.0
 MARGIN_FRACTION = 0.10
 NODE_RADIUS = 5.0
 
-# One %-format per edge (its line and flow label) and per node circle.
+# One %-format per edge (its line and flow label) and per node circle; the
+# node coordinates come in already formatted, once per node.
 _EDGE = (
-    '  <line class="edge" x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+    '  <line class="edge" x1="%s" y1="%s" x2="%s" y2="%s" '
     'stroke="#444444" stroke-width="1.5"/>\n'
     '  <text class="flow" x="%.4f" y="%.4f" font-size="11" fill="#666666">%.6g</text>'
 )
-_TERMINAL = f'  <circle class="terminal" cx="%.4f" cy="%.4f" r="{NODE_RADIUS:.4f}" fill="#222222"/>'
+_TERMINAL = f'  <circle class="terminal" cx="%s" cy="%s" r="{NODE_RADIUS:.4f}" fill="#222222"/>'
 _STEINER = (
-    f'  <circle class="steiner" cx="%.4f" cy="%.4f" r="{NODE_RADIUS:.4f}" '
+    f'  <circle class="steiner" cx="%s" cy="%s" r="{NODE_RADIUS:.4f}" '
     'fill="#ffffff" stroke="#222222" stroke-width="1.5"/>'
 )
 
@@ -51,13 +52,14 @@ def render_svg(tree: SolvedTree) -> str:
     topo = tree.topology
     parents = topo.parents
     flows = tree.flows
+    fx = list(map("%.4f".__mod__, sx))
+    fy = list(map("%.4f".__mod__, sy))
     for child in topo.edge_children():
         parent = parents[child]
-        ax, ay, bx, by = sx[child], sy[child], sx[parent], sy[parent]
-        mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
-        lines.append(_EDGE % (ax, ay, bx, by, mx + 4.0, my - 4.0, flows[child]))
+        mx, my = (sx[child] + sx[parent]) / 2.0, (sy[child] + sy[parent]) / 2.0
+        lines.append(_EDGE % (fx[child], fy[child], fx[parent], fy[parent], mx + 4.0, my - 4.0, flows[child]))
     first = topo.sink + 1
-    lines.extend(map(_TERMINAL.__mod__, zip(sx[:first], sy[:first])))
-    lines.extend(map(_STEINER.__mod__, zip(sx[first:], sy[first:])))
+    lines.extend(map(_TERMINAL.__mod__, zip(fx[:first], fy[:first])))
+    lines.extend(map(_STEINER.__mod__, zip(fx[first:], fy[first:])))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from operator import attrgetter
 from typing import Sequence
 
 from .errors import TopologyError
@@ -38,15 +39,21 @@ class Instance(Record):
             )
         if not self.sink.is_finite():
             raise ValueError("sink has non-finite coordinates")
-        for i, p in enumerate(self.sources):
-            if not p.is_finite():
-                raise ValueError(f"source {i} has non-finite coordinates")
-            if p == self.sink:
-                raise ValueError(f"source {i} coincides with the sink")
-        for i, w in enumerate(self.supplies):
-            if not w > 0.0:
-                raise ValueError(f"supply of source {i} must be positive, got {w}")
-        if not math.isfinite(self.total_supply()):
+        # each list is checked whole; only when that fails does the ordered
+        # walk run, to name the first fault
+        xs = list(map(attrgetter("x"), self.sources))
+        ys = list(map(attrgetter("y"), self.sources))
+        if not (all(map(math.isfinite, xs + ys)) and (self.sink.x, self.sink.y) not in zip(xs, ys)):
+            for i, p in enumerate(self.sources):
+                if not p.is_finite():
+                    raise ValueError(f"source {i} has non-finite coordinates")
+                if p == self.sink:
+                    raise ValueError(f"source {i} coincides with the sink")
+        # a nan supply makes the total nan, so min's blindness to it is safe
+        if not (min(self.supplies) > 0.0 and math.isfinite(self.total_supply())):
+            for i, w in enumerate(self.supplies):
+                if not w > 0.0:
+                    raise ValueError(f"supply of source {i} must be positive, got {w}")
             raise ValueError("the total supply must be finite; flows would overflow")
 
     @classmethod

@@ -7,6 +7,11 @@ and lerp, which the merge replay shares, are defined here too.
 fqst.analysis computes the same quantities from the solved tree's flat
 coordinate table with the arithmetic inlined; the tests check that both
 return equal results.
+
+Two table-level oracles keep the plain per-node loops that the package's
+passes replaced: check_edge_pairs_per_pair takes one atan2 for every pair
+of edges at every node, and weighted_mean_deviations calls
+trees.weighted_mean once per Steiner slot.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from fqst.analysis import (
     EdgeOverlap,
 )
 from fqst.errors import GeometryError
-from fqst.geometry import Point, sq_dist
+from fqst.geometry import Point, mass_scale, sq_dist
 from fqst.strategies import BoundStrategy, DegreeBound
 from fqst.topology import NO_PARENT
-from fqst.trees import SolvedTree
+from fqst.trees import SolvedTree, weighted_mean
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,3 +193,59 @@ def check_overlapping_edges(
                 if angle <= tol:
                     overlaps.append(EdgeOverlap(node, a, b, angle, caveat))
     return overlaps
+
+
+def check_edge_pairs_per_pair(
+    tree: SolvedTree,
+    tol_radians: float = CERTIFICATE_TOLERANCE,
+    overlap_tol: float = OVERLAP_ANGLE_TOLERANCE,
+    strategy: BoundStrategy | None = None,
+) -> tuple[list[AngleViolation], list[EdgeOverlap]]:
+    """analysis.check_edge_pairs with an atan2 for every pair of edges at
+    every node, obtuse pairs and nodes of degree below 2 included."""
+    topo = tree.topology
+    children = topo.children_lists()
+    deg = topo.degrees()
+    sink = topo.sink
+    phi = strategy.phi if isinstance(strategy, DegreeBound) else None
+    xs, ys = tree.xs, tree.ys
+    threshold = math.pi / 2.0 - tol_radians
+    violations = []
+    overlaps = []
+    for node, parent in enumerate(topo.parents):
+        neighbours = children[node] if parent == NO_PARENT else (*children[node], parent)
+        if len(neighbours) < 2:
+            continue
+        hx = xs[node]
+        hy = ys[node]
+        caveat = node > sink and deg[node] == phi
+        offsets = []
+        for v in neighbours:
+            dx = xs[v] - hx
+            dy = ys[v] - hy
+            if dx * dx + dy * dy != 0.0:
+                offsets.append((v, dx, dy))
+        for i, (a, ux, uy) in enumerate(offsets):
+            for b, vx, vy in offsets[i + 1:]:
+                angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+                if angle <= overlap_tol and (b == parent or xs[a] != xs[b] or ys[a] != ys[b]):
+                    overlaps.append(EdgeOverlap(node, a, b, angle, caveat))
+                if b == parent and angle < threshold:
+                    violations.append(AngleViolation(node, a, angle))
+    return violations, overlaps
+
+
+def weighted_mean_deviations(tree: SolvedTree) -> dict[int, float]:
+    """analysis.centroid_deviations with one trees.weighted_mean call per
+    Steiner slot, which raises its GeometryError for a bad mass point."""
+    topo = tree.topology
+    children = topo.children_lists()
+    parents = topo.parents
+    scale = mass_scale(max(tree.flows))
+    deviations: dict[int, float] = {}
+    for slot in topo.steiner_slots():
+        cx, cy = weighted_mean(tree, children[slot], parents[slot], tree.flows[slot], scale)
+        dx = tree.xs[slot] - cx
+        dy = tree.ys[slot] - cy
+        deviations[slot] = math.sqrt(dx * dx + dy * dy)
+    return deviations

@@ -1,7 +1,10 @@
 """The table-based certificates in fqst.analysis against the Point/MassPoint
 oracle in certificate_oracle.py: equal results, bit for bit, on random
 solved trees with mixed supplies, coincident points and moved Steiner
-points, and the same GeometryError on a bad mass."""
+points, and the same GeometryError on a bad mass.  The edge-pair screens
+and the centroid deviations are also held to the plain per-pair and
+per-slot loops, at tolerances on both sides of the obtuse-pair skip's
+guard and on nodes built to reach its corners."""
 
 from __future__ import annotations
 
@@ -170,3 +173,103 @@ def test_bad_mass_is_a_geometry_error(worked_instance, worked_topology, bad):
     broken = SolvedTree(tree.instance, tree.topology, tree.xs, tree.ys, tuple(flows), tree.cost)
     with pytest.raises(GeometryError, match="mass must be positive and finite"):
         analysis.centroid_deviations(broken)
+
+
+# (tol_radians, overlap_tol): the defaults, a threshold near 0, large
+# overlap tolerances at and past pi/2 (where obtuse pairs must be tested)
+# and a negative tol_radians (a threshold past pi/2)
+EDGE_PAIR_TOLERANCES = (
+    (analysis.CERTIFICATE_TOLERANCE, analysis.OVERLAP_ANGLE_TOLERANCE),
+    (math.pi / 2.0 - 1e-9, analysis.OVERLAP_ANGLE_TOLERANCE),
+    (analysis.CERTIFICATE_TOLERANCE, 1.5),
+    (analysis.CERTIFICATE_TOLERANCE, math.pi / 2.0),
+    (-0.5, math.pi),
+)
+
+
+def assert_same_as_per_pair_loops(tree: SolvedTree) -> None:
+    assert outcome(analysis.centroid_deviations, tree) == outcome(oracle.weighted_mean_deviations, tree)
+    for strategy in STRATEGIES:
+        for tol, overlap_tol in EDGE_PAIR_TOLERANCES:
+            assert outcome(analysis.check_edge_pairs, tree, tol, overlap_tol, strategy) == outcome(
+                oracle.check_edge_pairs_per_pair, tree, tol, overlap_tol, strategy
+            )
+
+
+@given(
+    st.integers(min_value=1, max_value=7),
+    st.integers(min_value=0, max_value=8),
+    st.booleans(),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_passes_match_the_per_pair_loops(n_sources, n_steiner, grid, seed):
+    assert_same_as_per_pair_loops(random_tree(random.Random(seed), n_sources, n_steiner, grid))
+
+
+@given(degenerate_trees())
+@settings(max_examples=150, deadline=None)
+def test_passes_match_the_per_pair_loops_on_degenerate_trees(tree):
+    assert_same_as_per_pair_loops(tree)
+
+
+def star(points: list[tuple[float, float]], flows: list[float] | None = None) -> SolvedTree:
+    """Steiner slot n + 1 at the origin with sources 0..n-1 at points[:-1]
+    as its children and the sink at points[-1] as its parent."""
+    n = len(points) - 1
+    instance = Instance.with_unit_supplies([Point(float(i) + 1.0, 0.0) for i in range(n)], Point(-1.0, 1.0))
+    topology = Topology(n, 1, (n + 1,) * n + (NO_PARENT, n))
+    xs = tuple(x for x, _ in points) + (0.0,)
+    ys = tuple(y for _, y in points) + (0.0,)
+    flows = tuple(flows or [1.0] * n) + (0.0, float(n))
+    return SolvedTree(instance, topology, xs, ys, flows, 0.0)
+
+
+TINY = 1.6e-162  # its square is the smallest subnormal; products of two such underflow
+CORNER_STARS = {
+    # every pair meets at 120 degrees
+    "all obtuse": [(1.0, 0.0), (-0.5, math.sqrt(3.0) / 2.0), (-0.5, -math.sqrt(3.0) / 2.0)],
+    # two child edges along one ray, and the out-edge opposite
+    "collinear": [(1.0, 0.0), (2.0, 0.0), (-1.0, 0.0)],
+    # a child on the slot, and a child edge along the out-edge
+    "zero-length": [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)],
+    # dot products that underflow to +0.0 and -0.0
+    "underflow": [(TINY, 1e-200), (1e-200, TINY), (-1e-200, TINY), (-TINY, -1e-200)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORNER_STARS))
+def test_corner_nodes_match_the_per_pair_loops(name):
+    tree = star(CORNER_STARS[name], [1.0, 2.5, 0.75][: len(CORNER_STARS[name]) - 1] or None)
+    assert_same_as_per_pair_loops(tree)
+
+
+def test_underflowed_dot_products_take_the_full_test():
+    # both in-edges meet the out-edge where u . v underflows to +0.0 or
+    # -0.0 (the true angles lie just off pi/2), so neither pair is skipped
+    # as obtuse and atan2 reads exactly pi/2 for both
+    points = [(TINY, 1e-200), (-TINY, -1e-200), (1e-200, TINY)]
+    (px, py) = points[-1]
+    assert [x * px + y * py for x, y in points[:-1]] == [0.0, 0.0]
+    violations, _ = analysis.check_edge_pairs(star(points), -1e-9)
+    assert [(v.in_neighbour, v.angle) for v in violations] == [(0, math.pi / 2.0), (1, math.pi / 2.0)]
+
+
+def test_obtuse_pairs_reach_a_large_overlap_tolerance():
+    tree = star(CORNER_STARS["all obtuse"])
+    assert analysis.check_edge_pairs(tree)[1] == []
+    assert len(analysis.check_edge_pairs(tree, overlap_tol=math.pi)[1]) == 3
+
+
+@pytest.mark.parametrize("position", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_non_finite_position_raises_like_weighted_mean(position):
+    tree = star([position, (1.0, 1.0), (-1.0, 0.5)])
+    assert outcome(analysis.centroid_deviations, tree).startswith("GeometryError(mass point at non-finite")
+    assert outcome(analysis.centroid_deviations, tree) == outcome(oracle.weighted_mean_deviations, tree)
+
+
+@pytest.mark.parametrize("mass", [0.0, -0.0, -2.0, math.nan, math.inf])
+def test_bad_mass_raises_like_weighted_mean(mass):
+    tree = star([(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)], [1.0, mass])
+    assert outcome(analysis.centroid_deviations, tree).startswith("GeometryError(mass must be")
+    assert outcome(analysis.centroid_deviations, tree) == outcome(oracle.weighted_mean_deviations, tree)

@@ -192,6 +192,15 @@ class TestResultDocuments:
         with pytest.raises(DocumentError):
             dumps({"cost": float("inf")})
 
+    def test_dumps_refuses_self_referencing_documents(self):
+        doc = {"cost": 1.0}
+        doc["self"] = doc
+        nested = []
+        nested.append(nested)
+        for bad in (doc, {"claims": nested}):
+            with pytest.raises(DocumentError, match="self-referencing"):
+                dumps(bad)
+
     def test_emission_is_deterministic(self, worked_instance, worked_topology):
         tree = solve_topology(worked_instance, worked_topology)
         a = dumps(result_document(tree, DegreeBound(3)))

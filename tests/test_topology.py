@@ -79,6 +79,32 @@ class TestInstance:
         else:
             assert expected is None
 
+    @pytest.mark.parametrize(
+        "sources, supplies, sink, message",
+        [
+            # a whole-list check refuses; the ordered walk names the first fault
+            ([(1.0, 0.0), (math.nan, 0.0), (2.0, 3.0)], [1.0] * 3, (2.0, 3.0),
+             "source 1 has non-finite coordinates"),
+            ([(1.0, 0.0), (2.0, 3.0), (math.inf, 0.0)], [1.0] * 3, (2.0, 3.0),
+             "source 1 coincides with the sink"),
+            ([(1.0, 0.0), (-0.0, 4.0)], [1.0] * 2, (0.0, 4.0), "source 1 coincides with the sink"),
+            ([(1.0, 0.0), (1.0, -math.inf)], [math.nan, 1.0], (0.0, 4.0),
+             "source 1 has non-finite coordinates"),
+            ([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [1.0, math.nan, 0.0], (0.0, 4.0),
+             "supply of source 1 must be positive, got nan"),
+            ([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [1.0, 2.0, 0.0], (0.0, 4.0),
+             "supply of source 2 must be positive, got 0.0"),
+            ([(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)], [-0.0, -1.0, 1.0], (0.0, 4.0),
+             "supply of source 0 must be positive, got -0.0"),
+            ([(1.0, 0.0), (2.0, 0.0)], [-1.0, 1.0], (0.0, 4.0),
+             "supply of source 0 must be positive, got -1.0"),
+        ],
+    )
+    def test_first_fault_past_the_whole_list_checks(self, sources, supplies, sink, message):
+        with pytest.raises(ValueError) as raised:
+            Instance(tuple(Point(x, y) for x, y in sources), tuple(supplies), Point(*sink))
+        assert str(raised.value) == message
+
     def test_coincident_sources_allowed(self):
         inst = Instance.with_unit_supplies([Point(0, 0), Point(0, 0)], Point(1, 0))
         assert inst.n_sources == 2
@@ -100,6 +126,26 @@ class TestTopologyConstruction:
     def test_out_of_range_parent_rejected(self):
         with pytest.raises(TopologyError):
             Topology(1, 0, (7, NO_PARENT))
+
+    @pytest.mark.parametrize(
+        "n_sources, n_steiner, parents, message",
+        [
+            # a whole-list check refuses; the ordered walk names the first fault
+            (2, 1, (3, 3, 0, 2), "the sink must not have an out-edge"),
+            (2, 1, (3, 9, 3, NO_PARENT), "node 1 has invalid parent 9"),
+            (1, 0, (1, 1), "the sink must not have an out-edge"),
+            (3, 2, (4, 1, 5, NO_PARENT, 5, 3), "node 1 has invalid parent 1"),
+            (3, 2, (4, 4, 5, NO_PARENT, 4, -1), "node 4 has invalid parent 4"),
+            (3, 2, (4, 4, 5, NO_PARENT, 5, -1), "node 5 has invalid parent -1"),
+            (3, 2, (4, 4, 5, NO_PARENT, 5, 6), "node 5 has invalid parent 6"),
+            (3, 2, (-2, 4, 5, 3, 5, 3), "node 0 has invalid parent -2"),
+            (3, 2, (4, 4, 5, 7, 5, 5), "the sink must not have an out-edge"),
+        ],
+    )
+    def test_first_fault_past_the_whole_list_checks(self, n_sources, n_steiner, parents, message):
+        with pytest.raises(TopologyError) as raised:
+            Topology(n_sources, n_steiner, parents)
+        assert str(raised.value) == message
 
 
 class TestCachedStructure:
