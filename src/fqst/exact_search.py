@@ -112,6 +112,27 @@ dominator's floor is no higher than the summary's it dominates, so the kept
 lists are those of the uncut programme less the cut summaries, and the
 winner is the same.  No topology is visited.
 
+Under the node weight the cut reaches back to the parts of a forest: a
+pair whose parts' own floors already fail it is never merged.  A kept
+summary (q, W, K) over a proper mask X has the floor F = K + (W g / (W +
+g)) |q - s|^2 at g = f_X / (n + B - |X|).  Merge parts over X_a and X_b
+into a forest over M, with a Steiner root at x and b beads, real b in
+[0, B], on its way on.  Its sources pay sum_i K_i + W_i |x - q_i|^2 +
+f |x - s|^2 / (bare + b) + c b with bare = n + 1 - |M|, and that is at
+least F_a + F_b: f = f_a + f_b, each share falls as b grows, c b >= 0,
+and bare + B = n + 1 + B - |M| <= n + B - |X_i|, the other part holding a
+source.  So the forest's plain floor is at least F_a + F_b and its
+charged floor, with c for its Steiner root, at least c + F_a + F_b: a
+pair with c + F_a + F_b above the room the cut leaves is one the cut
+drops once it is built, and skipping it changes no list.  The floors are
+taken once per kept list, with each list's least, and skip a whole class
+of tails (the least part with the least tail), a part (with the least
+tail) or a pair, always with a relative slack on the room and in the
+tails' own order.  A skipped pair is not built, so it counts as neither
+built nor dropped.  The bounds merge every pair: at n = 4-6 their lists
+mostly hold one or two summaries, and taking the floors measured dearer
+than the pairs they would skip.
+
 Everything here is deterministic.  Ties have one rule: among equal
 summaries and equal scalars, the first in generation order is kept.
 """
@@ -143,6 +164,10 @@ _OBJECTIVE_TIE = 1e-12
 # known tree's cost) cuts only beyond this relative slack, on top of the
 # absolute tie
 _CUT_SLACK = 1.0 + 1e-9
+# under the node weight a pair is skipped on its parts' own floors only
+# beyond this relative slack on the room the cut leaves, so that rounding
+# never skips a pair whose merged floors pass
+_SKIP_SLACK = 1.0 + 1e-9
 # the first entry of a Steiner root's node in the subset DP's lists
 _STEINER = -1
 
@@ -151,7 +176,9 @@ class SearchReport(Record):
     """What solve_exact found and did.  topologies_examined, topologies_pruned
     and bead_vectors count the subtree and forest summaries built, those
     dropped by the cut or as dominated, and the single-subtree summaries
-    built with beads on their out-edge.  upper_bound is the cost of the best
+    built with beads on their out-edge; under the node weight a pair of
+    parts skipped on their own floors is never built, so it counts in
+    neither of the first two.  upper_bound is the cost of the best
     known tree the search cut with: the best tree found over some of the
     sources with the others wired straight to the sink, or the starting tree
     if cheaper (under the degree bound the greedy tree, under the node
@@ -455,6 +482,9 @@ def _subset_search(
     below_sources = [t[-1] if t else leaf for t in layers[:n]]
     # per anchor and forest layer: the layer, its cuts and the layer of its rests
     stacks = [[(t[j], c[j], t[j - s]) for j in range(1, len(t))] for t, c, s in zip(layers, cut, shifts)]
+    # under the node weight, per proper mask and class, the kept summaries'
+    # own floors and the least of them (see the module docstring)
+    floors: list = [None] * (full + 1)
     built = dropped = beaded = 0
     for mask in masks[1:]:
         low = mask & -mask
@@ -473,29 +503,39 @@ def _subset_search(
             bead_counts = range(_bead_cap(f, diagonal, charge, reach) + 1)
             source_edges = [[(0, p, charge * p) for p in bead_counts]]
             steiner_edges = [[(0, p, charge * (p + 1)) for p in bead_counts]]
+            g = f / path
+            # a pair is merged only when its parts' own floors leave room
+            # for it and its Steiner root's charge (see the module docstring)
+            spare = room * _SKIP_SLACK - charge
         weights = [f / (p + 1) for p in bead_counts]  # of the out-edge under p beads
         sub = rest
         while sub:
             heads = lists[mask ^ sub]
             tails_by_count = lists[sub]
-            for k1, k2 in forest_splits:
-                parts = heads[k1][1]
-                if not parts:
-                    continue
-                tails_by_class = tails_by_count[k2]
-                into = raw[k1 + k2]
-                g = f / (path - k1 - k2)
+            if charge:
+                parts = heads[0][1]
+                part_floors, least_part = floors[mask ^ sub][1]
+                into = raw[0]
                 for c in merging:
-                    tails = tails_by_class[c]
-                    if not tails:
+                    tails = tails_by_count[0][c]
+                    tail_floors, least_tail = floors[sub][c]
+                    if least_part + least_tail > spare:
                         continue
                     out = into[c + 1 if c < top else top]
                     before = len(out)
-                    # the pairwise case of merge_summaries, in closed form,
-                    # each forest cut on the floor of _under_floor before
-                    # it is built
-                    for ax, ay, aw, ak, (anode, _) in parts:
-                        for bx, by, bw, bk, blink in tails:
+                    merged = 0
+                    for (ax, ay, aw, ak, (anode, _)), fa in zip(parts, part_floors):
+                        room_b = spare - fa
+                        if least_tail > room_b:
+                            continue
+                        # the pairwise case of merge_summaries, in closed
+                        # form, each forest cut on the floor of _under_floor
+                        # and then on the higher floor that charges its
+                        # Steiner root and the beads above it
+                        for (bx, by, bw, bk, blink), fb in zip(tails, tail_floors):
+                            if fb > room_b:
+                                continue
+                            merged += 1
                             v = aw + bw
                             dx = ax - bx
                             dy = ay - by
@@ -504,19 +544,46 @@ def _subset_search(
                             kk = ak + bk + aw * bw / v * (dx * dx + dy * dy)
                             dx = qx - sink_x
                             dy = qy - sink_y
-                            if kk + v * g / (v + g) * (dx * dx + dy * dy) <= room:
-                                # under the node weight the forest's Steiner
-                                # root and the beads above it are charged
-                                # too (the higher floor, and the dearer)
-                                if charge and (
-                                    charge + kk + _charged_share(v, f, dx * dx + dy * dy, bare, reach, charge)
-                                    > room
-                                ):
-                                    continue
+                            d2 = dx * dx + dy * dy
+                            if (
+                                kk + v * g / (v + g) * d2 <= room
+                                and charge + kk + _charged_share(v, f, d2, bare, reach, charge) <= room
+                            ):
                                 out.append((qx, qy, v, kk, (anode, blink)))
-                    merged = len(parts) * len(tails)
                     built += merged
                     dropped += merged - (len(out) - before)
+            else:
+                for k1, k2 in forest_splits:
+                    parts = heads[k1][1]
+                    if not parts:
+                        continue
+                    tails_by_class = tails_by_count[k2]
+                    into = raw[k1 + k2]
+                    g = f / (path - k1 - k2)
+                    for c in merging:
+                        tails = tails_by_class[c]
+                        if not tails:
+                            continue
+                        out = into[c + 1 if c < top else top]
+                        before = len(out)
+                        # the pairwise case of merge_summaries, in closed
+                        # form, each forest cut on the floor of _under_floor
+                        # before it is built
+                        for ax, ay, aw, ak, (anode, _) in parts:
+                            for bx, by, bw, bk, blink in tails:
+                                v = aw + bw
+                                dx = ax - bx
+                                dy = ay - by
+                                qx = (aw * ax + bw * bx) / v
+                                qy = (aw * ay + bw * by) / v
+                                kk = ak + bk + aw * bw / v * (dx * dx + dy * dy)
+                                dx = qx - sink_x
+                                dy = qy - sink_y
+                                if kk + v * g / (v + g) * (dx * dx + dy * dy) <= room:
+                                    out.append((qx, qy, v, kk, (anode, blink)))
+                        merged = len(parts) * len(tails)
+                        built += merged
+                        dropped += merged - (len(out) - before)
             sub = (sub - 1) & rest
         # per class c, the kept forests of class >= c at lower counts, by W
         # (of class c alone under the window, where a forest of more parts
@@ -571,6 +638,10 @@ def _subset_search(
             if kept and k < budget:
                 earlier = sorted(earlier + kept, key=_WEIGHT)
         lists[mask] = raw
+        if charge and mask != full:
+            # a part over this mask reaches the sink over at most path - 1
+            # edges and beads: the other part holds a source
+            floors[mask] = [None] + [_floors(raw[0][c], f / (path - 1), sink_x, sink_y) for c in merging]
         for a in anchors:
             if a < n and mask >> a & 1:
                 continue
@@ -660,6 +731,17 @@ def _expand(tables: tuple, node: tuple) -> tuple:
         children.append(link[0])
         link = link[1]
     return None, p, children
+
+
+def _floors(summaries: list, g: float, sx: float, sy: float) -> tuple[list, float]:
+    """Each summary's (qx, qy, W, K, link) floor of _under_floor, in their
+    order, and the least of them (infinity for none)."""
+    floors = []
+    for qx, qy, w, k, _ in summaries:
+        dx = qx - sx
+        dy = qy - sy
+        floors.append(k + w * g / (w + g) * (dx * dx + dy * dy))
+    return floors, min(floors, default=math.inf)
 
 
 def _under_floor(summaries: list, g: float, sx: float, sy: float, room: float) -> list:

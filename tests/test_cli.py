@@ -562,6 +562,37 @@ class TestCheckCommand:
         assert main(["check", write_document(tmp_path, result, "claimed.json")]) == 1
         assert "FAIL optimality: overlapping edges at node 1 (neighbours 0, 2)" in capsys.readouterr().out
 
+    def test_acute_in_out_angle_is_noted_or_fails_a_claim(self, tmp_path, capsys):
+        # source 0 hangs from source 1, meeting its out-edge to the sink at
+        # 45 degrees: hanging source 0 from the sink saves 2 f (u . w) = 4
+        doc = {
+            "schema": 1,
+            "sources": [[1.0, 1.0], [2.0, 0.0]],
+            "sink": [0.0, 0.0],
+            "strategy": {"explicit_bound": 0},
+            "topology": {"nodes": ["source", "source", "sink"], "parents": [1, 2, None]},
+        }
+        assert main(["solve-topology", write_document(tmp_path, doc)]) == 0
+        result = loads(capsys.readouterr().out)
+        line = "angle 0.785398 rad between in-edge from 0 and out-edge at node 1"
+        assert main(["check", write_document(tmp_path, result, "local.json")]) == 0
+        assert capsys.readouterr().out == f"note {line}\nall checks passed\n"
+        result["claims"]["global_optimum"] = True
+        assert main(["check", write_document(tmp_path, result, "claimed.json")]) == 1
+        assert capsys.readouterr().out == f"FAIL optimality: {line}\n"
+
+    def test_exact_optimum_on_widely_spread_supplies_passes(self, tmp_path, capsys):
+        # source 0 weighs 1e-300: hanging it from node 4's parent saves about
+        # 1e-299 on a cost of 5.3e10, far inside the cost's own tolerance,
+        # so its acute angle at node 4 is only noted
+        doc = worked_document({"explicit_bound": 2}, topology=False) | {"supplies": [1e-300, 1.0, 1e10]}
+        result_path = str(tmp_path / "result.json")
+        assert main(["exact", write_document(tmp_path, doc), "-o", result_path]) == 0
+        assert main(["check", result_path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("note angle 1.249046 rad between in-edge from 0 and out-edge at node 4 (its reroute saves ")
+        assert out.endswith(", within the cost's tolerance)\nall checks passed\n")
+
     def test_child_on_the_parent_fails_a_claim(self, tmp_path, capsys):
         # source 0 sits on source 2, and its path runs out to source 1 and
         # back: hanging source 0 from source 2 saves 2 f |va| |vb| (cost 126

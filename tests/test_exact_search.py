@@ -35,7 +35,7 @@ from fqst.analysis import _weighted_sink_distances
 from fqst.cli import main
 from fqst.documents import dumps, parse_instance_document
 from fqst import exact_search
-from fqst.exact_search import _bead_cap, _prune_dominated
+from fqst.exact_search import _SKIP_SLACK, _bead_cap, _charged_share, _floors, _prune_dominated
 from fqst.strategies import max_steiner_count, objective
 from skeleton_walk import (
     Incumbent,
@@ -684,6 +684,28 @@ class TestNodeWeightedBranchAndBound:
         assert report.objective == charged[k_star]
         assert all(charged[k] >= report.objective for k in range(k_star))
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("mixed", [False, True], ids=["unit", "mixed"])
+    def test_matches_the_explicit_bound_dp_at_six_sources(self, seed, mixed):
+        # the k* form of the identity above at six sources, Steiner budgets
+        # B of 6-10: the explicit runs stop at the winner's own count
+        rng = random.Random(f"node-weighted-oracle-6/{seed}")
+        draw = random_supplied_instance if mixed else random_instance
+        while True:
+            inst = draw(rng, 6, span=3.0)
+            c = rng.choice([0.02, 0.03, 0.05]) * _weighted_sink_distances(inst)
+            if 6 <= steiner_count_bound(inst, c) <= 10:
+                break
+        report = solve_exact(inst, NodeWeighted(c), guard_n=6)
+        k_star = report.best.topology.n_steiner
+        charged = [
+            objective(NodeWeighted(c), solve_exact(inst, ExplicitBound(k), guard_n=6).objective, k)
+            for k in range(k_star + 1)
+        ]
+        assert k_star >= 2
+        assert report.objective == charged[k_star]
+        assert all(charged[k] >= report.objective for k in range(k_star))
+
     @pytest.mark.parametrize("seed", range(4))
     def test_every_vector_that_can_tie_is_offered(self, seed):
         inst = random_supplied_instance(random.Random(f"bead-cut/{seed}"), 3, span=4.0)
@@ -748,6 +770,81 @@ class TestNodeWeightedBranchAndBound:
         assert report.topologies_examined > report.topologies_pruned > 0
         assert report.topologies_examined > report.bead_vectors > 0
         assert report.objective <= report.upper_bound * (1.0 + 1e-12)
+
+
+_summary = st.tuples(
+    st.floats(-10.0, 10.0),
+    st.floats(-10.0, 10.0),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-6, 1e3),
+    st.floats(1e-3, 1e3),
+)
+
+
+class TestPartFloorSkip:
+    """Under the node weight a pair whose parts' own floors already fail
+    the cut is never merged: every kept list, and so the winner, is that
+    of the search that merges every pair."""
+
+    @given(
+        a=_summary,
+        b=_summary,
+        sink=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+        sizes=st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6)),
+        budget=st.integers(0, 20),
+        c=st.floats(1e-3, 1e3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_parts_floors_stay_below_the_merged_floors(self, a, b, sink, sizes, budget, c):
+        # summaries (qx, qy, W, K) with their flows, over disjoint masks of
+        # sizes X_a and X_b among n sources
+        (ax, ay, aw, ak, fa), (bx, by, bw, bk, fb) = a, b
+        size_a, size_b, others = sizes
+        n = size_a + size_b + others
+        sx, sy = sink
+        floor_a = _floors([(ax, ay, aw, ak, None)], fa / (n + budget - size_a), sx, sy)[0][0]
+        floor_b = _floors([(bx, by, bw, bk, None)], fb / (n + budget - size_b), sx, sy)[0][0]
+        # the merged pair as the search builds it, and its two floors
+        v = aw + bw
+        kk = ak + bk + aw * bw / v * ((ax - bx) ** 2 + (ay - by) ** 2)
+        d2 = ((aw * ax + bw * bx) / v - sx) ** 2 + ((aw * ay + bw * by) / v - sy) ** 2
+        f = fa + fb
+        bare = n + 1 - size_a - size_b
+        g = f / (bare + budget)
+        plain = kk + v * g / (v + g) * d2
+        charged = c + kk + _charged_share(v, f, d2, bare, budget, c)
+        # at a room either floor just passes, the skip keeps the pair
+        assert floor_a + floor_b <= plain * _SKIP_SLACK
+        assert floor_a + floor_b <= charged * _SKIP_SLACK - c
+
+    def test_matches_the_search_without_the_skip(self, monkeypatch):
+        # forty searches, n = 2-5, unit and mixed supplies, four weights
+        rng = random.Random("part-floor-skip")
+        skipped = 0
+        for i in range(40):
+            n = 2 + i % 4
+            draw = random_supplied_instance if i % 2 else random_instance
+            while True:
+                inst = draw(rng, n, span=2.5)
+                c = (0.03, 0.05, 0.1, 0.3)[i // 4 % 4] * _weighted_sink_distances(inst)
+                if steiner_count_bound(inst, c) <= 12:
+                    break
+            report = solve_exact(inst, NodeWeighted(c))
+            with monkeypatch.context() as patch:
+                patch.setattr(exact_search, "_SKIP_SLACK", math.inf)
+                every_pair = solve_exact(inst, NodeWeighted(c))
+            assert repr(report.objective) == repr(every_pair.objective)
+            assert report.best.topology == every_pair.best.topology
+            assert (report.best.xs, report.best.ys) == (every_pair.best.xs, every_pair.best.ys)
+            assert (
+                report.topologies_examined - report.topologies_pruned
+                == every_pair.topologies_examined - every_pair.topologies_pruned
+            )
+            assert report.bead_vectors == every_pair.bead_vectors
+            assert report.upper_bound == every_pair.upper_bound
+            assert report.topologies_examined <= every_pair.topologies_examined
+            skipped += report.topologies_examined < every_pair.topologies_examined
+        assert skipped > 0
 
 
 class TestBeadCap:
