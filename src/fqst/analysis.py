@@ -102,6 +102,7 @@ class AngleViolation(NamedTuple):
     node: int
     in_neighbour: int
     angle: float
+    saving: float  # hanging in_neighbour a from node's parent p saves 2 f_a (a - node).(p - node)
 
 
 class EdgeOverlap(NamedTuple):
@@ -142,7 +143,7 @@ def check_edge_pairs(
     parents = topo.parents
     sink = topo.sink
     phi = strategy.phi if isinstance(strategy, DegreeBound) else None
-    xs, ys = tree.xs, tree.ys
+    xs, ys, flows = tree.xs, tree.ys, tree.flows
     threshold = math.pi / 2.0 - tol_radians
     # a pair with a negative dot product meets at more than a right angle,
     # which neither screen can hit under these tolerances; a dot product of
@@ -170,7 +171,7 @@ def check_edge_pairs(
             if angle <= overlap_tol and (b == parent or xs[a] != xs[b] or ys[a] != ys[b]):
                 overlaps.append(EdgeOverlap(node, a, b, angle, node > sink and deg[node] == phi))
             if b == parent and angle < threshold:
-                violations.append(AngleViolation(node, a, angle))
+                violations.append(AngleViolation(node, a, angle, 2.0 * flows[a] * dot))
     return violations, overlaps
 
 

@@ -180,24 +180,13 @@ def _cmd_check(args) -> int:
         ]
     else:
         optimality = []
-        # hanging the in-neighbour a from the node's parent p instead saves
-        # 2 f_a (a - node).(p - node), the flow f_a leaving the edge into p;
-        # under a global claim a hit whose saving the cost's own tolerance
-        # absorbs is only noted
-        parents = tree.topology.parents
-        xs, ys = tree.xs, tree.ys
-        for hit in angles:
-            a, node = hit.in_neighbour, hit.node
-            line = f"angle {hit.angle:.6f} rad between in-edge from {a} and out-edge at node {node}"
-            if parsed.claims_global_optimum:
-                p = parents[node]
-                saving = 2.0 * tree.flows[a] * (
-                    (xs[a] - xs[node]) * (xs[p] - xs[node]) + (ys[a] - ys[node]) * (ys[p] - ys[node])
-                )
-                if saving <= _slack(recomputed, tol, unit):
-                    notes.append(f"{line} (its reroute saves {saving:.3e}, within the cost's tolerance)")
-                    continue
-            optimality.append(line)
+        # under a global claim a hit whose saving the cost's tolerance absorbs is a note
+        for node, a, angle, saving in angles:
+            line = f"angle {angle:.6f} rad between in-edge from {a} and out-edge at node {node}"
+            if parsed.claims_global_optimum and saving <= _slack(recomputed, tol, unit):
+                notes.append(f"{line} (its reroute saves {saving:.3e}, within the cost's tolerance)")
+            else:
+                optimality.append(line)
     optimality += [
         f"overlapping edges at node {v.node} (neighbours {v.first_neighbour}, {v.second_neighbour})"
         for v in overlaps

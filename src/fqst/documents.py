@@ -246,6 +246,11 @@ def _bad_supplies(raw: Any) -> NoReturn:
 
 
 def certificate_summary(tree: SolvedTree, tolerance: float) -> dict:
+    """The certificates block.  angle_violations and edge_overlaps count the
+    raw check_edge_pairs hits under every strategy and claim; fqst check
+    decides which disqualify (the degree window replaces the angle screen
+    under a degree bound; degree-phi overlaps and, under a global claim, a
+    hit whose saving is within the cost's tolerance are notes)."""
     max_deviation = max(tree.deviations.values(), default=0.0)
     angle_violations, overlaps = analysis.check_edge_pairs(tree, tolerance)
     return {

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import mul as _mul
 from typing import Sequence
 
 from .errors import GeometryError, TopologyError
@@ -142,45 +141,21 @@ def _require_mass_points(tree: SolvedTree, nodes: Sequence[int], masses: Sequenc
 
 
 def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
-    """Distance of each Steiner point from the centre of mass of its
-    neighbours (weighted_mean), where in-neighbours weigh their in-edge
-    flows and the out-neighbour weighs the out-edge flow.  Each node's
-    scaled mass and mass * coordinates are formed once, and each slot sums
-    them in weighted_mean's order, bit for bit; weighted_mean runs only to
-    raise its GeometryError when a whole-list check fails."""
+    """Distance of each Steiner point from weighted_mean of its neighbours:
+    in-neighbours weigh their in-edge flows, the out-neighbour the out-edge
+    flow; weighted_mean raises its GeometryError at the first bad slot."""
     topo = tree.topology
     children = topo.children_lists()
     parents = topo.parents
     flows = tree.flows
     xs, ys = tree.xs, tree.ys
     scale = mass_scale(max(flows))
-    sink = topo.sink
-    masses = list(map(scale.__mul__, flows))
-    if not (
-        all(map(_isfinite, masses))
-        and min(flows[:sink] + flows[sink + 1 :]) > 0.0
-        and all(map(_isfinite, xs))
-        and all(map(_isfinite, ys))
-    ):
-        for slot in topo.steiner_slots():
-            weighted_mean(tree, children[slot], parents[slot], flows[slot], scale)
-    mxs = list(map(_mul, masses, xs))
-    mys = list(map(_mul, masses, ys))
     sqrt = math.sqrt
     deviations: dict[int, float] = {}
     for slot in topo.steiner_slots():
-        sx = sy = sm = 0.0
-        for c in children[slot]:
-            sx += mxs[c]
-            sy += mys[c]
-            sm += masses[c]
-        parent = parents[slot]
-        m = masses[slot]
-        sx += m * xs[parent]
-        sy += m * ys[parent]
-        sm += m
-        dx = xs[slot] - sx / sm
-        dy = ys[slot] - sy / sm
+        cx, cy = weighted_mean(tree, children[slot], parents[slot], flows[slot], scale)
+        dx = xs[slot] - cx
+        dy = ys[slot] - cy
         deviations[slot] = sqrt(dx * dx + dy * dy)
     return deviations
 

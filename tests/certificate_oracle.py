@@ -8,10 +8,9 @@ fqst.analysis computes the same quantities from the solved tree's flat
 coordinate table with the arithmetic inlined; the tests check that both
 return equal results.
 
-Two table-level oracles keep the plain per-node loops that the package's
-passes replaced: check_edge_pairs_per_pair takes one atan2 for every pair
-of edges at every node, and weighted_mean_deviations calls
-trees.weighted_mean once per Steiner slot.
+A table-level oracle keeps the plain per-node loop that the package's
+pass replaced: check_edge_pairs_per_pair takes one atan2 for every pair
+of edges at every node.
 """
 
 from __future__ import annotations
@@ -28,10 +27,10 @@ from fqst.analysis import (
     EdgeOverlap,
 )
 from fqst.errors import GeometryError
-from fqst.geometry import Point, mass_scale, sq_dist
+from fqst.geometry import Point, sq_dist
 from fqst.strategies import BoundStrategy, DegreeBound
 from fqst.topology import NO_PARENT
-from fqst.trees import SolvedTree, weighted_mean
+from fqst.trees import SolvedTree
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,7 +115,9 @@ def check_angles(tree: SolvedTree, tol_radians: float = CERTIFICATE_TOLERANCE) -
                 continue
             angle = angle_at(here, in_pos, out_pos)
             if angle < threshold:
-                violations.append(AngleViolation(node, child, angle))
+                # hanging the child from the parent saves 2 f (in - here).(out - here)
+                dot = (in_pos.x - here.x) * (out_pos.x - here.x) + (in_pos.y - here.y) * (out_pos.y - here.y)
+                violations.append(AngleViolation(node, child, angle, 2.0 * tree.flows[child] * dot))
     return violations
 
 
@@ -227,25 +228,10 @@ def check_edge_pairs_per_pair(
                 offsets.append((v, dx, dy))
         for i, (a, ux, uy) in enumerate(offsets):
             for b, vx, vy in offsets[i + 1:]:
-                angle = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+                dot = ux * vx + uy * vy
+                angle = math.atan2(abs(ux * vy - uy * vx), dot)
                 if angle <= overlap_tol and (b == parent or xs[a] != xs[b] or ys[a] != ys[b]):
                     overlaps.append(EdgeOverlap(node, a, b, angle, caveat))
                 if b == parent and angle < threshold:
-                    violations.append(AngleViolation(node, a, angle))
+                    violations.append(AngleViolation(node, a, angle, 2.0 * tree.flows[a] * dot))
     return violations, overlaps
-
-
-def weighted_mean_deviations(tree: SolvedTree) -> dict[int, float]:
-    """analysis.centroid_deviations with one trees.weighted_mean call per
-    Steiner slot, which raises its GeometryError for a bad mass point."""
-    topo = tree.topology
-    children = topo.children_lists()
-    parents = topo.parents
-    scale = mass_scale(max(tree.flows))
-    deviations: dict[int, float] = {}
-    for slot in topo.steiner_slots():
-        cx, cy = weighted_mean(tree, children[slot], parents[slot], tree.flows[slot], scale)
-        dx = tree.xs[slot] - cx
-        dy = tree.ys[slot] - cy
-        deviations[slot] = math.sqrt(dx * dx + dy * dy)
-    return deviations

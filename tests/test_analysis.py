@@ -193,6 +193,23 @@ class TestCheckAngles:
         assert violations[0].node == 1
         assert violations[0].angle == pytest.approx(math.pi / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("supplies", [(1.0, 1.0), (0.3, 2.5)])
+    def test_saving_is_what_the_reroute_saves(self, supplies):
+        # the sixty degree bend: hanging source 0 from the sink instead of
+        # from source 1, at the same points, lowers the cost by the saving
+        inst = Instance(
+            (Point(1, 0), Point(0, 0)), supplies, Point(0.5, math.sqrt(3) / 2)
+        )
+        before = solve_topology(inst, Topology(2, 0, (1, 2, NO_PARENT)))
+        (hit,) = check_edge_pairs(before)[0]
+        assert (hit.node, hit.in_neighbour) == (1, 0)
+        rerouted = Topology(2, 0, (2, 2, NO_PARENT))
+        after = build_solved_tree(
+            inst, rerouted, before.xs, before.ys, compute_flows(rerouted, supplies)
+        )
+        assert cost(before) - cost(after) == pytest.approx(hit.saving, rel=1e-12)
+        assert hit.saving > 0.0
+
     def test_exact_explicit_optimum_has_none(self):
         rng = random.Random(41)
         for _ in range(5):

@@ -2,9 +2,8 @@
 oracle in certificate_oracle.py: equal results, bit for bit, on random
 solved trees with mixed supplies, coincident points and moved Steiner
 points, and the same GeometryError on a bad mass.  The edge-pair screens
-and the centroid deviations are also held to the plain per-pair and
-per-slot loops, at tolerances on both sides of the obtuse-pair skip's
-guard and on nodes built to reach its corners."""
+are also held to the plain per-pair loop, at tolerances on both sides of
+the obtuse-pair skip's guard and on nodes built to reach its corners."""
 
 from __future__ import annotations
 
@@ -188,7 +187,6 @@ EDGE_PAIR_TOLERANCES = (
 
 
 def assert_same_as_per_pair_loops(tree: SolvedTree) -> None:
-    assert outcome(analysis.centroid_deviations, tree) == outcome(oracle.weighted_mean_deviations, tree)
     for strategy in STRATEGIES:
         for tol, overlap_tol in EDGE_PAIR_TOLERANCES:
             assert outcome(analysis.check_edge_pairs, tree, tol, overlap_tol, strategy) == outcome(
@@ -265,11 +263,9 @@ def test_obtuse_pairs_reach_a_large_overlap_tolerance():
 def test_non_finite_position_raises_like_weighted_mean(position):
     tree = star([position, (1.0, 1.0), (-1.0, 0.5)])
     assert outcome(analysis.centroid_deviations, tree).startswith("GeometryError(mass point at non-finite")
-    assert outcome(analysis.centroid_deviations, tree) == outcome(oracle.weighted_mean_deviations, tree)
 
 
 @pytest.mark.parametrize("mass", [0.0, -0.0, -2.0, math.nan, math.inf])
 def test_bad_mass_raises_like_weighted_mean(mass):
     tree = star([(1.0, 0.0), (0.0, 1.0), (-1.0, -1.0)], [1.0, mass])
     assert outcome(analysis.centroid_deviations, tree).startswith("GeometryError(mass must be")
-    assert outcome(analysis.centroid_deviations, tree) == outcome(oracle.weighted_mean_deviations, tree)

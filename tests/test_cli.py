@@ -313,19 +313,27 @@ class TestExactCommand:
         assert _build_parser() is _build_parser()
         assert _build_parser().parse_args(["exact", path]).guard_n == DEFAULT_GUARD
 
-    def test_node_weighted_result_passes_check(self, tmp_path, capsys):
+    # the certificates block counts the raw screen hits; under a degree
+    # bound check judges the degree window instead of the angle screen, so
+    # README's optimum at phi = 3 counts one angle hit and passes
+    @pytest.mark.parametrize(
+        "strategy, angle_violations", [({"node_weighted": 20.0}, 0), ({"degree_bound": 3}, 1)], ids=json.dumps
+    )
+    def test_exact_results_pass_check(self, tmp_path, capsys, strategy, angle_violations):
         doc = {
             "schema": 1,
             "sources": [[0.0, 0.0], [2.0, 4.0], [11.0, 5.0]],
             "sink": [11.0, 1.0],
-            "strategy": {"node_weighted": 20.0},
+            "strategy": strategy,
         }
         path = write_document(tmp_path, doc)
         assert main(["exact", path]) == 0
         result = loads(capsys.readouterr().out)
         assert result["claims"]["global_optimum"] is True
-        result_path = write_document(tmp_path, result, "nw.json")
+        assert result["certificates"]["angle_violations"] == angle_violations
+        result_path = write_document(tmp_path, result, "result.json")
         assert main(["check", result_path]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_tiny_common_supplies_find_the_optimum(self, tmp_path, capsys):
         # products of two supplies of 1e-200 underflow; the search scales
