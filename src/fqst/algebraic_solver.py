@@ -120,15 +120,17 @@ def solve_topology(instance: Instance, topology: Topology) -> SolvedTree:
 
 
 class UpwardMerges(NamedTuple):
-    """The upward pass's merges: the Steiner slots in merge order and, per
-    node, the summary position q (a terminal's own) and the merged weight V
-    in the flows' own scale (0.0 at terminals).  A slot's (q, V) is the
-    paper's quasi-source: its position and formal mass."""
+    """The upward pass's merges: the Steiner slots in merge order, per node
+    the summary position q (a terminal's own) and the merged weight V (0.0
+    at terminals), and the scale the flows were multiplied by.  A slot's
+    (q, V / scale) is the paper's quasi-source: its position and formal
+    mass."""
 
     order: list[int]
     qx: list[float]
     qy: list[float]
     v: list[float]
+    scale: float
 
 
 def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, UpwardMerges]:
@@ -178,4 +180,4 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
         # far out, a rounding-size offset squares to inf as the cost does
         require_finite_cost(tree)
         raise InternalConsistencyError(f"elimination left Steiner slots {off} off their centroids")
-    return tree, UpwardMerges(upward, qx, qy, [x / scale for x in v])
+    return tree, UpwardMerges(upward, qx, qy, v, scale)

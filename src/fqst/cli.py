@@ -76,9 +76,12 @@ def _read_document(path: str):
 def _write_output(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {output}: {exc}") from exc
 
 
 def _cmd_solve_topology(args) -> int:

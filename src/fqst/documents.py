@@ -437,10 +437,11 @@ def _reject_constant(token: str) -> Any:
 
 
 def loads(text: str) -> Any:
-    """Strict JSON: the NaN, Infinity and -Infinity tokens are a DocumentError."""
+    """Strict JSON: the NaN, Infinity and -Infinity tokens, and nesting past
+    the decoder's recursion limit, are a DocumentError."""
     try:
         return json.loads(text, parse_constant=_reject_constant)
     except DocumentError:
         raise
-    except ValueError as exc:  # also an integer literal past int's digit limit
+    except (ValueError, RecursionError) as exc:  # also an integer literal past int's digit limit
         raise DocumentError(f"not valid JSON: {exc}") from exc

@@ -168,8 +168,6 @@ _CUT_SLACK = 1.0 + 1e-9
 # beyond this relative slack on the room the cut leaves, so that rounding
 # never skips a pair whose merged floors pass
 _SKIP_SLACK = 1.0 + 1e-9
-# the first entry of a Steiner root's node in the subset DP's lists
-_STEINER = -1
 
 
 class SearchReport(Record):
@@ -388,11 +386,12 @@ def _subset_search(
     the cost of a known tree.  Every mask is taken after its proper
     submasks, with the sources ordered from the dearest to wire straight to
     the sink to the cheapest: each prefix of that order is done before the
-    next source joins.  A list entry is (qx, qy, W, K, link): a forest's W is its merged
-    weight V, and link is a chain (part node, rest link) ending in None.  A
-    node is (source, mask of its children's sources, their count, beads on
-    the out-edge) or (_STEINER, link of its children, beads on the
-    out-edge).  Anchors 0 .. n-1 are the sources and n the sink.
+    next source joins.  A list entry is (qx, qy, W, K, link): a forest's W
+    is its merged weight V, and link is a chain (part node, rest link)
+    ending in None.  A node is (root, link of its children, beads on the
+    out-edge), root being the source index or None at a Steiner point.
+    Anchors 0 .. n-1 are the sources and n the sink; their tables keep the
+    same links.
     """
     started = time.perf_counter()
     inf = math.inf
@@ -467,21 +466,25 @@ def _subset_search(
     # layer j - shift.  The window's cap of phi - 3 parts at a source binds
     # when phi - 3 is below the n - 1 other sources (phi < n + 2), with
     # shift 1 there, and at phi = 3 leaves a source no layer at all;
-    # elsewhere shift is 0.  cut holds each forest's part with the mask's
-    # lowest source and that part's count, pick each single subtree's root.
+    # elsewhere shift is 0.  links holds each entry's link: the single's at
+    # layer 0, and at a forest layer (single node, rest link), or the
+    # single's own link where no split beats it.
     capped = window and phi < n + 2
     depths = [phi - 3 if capped else 2] * n + [2]
     shifts = [int(capped)] * n + [0]
     layers = [[[[0.0] * (full + 1) for _ in counts] for _ in range(depth)] for depth in depths]
-    cut = [[None] + [[[None] * (full + 1) for _ in counts] for _ in range(1, depth)] for depth in depths]
-    pick = [[[None] * (full + 1) for _ in counts] for _ in range(n + 1)]
+    links = [[[[None] * (full + 1) for _ in counts] for _ in range(depth)] for depth in depths]
     anchors = [a for a in range(n + 1) if layers[a]]
     # per source, its children's best forest by count and mask: a leaf has
     # one, over no sources
     leaf = [[0.0] + [inf] * full for _ in counts]
     below_sources = [t[-1] if t else leaf for t in layers[:n]]
-    # per anchor and forest layer: the layer, its cuts and the layer of its rests
-    stacks = [[(t[j], c[j], t[j - s]) for j in range(1, len(t))] for t, c, s in zip(layers, cut, shifts)]
+    # per anchor and forest layer: the layer and its links, and those of
+    # its rests
+    stacks = [
+        [(values[j], chains[j], values[j - s], chains[j - s]) for j in range(1, len(values))]
+        for values, chains, s in zip(layers, links, shifts)
+    ]
     # under the node weight, per proper mask and class, the kept summaries'
     # own floors and the least of them (see the module docstring)
     floors: list = [None] * (full + 1)
@@ -611,8 +614,11 @@ def _subset_search(
                         continue
                     previous = k
                     edges = source_edges[kc]
+                    # children over no sources have no link, and a source
+                    # without layers has no others
+                    link = links[r][-1][kc][others] if others else None
                     for t, p, extra in edges:
-                        singles[t].append((xs[r], ys[r], weights[p], k + extra, ((r, others, kc, p), None)))
+                        singles[t].append((xs[r], ys[r], weights[p], k + extra, ((r, link, p), None)))
                     beaded += len(edges) - 1
         for kc, edges in zip(forest_counts, steiner_edges):
             for c in steiner_classes:
@@ -620,7 +626,7 @@ def _subset_search(
                 for t, p, extra in edges:
                     w = weights[p]
                     singles[t] += [
-                        (qx, qy, steiner_weight(v, w), k + extra, ((_STEINER, link, p), None))
+                        (qx, qy, steiner_weight(v, w), k + extra, ((None, link, p), None))
                         for qx, qy, v, k, link in forests
                     ]
                     if p:
@@ -648,20 +654,21 @@ def _subset_search(
             px = xs[a]
             py = ys[a]
             single_a = layers[a][0]
+            single_links = links[a][0]
             stack = stacks[a]
             value = inf
-            node = None
+            link = None
             for k in counts:
-                for qx, qy, w, kk, (candidate_node, _) in singles[k]:
+                for qx, qy, w, kk, candidate_link in singles[k]:
                     dx = px - qx
                     dy = py - qy
                     candidate = kk + w * (dx * dx + dy * dy)
                     if candidate < value:
                         value = candidate
-                        node = candidate_node
+                        link = candidate_link
                 single_a[k][mask] = value
-                pick[a][k][mask] = node
-                for forests, cuts, rests in stack:
+                single_links[k][mask] = link
+                for forests, forest_links, rests, rest_links in stack:
                     total = value
                     choice = mask
                     choice_k = k
@@ -679,16 +686,17 @@ def _subset_search(
                         if total < before:
                             choice_k = k1
                     forests[k][mask] = total
-                    cuts[k][mask] = (choice, choice_k)
+                    forest_links[k][mask] = (
+                        link
+                        if choice == mask
+                        else (single_links[choice_k][choice][0], rest_links[k - choice_k][mask ^ choice])
+                    )
         known = layers[n][-1][budget][mask] + wired[mask]
         if known < upper and mask != full:
             upper = known
             limit = upper * _CUT_SLACK + _OBJECTIVE_TIE
 
-    # rebuilt by module-level functions and an expand that does not refer to
-    # itself, the winner leaves no reference cycle to keep the tables alive
-    tables = (cut, pick, shifts)
-    topology, beads = _parent_array(n, _anchored(tables, n, full, budget), lambda node: _expand(tables, node))
+    topology, beads = _parent_array(n, _chain(links[n][-1][budget][full]), _expand)
     return _report(
         instance,
         strategy,
@@ -704,33 +712,20 @@ def _subset_search(
     )
 
 
-def _anchored(tables: tuple, a: int, mask: int, k: int) -> list:
-    """The DP's nodes of the subtrees hanging from anchor a over mask at
-    count k, as its choices split them; tables is (cut, pick, shifts)."""
-    cut, pick, shifts = tables
+def _chain(link: tuple | None) -> list:
+    """The nodes of a link chain (node, rest link) ending in None, in order."""
     nodes = []
-    j = len(cut[a]) - 1
-    while mask:
-        part, k_part = cut[a][j][k][mask] if j else (mask, k)
-        nodes.append(pick[a][k_part][part])
-        mask ^= part
-        k -= k_part
-        j -= shifts[a]
+    while link is not None:
+        node, link = link
+        nodes.append(node)
     return nodes
 
 
-def _expand(tables: tuple, node: tuple) -> tuple:
+def _expand(node: tuple) -> tuple:
     """A winning node's source index (None at a Steiner point), the beads
     on its out-edge and its children's nodes, for _parent_array."""
-    if node[0] != _STEINER:
-        root, below, k, p = node
-        return root, p, _anchored(tables, root, below, k)
-    _, link, p = node
-    children = []
-    while link is not None:
-        children.append(link[0])
-        link = link[1]
-    return None, p, children
+    root, link, p = node
+    return root, p, _chain(link)
 
 
 def _floors(summaries: list, g: float, sx: float, sy: float) -> tuple[list, float]:

@@ -86,12 +86,12 @@ class GeoRun(Record):
         children = topology.children_lists()
         sink = topology.sink
         flows = self.tree.flows
-        qx, qy, mass = self.merges.qx, self.merges.qy, self.merges.v
+        order, qx, qy, v, scale = self.merges
         steps = []
-        for slot in self.merges.order:
+        for slot in order:
             a, b = children[slot]
             position = Point(qx[slot], qy[slot])
-            result = QuasiSource(position, mass[slot], flows[slot])
+            result = QuasiSource(position, v[slot] / scale, flows[slot])
             steps.append(MergeStep(_KINDS[(a > sink) + (b > sink)], (a, b), slot, result))
         return tuple(steps)
 

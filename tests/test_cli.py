@@ -857,6 +857,32 @@ def test_module_runs_as_a_script(tmp_path):
     assert loads(target.read_text())["cost"] == pytest.approx(102.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["solve-topology", "exact", "render", "bounds"])
+@pytest.mark.parametrize("target", ["missing/result.out", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_is_input_error(tmp_path, capsys, command, target):
+    path = write_document(tmp_path, worked_document(topology=command != "exact"))
+    if command == "render":
+        result = str(tmp_path / "result.json")
+        assert main(["solve-topology", path, "-o", result]) == 0
+        path = result
+    output = str(tmp_path / target)
+    assert main([command, path, "-o", output]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot write {output}: ")
+
+
+def test_deeply_nested_document_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: not valid JSON: ")
+
+
 class TestBoundsCommand:
     def test_degree_bound(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document(topology=False))

@@ -218,3 +218,8 @@ def test_loads_refuses_an_integer_past_the_digit_limit():
     # int() refuses so long a literal with a plain ValueError
     with pytest.raises(DocumentError, match="not valid JSON"):
         loads("[" + "9" * 5000 + "]")
+
+
+def test_loads_refuses_nesting_past_the_recursion_limit():
+    with pytest.raises(DocumentError, match="not valid JSON"):
+        loads("[" * 100_000 + "]" * 100_000)

@@ -1185,6 +1185,21 @@ class TestParentArrays:
         best = solve_exact(inst, DegreeBound(5), guard_n=7).best
         assert best.topology.parents == (9, 9, 8, 9, 8, 9, 8, NO_PARENT, 7, 8)
 
+    # winners in which a source takes two or more children, so that the
+    # anchor's forest layers are read back: uncapped under the explicit
+    # bound and the node weight, capped and stacked under DegreeBound(6)
+    @pytest.mark.parametrize(
+        "strategy,seed,parents",
+        [
+            (ExplicitBound(2), 0, (7, 2, 4, 2, 8, 7, NO_PARENT, 4, 6)),
+            (DegreeBound(6), 1, (2, 6, 1, 5, 6, 1, NO_PARENT)),
+            (NodeWeighted(8.0), 11, (8, 2, 0, 7, 2, 3, NO_PARENT, 10, 7, 6, 9)),
+        ],
+    )
+    def test_source_anchoring_several_parts(self, strategy, seed, parents):
+        inst = random_supplied_instance(random.Random(seed), 6, span=5.0)
+        assert solve_exact(inst, strategy).best.topology.parents == parents
+
     @pytest.mark.parametrize(
         "phi,mixed,parents",
         [
