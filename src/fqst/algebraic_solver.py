@@ -142,8 +142,8 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
     children = topology.children_lists()
     upward = [s for s in reversed(topology.order_from_sink()) if s > sink]
     padding = [0.0] * topology.n_steiner
-    qx = [p.x for p in instance.sources] + [instance.sink.x] + padding
-    qy = [p.y for p in instance.sources] + [instance.sink.y] + padding
+    qx = [*instance.xs, instance.sink.x, *padding]
+    qy = [*instance.ys, instance.sink.y, *padding]
     v = [0.0] * len(qx)
     weights = scaled.copy()  # W of each node's summary: a terminal's out-edge weight
     for s in upward:

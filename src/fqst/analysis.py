@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations, compress
 from typing import NamedTuple, Sequence
 
-from .errors import TopologyError
-from .geometry import Point, mass_scale, sq_dist
+from .errors import GeometryError, TopologyError
+from .geometry import mass_scale
 from .strategies import BoundStrategy, DegreeBound
 from .topology import NO_PARENT, Instance, Topology, compute_flows
 from .trees import (
@@ -218,32 +219,60 @@ def lower_bound_path(instance: Instance, k: int) -> float:
         return 0.0
 
 
+def bounding_diagonal(instance: Instance) -> float:
+    """The diagonal of the bounding box of the sources and the sink.
+
+    Raises GeometryError when a tree's cost on these points may overflow a
+    float: a tree's edges (at most 2n, beads only dividing their cost) each
+    cost at most the total supply times the squared diagonal, which must
+    itself be finite, since exact search squares distances unweighted and
+    the bounds square the spanning tree's edges and the sink distances.
+    """
+    n = instance.n_sources
+    sink = instance.sink
+    dx = max(*instance.xs, sink.x) - min(*instance.xs, sink.x)
+    dy = max(*instance.ys, sink.y) - min(*instance.ys, sink.y)
+    diagonal = math.hypot(dx, dy)
+    supply = instance.total_supply()
+    if not math.isfinite(2 * n * supply * (diagonal * diagonal)):
+        raise GeometryError(
+            f"a tree's cost may overflow: {2 * n} edges x total supply {supply:.6g} "
+            f"x squared bounding-box diagonal {diagonal:.6g}^2 overflows a float"
+        )
+    return diagonal
+
+
+def _sq_dist(xs: Sequence[float], ys: Sequence[float], i: int, j: int) -> float:
+    """Squared distance between points i and j of a coordinate table."""
+    dx = xs[i] - xs[j]
+    dy = ys[i] - ys[j]
+    return dx * dx + dy * dy
+
+
 def _weighted_sink_distances(instance: Instance) -> float:
-    return sum(
-        w * sq_dist(z, instance.sink) for z, w in zip(instance.sources, instance.supplies)
-    )
+    xs = (*instance.xs, instance.sink.x)
+    ys = (*instance.ys, instance.sink.y)
+    sink = instance.n_sources
+    return sum(w * _sq_dist(xs, ys, i, sink) for i, w in enumerate(instance.supplies))
 
 
-def _prim_spanning_tree(points: Sequence[Point]) -> list[int]:
-    """Minimum spanning tree over the points (greedy, quadratic), as the
-    parent array directed toward the last point."""
-    m = len(points)
+def _prim_spanning_tree(xs: Sequence[float], ys: Sequence[float]) -> list[int]:
+    """Minimum spanning tree over the points of a coordinate table (greedy,
+    quadratic), as the parent array directed toward the last point.  Of
+    equally near points the first joins; so does the first left when every
+    distance overflows to infinity."""
+    m = len(xs)
     in_tree = [False] * m
     in_tree[0] = True
-    best_dist = [sq_dist(points[0], p) for p in points]
+    best_dist = [_sq_dist(xs, ys, 0, i) for i in range(m)]
     # each point's tree neighbour on its way to point 0
     best_link = [NO_PARENT] + [0] * (m - 1)
     for _ in range(m - 1):
-        pick = -1
-        pick_dist = math.inf
-        for i in range(m):
-            if not in_tree[i] and best_dist[i] < pick_dist:
-                pick = i
-                pick_dist = best_dist[i]
+        pick = min(compress(range(m), map(operator.not_, in_tree)), key=best_dist.__getitem__)
         in_tree[pick] = True
         for i in range(m):
             if not in_tree[i]:
-                d = sq_dist(points[pick], points[i])
+                d = _sq_dist(xs, ys, pick, i)
                 if d < best_dist[i]:
                     best_dist[i] = d
                     best_link[i] = pick
@@ -290,32 +319,36 @@ def beaded_spanning_cost(instance: Instance, c: float) -> float:
     upper bound on the node-weighted optimum.  p equally spaced beads split
     an edge of flow f and length d into p + 1 segments, so the sum over the
     spanning edges is of f d^2/(p+1) + c p; no bead is placed."""
-    terminals, base, flows = _spanning_tree(instance)
-    bead_counts = _spanning_bead_counts(terminals, base, flows, c)
+    squares, base, flows = _spanning_tree(instance)
+    bead_counts = _spanning_bead_counts(squares, base, flows, c)
     total = 0.0
-    for child, p in zip(base.edge_children(), bead_counts):
-        d2 = sq_dist(terminals[child], terminals[base.parents[child]])
+    for child, d2, p in zip(base.edge_children(), squares, bead_counts):
         total += flows[child] * d2 / (p + 1) + c * p
     return total
 
 
-def _spanning_tree(instance: Instance) -> tuple[list[Point], Topology, tuple[float, ...]]:
-    """The terminals (sources, then the sink), their minimum spanning tree
-    as Prim's links directed toward the sink, and its flows."""
-    terminals = [*instance.sources, instance.sink]
-    base = Topology(instance.n_sources, 0, tuple(_prim_spanning_tree(terminals)))
-    return terminals, base, compute_flows(base, instance.supplies)
+def _spanning_tree(instance: Instance) -> tuple[list[float], Topology, tuple[float, ...]]:
+    """The minimum spanning tree on the terminals (sources, then the sink)
+    as Prim's links directed toward the sink: its edges' squared lengths in
+    edge_children order, the tree and its flows."""
+    xs = (*instance.xs, instance.sink.x)
+    ys = (*instance.ys, instance.sink.y)
+    base = Topology(instance.n_sources, 0, tuple(_prim_spanning_tree(xs, ys)))
+    parents = base.parents
+    squares = [_sq_dist(xs, ys, child, parents[child]) for child in base.edge_children()]
+    return squares, base, compute_flows(base, instance.supplies)
 
 
 def _spanning_bead_counts(
-    terminals: Sequence[Point], base: Topology, flows: Sequence[float], c: float
+    squares: Sequence[float], base: Topology, flows: Sequence[float], c: float
 ) -> list[int]:
-    """The optimal bead count of each spanning edge, in edge_children order."""
+    """The optimal bead count of each spanning edge, in edge_children order,
+    from the edges' squared lengths in that order."""
     if not c > 0.0:
         raise ValueError(f"node weight must be positive, got {c}")
     bead_counts = []
-    for child in base.edge_children():
-        length = math.sqrt(sq_dist(terminals[child], terminals[base.parents[child]]))
+    for child, d2 in zip(base.edge_children(), squares):
+        length = math.sqrt(d2)
         bead_counts.append(0 if length == 0.0 else optimal_bead_count(flows[child], length, c))
     return bead_counts
 
@@ -354,6 +387,7 @@ __all__ = [
     "DegreeViolation",
     "EdgeOverlap",
     "beaded_spanning_cost",
+    "bounding_diagonal",
     "centroid_deviations",
     "check_centroid_certificate",
     "check_degree_window",

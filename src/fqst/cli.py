@@ -132,7 +132,10 @@ def _agrees(recomputed: float, stored: float, tol: float, unit: float) -> bool:
 
 
 def _slack(recomputed: float, tol: float, unit: float) -> float:
-    """How far a value may sit from its recomputed one (see _agrees)."""
+    """How far a value may sit from its recomputed one (see _agrees): no
+    distance at all from a non-finite one, which nothing matches."""
+    if not math.isfinite(recomputed):
+        return -math.inf
     bound = tol * (unit + abs(recomputed))
     if unit < 1.0:
         bound += math.ulp(recomputed)
@@ -153,12 +156,17 @@ def _cmd_check(args) -> int:
     expected_flows = compute_flows(tree.topology, tree.instance.supplies)
     unit = min(max(expected_flows), 1.0)
     recomputed = analysis.cost(tree)
-    if not _agrees(recomputed, tree.cost, tol, unit):
-        failures.append(f"cost mismatch: stored {tree.cost}, recomputed {recomputed}")
     objective = strategies.objective(strategy, recomputed, tree.topology.n_steiner)
     stored = parsed.objective
-    if stored is not None and not _agrees(objective, stored, tol, unit):
-        failures.append(f"objective mismatch: stored {stored}, recomputed {objective}")
+    if not math.isfinite(recomputed):
+        failures.append(f"cost overflows a float: the flow * squared edge lengths sum to {recomputed}")
+    elif not math.isfinite(objective):
+        failures.append(f"objective overflows a float: the cost {recomputed} plus the Steiner charge is {objective}")
+    else:
+        if not _agrees(recomputed, tree.cost, tol, unit):
+            failures.append(f"cost mismatch: stored {tree.cost}, recomputed {recomputed}")
+        if stored is not None and not _agrees(objective, stored, tol, unit):
+            failures.append(f"objective mismatch: stored {stored}, recomputed {objective}")
 
     # a bit-equal flow agrees at any positive tolerance
     flow_errors = [
@@ -224,6 +232,7 @@ def _cmd_render(args) -> int:
 def _cmd_bounds(args) -> int:
     parsed = documents.parse_instance_document(_read_document(args.file))
     instance, strategy = parsed.instance, parsed.strategy
+    analysis.bounding_diagonal(instance)  # refuses, as exact does, points whose squares overflow
     if isinstance(strategy, DegreeBound):
         k = max_steiner_count(instance.n_sources, strategy.phi)
     elif isinstance(strategy, ExplicitBound):

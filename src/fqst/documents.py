@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from itertools import repeat
 from typing import Any, NamedTuple, NoReturn, Sequence
 
@@ -57,8 +56,6 @@ _PAIR = {list, tuple}
 _PARENT = {int, type(None)}
 _DICT = {dict}
 _FLOW_KEYS = ("from", "to", "flow")
-_X = operator.attrgetter("x")
-_Y = operator.attrgetter("y")
 
 
 def _is_int(value: Any) -> bool:
@@ -87,11 +84,11 @@ def _no_fault(what: str) -> NoReturn:
     raise InternalConsistencyError(f"{what} failed a whole-list check, but no item is at fault")
 
 
-def _finite_column(values: Sequence[Any]) -> list[float] | None:
+def _finite_column(values: Sequence[Any]) -> tuple[float, ...] | None:
     """values as floats when every one is a finite JSON number, else None."""
     if set(map(type, values)) <= _NUMBER:
         try:
-            column = list(map(float, values))
+            column = tuple(map(float, values))
         except OverflowError:  # an integer too large for a float
             return None
         if all(map(math.isfinite, column)):
@@ -99,7 +96,7 @@ def _finite_column(values: Sequence[Any]) -> list[float] | None:
     return None
 
 
-def _pair_columns(raw: list, what: str) -> tuple[list[float], list[float]]:
+def _pair_columns(raw: list, what: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """The x and y columns of a list of [x, y] pairs of finite numbers;
     what.format(i) names item i in an error."""
     if set(map(type, raw)) <= _PAIR and set(map(len, raw)) <= {2}:
@@ -217,17 +214,17 @@ def parse_instance_document(doc: Any) -> ParsedInstanceDocument:
     raw_sources = doc.get("sources")
     if not isinstance(raw_sources, list) or not raw_sources:
         raise DocumentError("'sources' must be a nonempty list of [x, y] pairs")
-    sources = tuple(map(Point, *_pair_columns(raw_sources, "source {}")))
+    xs, ys = _pair_columns(raw_sources, "source {}")
     (sink_x,), (sink_y,) = _pair_columns([doc.get("sink")], "sink")
     raw_supplies = doc.get("supplies")
     if raw_supplies is None:
-        supplies = [1.0] * len(sources)
+        supplies = (1.0,) * len(xs)
     else:
         supplies = _finite_column(raw_supplies) if type(raw_supplies) is list else None
         if supplies is None:
             _bad_supplies(raw_supplies)
     try:
-        instance = Instance(sources, tuple(supplies), Point(sink_x, sink_y))
+        instance = Instance.from_columns(xs, ys, supplies, Point(sink_x, sink_y))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     strategy = parse_strategy(doc.get("strategy"))
@@ -270,13 +267,14 @@ def result_document(
     claims_global_optimum: bool = False,
     extra: dict | None = None,
 ) -> dict:
+    instance = tree.instance
     first = tree.topology.sink + 1
     doc = {
         "schema": SCHEMA_VERSION,
         "instance": {
-            "sources": [[p.x, p.y] for p in tree.instance.sources],
-            "supplies": list(tree.instance.supplies),
-            "sink": [tree.instance.sink.x, tree.instance.sink.y],
+            "sources": list(map(list, zip(instance.xs, instance.ys))),
+            "supplies": list(instance.supplies),
+            "sink": [instance.sink.x, instance.sink.y],
         },
         "strategy": strategy_document(strategy),
         "topology": topology_document(tree.topology),
@@ -340,8 +338,8 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
         )
     steiner_xs, steiner_ys = _pair_columns(raw_positions, "steiner position {}")
     instance = parsed.instance
-    xs = (*map(_X, instance.sources), instance.sink.x, *steiner_xs)
-    ys = (*map(_Y, instance.sources), instance.sink.y, *steiner_ys)
+    xs = (*instance.xs, instance.sink.x, *steiner_xs)
+    ys = (*instance.ys, instance.sink.y, *steiner_ys)
 
     raw_flows = doc.get("flows")
     n_edges = topology.n_nodes - 1

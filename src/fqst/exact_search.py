@@ -150,7 +150,7 @@ from typing import Callable, Sequence
 from . import algebraic_solver, analysis
 from .algebraic_solver import merge_summaries, pinned_cost, steiner_weight
 from .errors import GeometryError, GuardLimitError, InternalConsistencyError
-from .geometry import Record, mass_scale, sq_dist
+from .geometry import Record, mass_scale
 from .strategies import DEFAULT_GUARD, BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted, objective
 from .topology import NO_PARENT, Instance, Topology, validate_topology
 from .trees import SolvedTree
@@ -212,16 +212,7 @@ def solve_exact(
             f"exact search is limited to {guard_n} sources (got {n}); "
             f"raise guard_n explicitly to go further"
         )
-    # a tree's edges (at most 2n, beads only dividing their cost) each cost
-    # at most the total supply times the bounding box's squared diagonal,
-    # which must itself be finite: the search squares distances unweighted
-    diagonal = _bounding_box_diagonal(instance)
-    supply = instance.total_supply()
-    if not math.isfinite(2 * n * supply * (diagonal * diagonal)):
-        raise GeometryError(
-            f"a tree's cost may overflow: {2 * n} edges x total supply {supply:.6g} "
-            f"x squared bounding-box diagonal {diagonal:.6g}^2 overflows a float"
-        )
+    diagonal = analysis.bounding_diagonal(instance)
     if isinstance(strategy, DegreeBound):
         # a Steiner point has at least phi - 1 children, each over a source,
         # so every phi >= n + 2 admits the same trees: those with none
@@ -277,11 +268,11 @@ def _greedy_tree(instance: Instance, phi: int) -> Topology:
     n = instance.n_sources
     sx = instance.sink.x
     sy = instance.sink.y
-    wires = [sq_dist(z, instance.sink) for z in instance.sources]
+    wires = [(x - sx) * (x - sx) + (y - sy) * (y - sy) for x, y in zip(instance.xs, instance.ys)]
     # per root: its summary, flow and cost at the sink
     roots = {
-        r: ((z.x, z.y, f, 0.0), f, f * wires[r])
-        for r, (z, f) in enumerate(zip(instance.sources, instance.supplies))
+        r: ((x, y, f, 0.0), f, f * wires[r])
+        for r, (x, y, f) in enumerate(zip(instance.xs, instance.ys, instance.supplies))
     }
     below: dict = {}  # per node, its children
     lowest = list(range(n + 1))  # per node, its subtree's lowest source
@@ -425,8 +416,8 @@ def _subset_search(
         [(kc + step + p, p, 0.0) for p in range(len(forest_counts) - kc)] for kc in forest_counts
     ]
     bead_counts = counts
-    xs = [p.x for p in instance.sources] + [instance.sink.x]
-    ys = [p.y for p in instance.sources] + [instance.sink.y]
+    xs = [*instance.xs, instance.sink.x]
+    ys = [*instance.ys, instance.sink.y]
     sink_x = xs[n]
     sink_y = ys[n]
     # supplies scaled by geometry.mass_scale, the charge and known cost
@@ -885,11 +876,3 @@ def _bead_cap(f: float, length: float, c: float, most: int) -> int:
     while p < most and (p + 1) * (p + 2) <= ratio:
         p += 1
     return p
-
-
-def _bounding_box_diagonal(instance: Instance) -> float:
-    xs = [p.x for p in instance.sources] + [instance.sink.x]
-    ys = [p.y for p in instance.sources] + [instance.sink.y]
-    dx = max(xs) - min(xs)
-    dy = max(ys) - min(ys)
-    return math.hypot(dx, dy)

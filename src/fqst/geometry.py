@@ -1,7 +1,8 @@
-"""Plane points, squared distance and the power-of-two mass scale that the
-solver, the search and the certificates share, and the records' base.  The
-package weighs masses in its coordinate tables, so the mass point
-(MassPoint) is only the test oracles' primitive, in tests/certificate_oracle.py."""
+"""Plane points, the power-of-two mass scale that the solver, the search
+and the certificates share, and the records' base.  The package measures
+distances and weighs masses in its coordinate tables, so the squared
+distance of two points (sq_dist) and the mass point (MassPoint) are only
+the test oracles' primitives, in tests/certificate_oracle.py."""
 
 from __future__ import annotations
 
@@ -66,13 +67,6 @@ class Point(Record):
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
-
-
-def sq_dist(a: Point, b: Point) -> float:
-    """Squared Euclidean distance |ab|^2."""
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy
 
 
 def mass_scale(largest: float) -> float:

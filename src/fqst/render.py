@@ -9,11 +9,18 @@ files.
 
 from __future__ import annotations
 
+import sys
+
 from .trees import SolvedTree
 
 WIDTH = 640.0
 MARGIN_FRACTION = 0.10
 NODE_RADIUS = 5.0
+# the viewport's numbers reach 1.2 times the span of the coordinates, which
+# is at most twice their largest magnitude: past a quarter of the largest
+# float, the drawing is made from the coordinates divided by 4, which moves
+# no bit of it (every viewport number scales with them) and keeps it finite
+_QUARTER = sys.float_info.max / 4.0
 
 # One %-format per edge (its line and flow label) and per node circle; the
 # node coordinates come in already formatted, once per node.
@@ -31,14 +38,19 @@ _STEINER = (
 
 def render_svg(tree: SolvedTree) -> str:
     xs, ys = tree.xs, tree.ys
-    span_x = max(xs) - min(xs)
-    span_y = max(ys) - min(ys)
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    if max(x_hi, y_hi, -x_lo, -y_lo) > _QUARTER:
+        xs = [x / 4.0 for x in xs]
+        ys = [y / 4.0 for y in ys]
+        x_lo, x_hi, y_lo, y_hi = x_lo / 4.0, x_hi / 4.0, y_lo / 4.0, y_hi / 4.0
+    span_x = x_hi - x_lo
+    span_y = y_hi - y_lo
     span = max(span_x, span_y, 1e-9)
     margin = MARGIN_FRACTION * span
     scale = WIDTH / (span + 2.0 * margin)
     height = (span_y + 2.0 * margin) * scale
-    x0 = min(xs) - margin
-    y1 = max(ys) + margin
+    x0 = x_lo - margin
+    y1 = y_hi + margin
     # screen coordinates of every node; y grows downward on screen
     sx = [(x - x0) * scale for x in xs]
     sy = [(y1 - y) * scale for y in ys]

@@ -24,37 +24,63 @@ NO_PARENT = -1  # parent entry of the sink slot
 class Instance(Record):
     """Sources with positive supplies and a single sink.
 
+    The sources are kept as a coordinate table, like a SolvedTree's: xs[i],
+    ys[i] is source i.  sources, their Points, is built from it on first use
+    (or kept from the constructor's argument), and equality, hashing, the
+    repr and pickling go through it as through any record's fields.
+
     A source on the sink is an error: its flow reaches the sink over a
     zero-length edge at no cost, and whatever hangs from it can hang from
     the sink instead, so the instance without it has the same optimum.
     """
 
     def __init__(self, sources: tuple[Point, ...], supplies: tuple[float, ...], sink: Point) -> None:
-        self._store(sources, supplies, sink)
-        if len(self.sources) < 1:
+        sources = tuple(sources)
+        self._store_columns(tuple(map(attrgetter("x"), sources)), tuple(map(attrgetter("y"), sources)), supplies, sink)
+        self.__dict__["sources"] = sources  # the cache the property would fill
+
+    @classmethod
+    def from_columns(
+        cls, xs: tuple[float, ...], ys: tuple[float, ...], supplies: tuple[float, ...], sink: Point
+    ) -> "Instance":
+        """The instance whose source i is (xs[i], ys[i]), checked as the
+        constructor checks it, with no Point built per source."""
+        instance = cls.__new__(cls)
+        instance._store_columns(xs, ys, supplies, sink)
+        return instance
+
+    def _store_columns(
+        self, xs: tuple[float, ...], ys: tuple[float, ...], supplies: tuple[float, ...], sink: Point
+    ) -> None:
+        """Store the fields, then check them and name the first fault."""
+        self.__dict__.update(xs=xs, ys=ys, supplies=supplies, sink=sink)
+        if len(xs) < 1:
             raise ValueError("an instance needs at least one source")
-        if len(self.supplies) != len(self.sources):
-            raise ValueError(
-                f"{len(self.supplies)} supplies for {len(self.sources)} sources"
-            )
-        if not self.sink.is_finite():
+        if len(ys) != len(xs):
+            raise ValueError(f"{len(ys)} y coordinates for {len(xs)} x coordinates")
+        if len(supplies) != len(xs):
+            raise ValueError(f"{len(supplies)} supplies for {len(xs)} sources")
+        if not sink.is_finite():
             raise ValueError("sink has non-finite coordinates")
-        # each list is checked whole; only when that fails does the ordered
-        # walk run, to name the first fault
-        xs = list(map(attrgetter("x"), self.sources))
-        ys = list(map(attrgetter("y"), self.sources))
-        if not (all(map(math.isfinite, xs + ys)) and (self.sink.x, self.sink.y) not in zip(xs, ys)):
-            for i, p in enumerate(self.sources):
-                if not p.is_finite():
+        # each column is checked whole; only when that fails does the
+        # ordered walk run, to name the first fault
+        sink_xy = (sink.x, sink.y)
+        if not (all(map(math.isfinite, xs + ys)) and sink_xy not in zip(xs, ys)):
+            for i, xy in enumerate(zip(xs, ys)):
+                if not all(map(math.isfinite, xy)):
                     raise ValueError(f"source {i} has non-finite coordinates")
-                if p == self.sink:
+                if xy == sink_xy:
                     raise ValueError(f"source {i} coincides with the sink")
         # a nan supply makes the total nan, so min's blindness to it is safe
-        if not (min(self.supplies) > 0.0 and math.isfinite(self.total_supply())):
-            for i, w in enumerate(self.supplies):
+        if not (min(supplies) > 0.0 and math.isfinite(self.total_supply())):
+            for i, w in enumerate(supplies):
                 if not w > 0.0:
                     raise ValueError(f"supply of source {i} must be positive, got {w}")
             raise ValueError("the total supply must be finite; flows would overflow")
+
+    @cached_property
+    def sources(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.xs, self.ys))
 
     @classmethod
     def with_unit_supplies(
@@ -64,7 +90,7 @@ class Instance(Record):
 
     @property
     def n_sources(self) -> int:
-        return len(self.sources)
+        return len(self.xs)
 
     def has_unit_supplies(self) -> bool:
         return all(w == 1.0 for w in self.supplies)

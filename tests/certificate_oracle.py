@@ -3,7 +3,8 @@
 These are the certificate functions written over point primitives: every
 neighbour becomes a Point or MassPoint, centroids go through centroid and
 angles through angle_at.  MassPoint, which checks its position and mass,
-and lerp, which the merge replay shares, are defined here too.
+lerp, which the merge replay shares, and sq_dist, which the tests' other
+oracles share, are defined here too.
 fqst.analysis computes the same quantities from the solved tree's flat
 coordinate table with the arithmetic inlined; the tests check that both
 return equal results.
@@ -27,10 +28,17 @@ from fqst.analysis import (
     EdgeOverlap,
 )
 from fqst.errors import GeometryError
-from fqst.geometry import Point, sq_dist
+from fqst.geometry import Point
 from fqst.strategies import BoundStrategy, DegreeBound
 from fqst.topology import NO_PARENT
 from fqst.trees import SolvedTree
+
+
+def sq_dist(a: Point, b: Point) -> float:
+    """Squared Euclidean distance |ab|^2."""
+    dx = a.x - b.x
+    dy = a.y - b.y
+    return dx * dx + dy * dy
 
 
 @dataclass(frozen=True, slots=True)

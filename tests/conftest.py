@@ -70,8 +70,8 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
     the embedding's own straight, evenly spaced relay.  Its node-weighted
     cost is what analysis.beaded_spanning_cost sums without building it.
     """
-    terminals, base, flows = _spanning_tree(instance)
-    bead_counts = _spanning_bead_counts(terminals, base, flows, c)
+    squares, base, flows = _spanning_tree(instance)
+    bead_counts = _spanning_bead_counts(squares, base, flows, c)
     return solve_topology(instance, expand_beads(base, bead_counts))
 
 

@@ -41,10 +41,9 @@ from fqst.exact_search import (
     _CUT_SLACK,
     _OBJECTIVE_TIE,
     SearchReport,
-    _bounding_box_diagonal,
     _report,
 )
-from fqst.geometry import sq_dist
+from certificate_oracle import sq_dist
 from fqst.strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted, max_steiner_count
 from fqst.topology import NO_PARENT, Instance, Topology
 from canonical_oracle import rooted_encoding
@@ -231,7 +230,7 @@ def walk(instance: Instance, strategy: BoundStrategy) -> SearchReport:
     if isinstance(strategy, ExplicitBound):
         return search(instance, strategy, 3, strategy.k, strategy.k, 0.0, None)
     c = strategy.c
-    cap = analysis.optimal_bead_count(instance.total_supply(), _bounding_box_diagonal(instance), c)
+    cap = analysis.optimal_bead_count(instance.total_supply(), analysis.bounding_diagonal(instance), c)
     budget = analysis.steiner_count_bound(instance, c)
     return search(instance, strategy, 3, budget, cap, c, analysis.beaded_spanning_cost(instance, c))
 

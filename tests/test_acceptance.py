@@ -31,7 +31,7 @@ from fqst.analysis import (
     optimal_bead_count,
     steiner_count_bound,
 )
-from fqst.geometry import sq_dist
+from certificate_oracle import sq_dist
 from skeleton_walk import enumerate_bounded_topologies
 from dense_oracle import assemble_system, solve_positions
 from conftest import (

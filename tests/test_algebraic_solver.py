@@ -14,7 +14,7 @@ from fqst import (
     compute_flows,
     solve_topology,
 )
-from fqst.geometry import sq_dist
+from certificate_oracle import sq_dist
 from certificate_oracle import MassPoint, centroid
 from skeleton_walk import enumerate_bounded_topologies
 from fqst.trees import CERTIFICATE_TOLERANCE, centroid_deviations, off_centroid_slots

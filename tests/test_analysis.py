@@ -25,10 +25,10 @@ from fqst.analysis import (
     optimal_bead_count,
     steiner_count_bound,
 )
-from fqst.geometry import sq_dist
+from certificate_oracle import sq_dist
 from fqst.strategies import objective
 from fqst.trees import build_solved_tree
-from fqst.analysis import _spanning_tree, _weighted_sink_distances, beaded_spanning_cost
+from fqst.analysis import _prim_spanning_tree, _spanning_tree, _weighted_sink_distances, beaded_spanning_cost
 from fqst.documents import certificate_summary
 from reference_search import SplitSpec, split_topology
 from conftest import (
@@ -509,6 +509,15 @@ class TestBeadedSpanningTree:
             assert beaded_spanning_cost(inst, c) == cost
             assert steiner_count_bound(inst, c) == bound
             assert beaded_spanning_tree(inst, c).topology.parents == parents
+
+
+    def test_prim_links_every_point_when_every_distance_overflows(self):
+        # every squared distance from point 0 is infinite: the first point
+        # left joins, where once none did, the last point stood in for it
+        # and the points near that one were linked to -1
+        links = _prim_spanning_tree((1e308, -1e308, -1e308, -1e308), (0.0, 0.0, 1.0, 2.0))
+        assert links == [1, 2, 3, NO_PARENT]
+        Topology(3, 0, tuple(links)).order_from_sink()
 
 
 class TestSteinerCountBound:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqst import NodeWeighted, Point
+from fqst import NodeWeighted, Point, render_svg, solve_topology
 from fqst import cli, trees
 from fqst.cli import _build_parser, main
 from fqst.documents import dumps, loads
@@ -755,6 +755,46 @@ class TestCheckCommand:
         assert not (tmp_path / "d.svg").exists()
 
 
+    @pytest.mark.parametrize("claim", [False, True])
+    def test_overflowing_cost_fails(self, tmp_path, capsys, claim):
+        # README's result with every coordinate times 1e160 and the cost
+        # kept: the recomputed cost is infinite, which no stored number matches
+        result = self._solved_document(tmp_path, capsys)
+        result["instance"]["sources"] = [[x * 1e160, y * 1e160] for x, y in result["instance"]["sources"]]
+        result["instance"]["sink"] = [v * 1e160 for v in result["instance"]["sink"]]
+        result["steiner_positions"] = [[x * 1e160, y * 1e160] for x, y in result["steiner_positions"]]
+        result["claims"]["global_optimum"] = claim
+        assert result["cost"] == 102.0
+        assert main(["check", write_document(tmp_path, result, "far.json")]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "FAIL cost overflows a float: the flow * squared edge lengths sum to inf"
+        assert "all checks passed" not in out
+
+    def test_overflowing_cost_keeps_angle_hits_under_a_global_claim(self, tmp_path, capsys):
+        # supplies of 1e307 make the cost overflow while the angle's reroute
+        # saving stays finite: an infinite slack once made that hit a note
+        result = self._solved_document(tmp_path, capsys)
+        result["instance"]["supplies"] = [1e307] * 3
+        for edge in result["flows"]:
+            edge["flow"] *= 1e307
+        result["strategy"] = {"explicit_bound": 2}
+        result["claims"]["global_optimum"] = True
+        assert main(["check", write_document(tmp_path, result, "heavy.json")]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL cost overflows a float: the flow * squared edge lengths sum to inf\n"
+            "FAIL optimality: angle 1.446441 rad between in-edge from 2 and out-edge at node 5\n"
+        )
+
+    def test_overflowing_objective_fails(self, tmp_path, capsys):
+        # a finite cost, but two Steiner points at 1e308 each overflow
+        result = self._solved_document(tmp_path, capsys)
+        result["strategy"] = {"node_weighted": 1e308}
+        result["objective"] = 1e308
+        assert main(["check", write_document(tmp_path, result, "charged.json")]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "FAIL objective overflows a float: the cost 102.0 plus the Steiner charge is inf"
+
+
 class TestRenderCommand:
     def test_renders_svg(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document())
@@ -767,6 +807,44 @@ class TestRenderCommand:
         assert svg.count('class="terminal"') == 4
         assert svg.count('class="steiner"') == 2
         assert svg.count("<line") == 5
+
+
+    def _far_result(self, tmp_path):
+        # a star on points whose span overflows a float
+        doc = {
+            "schema": 1,
+            "instance": {
+                "sources": [[1e308, 0.0], [-1e308, 0.0], [0.0, 1e308]],
+                "supplies": [1.0, 1.0, 1.0],
+                "sink": [0.0, -1e308],
+            },
+            "strategy": {"degree_bound": 3},
+            "topology": {"nodes": ["source"] * 3 + ["sink"], "parents": [3, 3, 3, None]},
+            "steiner_positions": [],
+            "flows": [{"from": i, "to": 3, "flow": 1.0} for i in range(3)],
+            "cost": 1.0,
+        }
+        return write_document(tmp_path, doc, "far.json")
+
+    def test_overflowing_span_renders_finite_numbers(self, tmp_path, capsys):
+        target = tmp_path / "far.svg"
+        assert main(["render", self._far_result(tmp_path), "-o", str(target)]) == 0
+        svg = target.read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert 'width="640.0000" height="640.0000"' in svg
+        assert svg.count('cx="320.0000"') == 2  # source 2 and the sink, on the vertical axis
+
+    def test_large_coordinates_draw_as_small_ones(self, worked_instance, worked_topology):
+        # past a quarter of the largest float the drawing is made from the
+        # coordinates divided by 4: scaled by a power of two, it is the same
+        tree = solve_topology(worked_instance, worked_topology)
+        factor = math.ldexp(1.0, 1020)  # 11 * 2^1020 is past a quarter of the largest float
+        scaled = trees.SolvedTree(
+            tree.instance, tree.topology, tuple(x * factor for x in tree.xs), tuple(y * factor for y in tree.ys),
+            tree.flows, tree.cost,
+        )
+        assert max(scaled.xs) > sys.float_info.max / 4
+        assert render_svg(scaled) == render_svg(tree)
 
 
 class TestStrictJson:
@@ -978,6 +1056,28 @@ class TestBoundsCommand:
         assert "overflows" in captured.err
 
 
+    @pytest.mark.parametrize("strategy", [{"degree_bound": 3}, {"explicit_bound": 2}, {"node_weighted": 1.0}])
+    def test_overflowing_distances_are_refused_as_exact_refuses_them(self, tmp_path, capsys, strategy):
+        # the squared distances of these points overflow a float: once the
+        # bounds went to the JSON writer as infinities, and under a node
+        # weight Prim linked a point to -1, which read as a node weight too
+        # small
+        doc = {
+            "schema": 1,
+            "sources": [[1e308, 0.0], [-1e308, 0.0], [-1e308, 1.0]],
+            "sink": [-1e308, 2.0],
+            "strategy": strategy,
+        }
+        path = write_document(tmp_path, doc)
+        assert main(["bounds", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: a tree's cost may overflow") and "overflows a float" in line
+        assert main(["exact", path]) == 2
+        assert capsys.readouterr().err == captured.err
+
+
 class TestCollectorPause:
     """A command runs with the cyclic collector paused, and main leaves it
     as it found it, however the command ends."""
@@ -1038,3 +1138,37 @@ class TestGlobalFlags:
     def test_bad_tolerance(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document())
         assert main(["--tolerance", "-1", "solve-topology", path]) == 2
+
+
+def test_fixed_topology_commands_build_no_point_per_source(tmp_path, capsys, monkeypatch):
+    # a 1,000-source caterpillar through solve-topology, check and render:
+    # the instance and the tree are coordinate tables, so the one Point each
+    # command builds is the sink's
+    rng = random.Random(3)
+    n = 1000
+    spine = list(range(n + 1, 2 * n))
+    doc = {
+        "schema": 1,
+        "sources": [[rng.uniform(0, 5), rng.uniform(0, 5)] for _ in range(n)],
+        "supplies": [rng.choice([1, 2.5]) for _ in range(n)],
+        "sink": [6.0, 6.0],
+        "strategy": {"degree_bound": 3},
+        "topology": {
+            "nodes": ["source"] * n + ["sink"] + ["steiner"] * (n - 1),
+            "parents": [spine[0], *spine, None, *spine[1:], n],
+        },
+    }
+    built = []
+    init = Point.__init__
+    monkeypatch.setattr(Point, "__init__", lambda point, x, y: built.append(1) or init(point, x, y))
+    result = str(tmp_path / "result.json")
+    commands = [
+        ["solve-topology", write_document(tmp_path, doc), "-o", result],
+        ["check", result],
+        ["render", result, "-o", str(tmp_path / "tree.svg")],
+    ]
+    for argv in commands:
+        built.clear()
+        assert main(argv) == 0, argv
+        assert len(built) <= 1, (argv, len(built))
+    assert "all checks passed" in capsys.readouterr().out

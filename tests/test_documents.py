@@ -1,6 +1,10 @@
+import copy
+import math
+import pickle
+
 import pytest
 
-from fqst import DegreeBound, DocumentError, ExplicitBound, NodeWeighted, solve_topology
+from fqst import DegreeBound, DocumentError, ExplicitBound, Instance, NodeWeighted, Point, solve_topology
 from fqst.documents import (
     dumps,
     loads,
@@ -93,6 +97,94 @@ class TestInstanceDocuments:
         parsed = parse_instance_document(worked_document())
         emitted = instance_document(parsed.instance, strategy)
         assert parse_instance_document(emitted).strategy == strategy
+
+
+class TestInstanceColumns:
+    """A document's instance is built from its coordinate columns, with no
+    Point per source; it is the instance the Points build."""
+
+    SOURCES = ((0.1, -0.30000000000000004), (2.0, 4.0), (11.0, 5.0))
+    SUPPLIES = (1.5, 0.7, 2.25)
+
+    def read(self):
+        doc = worked_document()
+        doc["sources"] = [list(xy) for xy in self.SOURCES]
+        doc["supplies"] = list(self.SUPPLIES)
+        return parse_instance_document(doc).instance
+
+    def built(self):
+        return Instance(tuple(Point(*xy) for xy in self.SOURCES), self.SUPPLIES, Point(11.0, 1.0))
+
+    def test_equals_hashes_and_prints_as_the_point_built_instance(self):
+        read, built = self.read(), self.built()
+        assert read == built and not read != built
+        assert hash(read) == hash(built)
+        assert repr(read) == repr(built)
+        assert (read.xs, read.ys) == (built.xs, built.ys) == tuple(zip(*self.SOURCES))
+        assert read.sources == built.sources
+
+    def test_sources_are_built_once_on_first_use(self):
+        read = self.read()
+        assert "sources" not in vars(read)
+        assert read.sources is read.sources
+        assert read.sources == tuple(Point(*xy) for xy in self.SOURCES)
+
+    @pytest.mark.parametrize(
+        "twin",
+        [copy.copy, copy.deepcopy, lambda instance: pickle.loads(pickle.dumps(instance))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copy_and_pickle_round_trip(self, twin):
+        read = self.read()
+        again = twin(read)
+        assert again == read and hash(again) == hash(read) and repr(again) == repr(read)
+        assert (again.xs, again.ys, again.supplies, again.sink) == (read.xs, read.ys, read.supplies, read.sink)
+
+    @pytest.mark.parametrize(
+        "sources, supplies, sink, message",
+        [
+            ((), (), (11.0, 1.0), "an instance needs at least one source"),
+            (((0.0, 0.0),), (1.0, 1.0), (11.0, 1.0), "2 supplies for 1 sources"),
+            (((0.0, 0.0),), (1.0,), (math.inf, 1.0), "sink has non-finite coordinates"),
+            (((0.0, 0.0), (math.nan, 1.0), (11.0, 1.0)), (1.0, -1.0, 1.0), (11.0, 1.0),
+             "source 1 has non-finite coordinates"),
+            (((0.0, 0.0), (11.0, 1.0), (2.0, math.inf)), (1.0, 1.0, 1.0), (11.0, 1.0),
+             "source 1 coincides with the sink"),
+            (((0.0, 0.0), (2.0, 4.0)), (1.0, 0.0), (11.0, 1.0), "supply of source 1 must be positive, got 0.0"),
+            (((0.0, 0.0), (2.0, 4.0)), (1e308, 1e308), (11.0, 1.0), "the total supply must be finite"),
+        ],
+    )
+    def test_points_and_columns_name_the_same_first_fault(self, sources, supplies, sink, message):
+        with pytest.raises(ValueError, match=message) as from_points:
+            Instance(tuple(Point(*xy) for xy in sources), supplies, Point(*sink))
+        xs, ys = (tuple(column) for column in zip(*sources)) if sources else ((), ())
+        with pytest.raises(ValueError, match=message) as from_columns:
+            Instance.from_columns(xs, ys, supplies, Point(*sink))
+        assert str(from_points.value) == str(from_columns.value)
+
+    @pytest.mark.parametrize(
+        "sources, supplies",
+        [
+            ([[0.0, 0.0], [11.0, 1.0], [2.0, 4.0]], [1.0, 1.0, 1.0]),
+            ([[0.0, 0.0], [2.0, 4.0], [11.0, 5.0]], [1.0, -2.0, 1.0]),
+        ],
+    )
+    def test_a_document_names_the_constructors_fault(self, sources, supplies):
+        doc = worked_document()
+        doc["sources"], doc["supplies"] = sources, supplies
+        with pytest.raises(ValueError) as from_points:
+            Instance(tuple(Point(*xy) for xy in sources), tuple(supplies), Point(*doc["sink"]))
+        with pytest.raises(DocumentError) as from_document:
+            parse_instance_document(doc)
+        assert str(from_document.value) == str(from_points.value)
+
+    def test_result_document_writes_and_reads_the_columns(self, worked_topology):
+        tree = solve_topology(self.read(), worked_topology)
+        doc = result_document(tree, DegreeBound(3))
+        assert doc["instance"]["sources"] == [list(xy) for xy in self.SOURCES]
+        parsed = parse_result_document(loads(dumps(doc)))
+        assert parsed.instance == tree.instance
+        assert parsed.tree.xs[:4] == tree.xs[:4] and parsed.tree.ys[:4] == tree.ys[:4]
 
 
 class TestResultDocuments:

@@ -29,7 +29,7 @@ from fqst.analysis import (
     lower_bound_path,
     steiner_count_bound,
 )
-from fqst.geometry import sq_dist
+from certificate_oracle import sq_dist
 from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
 from fqst.cli import main

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqst import GeometryError, Point
-from fqst.geometry import sq_dist
+from certificate_oracle import sq_dist
 from certificate_oracle import MassPoint, angle_at, centroid
 
 coords = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
