@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import operator
 from itertools import combinations, compress
 from typing import NamedTuple, Sequence
 
@@ -242,18 +241,12 @@ def bounding_diagonal(instance: Instance) -> float:
     return diagonal
 
 
-def _sq_dist(xs: Sequence[float], ys: Sequence[float], i: int, j: int) -> float:
-    """Squared distance between points i and j of a coordinate table."""
-    dx = xs[i] - xs[j]
-    dy = ys[i] - ys[j]
-    return dx * dx + dy * dy
-
-
 def _weighted_sink_distances(instance: Instance) -> float:
-    xs = (*instance.xs, instance.sink.x)
-    ys = (*instance.ys, instance.sink.y)
-    sink = instance.n_sources
-    return sum(w * _sq_dist(xs, ys, i, sink) for i, w in enumerate(instance.supplies))
+    sx, sy = instance.sink.x, instance.sink.y
+    return sum(
+        w * ((x - sx) * (x - sx) + (y - sy) * (y - sy))
+        for x, y, w in zip(instance.xs, instance.ys, instance.supplies)
+    )
 
 
 def _prim_spanning_tree(xs: Sequence[float], ys: Sequence[float]) -> list[int]:
@@ -262,20 +255,22 @@ def _prim_spanning_tree(xs: Sequence[float], ys: Sequence[float]) -> list[int]:
     equally near points the first joins; so does the first left when every
     distance overflows to infinity."""
     m = len(xs)
-    in_tree = [False] * m
-    in_tree[0] = True
-    best_dist = [_sq_dist(xs, ys, 0, i) for i in range(m)]
+    x0, y0 = xs[0], ys[0]
+    best_dist = [(x0 - x) * (x0 - x) + (y0 - y) * (y0 - y) for x, y in zip(xs, ys)]
     # each point's tree neighbour on its way to point 0
     best_link = [NO_PARENT] + [0] * (m - 1)
-    for _ in range(m - 1):
-        pick = min(compress(range(m), map(operator.not_, in_tree)), key=best_dist.__getitem__)
-        in_tree[pick] = True
-        for i in range(m):
-            if not in_tree[i]:
-                d = _sq_dist(xs, ys, pick, i)
-                if d < best_dist[i]:
-                    best_dist[i] = d
-                    best_link[i] = pick
+    left = list(range(1, m))  # the points not yet in the tree, in index order
+    while left:
+        pick = min(left, key=best_dist.__getitem__)
+        left.remove(pick)
+        px, py = xs[pick], ys[pick]
+        for i in left:
+            dx = px - xs[i]
+            dy = py - ys[i]
+            d = dx * dx + dy * dy
+            if d < best_dist[i]:
+                best_dist[i] = d
+                best_link[i] = pick
     # the links lead to point 0; reversing those on the last point's way
     # there leads every point to the last one instead
     node, previous = m - 1, NO_PARENT
@@ -318,43 +313,36 @@ def beaded_spanning_cost(instance: Instance, c: float) -> float:
     and the sink with the cost-minimising bead count p on each edge, an
     upper bound on the node-weighted optimum.  p equally spaced beads split
     an edge of flow f and length d into p + 1 segments, so the sum over the
-    spanning edges is of f d^2/(p+1) + c p; no bead is placed."""
-    squares, base, flows = _spanning_tree(instance)
-    bead_counts = _spanning_bead_counts(squares, base, flows, c)
-    total = 0.0
-    for child, d2, p in zip(base.edge_children(), squares, bead_counts):
-        total += flows[child] * d2 / (p + 1) + c * p
-    return total
-
-
-def _spanning_tree(instance: Instance) -> tuple[list[float], Topology, tuple[float, ...]]:
-    """The minimum spanning tree on the terminals (sources, then the sink)
-    as Prim's links directed toward the sink: its edges' squared lengths in
-    edge_children order, the tree and its flows."""
+    spanning edges, in edge_children order, is of f d^2/(p+1) + c p; no
+    bead is placed.  Raises ValueError when an edge's f d^2 / c overflows
+    a float."""
+    if not c > 0.0:
+        raise ValueError(f"node weight must be positive, got {c}")
     xs = (*instance.xs, instance.sink.x)
     ys = (*instance.ys, instance.sink.y)
     base = Topology(instance.n_sources, 0, tuple(_prim_spanning_tree(xs, ys)))
     parents = base.parents
-    squares = [_sq_dist(xs, ys, child, parents[child]) for child in base.edge_children()]
-    return squares, base, compute_flows(base, instance.supplies)
-
-
-def _spanning_bead_counts(
-    squares: Sequence[float], base: Topology, flows: Sequence[float], c: float
-) -> list[int]:
-    """The optimal bead count of each spanning edge, in edge_children order,
-    from the edges' squared lengths in that order."""
-    if not c > 0.0:
-        raise ValueError(f"node weight must be positive, got {c}")
-    bead_counts = []
-    for child, d2 in zip(base.edge_children(), squares):
+    flows = compute_flows(base, instance.supplies)
+    total = 0.0
+    for child in base.edge_children():
+        dx = xs[child] - xs[parents[child]]
+        dy = ys[child] - ys[parents[child]]
+        d2 = dx * dx + dy * dy
         length = math.sqrt(d2)
-        bead_counts.append(0 if length == 0.0 else optimal_bead_count(flows[child], length, c))
-    return bead_counts
+        p = 0 if length == 0.0 else optimal_bead_count(flows[child], length, c)
+        total += flows[child] * d2 / (p + 1) + c * p
+    return total
 
 
 def steiner_count_bound(instance: Instance, c: float) -> int:
-    """Upper bound B on the Steiner count of a node-weighted optimum.
+    """Upper bound B on the Steiner count of a node-weighted optimum, from
+    the beaded spanning tree's cost (see steiner_count_bound_from)."""
+    return steiner_count_bound_from(instance, c, beaded_spanning_cost(instance, c))
+
+
+def steiner_count_bound_from(instance: Instance, c: float, upper: float) -> int:
+    """Upper bound B on the Steiner count of a node-weighted optimum, from
+    upper = beaded_spanning_cost(instance, c).
 
     The optimum satisfies c*k <= U - Q/(n+k+1) with U the beaded spanning
     tree's node-weighted cost and Q the supply-weighted squared source-sink
@@ -370,7 +358,6 @@ def steiner_count_bound(instance: Instance, c: float) -> int:
     edges, each finite once its bead count p is computed.
     """
     n = instance.n_sources
-    upper = beaded_spanning_cost(instance, c)
     q_total = _weighted_sink_distances(instance)
     scale = mass_scale(max(upper, q_total, c))
     c *= scale
@@ -398,4 +385,5 @@ __all__ = [
     "off_centroid_slots",
     "optimal_bead_count",
     "steiner_count_bound",
+    "steiner_count_bound_from",
 ]

@@ -68,9 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _read_document(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return documents.loads(handle.read())
-    except OSError as exc:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    return documents.loads(text)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -239,7 +240,8 @@ def _cmd_bounds(args) -> int:
         k = strategy.k
     else:
         try:
-            k = analysis.steiner_count_bound(instance, strategy.c)
+            upper = analysis.beaded_spanning_cost(instance, strategy.c)
+            k = analysis.steiner_count_bound_from(instance, strategy.c, upper)
         except ValueError as exc:
             raise DocumentError(
                 f"node weight {strategy.c!r} is too small: a spanning edge's "
@@ -252,7 +254,7 @@ def _cmd_bounds(args) -> int:
         "lower_bound_path": analysis.lower_bound_path(instance, k),
     }
     if isinstance(strategy, NodeWeighted):
-        doc["beaded_spanning_tree_cost"] = analysis.beaded_spanning_cost(instance, strategy.c)
+        doc["beaded_spanning_tree_cost"] = upper
     _write_output(documents.dumps(doc), args.output)
     return EXIT_OK
 

@@ -230,11 +230,11 @@ def solve_exact(
     if isinstance(strategy, NodeWeighted):
         c = strategy.c
         try:
-            budget = analysis.steiner_count_bound(instance, c)
+            upper = analysis.beaded_spanning_cost(instance, c)
+            budget = analysis.steiner_count_bound_from(instance, c, upper)
         except ValueError:  # a spanning edge's f L^2 / c overflows a float
             budget = math.inf
         _guard_budget(budget, "the node weight's budget is")
-        upper = analysis.beaded_spanning_cost(instance, c)
         return _subset_search(instance, strategy, diagonal, 3, 0, 0, c, budget, upper)
     raise TypeError(f"unknown strategy {strategy!r}")
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from fqst import Instance, Point, Topology, solve_topology
-from fqst.analysis import _spanning_bead_counts, _spanning_tree, cost, expand_beads
+from fqst import Instance, Point, Topology, compute_flows, solve_topology
+from fqst.analysis import _prim_spanning_tree, cost, expand_beads, optimal_bead_count
 from fqst.documents import SCHEMA_VERSION, strategy_document, topology_document
 from fqst.strategies import BoundStrategy, NodeWeighted, objective
 from fqst.trees import SolvedTree, build_solved_tree, cost_and_zero_edge
@@ -70,8 +71,16 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
     the embedding's own straight, evenly spaced relay.  Its node-weighted
     cost is what analysis.beaded_spanning_cost sums without building it.
     """
-    squares, base, flows = _spanning_tree(instance)
-    bead_counts = _spanning_bead_counts(squares, base, flows, c)
+    xs = (*instance.xs, instance.sink.x)
+    ys = (*instance.ys, instance.sink.y)
+    base = Topology(instance.n_sources, 0, tuple(_prim_spanning_tree(xs, ys)))
+    flows = compute_flows(base, instance.supplies)
+    bead_counts = []
+    for child in base.edge_children():
+        dx = xs[child] - xs[base.parents[child]]
+        dy = ys[child] - ys[base.parents[child]]
+        length = math.sqrt(dx * dx + dy * dy)
+        bead_counts.append(0 if length == 0.0 else optimal_bead_count(flows[child], length, c))
     return solve_topology(instance, expand_beads(base, bead_counts))
 
 

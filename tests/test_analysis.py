@@ -28,9 +28,10 @@ from fqst.analysis import (
 from certificate_oracle import sq_dist
 from fqst.strategies import objective
 from fqst.trees import build_solved_tree
-from fqst.analysis import _prim_spanning_tree, _spanning_tree, _weighted_sink_distances, beaded_spanning_cost
+from fqst.analysis import _prim_spanning_tree, _weighted_sink_distances, beaded_spanning_cost
 from fqst.documents import certificate_summary
 from reference_search import SplitSpec, split_topology
+import spanning_oracle
 from conftest import (
     NO_PARENT,
     beaded_spanning_tree,
@@ -504,7 +505,7 @@ class TestBeadedSpanningTree:
         # unit lattices around the sink (1, 1), where Prim's algorithm
         # meets equal distances: the tree, its costs and its beads' slots
         inst = Instance.with_unit_supplies([Point(*z) for z in sources], Point(1, 1))
-        assert _spanning_tree(inst)[1].parents == spanning
+        assert tuple(_prim_spanning_tree(*node_table(inst))) == spanning
         for c, cost, bound, parents in pinned:
             assert beaded_spanning_cost(inst, c) == cost
             assert steiner_count_bound(inst, c) == bound
@@ -518,6 +519,68 @@ class TestBeadedSpanningTree:
         links = _prim_spanning_tree((1e308, -1e308, -1e308, -1e308), (0.0, 0.0, 1.0, 2.0))
         assert links == [1, 2, 3, NO_PARENT]
         Topology(3, 0, tuple(links)).order_from_sink()
+
+
+def _spanning_tables():
+    """Coordinate tables, the last point standing for the sink: random ones
+    of 2-61 points spanning 1e-3 to 1e300, unit lattices where Prim meets
+    ties, points drawn with repeats from a few, and points so far apart
+    that every distance between them overflows to infinity."""
+    rng = random.Random(62)
+    for _ in range(80):
+        span = 10.0 ** rng.choice([rng.uniform(-3, 3), rng.uniform(3, 300)])
+        m = rng.randint(2, 61)
+        yield [rng.uniform(-span, span) for _ in range(m)], [rng.uniform(-span, span) for _ in range(m)]
+    lattice = [(float(x), float(y)) for x in range(5) for y in range(5)]
+    for _ in range(60):
+        points = rng.sample(lattice, rng.randint(2, len(lattice)))
+        yield [x for x, _ in points], [y for _, y in points]
+    for _ in range(40):
+        pool = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 4))]
+        points = [rng.choice(pool) for _ in range(rng.randint(2, 30))]
+        yield [x for x, _ in points], [y for _, y in points]
+    for _ in range(20):
+        places = rng.sample(range(-100, 100), rng.randint(2, 30))
+        yield [i * 1e160 for i in places], [rng.uniform(-1e160, 1e160) for _ in places]
+    yield [1e308, -1e308, -1e308, -1e308], [0.0, 0.0, 1.0, 2.0]
+
+
+def _outcome(function, *args) -> str:
+    """repr of the result, or of the ValueError raised."""
+    try:
+        return repr(function(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+class TestSpanningOracle:
+    """The one-walk spanning tree against the two-pass oracle of
+    spanning_oracle: the same parents and the same bits."""
+
+    def test_prim_parents_match_the_oracle(self):
+        for xs, ys in _spanning_tables():
+            assert _prim_spanning_tree(xs, ys) == spanning_oracle.prim_spanning_tree(xs, ys), (xs, ys)
+
+    def test_cost_and_bound_match_the_oracle(self):
+        rng = random.Random(63)
+        checked = 0
+        for xs, ys in _spanning_tables():
+            n = len(xs) - 1
+            supplies = [1.0] * n if rng.random() < 0.5 else [rng.uniform(0.5, 3.0) for _ in range(n)]
+            try:
+                inst = Instance.from_columns(tuple(xs[:-1]), tuple(ys[:-1]), tuple(supplies), Point(xs[-1], ys[-1]))
+            except ValueError:  # a source on the sink
+                continue
+            q_total = _weighted_sink_distances(inst)
+            assert repr(q_total) == repr(spanning_oracle.weighted_sink_distances(inst))
+            for c in (10.0 ** rng.uniform(-3, 3), rng.uniform(1e-3, 1.0) * q_total):
+                for ours, theirs in (
+                    (beaded_spanning_cost, spanning_oracle.beaded_spanning_cost),
+                    (steiner_count_bound, spanning_oracle.steiner_count_bound),
+                ):
+                    assert _outcome(ours, inst, c) == _outcome(theirs, inst, c), (inst, c)
+                checked += 1
+        assert checked > 300
 
 
 class TestSteinerCountBound:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqst import NodeWeighted, Point, render_svg, solve_topology
-from fqst import cli, trees
+from fqst import analysis, cli, trees
 from fqst.cli import _build_parser, main
 from fqst.documents import dumps, loads
 from fqst.exact_search import DEFAULT_GUARD, STEINER_BUDGET_GUARD
@@ -961,6 +961,20 @@ def test_deeply_nested_document_is_input_error(tmp_path, capsys):
     assert line.startswith("error: not valid JSON: ")
 
 
+@pytest.mark.parametrize("command", ["solve-topology", "exact", "check", "render", "bounds"])
+def test_document_that_is_not_utf8_is_input_error(tmp_path, capsys, command):
+    # once the decode error escaped as a traceback with exit 1
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"schema": 1}')
+    argv = [command, str(path)] + (["-o", str(tmp_path / "out.svg")] if command == "render" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: cannot read {path}: ") and "utf-8" in line
+    assert not (tmp_path / "out.svg").exists()
+
+
 class TestBoundsCommand:
     def test_degree_bound(self, tmp_path, capsys):
         path = write_document(tmp_path, worked_document(topology=False))
@@ -992,6 +1006,16 @@ class TestBoundsCommand:
         out = json.loads(capsys.readouterr().out)
         assert "beaded_spanning_tree_cost" in out
         assert out["lower_bound_path"] <= out["beaded_spanning_tree_cost"]
+
+    def test_node_weighted_builds_one_spanning_tree(self, tmp_path, capsys, monkeypatch):
+        # the budget is taken from the beaded cost the document reports
+        calls = []
+        prim = analysis._prim_spanning_tree
+        monkeypatch.setattr(analysis, "_prim_spanning_tree", lambda xs, ys: calls.append(1) or prim(xs, ys))
+        path = write_document(tmp_path, worked_document(strategy={"node_weighted": 4.0}, topology=False))
+        assert main(["bounds", path]) == 0
+        assert json.loads(capsys.readouterr().out)["steiner_budget"] == 18
+        assert len(calls) == 1
 
     def test_tiny_node_weight_is_costed_without_placing_beads(self, tmp_path, capsys):
         # the beaded spanning tree holds about 1e6 beads here; its cost is a

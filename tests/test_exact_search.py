@@ -34,7 +34,7 @@ from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
 from fqst.cli import main
 from fqst.documents import dumps, parse_instance_document
-from fqst import exact_search
+from fqst import analysis, exact_search
 from fqst.exact_search import _SKIP_SLACK, _bead_cap, _charged_share, _floors, _prune_dominated
 from fqst.strategies import max_steiner_count, objective
 from skeleton_walk import (
@@ -589,6 +589,15 @@ class TestSolveExactNodeWeighted:
             assert report.objective <= node_weighted_objective(bst, c) + 1e-9
             recomputed = node_weighted_objective(report.best, c)
             assert recomputed == pytest.approx(report.objective, rel=1e-9)
+
+    def test_builds_one_spanning_tree(self, monkeypatch):
+        # the budget is taken from the beaded cost the search starts from
+        calls = []
+        prim = analysis._prim_spanning_tree
+        monkeypatch.setattr(analysis, "_prim_spanning_tree", lambda xs, ys: calls.append(1) or prim(xs, ys))
+        inst = Instance.with_unit_supplies([Point(0, 0), Point(2, 4), Point(11, 5)], Point(11, 1))
+        assert solve_exact(inst, NodeWeighted(4.0)).steiner_bound == 18
+        assert len(calls) == 1
 
     def test_single_source_relay_chain(self):
         inst = Instance.with_unit_supplies([Point(0, 0)], Point(6, 0))
