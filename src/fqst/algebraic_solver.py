@@ -48,7 +48,6 @@ from .topology import Instance, Topology, compute_flows
 from .trees import (
     CERTIFICATE_TOLERANCE,
     SolvedTree,
-    build_solved_tree,
     off_centroid_slots,
     require_finite_cost,
 )
@@ -167,7 +166,7 @@ def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, Upwar
         d = vs + w
         xs[s] = (vs * qx[s] + w * xs[p]) / d
         ys[s] = (vs * qy[s] + w * ys[p]) / d
-    tree = build_solved_tree(instance, topology, xs, ys, flows)
+    tree = SolvedTree(instance, topology, xs, ys, flows)
     try:
         off = off_centroid_slots(tree, CERTIFICATE_TOLERANCE)
     except GeometryError as exc:  # a placement that is not finite

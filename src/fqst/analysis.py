@@ -14,17 +14,11 @@ from .trees import (
     CERTIFICATE_TOLERANCE,
     SolvedTree,
     centroid_deviations,
-    cost_and_zero_edge,
     off_centroid_slots,
     weighted_mean,
 )
 
 OVERLAP_ANGLE_TOLERANCE = 1e-7
-
-
-def cost(tree: SolvedTree) -> float:
-    """Sum over edges of flow * squared length, recomputed from the fields."""
-    return cost_and_zero_edge(tree.topology, tree.xs, tree.ys, tree.flows)[0]
 
 
 def check_centroid_certificate(tree: SolvedTree, tol: float = CERTIFICATE_TOLERANCE) -> dict[int, bool]:
@@ -334,15 +328,9 @@ def beaded_spanning_cost(instance: Instance, c: float) -> float:
     return total
 
 
-def steiner_count_bound(instance: Instance, c: float) -> int:
+def steiner_count_bound(instance: Instance, c: float, upper: float | None = None) -> int:
     """Upper bound B on the Steiner count of a node-weighted optimum, from
-    the beaded spanning tree's cost (see steiner_count_bound_from)."""
-    return steiner_count_bound_from(instance, c, beaded_spanning_cost(instance, c))
-
-
-def steiner_count_bound_from(instance: Instance, c: float, upper: float) -> int:
-    """Upper bound B on the Steiner count of a node-weighted optimum, from
-    upper = beaded_spanning_cost(instance, c).
+    upper = beaded_spanning_cost(instance, c), computed when not given.
 
     The optimum satisfies c*k <= U - Q/(n+k+1) with U the beaded spanning
     tree's node-weighted cost and Q the supply-weighted squared source-sink
@@ -357,6 +345,8 @@ def steiner_count_bound_from(instance: Instance, c: float, upper: float) -> int:
     root is at most U / c: a sum of f L^2 / ((p+1) c) + p over the spanning
     edges, each finite once its bead count p is computed.
     """
+    if upper is None:
+        upper = beaded_spanning_cost(instance, c)
     n = instance.n_sources
     q_total = _weighted_sink_distances(instance)
     scale = mass_scale(max(upper, q_total, c))
@@ -379,11 +369,9 @@ __all__ = [
     "check_centroid_certificate",
     "check_degree_window",
     "check_edge_pairs",
-    "cost",
     "expand_beads",
     "lower_bound_path",
     "off_centroid_slots",
     "optimal_bead_count",
     "steiner_count_bound",
-    "steiner_count_bound_from",
 ]

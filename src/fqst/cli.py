@@ -156,7 +156,7 @@ def _cmd_check(args) -> int:
     # scale (see _agrees)
     expected_flows = compute_flows(tree.topology, tree.instance.supplies)
     unit = min(max(expected_flows), 1.0)
-    recomputed = analysis.cost(tree)
+    recomputed = tree.cost
     objective = strategies.objective(strategy, recomputed, tree.topology.n_steiner)
     stored = parsed.objective
     if not math.isfinite(recomputed):
@@ -164,8 +164,8 @@ def _cmd_check(args) -> int:
     elif not math.isfinite(objective):
         failures.append(f"objective overflows a float: the cost {recomputed} plus the Steiner charge is {objective}")
     else:
-        if not _agrees(recomputed, tree.cost, tol, unit):
-            failures.append(f"cost mismatch: stored {tree.cost}, recomputed {recomputed}")
+        if not _agrees(recomputed, parsed.cost, tol, unit):
+            failures.append(f"cost mismatch: stored {parsed.cost}, recomputed {recomputed}")
         if stored is not None and not _agrees(objective, stored, tol, unit):
             failures.append(f"objective mismatch: stored {stored}, recomputed {objective}")
 
@@ -241,7 +241,7 @@ def _cmd_bounds(args) -> int:
     else:
         try:
             upper = analysis.beaded_spanning_cost(instance, strategy.c)
-            k = analysis.steiner_count_bound_from(instance, strategy.c, upper)
+            k = analysis.steiner_count_bound(instance, strategy.c, upper)
         except ValueError as exc:
             raise DocumentError(
                 f"node weight {strategy.c!r} is too small: a spanning edge's "

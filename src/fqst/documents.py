@@ -224,7 +224,7 @@ def parse_instance_document(doc: Any) -> ParsedInstanceDocument:
         if supplies is None:
             _bad_supplies(raw_supplies)
     try:
-        instance = Instance.from_columns(xs, ys, supplies, Point(sink_x, sink_y))
+        instance = Instance(xs, ys, supplies, Point(sink_x, sink_y))
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     strategy = parse_strategy(doc.get("strategy"))
@@ -300,6 +300,7 @@ class ParsedResultDocument(NamedTuple):
     strategy: BoundStrategy
     tree: SolvedTree
     claims_global_optimum: bool
+    cost: float  # the stored cost; tree.cost is computed from the table
     objective: float | None  # None when the document stores none
 
 
@@ -350,23 +351,17 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
     raw_cost = doc.get("cost")
     if not _is_number(raw_cost):
         raise DocumentError("'cost' must be a finite number")
-    tree = SolvedTree(
-        instance=instance,
-        topology=topology,
-        xs=xs,
-        ys=ys,
-        flows=tuple(flows),
-        cost=_finite(raw_cost, "'cost'"),
-        degenerate=_flag(doc, "certificates", "degenerate"),
-    )
+    cost = _finite(raw_cost, "'cost'")
+    _flag(doc, "certificates", "degenerate")  # the tree's own flag comes from its table
     raw_objective = doc.get("objective")
     if raw_objective is not None and not _is_number(raw_objective):
         raise DocumentError("'objective' must be a finite number")
     return ParsedResultDocument(
         instance=instance,
         strategy=parsed.strategy,
-        tree=tree,
+        tree=SolvedTree(instance, topology, xs, ys, flows),
         claims_global_optimum=_flag(doc, "claims", "global_optimum"),
+        cost=cost,
         objective=None if raw_objective is None else _finite(raw_objective, "'objective'"),
     )
 

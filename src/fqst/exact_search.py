@@ -231,7 +231,7 @@ def solve_exact(
         c = strategy.c
         try:
             upper = analysis.beaded_spanning_cost(instance, c)
-            budget = analysis.steiner_count_bound_from(instance, c, upper)
+            budget = analysis.steiner_count_bound(instance, c, upper)
         except ValueError:  # a spanning edge's f L^2 / c overflows a float
             budget = math.inf
         _guard_budget(budget, "the node weight's budget is")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import attrgetter
 from typing import Sequence
 
 from .errors import TopologyError
@@ -24,36 +23,22 @@ NO_PARENT = -1  # parent entry of the sink slot
 class Instance(Record):
     """Sources with positive supplies and a single sink.
 
-    The sources are kept as a coordinate table, like a SolvedTree's: xs[i],
-    ys[i] is source i.  sources, their Points, is built from it on first use
-    (or kept from the constructor's argument), and equality, hashing, the
-    repr and pickling go through it as through any record's fields.
+    The sources are a coordinate table, like a SolvedTree's: xs[i], ys[i]
+    is source i.  Equality, hashing, the repr and pickling go by the
+    columns; sources, their Points, is built from them on first use.
 
     A source on the sink is an error: its flow reaches the sink over a
     zero-length edge at no cost, and whatever hangs from it can hang from
     the sink instead, so the instance without it has the same optimum.
     """
 
-    def __init__(self, sources: tuple[Point, ...], supplies: tuple[float, ...], sink: Point) -> None:
-        sources = tuple(sources)
-        self._store_columns(tuple(map(attrgetter("x"), sources)), tuple(map(attrgetter("y"), sources)), supplies, sink)
-        self.__dict__["sources"] = sources  # the cache the property would fill
-
-    @classmethod
-    def from_columns(
-        cls, xs: tuple[float, ...], ys: tuple[float, ...], supplies: tuple[float, ...], sink: Point
-    ) -> "Instance":
-        """The instance whose source i is (xs[i], ys[i]), checked as the
-        constructor checks it, with no Point built per source."""
-        instance = cls.__new__(cls)
-        instance._store_columns(xs, ys, supplies, sink)
-        return instance
-
-    def _store_columns(
-        self, xs: tuple[float, ...], ys: tuple[float, ...], supplies: tuple[float, ...], sink: Point
+    def __init__(
+        self, xs: Sequence[float], ys: Sequence[float], supplies: Sequence[float], sink: Point
     ) -> None:
-        """Store the fields, then check them and name the first fault."""
-        self.__dict__.update(xs=xs, ys=ys, supplies=supplies, sink=sink)
+        """Store the columns as tuples, then check them and name the first
+        fault."""
+        xs, ys, supplies = tuple(xs), tuple(ys), tuple(supplies)
+        self._store(xs, ys, supplies, sink)
         if len(xs) < 1:
             raise ValueError("an instance needs at least one source")
         if len(ys) != len(xs):
@@ -86,7 +71,7 @@ class Instance(Record):
     def with_unit_supplies(
         cls, sources: Sequence[Point], sink: Point
     ) -> "Instance":
-        return cls(tuple(sources), (1.0,) * len(sources), sink)
+        return cls([p.x for p in sources], [p.y for p in sources], (1.0,) * len(sources), sink)
 
     @property
     def n_sources(self) -> int:

@@ -18,23 +18,30 @@ _isfinite = math.isfinite
 
 
 class SolvedTree(Record):
-    """A topology embedded in the plane: a coordinate table, edge flows, cost.
+    """A topology embedded in the plane: a coordinate table and edge flows.
 
     (xs[i], ys[i]) is node i's position, over the sources, the sink and then
     the Steiner slots; flows[i] is the flow on node i's out-edge (0.0 at the
-    sink slot); cost is the sum of flow * squared length over all edges,
-    recomputable from the other fields.
+    sink slot).  cost, the sum of flow * squared length over all edges, and
+    degenerate, whether some edge has zero length, are computed from the
+    table on first use.
     """
 
     def __init__(
-        self, instance: Instance, topology: Topology, xs: tuple[float, ...], ys: tuple[float, ...],
-        flows: tuple[float, ...], cost: float, degenerate: bool = False,
+        self, instance: Instance, topology: Topology, xs: Sequence[float], ys: Sequence[float],
+        flows: Sequence[float],
     ) -> None:
-        self._store(instance, topology, xs, ys, flows, cost, degenerate)
-        _check_table(topology, xs, ys, flows)
+        xs, ys, flows = tuple(xs), tuple(ys), tuple(flows)
+        self._store(instance, topology, xs, ys, flows)
+        if not len(xs) == len(ys) == len(flows) == topology.n_nodes:
+            raise TopologyError("xs, ys and flows must carry one entry per node")
 
-    def position(self, node: int) -> Point:
-        return Point(self.xs[node], self.ys[node])
+    @cached_property
+    def _cost_and_zero_edge(self) -> tuple[float, bool]:
+        return cost_and_zero_edge(self.topology, self.xs, self.ys, self.flows)
+
+    cost = property(lambda tree: tree._cost_and_zero_edge[0])
+    degenerate = property(lambda tree: tree._cost_and_zero_edge[1])
 
     @cached_property
     def steiner_positions(self) -> tuple[Point, ...]:
@@ -47,13 +54,6 @@ class SolvedTree(Record):
         """centroid_deviations(self), computed once: the solver's closing
         check and the result's certificates read the same pass."""
         return centroid_deviations(self)
-
-
-def _check_table(
-    topology: Topology, xs: Sequence[float], ys: Sequence[float], flows: Sequence[float]
-) -> None:
-    if not len(xs) == len(ys) == len(flows) == topology.n_nodes:
-        raise TopologyError("xs, ys and flows must carry one entry per node")
 
 
 def cost_and_zero_edge(
@@ -72,21 +72,6 @@ def cost_and_zero_edge(
             if d2 == 0.0:
                 zero_edge = True
     return total, zero_edge
-
-
-def build_solved_tree(
-    instance: Instance,
-    topology: Topology,
-    xs: Sequence[float],
-    ys: Sequence[float],
-    flows: Sequence[float],
-) -> SolvedTree:
-    """Assemble a SolvedTree from its coordinate table, computing its cost
-    and degeneracy flag."""
-    xs, ys, flows = tuple(xs), tuple(ys), tuple(flows)
-    _check_table(topology, xs, ys, flows)  # before the cost loop indexes the table
-    cost, degenerate = cost_and_zero_edge(topology, xs, ys, flows)
-    return SolvedTree(instance, topology, xs, ys, flows, cost, degenerate)
 
 
 def require_finite_cost(tree: SolvedTree) -> None:
@@ -133,7 +118,7 @@ def _require_mass_points(tree: SolvedTree, nodes: Sequence[int], masses: Sequenc
     or a non-positive or non-finite mass, position checked first; return
     when there is none."""
     for node, mass in zip(nodes, masses):
-        position = tree.position(node)
+        position = Point(tree.xs[node], tree.ys[node])
         if not position.is_finite():
             raise GeometryError(f"mass point at non-finite position {position}")
         if not (mass > 0.0 and _isfinite(mass)):

@@ -78,6 +78,11 @@ def centroid(points: Iterable[MassPoint]) -> Point:
     return Point(sx / sm, sy / sm)
 
 
+def position(tree: SolvedTree, node: int) -> Point:
+    """Node node's row of the tree's coordinate table, as a point."""
+    return Point(tree.xs[node], tree.ys[node])
+
+
 def angle_at(vertex: Point, a: Point, b: Point) -> float:
     """Interior angle in [0, pi] between the rays vertex->a and vertex->b.
 
@@ -98,9 +103,9 @@ def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
     parents = tree.topology.parents
     deviations: dict[int, float] = {}
     for slot in tree.topology.steiner_slots():
-        masses = [MassPoint(tree.position(c), tree.flows[c]) for c in children[slot]]
-        masses.append(MassPoint(tree.position(parents[slot]), tree.flows[slot]))
-        deviations[slot] = math.sqrt(sq_dist(tree.position(slot), centroid(masses)))
+        masses = [MassPoint(position(tree, c), tree.flows[c]) for c in children[slot]]
+        masses.append(MassPoint(position(tree, parents[slot]), tree.flows[slot]))
+        deviations[slot] = math.sqrt(sq_dist(position(tree, slot), centroid(masses)))
     return deviations
 
 
@@ -113,12 +118,12 @@ def check_angles(tree: SolvedTree, tol_radians: float = CERTIFICATE_TOLERANCE) -
         parent = parents[node]
         if parent == NO_PARENT:
             continue
-        here = tree.position(node)
-        out_pos = tree.position(parent)
+        here = position(tree, node)
+        out_pos = position(tree, parent)
         if sq_dist(here, out_pos) == 0.0:
             continue
         for child in children[node]:
-            in_pos = tree.position(child)
+            in_pos = position(tree, child)
             if sq_dist(here, in_pos) == 0.0:
                 continue
             angle = angle_at(here, in_pos, out_pos)
@@ -150,14 +155,14 @@ def check_degree_window(
                 DegreeViolation("source-degree", source, f"degree {deg[source]} exceeds {phi - 1}")
             )
         elif deg[source] == phi - 1 and children[source]:
-            mass_points = [MassPoint(tree.position(source), tree.instance.supplies[source])]
+            mass_points = [MassPoint(position(tree, source), tree.instance.supplies[source])]
             mass_points += [
-                MassPoint(tree.position(c), tree.flows[c]) for c in children[source]
+                MassPoint(position(tree, c), tree.flows[c]) for c in children[source]
             ]
             merged = centroid(mass_points)
-            out_pos = tree.position(topo.parents[source])
+            out_pos = position(tree, topo.parents[source])
             expected = lerp(merged, out_pos, 0.5)
-            offset = math.sqrt(sq_dist(tree.position(source), expected))
+            offset = math.sqrt(sq_dist(position(tree, source), expected))
             if offset > tol:
                 violations.append(
                     DegreeViolation(
@@ -182,7 +187,7 @@ def check_overlapping_edges(
             neighbours.append(topo.parents[node])
         if len(neighbours) < 2:
             continue
-        here = tree.position(node)
+        here = position(tree, node)
         caveat = (
             isinstance(strategy, DegreeBound)
             and node > topo.sink
@@ -191,7 +196,7 @@ def check_overlapping_edges(
         for i in range(len(neighbours)):
             for j in range(i + 1, len(neighbours)):
                 a, b = neighbours[i], neighbours[j]
-                pa, pb = tree.position(a), tree.position(b)
+                pa, pb = position(tree, a), position(tree, b)
                 # the reroute saves nothing over a zero-length edge, nor
                 # between two child edges ending at one point (2 f |va| |ab|)
                 if sq_dist(here, pa) == 0.0 or sq_dist(here, pb) == 0.0:

@@ -8,10 +8,10 @@ import random
 import pytest
 
 from fqst import Instance, Point, Topology, compute_flows, solve_topology
-from fqst.analysis import _prim_spanning_tree, cost, expand_beads, optimal_bead_count
+from fqst.analysis import _prim_spanning_tree, expand_beads, optimal_bead_count
 from fqst.documents import SCHEMA_VERSION, strategy_document, topology_document
 from fqst.strategies import BoundStrategy, NodeWeighted, objective
-from fqst.trees import SolvedTree, build_solved_tree, cost_and_zero_edge
+from fqst.trees import SolvedTree, cost_and_zero_edge
 
 NO_PARENT = -1
 
@@ -85,16 +85,15 @@ def beaded_spanning_tree(instance: Instance, c: float) -> SolvedTree:
 
 
 def node_weighted_objective(tree: SolvedTree, c: float) -> float:
-    """The tree's objective under NodeWeighted(c), its cost recomputed from
-    the coordinate table."""
-    return objective(NodeWeighted(c), cost(tree), tree.topology.n_steiner)
+    """The tree's objective under NodeWeighted(c)."""
+    return objective(NodeWeighted(c), tree.cost, tree.topology.n_steiner)
 
 
 def with_steiner_positions(tree: SolvedTree, positions) -> SolvedTree:
     """The tree with its Steiner slots moved to positions: same topology and
-    flows, with the cost and the degeneracy flag recomputed."""
+    flows, the cost and the degeneracy flag those of the new table."""
     first = tree.topology.sink + 1
-    return build_solved_tree(
+    return SolvedTree(
         tree.instance,
         tree.topology,
         tree.xs[:first] + tuple(p.x for p in positions),
@@ -152,7 +151,7 @@ def random_supplied_instance(
 ) -> Instance:
     base = random_instance(rng, n_sources, span)
     supplies = tuple(rng.uniform(0.5, 3.0) for _ in range(n_sources))
-    return Instance(base.sources, supplies, base.sink)
+    return Instance(base.xs, base.ys, supplies, base.sink)
 
 
 def random_labelled_tree(rng: random.Random, n_nodes: int) -> list[tuple[int, int]]:

@@ -106,7 +106,7 @@ def parse_instance_document(doc: Any) -> ParsedInstanceDocument:
             raise DocumentError("'supplies' must be a list of numbers")
         supplies = tuple(_finite(w, f"supply {i}") for i, w in enumerate(raw_supplies))
     try:
-        instance = Instance(sources, supplies, sink)
+        instance = Instance([p.x for p in sources], [p.y for p in sources], supplies, sink)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     strategy = parse_strategy(doc.get("strategy"))
@@ -172,22 +172,16 @@ def parse_result_document(doc: Any) -> ParsedResultDocument:
     raw_cost = doc.get("cost")
     if not _is_number(raw_cost):
         raise DocumentError("'cost' must be a finite number")
-    tree = SolvedTree(
-        instance=instance,
-        topology=topology,
-        xs=tuple(xs),
-        ys=tuple(ys),
-        flows=tuple(flows),
-        cost=_finite(raw_cost, "'cost'"),
-        degenerate=_flag(doc, "certificates", "degenerate"),
-    )
+    cost = _finite(raw_cost, "'cost'")
+    _flag(doc, "certificates", "degenerate")
     objective = doc.get("objective")
     if objective is not None and not _is_number(objective):
         raise DocumentError("'objective' must be a finite number")
     return ParsedResultDocument(
         instance=instance,
         strategy=parsed.strategy,
-        tree=tree,
+        tree=SolvedTree(instance, topology, xs, ys, flows),
         claims_global_optimum=_flag(doc, "claims", "global_optimum"),
+        cost=cost,
         objective=None if objective is None else _finite(objective, "'objective'"),
     )

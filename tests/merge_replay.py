@@ -17,7 +17,7 @@ from certificate_oracle import MassPoint, lerp
 from fqst.errors import UnsupportedWeightsError
 from fqst.geo_solver import QuasiSource
 from fqst.topology import Instance, Topology, compute_flows
-from fqst.trees import SolvedTree, build_solved_tree
+from fqst.trees import SolvedTree
 
 
 def _require_unit(mass: float) -> None:
@@ -112,4 +112,4 @@ def replay_tree(instance: Instance, topology: Topology) -> SolvedTree:
         parent = topology.parents[slot]
         xs[slot] = (w0 * q.position.x + f * xs[parent]) / (w0 + f)
         ys[slot] = (w0 * q.position.y + f * ys[parent]) / (w0 + f)
-    return build_solved_tree(instance, topology, xs, ys, compute_flows(topology, instance.supplies))
+    return SolvedTree(instance, topology, xs, ys, compute_flows(topology, instance.supplies))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
-from fqst import algebraic_solver, analysis
+from fqst import algebraic_solver
 from fqst.errors import TopologyError
 from fqst.strategies import BoundStrategy, objective
 from fqst.topology import NO_PARENT, Topology, validate_topology
@@ -99,7 +99,7 @@ def split_topology(topology: Topology, spec: SplitSpec) -> Topology:
 
 
 def _objective(tree: SolvedTree, strategy: BoundStrategy) -> float:
-    return objective(strategy, analysis.cost(tree), tree.topology.n_steiner)
+    return objective(strategy, tree.cost, tree.topology.n_steiner)
 
 
 def local_improve_by_splits(tree: SolvedTree, strategy: BoundStrategy) -> SolvedTree:

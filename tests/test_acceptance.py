@@ -31,7 +31,7 @@ from fqst.analysis import (
     optimal_bead_count,
     steiner_count_bound,
 )
-from certificate_oracle import sq_dist
+from certificate_oracle import position, sq_dist
 from skeleton_walk import enumerate_bounded_topologies
 from dense_oracle import assemble_system, solve_positions
 from conftest import (
@@ -239,13 +239,13 @@ def test_criterion_7_structural_certificates():
                 ok = False
             elif degrees[source] == 2:
                 children = degree_tree.topology.children_lists()[source]
-                here = degree_tree.position(source)
+                here = position(degree_tree, source)
                 from certificate_oracle import angle_at
 
                 angle = angle_at(
                     here,
-                    degree_tree.position(children[0]),
-                    degree_tree.position(degree_tree.topology.parents[source]),
+                    position(degree_tree, children[0]),
+                    position(degree_tree, degree_tree.topology.parents[source]),
                 )
                 if abs(angle - math.pi) > 1e-7:
                     ok = False

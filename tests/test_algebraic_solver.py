@@ -15,7 +15,7 @@ from fqst import (
     solve_topology,
 )
 from certificate_oracle import sq_dist
-from certificate_oracle import MassPoint, centroid
+from certificate_oracle import MassPoint, centroid, position
 from skeleton_walk import enumerate_bounded_topologies
 from fqst.trees import CERTIFICATE_TOLERANCE, centroid_deviations, off_centroid_slots
 from fqst import algebraic_solver
@@ -156,17 +156,17 @@ class TestSolveTopology:
             children = topo.children_lists()
             for slot in topo.steiner_slots():
                 neighbours = [
-                    MassPoint(tree.position(c), tree.flows[c]) for c in children[slot]
+                    MassPoint(position(tree, c), tree.flows[c]) for c in children[slot]
                 ]
                 neighbours.append(
-                    MassPoint(tree.position(topo.parents[slot]), tree.flows[slot])
+                    MassPoint(position(tree, topo.parents[slot]), tree.flows[slot])
                 )
                 c_all = centroid(neighbours)
-                s = tree.position(slot)
+                s = position(tree, slot)
                 assert math.hypot(s.x - c_all.x, s.y - c_all.y) <= 1e-9
                 # midpoint of the out-neighbour and the in-neighbour centroid
                 c_in = centroid(neighbours[:-1])
-                out = tree.position(topo.parents[slot])
+                out = position(tree, topo.parents[slot])
                 assert abs(s.x - (c_in.x + out.x) / 2) <= 1e-9
                 assert abs(s.y - (c_in.y + out.y) / 2) <= 1e-9
 
@@ -205,20 +205,20 @@ class TestSolveTopology:
                 if s1 <= topo.sink:
                     continue
                 near = centroid(
-                    [MassPoint(tree.position(c), tree.flows[c]) for c in children[s0]]
+                    [MassPoint(position(tree, c), tree.flows[c]) for c in children[s0]]
                 )
                 far_members = [
-                    MassPoint(tree.position(c), tree.flows[c])
+                    MassPoint(position(tree, c), tree.flows[c])
                     for c in children[s1]
                     if c != s0
                 ]
                 far_members.append(
-                    MassPoint(tree.position(topo.parents[s1]), tree.flows[s1])
+                    MassPoint(position(tree, topo.parents[s1]), tree.flows[s1])
                 )
                 far = centroid(far_members)
                 f_near = sum(tree.flows[c] for c in children[s0])
                 f_far = sum(mp.mass for mp in far_members)
-                p0, p1 = tree.position(s0), tree.position(s1)
+                p0, p1 = position(tree, s0), position(tree, s1)
                 length = math.sqrt(sq_dist(near, far))
                 if length < 1e-9:
                     continue
@@ -277,7 +277,7 @@ class TestSolveTopology:
 
     def test_general_supplies(self):
         inst = Instance(
-            (Point(0, 0), Point(2, 4), Point(11, 5)), (2.0, 0.5, 1.25), Point(11, 1)
+            (0, 2, 11), (0, 4, 5), (2.0, 0.5, 1.25), Point(11, 1)
         )
         topo = Topology(3, 2, (4, 4, 5, NO_PARENT, 5, 3))
         tree = solve_topology(inst, topo)
@@ -287,13 +287,13 @@ class TestSolveTopology:
         children = topo.children_lists()
         for slot in topo.steiner_slots():
             neighbours = [
-                MassPoint(tree.position(c), tree.flows[c]) for c in children[slot]
+                MassPoint(position(tree, c), tree.flows[c]) for c in children[slot]
             ]
             neighbours.append(
-                MassPoint(tree.position(topo.parents[slot]), tree.flows[slot])
+                MassPoint(position(tree, topo.parents[slot]), tree.flows[slot])
             )
             c = centroid(neighbours)
-            s = tree.position(slot)
+            s = position(tree, slot)
             assert math.hypot(s.x - c.x, s.y - c.y) <= 1e-9
 
     def test_degenerate_coincident_terminals_still_solve(self):
@@ -364,7 +364,7 @@ class TestEliminationMatchesDenseOracle:
         topo = random_general_tree(rng, 6, 5)
         inst = random_supplied_instance(rng, 6)
         supplies = tuple(w * (1e-170 if i % 2 else 1.0) for i, w in enumerate(inst.supplies))
-        inst = Instance(inst.sources, supplies, inst.sink)
+        inst = Instance(inst.xs, inst.ys, supplies, inst.sink)
         scale = max(1.0, *(max(abs(p.x), abs(p.y)) for p in (*inst.sources, inst.sink)))
         tree = solve_topology(inst, topo)
         expected = solve_positions(assemble_system(inst, topo, compute_flows(topo, inst.supplies)))
@@ -380,7 +380,7 @@ class TestEliminationMatchesDenseOracle:
         rng = random.Random(int(math.log2(factor)))
         topo = random_general_tree(rng, 6, 5)
         inst = random_supplied_instance(rng, 6)
-        scaled = Instance(inst.sources, tuple(w * factor for w in inst.supplies), inst.sink)
+        scaled = Instance(inst.xs, inst.ys, tuple(w * factor for w in inst.supplies), inst.sink)
         expected = solve_topology(inst, topo)
         got = solve_topology(scaled, topo)
         assert (got.xs, got.ys) == (expected.xs, expected.ys)
@@ -399,8 +399,8 @@ class TestEliminationMatchesDenseOracle:
         n = len(multiples)
         topo = random_general_tree(rng, n, rng.randint(1, n))
         inst = random_instance(rng, n)
-        unit = Instance(inst.sources, tuple(float(m) for m in multiples), inst.sink)
-        scaled = Instance(inst.sources, tuple(math.ldexp(m, power) for m in multiples), inst.sink)
+        unit = Instance(inst.xs, inst.ys, tuple(float(m) for m in multiples), inst.sink)
+        scaled = Instance(inst.xs, inst.ys, tuple(math.ldexp(m, power) for m in multiples), inst.sink)
         expected = solve_topology(unit, topo)
         got = solve_topology(scaled, topo)
         assert (got.xs, got.ys) == (expected.xs, expected.ys)
@@ -422,14 +422,14 @@ class TestClosingCertificate:
     @staticmethod
     def inject(monkeypatch, slot, axis, change):
         # the fault enters between the downward pass and the certificate
-        build = algebraic_solver.build_solved_tree
+        build = algebraic_solver.SolvedTree
 
         def faulty(instance, topology, xs, ys, flows):
             table = [list(xs), list(ys)]
             table[axis][slot] = change(table[axis][slot])
             return build(instance, topology, *table, flows)
 
-        monkeypatch.setattr(algebraic_solver, "build_solved_tree", faulty)
+        monkeypatch.setattr(algebraic_solver, "SolvedTree", faulty)
 
     def test_solved_tree_passes(self, worked_instance, worked_topology):
         tree = solve_topology(worked_instance, worked_topology)

@@ -19,15 +19,14 @@ from fqst import (
 from fqst.analysis import (
     check_degree_window,
     check_edge_pairs,
-    cost,
     expand_beads,
     lower_bound_path,
     optimal_bead_count,
     steiner_count_bound,
 )
-from certificate_oracle import sq_dist
+from certificate_oracle import position, sq_dist
 from fqst.strategies import objective
-from fqst.trees import build_solved_tree
+from fqst.trees import SolvedTree
 from fqst.analysis import _prim_spanning_tree, _weighted_sink_distances, beaded_spanning_cost
 from fqst.documents import certificate_summary
 from reference_search import SplitSpec, split_topology
@@ -35,6 +34,7 @@ import spanning_oracle
 from conftest import (
     NO_PARENT,
     beaded_spanning_tree,
+    embedded_cost,
     node_table,
     node_weighted_objective,
     random_instance,
@@ -64,41 +64,41 @@ def balanced_cross_tree():
 
 class TestCost:
     def test_worked_example(self, worked_tree):
-        assert cost(worked_tree) == pytest.approx(102.0, abs=1e-12)
-        assert worked_tree.cost == pytest.approx(cost(worked_tree), rel=1e-12)
+        assert worked_tree.cost == pytest.approx(102.0, abs=1e-12)
+        assert worked_tree.cost == embedded_cost(worked_tree.topology, worked_tree.xs, worked_tree.ys, worked_tree.flows)
 
     def test_all_coincident_is_zero(self):
         inst = Instance.with_unit_supplies([Point(5, 5), Point(5, 5)], Point(0, 0))
         topo = Topology(2, 0, (1, 2, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
-        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
-        assert cost(tree) == 5.0 * 5.0 * 2.0 * 2.0 + 0.0  # z0->z1 zero, z1->sink carries 2
+        tree = SolvedTree(inst, topo, *node_table(inst), flows)
+        assert tree.cost == 5.0 * 5.0 * 2.0 * 2.0 + 0.0  # z0->z1 zero, z1->sink carries 2
         # a genuinely zero tree: both sources on the sink... not allowed; use
         # the zero-length edge instead
         assert tree.degenerate
 
     def test_single_edge(self):
-        inst = Instance((Point(0, 0),), (3.0,), Point(2, 0))
+        inst = Instance((0,), (0,), (3.0,), Point(2, 0))
         topo = Topology(1, 0, (1, NO_PARENT))
         tree = solve_topology(inst, topo)
-        assert cost(tree) == 12.0
+        assert tree.cost == 12.0
 
 
 class TestObjective:
     def test_worked_example_with_charge(self, worked_tree):
-        value = objective(NodeWeighted(10.0), cost(worked_tree), worked_tree.topology.n_steiner)
+        value = objective(NodeWeighted(10.0), worked_tree.cost, worked_tree.topology.n_steiner)
         assert value == pytest.approx(122.0, abs=1e-12)
 
     def test_no_steiner_equals_cost(self):
         inst = Instance.with_unit_supplies([Point(0, 0)], Point(1, 0))
         tree = solve_topology(inst, Topology(1, 0, (1, NO_PARENT)))
-        assert objective(NodeWeighted(7.0), cost(tree), tree.topology.n_steiner) == cost(tree)
+        assert objective(NodeWeighted(7.0), tree.cost, tree.topology.n_steiner) == tree.cost
 
     def test_beaded_path(self):
         inst = Instance.with_unit_supplies([Point(0, 0)], Point(3, 0))
         topo = Topology(1, 2, (2, NO_PARENT, 3, 1))
         tree = solve_topology(inst, topo)
-        assert objective(NodeWeighted(1.0), cost(tree), tree.topology.n_steiner) == pytest.approx(5.0, abs=1e-12)
+        assert objective(NodeWeighted(1.0), tree.cost, tree.topology.n_steiner) == pytest.approx(5.0, abs=1e-12)
 
     @pytest.mark.parametrize("strategy", [DegreeBound(3), ExplicitBound(2)])
     def test_other_strategies_charge_nothing(self, worked_tree, strategy):
@@ -129,7 +129,8 @@ class TestCentroidCertificate:
         inst = random_supplied_instance(random.Random(seed), 6)
         s = 1e6
         scaled = Instance(
-            tuple(Point(p.x * s, p.y * s) for p in inst.sources),
+            tuple(x * s for x in inst.xs),
+            tuple(y * s for y in inst.ys),
             inst.supplies,
             Point(inst.sink.x * s, inst.sink.y * s),
         )
@@ -199,16 +200,16 @@ class TestCheckAngles:
         # the sixty degree bend: hanging source 0 from the sink instead of
         # from source 1, at the same points, lowers the cost by the saving
         inst = Instance(
-            (Point(1, 0), Point(0, 0)), supplies, Point(0.5, math.sqrt(3) / 2)
+            (1, 0), (0, 0), supplies, Point(0.5, math.sqrt(3) / 2)
         )
         before = solve_topology(inst, Topology(2, 0, (1, 2, NO_PARENT)))
         (hit,) = check_edge_pairs(before)[0]
         assert (hit.node, hit.in_neighbour) == (1, 0)
         rerouted = Topology(2, 0, (2, 2, NO_PARENT))
-        after = build_solved_tree(
+        after = SolvedTree(
             inst, rerouted, before.xs, before.ys, compute_flows(rerouted, supplies)
         )
-        assert cost(before) - cost(after) == pytest.approx(hit.saving, rel=1e-12)
+        assert before.cost - after.cost == pytest.approx(hit.saving, rel=1e-12)
         assert hit.saving > 0.0
 
     def test_exact_explicit_optimum_has_none(self):
@@ -259,7 +260,7 @@ class TestOverlappingEdges:
         inst = Instance.with_unit_supplies([Point(0, 0), Point(1, 0)], Point(2, 0))
         topo = Topology(2, 0, (2, 0, NO_PARENT))  # z1 -> z0 -> sink, z0 past z1
         flows = compute_flows(topo, inst.supplies)
-        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
+        tree = SolvedTree(inst, topo, *node_table(inst), flows)
         overlaps = check_edge_pairs(tree)[1]
         assert len(overlaps) == 1
         assert overlaps[0].node == 0
@@ -289,7 +290,7 @@ class TestOverlappingEdges:
         inst = Instance.with_unit_supplies([Point(0, 0), Point(0, 0)], Point(2, 0))
         topo = Topology(2, 0, (1, 2, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
-        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
+        tree = SolvedTree(inst, topo, *node_table(inst), flows)
         assert tree.degenerate
         assert check_edge_pairs(tree)[1] == []
 
@@ -299,7 +300,7 @@ class TestOverlappingEdges:
         inst = Instance.with_unit_supplies([Point(0, 0), Point(0, 0)], Point(2, 0))
         topo = Topology(2, 0, (2, 2, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
-        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
+        tree = SolvedTree(inst, topo, *node_table(inst), flows)
         assert check_edge_pairs(tree)[1] == []
 
     def test_child_ending_on_the_parent_is_not_exempt(self):
@@ -310,7 +311,7 @@ class TestOverlappingEdges:
         )
         topo = Topology(3, 0, (1, 2, 3, NO_PARENT))
         flows = compute_flows(topo, inst.supplies)
-        tree = build_solved_tree(inst, topo, *node_table(inst), flows)
+        tree = SolvedTree(inst, topo, *node_table(inst), flows)
         assert [(o.node, o.first_neighbour, o.second_neighbour) for o in check_edge_pairs(tree)[1]] == [(1, 0, 2)]
 
 
@@ -413,7 +414,7 @@ class TestLowerBoundPath:
 
     def test_weighted_by_supplies(self):
         # supply-weighted squared distances: 0.01*100 + 0.01*101 = 2.01
-        inst = Instance((Point(0, 0), Point(0, 1)), (0.01, 0.01), Point(10, 0))
+        inst = Instance((0, 0), (0, 1), (0.01, 0.01), Point(10, 0))
         assert lower_bound_path(inst, 1) == pytest.approx(2.01 / 4.0)
         # below the one-Steiner tree's cost 1.0075
         assert lower_bound_path(inst, 1) <= 1.0075
@@ -455,7 +456,7 @@ class TestBeadedSpanningTree:
             for child in tree.topology.edge_children():
                 flow = tree.flows[child]
                 length2 = sq_dist(
-                    tree.position(child), tree.position(tree.topology.parents[child])
+                    position(tree, child), position(tree, tree.topology.parents[child])
                 )
                 assert length2 <= 2.0 * c / flow + 1e-9
 
@@ -568,7 +569,7 @@ class TestSpanningOracle:
             n = len(xs) - 1
             supplies = [1.0] * n if rng.random() < 0.5 else [rng.uniform(0.5, 3.0) for _ in range(n)]
             try:
-                inst = Instance.from_columns(tuple(xs[:-1]), tuple(ys[:-1]), tuple(supplies), Point(xs[-1], ys[-1]))
+                inst = Instance(xs[:-1], ys[:-1], supplies, Point(xs[-1], ys[-1]))
             except ValueError:  # a source on the sink
                 continue
             q_total = _weighted_sink_distances(inst)
@@ -651,7 +652,8 @@ class TestSteinerCountBound:
             inst = random_supplied_instance(rng, rng.randint(1, 6), span=4.0)
             c = rng.choice([1e-2, 0.1, 1.0]) * _weighted_sink_distances(inst)
             expected = int(mpmath.floor(self.larger_root(inst, c) + mpmath.mpf(1e-9)))
-            assert steiner_count_bound(inst, c) == max(0, expected)
+            upper = beaded_spanning_cost(inst, c)
+            assert steiner_count_bound(inst, c, upper) == steiner_count_bound(inst, c) == max(0, expected)
 
     def test_unchanged_where_the_unscaled_bound_is_finite(self):
         rng = random.Random(48)

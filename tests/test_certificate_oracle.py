@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certificate_oracle as oracle
+from certificate_oracle import position
 from fqst import analysis, solve_topology
 from fqst.errors import GeometryError
 from fqst.geometry import Point
@@ -54,7 +55,7 @@ def random_tree(rng: random.Random, n_sources: int, n_steiner: int, grid: bool) 
         if p != sink:
             sources.append(p)
     supplies = tuple(rng.choice((1.0, rng.uniform(0.5, 3.0))) for _ in range(n_sources))
-    tree = solve_topology(Instance(tuple(sources), supplies, sink), topology)
+    tree = solve_topology(Instance([p.x for p in sources], [p.y for p in sources], supplies, sink), topology)
     variant = rng.randrange(3)
     if variant == 0 or not n_steiner:
         return tree
@@ -64,7 +65,7 @@ def random_tree(rng: random.Random, n_sources: int, n_steiner: int, grid: bool) 
             positions[i] = point()
         elif variant == 2 and rng.random() < 0.5:
             slot = topology.sink + 1 + i
-            positions[i] = tree.position(topology.parents[slot])
+            positions[i] = position(tree, topology.parents[slot])
     return with_steiner_positions(tree, positions)
 
 
@@ -127,7 +128,7 @@ def degenerate_trees(draw) -> SolvedTree:
     instance = Instance.with_unit_supplies([Point(float(i), 0.0) for i in range(n_sources)], Point(-1.0, 1.0))
     flows = tuple(0.0 if node == sink else 1.0 for node in range(n_nodes))
     topology = Topology(n_sources, n_steiner, tuple(parents))
-    return SolvedTree(instance, topology, tuple(xs), tuple(ys), flows, 0.0)
+    return SolvedTree(instance, topology, tuple(xs), tuple(ys), flows)
 
 
 @given(degenerate_trees())
@@ -147,7 +148,7 @@ def test_bad_mass_raises_like_the_oracle(bad, seed):
     tree = random_tree(rng, 5, 4, grid=False)
     flows = list(tree.flows)
     flows[rng.choice(tree.topology.edge_children())] = bad
-    broken = SolvedTree(tree.instance, tree.topology, tree.xs, tree.ys, tuple(flows), tree.cost)
+    broken = SolvedTree(tree.instance, tree.topology, tree.xs, tree.ys, tuple(flows))
     assert_same_certificates(broken)
 
 
@@ -159,7 +160,7 @@ def test_non_finite_position_behaves_like_the_oracle(bad, seed):
     xs, ys = list(tree.xs), list(tree.ys)
     slot = tree.topology.sink + 1 + rng.randrange(tree.topology.n_steiner)
     xs[slot], ys[slot] = bad, 1.0
-    broken = SolvedTree(tree.instance, tree.topology, tuple(xs), tuple(ys), tree.flows, tree.cost)
+    broken = SolvedTree(tree.instance, tree.topology, tuple(xs), tuple(ys), tree.flows)
     assert_same_certificates(broken)
 
 
@@ -169,7 +170,7 @@ def test_bad_mass_is_a_geometry_error(worked_instance, worked_topology, bad):
     tree = solve_topology(worked_instance, worked_topology)
     flows = list(tree.flows)
     flows[0] = bad
-    broken = SolvedTree(tree.instance, tree.topology, tree.xs, tree.ys, tuple(flows), tree.cost)
+    broken = SolvedTree(tree.instance, tree.topology, tree.xs, tree.ys, tuple(flows))
     with pytest.raises(GeometryError, match="mass must be positive and finite"):
         analysis.centroid_deviations(broken)
 
@@ -220,7 +221,7 @@ def star(points: list[tuple[float, float]], flows: list[float] | None = None) ->
     xs = tuple(x for x, _ in points) + (0.0,)
     ys = tuple(y for _, y in points) + (0.0,)
     flows = tuple(flows or [1.0] * n) + (0.0, float(n))
-    return SolvedTree(instance, topology, xs, ys, flows, 0.0)
+    return SolvedTree(instance, topology, xs, ys, flows)
 
 
 TINY = 1.6e-162  # its square is the smallest subnormal; products of two such underflow

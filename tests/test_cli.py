@@ -512,7 +512,8 @@ class TestCheckCommand:
         inst = random_supplied_instance(rng, 6)
         topology = random_general_tree(rng, 6, rng.randint(1, 5))
         scaled = Instance(
-            tuple(Point(p.x * coordinates, p.y * coordinates) for p in inst.sources),
+            tuple(x * coordinates for x in inst.xs),
+            tuple(y * coordinates for y in inst.ys),
             tuple(w * supplies for w in inst.supplies),
             Point(inst.sink.x * coordinates, inst.sink.y * coordinates),
         )
@@ -841,7 +842,7 @@ class TestRenderCommand:
         factor = math.ldexp(1.0, 1020)  # 11 * 2^1020 is past a quarter of the largest float
         scaled = trees.SolvedTree(
             tree.instance, tree.topology, tuple(x * factor for x in tree.xs), tuple(y * factor for y in tree.ys),
-            tree.flows, tree.cost,
+            tree.flows,
         )
         assert max(scaled.xs) > sys.float_info.max / 4
         assert render_svg(scaled) == render_svg(tree)

@@ -13,6 +13,7 @@ from fqst.documents import (
     result_document,
 )
 from fqst.cli import main
+from fqst.trees import cost_and_zero_edge
 from conftest import instance_document
 
 
@@ -101,7 +102,7 @@ class TestInstanceDocuments:
 
 class TestInstanceColumns:
     """A document's instance is built from its coordinate columns, with no
-    Point per source; it is the instance the Points build."""
+    Point per source, and is the instance the constructor builds from them."""
 
     SOURCES = ((0.1, -0.30000000000000004), (2.0, 4.0), (11.0, 5.0))
     SUPPLIES = (1.5, 0.7, 2.25)
@@ -113,7 +114,8 @@ class TestInstanceColumns:
         return parse_instance_document(doc).instance
 
     def built(self):
-        return Instance(tuple(Point(*xy) for xy in self.SOURCES), self.SUPPLIES, Point(11.0, 1.0))
+        xs, ys = zip(*self.SOURCES)
+        return Instance(xs, ys, self.SUPPLIES, Point(11.0, 1.0))
 
     def test_equals_hashes_and_prints_as_the_point_built_instance(self):
         read, built = self.read(), self.built()
@@ -122,6 +124,14 @@ class TestInstanceColumns:
         assert repr(read) == repr(built)
         assert (read.xs, read.ys) == (built.xs, built.ys) == tuple(zip(*self.SOURCES))
         assert read.sources == built.sources
+
+    def test_comparing_hashing_printing_and_pickling_build_no_point(self):
+        read, built = self.read(), self.built()
+        again = pickle.loads(pickle.dumps(read))
+        assert read == built == again and hash(read) == hash(built) == hash(again)
+        assert repr(read) == repr(built) == repr(again)
+        for instance in (read, built, again):
+            assert "sources" not in vars(instance)
 
     def test_sources_are_built_once_on_first_use(self):
         read = self.read()
@@ -154,13 +164,10 @@ class TestInstanceColumns:
             (((0.0, 0.0), (2.0, 4.0)), (1e308, 1e308), (11.0, 1.0), "the total supply must be finite"),
         ],
     )
-    def test_points_and_columns_name_the_same_first_fault(self, sources, supplies, sink, message):
-        with pytest.raises(ValueError, match=message) as from_points:
-            Instance(tuple(Point(*xy) for xy in sources), supplies, Point(*sink))
+    def test_the_constructor_names_the_first_fault(self, sources, supplies, sink, message):
         xs, ys = (tuple(column) for column in zip(*sources)) if sources else ((), ())
-        with pytest.raises(ValueError, match=message) as from_columns:
-            Instance.from_columns(xs, ys, supplies, Point(*sink))
-        assert str(from_points.value) == str(from_columns.value)
+        with pytest.raises(ValueError, match=message):
+            Instance(xs, ys, supplies, Point(*sink))
 
     @pytest.mark.parametrize(
         "sources, supplies",
@@ -172,11 +179,11 @@ class TestInstanceColumns:
     def test_a_document_names_the_constructors_fault(self, sources, supplies):
         doc = worked_document()
         doc["sources"], doc["supplies"] = sources, supplies
-        with pytest.raises(ValueError) as from_points:
-            Instance(tuple(Point(*xy) for xy in sources), tuple(supplies), Point(*doc["sink"]))
+        with pytest.raises(ValueError) as from_constructor:
+            Instance(*zip(*sources), supplies, Point(*doc["sink"]))
         with pytest.raises(DocumentError) as from_document:
             parse_instance_document(doc)
-        assert str(from_document.value) == str(from_points.value)
+        assert str(from_document.value) == str(from_constructor.value)
 
     def test_result_document_writes_and_reads_the_columns(self, worked_topology):
         tree = solve_topology(self.read(), worked_topology)
@@ -200,6 +207,19 @@ class TestResultDocuments:
             assert a.x == pytest.approx(b.x, abs=1e-9)
             assert a.y == pytest.approx(b.y, abs=1e-9)
         assert not parsed.claims_global_optimum
+
+    def test_a_parsed_trees_cost_is_its_tables(self, worked_instance, worked_topology):
+        # README's result with its stored cost and degeneracy flag edited:
+        # the document keeps its claims, the tree computes its own
+        doc = loads(dumps(result_document(solve_topology(worked_instance, worked_topology), DegreeBound(3))))
+        doc["cost"] = 103.0
+        doc["certificates"]["degenerate"] = True
+        parsed = parse_result_document(doc)
+        assert parsed.cost == 103.0
+        tree = parsed.tree
+        assert tree.cost == cost_and_zero_edge(tree.topology, tree.xs, tree.ys, tree.flows)[0]
+        assert tree.cost == pytest.approx(102.0, abs=1e-9)
+        assert tree.degenerate is False
 
     def test_node_weighted_result_stores_the_charged_objective(
         self, worked_instance, worked_topology, tmp_path, capsys

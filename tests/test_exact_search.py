@@ -29,7 +29,7 @@ from fqst.analysis import (
     lower_bound_path,
     steiner_count_bound,
 )
-from certificate_oracle import sq_dist
+from certificate_oracle import position, sq_dist
 from dense_oracle import assemble_system, solve_positions
 from fqst.analysis import _weighted_sink_distances
 from fqst.cli import main
@@ -353,7 +353,8 @@ class TestFlowSplitCut:
         # to the heavy one, is the cheapest to wire, so their subtree is
         # searched last, when the known tree is near the optimum
         inst = Instance(
-            (Point(10.0, 0.0), Point(2.5, 0.3), Point(5.0, -0.3), Point(7.5, 0.3), Point(10.3, 0.4)),
+            (10.0, 2.5, 5.0, 7.5, 10.3),
+            (0.0, 0.3, -0.3, 0.3, 0.4),
             (10.0, 0.1, 0.1, 0.1, 0.001),
             Point(0.0, 0.0),
         )
@@ -377,7 +378,10 @@ class TestFlowSplitCut:
         wires = [s * sq_dist(z, inst.sink) for z, s in zip(inst.sources, inst.supplies)]
         t = wires.index(min(wires))
         rest = Instance(
-            inst.sources[:t] + inst.sources[t + 1 :], inst.supplies[:t] + inst.supplies[t + 1 :], inst.sink
+            inst.xs[:t] + inst.xs[t + 1 :],
+            inst.ys[:t] + inst.ys[t + 1 :],
+            inst.supplies[:t] + inst.supplies[t + 1 :],
+            inst.sink,
         )
         for strategy in (DegreeBound(3), ExplicitBound(2)):
             report = solve_exact(inst, strategy)
@@ -492,7 +496,7 @@ def _descend_positions(instance, topology, rng, restarts=3):
         ]
         index = {slot: i for i, slot in enumerate(slots)}
 
-        def position(node):
+        def place(node):
             if node < len(terminals):
                 return terminals[node]
             c = coords[index[node]]
@@ -504,12 +508,12 @@ def _descend_positions(instance, topology, rng, restarts=3):
             gradient = []
             for slot in slots:
                 gx = gy = 0.0
-                here = position(slot)
+                here = place(slot)
                 for child in children[slot]:
-                    other = position(child)
+                    other = place(child)
                     gx += 2.0 * flows[child] * (here.x - other.x)
                     gy += 2.0 * flows[child] * (here.y - other.y)
-                parent = position(topology.parents[slot])
+                parent = place(topology.parents[slot])
                 gx += 2.0 * flows[slot] * (here.x - parent.x)
                 gy += 2.0 * flows[slot] * (here.y - parent.y)
                 gradient.append((gx, gy))
@@ -616,7 +620,7 @@ class TestSolveExactNodeWeighted:
             topo = tree.topology
             degrees = topo.degrees()
             for child in topo.edge_children():
-                length2 = sq_dist(tree.position(child), tree.position(topo.parents[child]))
+                length2 = sq_dist(position(tree, child), position(tree, topo.parents[child]))
                 assert length2 <= 2.0 * c / tree.flows[child] + 1e-9
             # each maximal chain of degree-2 Steiner slots must carry the
             # optimal bead count for its endpoints
@@ -632,7 +636,7 @@ class TestSolveExactNodeWeighted:
                     count += 1
                     node = topo.parents[node]
                 ratio = tree.flows[child] * sq_dist(
-                    tree.position(child), tree.position(node)
+                    position(tree, child), position(tree, node)
                 ) / c
                 assert count * (count + 1) <= ratio + 1e-9
                 assert ratio <= (count + 1) * (count + 2) + 1e-9
@@ -883,7 +887,7 @@ class TestSmallSupplies:
 
     @pytest.fixture
     def light_instance(self):
-        return Instance((Point(0, 0), Point(0, 1)), (0.01, 0.01), Point(10, 0))
+        return Instance((0, 0), (0, 1), (0.01, 0.01), Point(10, 0))
 
     def test_degree_bound_finds_the_steiner_tree(self, light_instance):
         report = solve_exact(light_instance, DegreeBound(3))
@@ -910,7 +914,7 @@ class TestCommonSupplyScale:
         for seed in range(4):
             rng = random.Random(seed)
             inst = (random_supplied_instance if seed % 2 else random_instance)(rng, 3 + seed % 3, 3.0)
-            scaled = Instance(inst.sources, tuple(w * scale for w in inst.supplies), inst.sink)
+            scaled = Instance(inst.xs, inst.ys, tuple(w * scale for w in inst.supplies), inst.sink)
             reference = solve_exact(inst, strategy)
             alike = NodeWeighted(strategy.c * scale) if isinstance(strategy, NodeWeighted) else strategy
             report = solve_exact(scaled, alike)
@@ -923,7 +927,7 @@ class TestCommonSupplyScale:
         # brings it to 2^-51, where no product of two weights underflows
         for seed in range(3):
             inst = random_instance(random.Random(seed), 3 + seed, 3.0)
-            tiny = Instance(inst.sources, (5e-324,) * inst.n_sources, inst.sink)
+            tiny = Instance(inst.xs, inst.ys, (5e-324,) * inst.n_sources, inst.sink)
             assert rooted_encoding(solve_exact(tiny, strategy).best.topology) == rooted_encoding(
                 solve_exact(inst, strategy).best.topology
             )
@@ -931,7 +935,7 @@ class TestCommonSupplyScale:
     def test_node_weight_past_every_scaled_float(self):
         # scaled with supplies of 1e-10, this charge passes every float; it
         # still outweighs any tree, so the winner places no Steiner point
-        inst = Instance((Point(0, 0), Point(2, 4), Point(11, 5)), (1e-10,) * 3, Point(11, 1))
+        inst = Instance((0, 2, 11), (0, 4, 5), (1e-10,) * 3, Point(11, 1))
         report = solve_exact(inst, NodeWeighted(1e300))
         assert report.best.topology.n_steiner == 0
         assert report.objective == solve_exact(inst, ExplicitBound(0)).objective
@@ -1271,7 +1275,8 @@ class TestMetamorphic:
         rng, inst, u = _case(seed)
         dx, dy = rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
         moved = Instance(
-            tuple(Point(p.x + dx, p.y + dy) for p in inst.sources),
+            tuple(x + dx for x in inst.xs),
+            tuple(y + dy for y in inst.ys),
             inst.supplies,
             Point(inst.sink.x + dx, inst.sink.y + dy),
         )
@@ -1285,7 +1290,8 @@ class TestMetamorphic:
         rng, inst, u = _case(seed)
         s = rng.uniform(0.1, 10.0)
         scaled = Instance(
-            tuple(Point(p.x * s, p.y * s) for p in inst.sources),
+            tuple(x * s for x in inst.xs),
+            tuple(y * s for y in inst.ys),
             inst.supplies,
             Point(inst.sink.x * s, inst.sink.y * s),
         )
@@ -1299,7 +1305,7 @@ class TestMetamorphic:
     def test_scaling_supplies_by_a_multiplies_by_a(self, seed, kind):
         rng, inst, u = _case(seed)
         a = rng.uniform(0.1, 10.0)
-        heavier = Instance(inst.sources, tuple(w * a for w in inst.supplies), inst.sink)
+        heavier = Instance(inst.xs, inst.ys, tuple(w * a for w in inst.supplies), inst.sink)
         # c_factor multiplies the supplies, so c scales by a
         base = solve_exact(inst, _strategy(kind, inst, u)).objective
         got = solve_exact(heavier, _strategy(kind, heavier, u)).objective
@@ -1312,7 +1318,8 @@ class TestMetamorphic:
         order = list(range(inst.n_sources))
         rng.shuffle(order)
         relabelled = Instance(
-            tuple(inst.sources[i] for i in order),
+            tuple(inst.xs[i] for i in order),
+            tuple(inst.ys[i] for i in order),
             tuple(inst.supplies[i] for i in order),
             inst.sink,
         )
@@ -1327,7 +1334,8 @@ class TestMetamorphic:
         rng, inst, u = _case(649)
         s = rng.uniform(0.1, 10.0)
         scaled = Instance(
-            tuple(Point(p.x * s, p.y * s) for p in inst.sources),
+            tuple(x * s for x in inst.xs),
+            tuple(y * s for y in inst.ys),
             inst.supplies,
             Point(inst.sink.x * s, inst.sink.y * s),
         )

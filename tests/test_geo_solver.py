@@ -318,7 +318,7 @@ class TestSolveFullTopology:
 
     def test_non_unit_supplies_rejected(self, worked_topology):
         inst = Instance(
-            (Point(0, 0), Point(2, 4), Point(11, 5)), (1.0, 2.0, 1.0), Point(11, 1)
+            (0, 2, 11), (0, 4, 5), (1.0, 2.0, 1.0), Point(11, 1)
         )
         with pytest.raises(UnsupportedWeightsError):
             run_geo_algorithm(inst, worked_topology).tree

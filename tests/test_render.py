@@ -1,5 +1,5 @@
 from fqst import Instance, Point, Topology, render_svg, solve_topology
-from fqst.trees import build_solved_tree
+from fqst.trees import SolvedTree
 from fqst.topology import compute_flows
 from conftest import NO_PARENT, node_table
 
@@ -33,7 +33,7 @@ def test_coincident_points_render():
     inst = Instance.with_unit_supplies([Point(1, 1), Point(1, 1)], Point(1, 2))
     topo = Topology(2, 0, (1, 2, NO_PARENT))
     flows = compute_flows(topo, inst.supplies)
-    tree = build_solved_tree(inst, topo, *node_table(inst), flows)
+    tree = SolvedTree(inst, topo, *node_table(inst), flows)
     svg = render_svg(tree)
     assert svg.count('class="terminal"') == 3
     assert "</svg>" in svg

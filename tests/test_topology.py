@@ -32,7 +32,7 @@ class TestInstance:
 
     def test_supplies_must_be_positive(self):
         with pytest.raises(ValueError):
-            Instance((Point(0, 0),), (0.0,), Point(1, 1))
+            Instance((0,), (0,), (0.0,), Point(1, 1))
 
     @staticmethod
     def _first_fault(sources, supplies, sink):
@@ -73,7 +73,7 @@ class TestInstance:
             supplies = (supplies + [1.0] * len(points))[: len(points)]
         expected = self._first_fault(sources, tuple(supplies), Point(*sink))
         try:
-            Instance(sources, tuple(supplies), Point(*sink))
+            Instance([p.x for p in sources], [p.y for p in sources], tuple(supplies), Point(*sink))
         except ValueError as exc:
             assert str(exc) == expected
         else:
@@ -102,7 +102,7 @@ class TestInstance:
     )
     def test_first_fault_past_the_whole_list_checks(self, sources, supplies, sink, message):
         with pytest.raises(ValueError) as raised:
-            Instance(tuple(Point(x, y) for x, y in sources), tuple(supplies), Point(*sink))
+            Instance([x for x, _ in sources], [y for _, y in sources], tuple(supplies), Point(*sink))
         assert str(raised.value) == message
 
     def test_coincident_sources_allowed(self):

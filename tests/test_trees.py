@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fqst import Point, TopologyError, solve_topology
-from fqst.trees import SolvedTree, build_solved_tree
+from fqst.trees import SolvedTree
 from conftest import (
     beaded_spanning_tree,
     node_table,
@@ -29,18 +29,18 @@ def test_views_agree_with_the_table(tree):
     topology = tree.topology
     sink = topology.sink
     assert len(tree.xs) == len(tree.ys) == topology.n_nodes
-    assert tree.position(sink) == tree.instance.sink
+    assert Point(tree.xs[sink], tree.ys[sink]) == tree.instance.sink
     for i, source in enumerate(tree.instance.sources):
-        assert tree.position(i) == source
+        assert Point(tree.xs[i], tree.ys[i]) == source
     assert len(tree.steiner_positions) == topology.n_steiner
     for i, point in enumerate(tree.steiner_positions):
         node = sink + 1 + i
-        assert point == tree.position(node) == Point(tree.xs[node], tree.ys[node])
+        assert point == Point(tree.xs[node], tree.ys[node])
 
 
 def test_build_from_the_table_recomputes_cost(worked_instance, worked_topology):
     tree = solve_topology(worked_instance, worked_topology)
-    rebuilt = build_solved_tree(worked_instance, worked_topology, tree.xs, tree.ys, tree.flows)
+    rebuilt = SolvedTree(worked_instance, worked_topology, tree.xs, tree.ys, tree.flows)
     assert rebuilt == tree
     assert rebuilt.cost == pytest.approx(102.0, abs=1e-9)
     moved = with_steiner_positions(tree, [Point(5.0, 2.0), Point(9.0, 3.0)])
@@ -55,10 +55,10 @@ def test_rejects_a_table_of_the_wrong_length(worked_instance, worked_topology, s
     for name in ("xs", "ys") if short == "both" else (short,):
         fields[name] = fields[name][:-1]
     with pytest.raises(TopologyError):
-        SolvedTree(worked_instance, worked_topology, cost=tree.cost, **fields)
+        SolvedTree(worked_instance, worked_topology, **fields)
 
 
 def test_build_rejects_a_table_without_its_steiner_rows(worked_instance, worked_topology):
     flows = solve_topology(worked_instance, worked_topology).flows
     with pytest.raises(TopologyError, match="one entry per node"):
-        build_solved_tree(worked_instance, worked_topology, *node_table(worked_instance), flows)
+        SolvedTree(worked_instance, worked_topology, *node_table(worked_instance), flows)
