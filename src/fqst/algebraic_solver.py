@@ -134,12 +134,12 @@ class UpwardMerges(NamedTuple):
 
 def eliminate(instance: Instance, topology: Topology) -> tuple[SolvedTree, UpwardMerges]:
     """solve_topology's tree and the upward merges that placed it."""
-    flows = compute_flows(topology, instance.supplies)  # also rejects non-trees
+    flows = compute_flows(topology, instance.supplies)  # also rejects a slot with no inflow
     scale = mass_scale(max(flows))
     scaled = [f * scale for f in flows]
     sink = topology.sink
-    children = topology.children_lists()
-    upward = [s for s in reversed(topology.order_from_sink()) if s > sink]
+    children = topology.children
+    upward = [s for s in reversed(topology.order) if s > sink]
     padding = [0.0] * topology.n_steiner
     qx = [*instance.xs, instance.sink.x, *padding]
     qy = [*instance.ys, instance.sink.y, *padding]

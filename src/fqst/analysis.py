@@ -48,8 +48,8 @@ def check_degree_window(
     if phi < 3:
         raise ValueError(f"phi must be at least 3, got {phi}")
     topo = tree.topology
-    deg = topo.degrees()
-    children = topo.children_lists()
+    deg = topo.degrees
+    children = topo.children
     supplies = tree.instance.supplies
     scale = mass_scale(max(tree.flows))
     xs, ys = tree.xs, tree.ys
@@ -132,8 +132,8 @@ def check_edge_pairs(
     overlap's degree_phi_caveat flag reports.
     """
     topo = tree.topology
-    children = topo.children_lists()
-    deg = topo.degrees()
+    children = topo.children
+    deg = topo.degrees
     parents = topo.parents
     sink = topo.sink
     phi = strategy.phi if isinstance(strategy, DegreeBound) else None
@@ -299,7 +299,7 @@ def expand_beads(topology: Topology, bead_counts: Sequence[int]) -> Topology:
             next_slot += 1
             added += 1
         parents[child] = tail
-    return Topology(topology.n_sources, topology.n_steiner + added, tuple(parents))
+    return Topology(topology.n_sources, topology.n_steiner + added, parents)
 
 
 def beaded_spanning_cost(instance: Instance, c: float) -> float:
@@ -314,7 +314,7 @@ def beaded_spanning_cost(instance: Instance, c: float) -> float:
         raise ValueError(f"node weight must be positive, got {c}")
     xs = (*instance.xs, instance.sink.x)
     ys = (*instance.ys, instance.sink.y)
-    base = Topology(instance.n_sources, 0, tuple(_prim_spanning_tree(xs, ys)))
+    base = Topology(instance.n_sources, 0, _prim_spanning_tree(xs, ys))
     parents = base.parents
     flows = compute_flows(base, instance.supplies)
     total = 0.0

@@ -274,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.tolerance > 0.0 and math.isfinite(args.tolerance)):
         print("error: --tolerance must be positive and finite", file=sys.stderr)
         return EXIT_INPUT
+    if args.guard_n < 1:
+        print("error: --guard-n must be at least 1", file=sys.stderr)
+        return EXIT_INPUT
     # a command's tables (documents, coordinate tables, search lists) hold
     # no reference cycles, so refcounting frees them and the cyclic
     # collector's scans, triggered by their many allocations, find nothing

@@ -181,11 +181,9 @@ def parse_topology(value: Any, n_sources: int) -> Topology:
 
 def _topology(n_sources: int, n_steiner: int, parents: list[int]) -> Topology:
     try:
-        topology = Topology(n_sources, n_steiner, tuple(parents))
-        topology.order_from_sink()
+        return Topology(n_sources, n_steiner, parents)
     except FqstError as exc:
         raise DocumentError(f"invalid topology: {exc}") from exc
-    return topology
 
 
 def _bad_parents(parents: list, n_sources: int, n_steiner: int) -> NoReturn:

@@ -10,7 +10,8 @@ class GeometryError(FqstError, ValueError):
 
 
 class TopologyError(FqstError, ValueError):
-    """Malformed topology: cycles, unreachable nodes, or a Steiner slot with no inflow."""
+    """Malformed topology: a parent array that is not a tree, refused when a
+    Topology is built, or a Steiner slot with no inflow."""
 
 
 class UnsupportedTopologyError(FqstError, ValueError):

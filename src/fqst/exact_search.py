@@ -350,7 +350,7 @@ def _parent_array(n: int, roots: Sequence, expand: Callable) -> tuple[Topology, 
             beads[slot] = p
         stack += [(child, slot) for child in children]
     del beads[n]
-    return Topology(n, len(parents) - n - 1, tuple(parents)), tuple(beads)
+    return Topology(n, len(parents) - n - 1, parents), tuple(beads)
 
 
 def _subset_search(

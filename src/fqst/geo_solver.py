@@ -83,7 +83,7 @@ class GeoRun(Record):
         position with its merged weight as the formal mass, which absorbs
         the slot's out-edge flow as the additive mass."""
         topology = self.tree.topology
-        children = topology.children_lists()
+        children = topology.children
         sink = topology.sink
         flows = self.tree.flows
         order, qx, qy, v, scale = self.merges
@@ -111,7 +111,7 @@ def _check_supported(instance: Instance, topology: Topology) -> None:
             f"a full topology on {n} sources has {max(0, n - 1)} Steiner slots, "
             f"got {topology.n_steiner}"
         )
-    deg = topology.degrees()
+    deg = topology.degrees
     for node, d in enumerate(deg):
         if node <= n:  # a terminal
             if d != 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-_set = object.__setattr__  # stores a field past Record.__setattr__
+_set = object.__setattr__  # stores an attribute past Record.__setattr__
 
 
 class Record:
@@ -17,8 +17,8 @@ class Record:
     fields are its __init__'s parameters, in order, stored by _store.
     Setting or deleting one raises AttributeError; records of one class are
     equal when their fields are, and hash as the field tuple; the repr is
-    Name(field=value, ...); copy and pickle call __init__ again.  What
-    functools.cached_property caches stays outside all of these."""
+    Name(field=value, ...); copy and pickle call __init__ again.  Attributes
+    beside the fields, set by __init__ or cached, stay outside all of these."""
 
     __slots__ = ()
 

@@ -4,7 +4,9 @@ Node indexing convention used throughout the package: for an instance with
 n sources and j Steiner slots, nodes 0..n-1 are the sources, node n is the
 sink, and nodes n+1..n+j are the Steiner slots.  A topology is stored as a
 parent array in which every node except the sink names its unique
-out-neighbour, so the one-out-edge rule cannot be violated by construction.
+out-neighbour, so the one-out-edge rule cannot be violated by construction,
+and a parent array that is not a tree (a cycle, or a node that cannot reach
+the sink) is refused when the Topology is built.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import TopologyError
-from .geometry import Point, Record
+from .geometry import Point, Record, _set
 from .strategies import BoundStrategy, DegreeBound, ExplicitBound, NodeWeighted
 
 NO_PARENT = -1  # parent entry of the sink slot
@@ -87,27 +89,43 @@ class Instance(Record):
 class Topology(Record):
     """A directed labelled tree on source slots, Steiner slots, and the sink.
 
-    Every directed path follows parent links and terminates at the sink.
-    The child lists, degrees and sink-first order are computed on first use
-    and kept as tuples.
+    Every directed path follows parent links and terminates at the sink: a
+    parent array that is not a tree is refused when the topology is built.
+    The parents are stored as a tuple.  Construction also builds children,
+    each node's in-neighbours in ascending order, and order, all nodes
+    breadth-first from the sink (parents before children); equality,
+    hashing, the repr and pickling go by the fields alone.
     """
 
-    def __init__(self, n_sources: int, n_steiner: int, parents: tuple[int, ...]) -> None:
+    def __init__(self, n_sources: int, n_steiner: int, parents: Sequence[int]) -> None:
+        parents = tuple(parents)
         self._store(n_sources, n_steiner, parents)
-        n_nodes = self.n_sources + 1 + self.n_steiner
-        if self.n_sources < 1 or self.n_steiner < 0:
+        n_nodes = self.n_nodes
+        if n_sources < 1 or n_steiner < 0:
             raise TopologyError("need at least one source and a nonnegative Steiner count")
-        if len(self.parents) != n_nodes:
-            raise TopologyError(
-                f"parent array has {len(self.parents)} entries for {n_nodes} nodes"
-            )
-        sink = self.n_sources
-        for node, parent in enumerate(self.parents):
+        if len(parents) != n_nodes:
+            raise TopologyError(f"parent array has {len(parents)} entries for {n_nodes} nodes")
+        sink = n_sources
+        children: list[list[int]] = [[] for _ in range(n_nodes)]
+        for node, parent in enumerate(parents):
             if node == sink:
                 if parent != NO_PARENT:
                     raise TopologyError("the sink must not have an out-edge")
             elif not (0 <= parent < n_nodes) or parent == node:
                 raise TopologyError(f"node {node} has invalid parent {parent}")
+            else:
+                children[parent].append(node)
+        # every non-sink node sits in its one parent's child list, so the
+        # walk from the sink reaches each node at most once, and misses
+        # exactly those on a cycle or hanging from one
+        order = [sink]
+        for node in order:
+            order.extend(children[node])
+        if len(order) != n_nodes:
+            missing = sorted(set(range(n_nodes)).difference(order))
+            raise TopologyError(f"nodes {missing} cannot reach the sink (cycle or disconnection)")
+        _set(self, "children", tuple(map(tuple, children)))
+        _set(self, "order", tuple(order))
 
     @property
     def n_nodes(self) -> int:
@@ -124,53 +142,12 @@ class Topology(Record):
         """Non-sink nodes in ascending order; node i stands for the edge i -> parents[i]."""
         return [*range(self.sink), *range(self.sink + 1, self.n_nodes)]
 
-    def children_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Each node's in-neighbours in ascending order, built once per topology."""
-        return self._children
-
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
-        """Each node's degree, counted once per topology."""
-        return self._degrees
-
-    def order_from_sink(self) -> tuple[int, ...]:
-        """All nodes in breadth-first order from the sink (parents before children).
-
-        Raises TopologyError when some node cannot reach the sink, which is
-        exactly the cycle / disconnection case for a parent array.  The order
-        is built once per topology; a failure is not cached, so every call
-        on a non-tree raises.
-        """
-        return self._sink_order
-
-    @cached_property
-    def _children(self) -> tuple[tuple[int, ...], ...]:
-        children: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for node, parent in enumerate(self.parents):
-            if parent != NO_PARENT:
-                children[parent].append(node)
-        return tuple(map(tuple, children))
-
-    @cached_property
-    def _degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n_nodes
-        for node, parent in enumerate(self.parents):
-            if parent != NO_PARENT:
-                deg[node] += 1
-                deg[parent] += 1
-        return tuple(deg)
-
-    @cached_property
-    def _sink_order(self) -> tuple[int, ...]:
-        children = self._children
-        # every non-sink node has one parent, so it sits in one child list
-        # and the walk reaches it at most once
-        order = [self.sink]
-        for node in order:
-            order.extend(children[node])
-        if len(order) != self.n_nodes:
-            missing = sorted(set(range(self.n_nodes)).difference(order))
-            raise TopologyError(f"nodes {missing} cannot reach the sink (cycle or disconnection)")
-        return tuple(order)
+        """Each node's degree: its in-neighbours and its out-edge."""
+        degrees = [len(kids) + 1 for kids in self.children]
+        degrees[self.sink] -= 1  # the sink has no out-edge
+        return tuple(degrees)
 
 
 def compute_flows(topology: Topology, supplies: Sequence[float]) -> tuple[float, ...]:
@@ -184,7 +161,6 @@ def compute_flows(topology: Topology, supplies: Sequence[float]) -> tuple[float,
         raise TopologyError(
             f"{len(supplies)} supplies for {topology.n_sources} source slots"
         )
-    order = topology.order_from_sink()
     acc = [0.0] * topology.n_nodes
     for i, w in enumerate(supplies):
         if not w > 0.0:
@@ -193,7 +169,7 @@ def compute_flows(topology: Topology, supplies: Sequence[float]) -> tuple[float,
     flows = [0.0] * topology.n_nodes
     parents = topology.parents
     sink = topology.sink
-    for node in reversed(order):
+    for node in reversed(topology.order):
         if node == sink:
             continue
         f = acc[node]
@@ -206,12 +182,8 @@ def compute_flows(topology: Topology, supplies: Sequence[float]) -> tuple[float,
 
 def validate_topology(topology: Topology, strategy: BoundStrategy) -> list[str]:
     """Structural and strategy-specific violations; an empty list means ok."""
-    try:
-        topology.order_from_sink()
-    except TopologyError as exc:
-        return [str(exc)]
     violations = []
-    deg = topology.degrees()
+    deg = topology.degrees
     for s in topology.steiner_slots():
         if deg[s] < 2:
             violations.append(f"Steiner slot {s} has degree {deg[s]} < 2 (no inflow)")

@@ -130,7 +130,7 @@ def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
     in-neighbours weigh their in-edge flows, the out-neighbour the out-edge
     flow; weighted_mean raises its GeometryError at the first bad slot."""
     topo = tree.topology
-    children = topo.children_lists()
+    children = topo.children
     parents = topo.parents
     flows = tree.flows
     xs, ys = tree.xs, tree.ys
@@ -156,7 +156,7 @@ def off_centroid_slots(tree: SolvedTree, tol: float) -> list[int]:
     if not failing:
         return failing
     parents = tree.topology.parents
-    children = tree.topology.children_lists()
+    children = tree.topology.children
     xs, ys = tree.xs, tree.ys
 
     def magnitude(slot: int) -> float:

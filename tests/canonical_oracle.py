@@ -23,7 +23,7 @@ def rooted_encoding(topology: Topology) -> tuple:
     one is a Steiner relabelling of the other, which is how two searches'
     winners are compared.
     """
-    children = topology.children_lists()
+    children = topology.children
     sink = topology.sink
 
     def encode(node: int) -> tuple:

@@ -99,7 +99,7 @@ def angle_at(vertex: Point, a: Point, b: Point) -> float:
 
 
 def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
-    children = tree.topology.children_lists()
+    children = tree.topology.children
     parents = tree.topology.parents
     deviations: dict[int, float] = {}
     for slot in tree.topology.steiner_slots():
@@ -110,7 +110,7 @@ def centroid_deviations(tree: SolvedTree) -> dict[int, float]:
 
 
 def check_angles(tree: SolvedTree, tol_radians: float = CERTIFICATE_TOLERANCE) -> list[AngleViolation]:
-    children = tree.topology.children_lists()
+    children = tree.topology.children
     parents = tree.topology.parents
     violations = []
     threshold = math.pi / 2.0 - tol_radians
@@ -140,8 +140,8 @@ def check_degree_window(
     if phi < 3:
         raise ValueError(f"phi must be at least 3, got {phi}")
     topo = tree.topology
-    deg = topo.degrees()
-    children = topo.children_lists()
+    deg = topo.degrees
+    children = topo.children
     violations = []
     high = 2 * phi - 3
     for slot in topo.steiner_slots():
@@ -178,8 +178,8 @@ def check_overlapping_edges(
     strategy: BoundStrategy | None = None,
 ) -> list[EdgeOverlap]:
     topo = tree.topology
-    children = topo.children_lists()
-    deg = topo.degrees()
+    children = topo.children
+    deg = topo.degrees
     overlaps = []
     for node in range(topo.n_nodes):
         neighbours = list(children[node])
@@ -218,8 +218,8 @@ def check_edge_pairs_per_pair(
     """analysis.check_edge_pairs with an atan2 for every pair of edges at
     every node, obtuse pairs and nodes of degree below 2 included."""
     topo = tree.topology
-    children = topo.children_lists()
-    deg = topo.degrees()
+    children = topo.children
+    deg = topo.degrees
     sink = topo.sink
     phi = strategy.phi if isinstance(strategy, DegreeBound) else None
     xs, ys = tree.xs, tree.ys

@@ -154,18 +154,6 @@ def random_supplied_instance(
     return Instance(base.xs, base.ys, supplies, base.sink)
 
 
-def random_labelled_tree(rng: random.Random, n_nodes: int) -> list[tuple[int, int]]:
-    """Uniform labelled tree on n nodes via a random parent-attachment walk."""
-    if n_nodes == 1:
-        return []
-    order = list(range(n_nodes))
-    rng.shuffle(order)
-    edges = []
-    for i in range(1, n_nodes):
-        edges.append((order[i], order[rng.randrange(i)]))
-    return edges
-
-
 def random_general_tree(rng: random.Random, n_sources: int, n_steiner: int) -> Topology:
     """A random tree in which every Steiner slot has at least one child.
 

@@ -70,7 +70,7 @@ def assemble_system(
         return SteinerSystem(matrix, rhs_x, rhs_y, slots)
 
     positions = [*instance.sources, instance.sink]
-    children = topology.children_lists()
+    children = topology.children
     for r, slot in enumerate(slots):
         incident = [(child, weights[child]) for child in children[slot]]
         parent = topology.parents[slot]

@@ -81,11 +81,9 @@ def parse_topology(value: Any, n_sources: int) -> Topology:
         else:
             raise DocumentError(f"parent of node {i} must be an integer or null")
     try:
-        topology = Topology(n_sources, n_steiner, tuple(converted))
-        topology.order_from_sink()
+        return Topology(n_sources, n_steiner, converted)
     except FqstError as exc:
         raise DocumentError(f"invalid topology: {exc}") from exc
-    return topology
 
 
 def parse_instance_document(doc: Any) -> ParsedInstanceDocument:

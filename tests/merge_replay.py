@@ -78,9 +78,9 @@ def merge_quasi_quasi(q1: QuasiSource, q2: QuasiSource) -> QuasiSource:
 def replay_merges(instance: Instance, topology: Topology) -> dict[int, QuasiSource]:
     """Each Steiner slot's quasi-source, in merge order."""
     sink = topology.sink
-    children = topology.children_lists()
+    children = topology.children
     quasi: dict[int, QuasiSource] = {}
-    for slot in reversed(topology.order_from_sink()):
+    for slot in reversed(topology.order):
         if slot <= sink:
             continue
         a, b = (
@@ -104,7 +104,7 @@ def replay_tree(instance: Instance, topology: Topology) -> SolvedTree:
     sink = topology.sink
     xs = [p.x for p in instance.sources] + [instance.sink.x] + [0.0] * topology.n_steiner
     ys = [p.y for p in instance.sources] + [instance.sink.y] + [0.0] * topology.n_steiner
-    for slot in topology.order_from_sink():
+    for slot in topology.order:
         if slot <= sink:
             continue
         q = quasi[slot]

@@ -84,7 +84,7 @@ class SplitSpec(NamedTuple):
 
 def split_topology(topology: Topology, spec: SplitSpec) -> Topology:
     """The topology after rerouting spec.members through a new Steiner slot."""
-    children = set(topology.children_lists()[spec.target])
+    children = set(topology.children[spec.target])
     if not spec.members:
         raise ValueError("a split needs at least one in-neighbour")
     if not set(spec.members) <= children:
@@ -114,7 +114,7 @@ def local_improve_by_splits(tree: SolvedTree, strategy: BoundStrategy) -> Solved
     while True:
         best_tree: SolvedTree | None = None
         best_objective = current_objective
-        children = current.topology.children_lists()
+        children = current.topology.children
         for target in range(current.topology.n_nodes):
             in_neighbours = children[target]
             if not in_neighbours:

@@ -230,7 +230,7 @@ def test_criterion_7_structural_certificates():
         n = rng.randint(2, 4)
         inst = random_instance(rng, n, span=5.0)
         degree_tree = solve_exact(inst, DegreeBound(3)).best
-        degrees = degree_tree.topology.degrees()
+        degrees = degree_tree.topology.degrees
         for slot in degree_tree.topology.steiner_slots():
             if degrees[slot] != 3:
                 ok = False
@@ -238,7 +238,7 @@ def test_criterion_7_structural_certificates():
             if degrees[source] > 2:
                 ok = False
             elif degrees[source] == 2:
-                children = degree_tree.topology.children_lists()[source]
+                children = degree_tree.topology.children[source]
                 here = position(degree_tree, source)
                 from certificate_oracle import angle_at
 
@@ -271,7 +271,7 @@ def test_criterion_8_large_degree_hub():
     inst = Instance.with_unit_supplies(sources, Point(1.05, 0.0))
     result = solve_exact(inst, ExplicitBound(1))
     topo = result.best.topology
-    degrees = topo.degrees()
+    degrees = topo.degrees
     hub_degree = degrees[topo.steiner_slots()[0]] if topo.n_steiner == 1 else -1
     ok = topo.n_steiner == 1 and hub_degree == 7
     report(8, f"circle instance's single Steiner point has degree {hub_degree}", ok)

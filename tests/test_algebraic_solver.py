@@ -153,7 +153,7 @@ class TestSolveTopology:
         for topo in enumerate_bounded_topologies(3, 2, 3):
             inst = random_supplied_instance(rng, 3)
             tree = solve_topology(inst, topo)
-            children = topo.children_lists()
+            children = topo.children
             for slot in topo.steiner_slots():
                 neighbours = [
                     MassPoint(position(tree, c), tree.flows[c]) for c in children[slot]
@@ -199,7 +199,7 @@ class TestSolveTopology:
             inst = random_instance(rng, n)
             topo = random_full_topology(rng, n)
             tree = solve_topology(inst, topo)
-            children = topo.children_lists()
+            children = topo.children
             for s0 in topo.steiner_slots():
                 s1 = topo.parents[s0]
                 if s1 <= topo.sink:
@@ -284,7 +284,7 @@ class TestSolveTopology:
         flows = tree.flows
         assert flows[4] == pytest.approx(2.5)
         assert flows[5] == pytest.approx(3.75)
-        children = topo.children_lists()
+        children = topo.children
         for slot in topo.steiner_slots():
             neighbours = [
                 MassPoint(position(tree, c), tree.flows[c]) for c in children[slot]
@@ -305,18 +305,18 @@ class TestSolveTopology:
     def test_cyclic_topology_rejected(self):
         from fqst import TopologyError
 
-        inst = Instance.with_unit_supplies([Point(0, 0)], Point(1, 0))
-        topo = Topology(1, 2, (1, NO_PARENT, 3, 2))
-        with pytest.raises(TopologyError):
-            solve_topology(inst, topo)
+        # the constructor refuses the cycle, so no solver meets it
+        with pytest.raises(TopologyError) as raised:
+            Topology(1, 2, (1, NO_PARENT, 3, 2))
+        assert str(raised.value) == "nodes [2, 3] cannot reach the sink (cycle or disconnection)"
 
 
 def summary_cost(instance, topology, weights):
     """Optimal cost from subtree summaries merged leaves first; no positions."""
-    children = topology.children_lists()
+    children = topology.children
     terminals = [*instance.sources, instance.sink]
     summaries = {}
-    for node in reversed(topology.order_from_sink()):
+    for node in reversed(topology.order):
         parts = [summaries[c] for c in children[node]]
         if node == topology.sink:
             return pinned_cost(instance.sink.x, instance.sink.y, parts)

@@ -1164,6 +1164,16 @@ class TestGlobalFlags:
         path = write_document(tmp_path, worked_document())
         assert main(["--tolerance", "-1", "solve-topology", path]) == 2
 
+    @pytest.mark.parametrize("guard", ["0", "-1"])
+    def test_bad_guard(self, tmp_path, capsys, guard):
+        # a guard below one source admits no instance: an input error, not
+        # a guard refusal
+        path = write_document(tmp_path, worked_document(topology=False))
+        assert main(["--guard-n", guard, "exact", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --guard-n must be at least 1\n"
+
 
 def test_fixed_topology_commands_build_no_point_per_source(tmp_path, capsys, monkeypatch):
     # a 1,000-source caterpillar through solve-topology, check and render:

@@ -202,7 +202,7 @@ class TestDegreeSubsetSearch:
                 report = solve_exact(inst, DegreeBound(phi))
                 oracle = walk(inst, DegreeBound(phi))
                 assert report.objective == pytest.approx(oracle.objective, rel=0.0, abs=1e-9)
-                children = report.best.topology.children_lists()
+                children = report.best.topology.children
                 assert max(len(children[s]) for s in range(n)) <= phi - 3, (n, children)
 
     @pytest.mark.parametrize(
@@ -487,7 +487,7 @@ def _descend_positions(instance, topology, rng, restarts=3):
     slots = list(topology.steiner_slots())
     if not slots:
         return embedded_cost(topology, *node_table(instance), flows)
-    children = topology.children_lists()
+    children = topology.children
     terminals = [*instance.sources, instance.sink]
     best = math.inf
     for _ in range(restarts):
@@ -564,7 +564,7 @@ class TestSolveExactExplicitBound:
         report = solve_exact(inst, ExplicitBound(1))
         topo = report.best.topology
         assert topo.n_steiner == 1
-        degrees = topo.degrees()
+        degrees = topo.degrees
         assert degrees[topo.steiner_slots()[0]] == 7
 
     def test_guard_refusal(self):
@@ -618,7 +618,7 @@ class TestSolveExactNodeWeighted:
             c = rng.uniform(q / 16.0, q / 4.0)
             tree = solve_exact(inst, NodeWeighted(c)).best
             topo = tree.topology
-            degrees = topo.degrees()
+            degrees = topo.degrees
             for child in topo.edge_children():
                 length2 = sq_dist(position(tree, child), position(tree, topo.parents[child]))
                 assert length2 <= 2.0 * c / tree.flows[child] + 1e-9

@@ -47,7 +47,7 @@ CASES = {
         lambda: Topology(3, 2, (4, 4, 5, -1, 5, 3)),
         ("n_sources", "n_steiner", "parents"),
         "Topology(n_sources=3, n_steiner=2, parents=(4, 4, 5, -1, 5, 3))",
-        [], True, lambda topology: (topology.order_from_sink(), topology.degrees()),
+        [], True, lambda topology: topology.degrees,
     ),
     "SolvedTree": (
         lambda: worked_run().tree,

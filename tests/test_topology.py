@@ -148,45 +148,130 @@ class TestTopologyConstruction:
         assert str(raised.value) == message
 
 
+def lazy_structure(n_sources: int, n_steiner: int, parents: tuple[int, ...]):
+    """Oracle: the children, sink-first order and degrees of a parent array,
+    as Topology once built them, the checks at construction and the walk
+    from the sink on first use; raises the TopologyError it raised."""
+    n_nodes = n_sources + 1 + n_steiner
+    if n_sources < 1 or n_steiner < 0:
+        raise TopologyError("need at least one source and a nonnegative Steiner count")
+    if len(parents) != n_nodes:
+        raise TopologyError(f"parent array has {len(parents)} entries for {n_nodes} nodes")
+    sink = n_sources
+    for node, parent in enumerate(parents):
+        if node == sink:
+            if parent != NO_PARENT:
+                raise TopologyError("the sink must not have an out-edge")
+        elif not (0 <= parent < n_nodes) or parent == node:
+            raise TopologyError(f"node {node} has invalid parent {parent}")
+    children: list[list[int]] = [[] for _ in range(n_nodes)]
+    deg = [0] * n_nodes
+    for node, parent in enumerate(parents):
+        if parent != NO_PARENT:
+            children[parent].append(node)
+            deg[node] += 1
+            deg[parent] += 1
+    order = [sink]
+    for node in order:
+        order.extend(children[node])
+    if len(order) != n_nodes:
+        missing = sorted(set(range(n_nodes)).difference(order))
+        raise TopologyError(f"nodes {missing} cannot reach the sink (cycle or disconnection)")
+    return tuple(map(tuple, children)), tuple(order), tuple(deg)
+
+
+def random_parent_array(rng: random.Random, n_sources: int, n_steiner: int) -> list[int]:
+    """A random tree grown from the sink, then, three times in four, some
+    entries redrawn anywhere from -2 to one past the last node: cycles,
+    self-loops, out-of-range parents and a sink with a parent."""
+    n_nodes = n_sources + 1 + n_steiner
+    parents = [NO_PARENT] * n_nodes
+    attached = [n_sources]
+    others = [node for node in range(n_nodes) if node != n_sources]
+    rng.shuffle(others)
+    for node in others:
+        parents[node] = rng.choice(attached)
+        attached.append(node)
+    if rng.random() < 0.75:
+        for _ in range(rng.randint(1, 2)):
+            parents[rng.randrange(n_nodes)] = rng.randint(-2, n_nodes)
+    return parents
+
+
+# the faults a random parent array meets, by a part of their messages
+FAULTS = ("cannot reach the sink", "has invalid parent", "the sink must not have an out-edge")
+
+
 class TestCachedStructure:
     def test_children_and_degrees_are_built_once(self, worked_topology):
-        children = worked_topology.children_lists()
-        degrees = worked_topology.degrees()
-        assert worked_topology.children_lists() is children
-        assert worked_topology.degrees() is degrees
-        assert worked_topology.order_from_sink() is worked_topology.order_from_sink()
-        assert children == ((), (), (), (5,), (0, 1), (2, 4))
-        assert degrees == (1, 1, 1, 1, 3, 3)
-        assert worked_topology.order_from_sink() == (3, 5, 2, 4, 0, 1)
+        assert worked_topology.degrees is worked_topology.degrees
+        assert worked_topology.children == ((), (), (), (5,), (0, 1), (2, 4))
+        assert worked_topology.degrees == (1, 1, 1, 1, 3, 3)
+        assert worked_topology.order == (3, 5, 2, 4, 0, 1)
 
     def test_cached_structure_is_immutable(self, worked_topology):
-        children = worked_topology.children_lists()
+        children = worked_topology.children
         assert isinstance(children, tuple)
         assert all(isinstance(kids, tuple) for kids in children)
-        assert isinstance(worked_topology.degrees(), tuple)
-        assert isinstance(worked_topology.order_from_sink(), tuple)
+        assert isinstance(worked_topology.degrees, tuple)
+        assert isinstance(worked_topology.order, tuple)
+        for name in ("children", "order"):
+            with pytest.raises(AttributeError):
+                setattr(worked_topology, name, ())
 
     def test_cache_leaves_equality_and_hash_alone(self, worked_topology):
         fresh = Topology(3, 2, worked_topology.parents)
-        worked_topology.order_from_sink()
+        worked_topology.degrees
         assert fresh == worked_topology
         assert hash(fresh) == hash(worked_topology)
 
+    def test_parents_are_stored_as_a_tuple(self):
+        # the caller's list is copied: the topology hashes, and editing the
+        # list leaves its parents and its order as they were built
+        parents = [2, 2, NO_PARENT]
+        topo = Topology(2, 0, parents)
+        assert hash(topo) == hash(Topology(2, 0, (2, 2, NO_PARENT)))
+        parents[1] = 0
+        assert topo.parents == (2, 2, NO_PARENT)
+        assert topo.order == (2, 0, 1)
+
     @pytest.mark.parametrize(
-        "parents",
+        "parents, missing",
         [
-            (2, 3, NO_PARENT, 1),  # source 1 and slot 3 form a cycle
-            (3, 2, NO_PARENT, 4, 3),  # slots 3 and 4 form a cycle
+            ((2, 3, NO_PARENT, 1), [1, 3]),  # source 1 and slot 3 form a cycle
+            ((3, 2, NO_PARENT, 4, 3), [0, 3, 4]),  # slots 3 and 4 form a cycle
         ],
+        ids=["parents0", "parents1"],
     )
-    def test_non_tree_raises_on_every_call(self, parents):
-        topo = Topology(2, len(parents) - 3, parents)
+    def test_non_tree_raises_on_every_call(self, parents, missing):
+        # the constructor walks from the sink, so no non-tree is ever built
         for _ in range(2):
-            with pytest.raises(TopologyError, match="cannot reach the sink"):
-                topo.order_from_sink()
-        assert validate_topology(topo, DegreeBound(3))
-        with pytest.raises(TopologyError):
-            compute_flows(topo, (1.0, 1.0))
+            with pytest.raises(TopologyError) as raised:
+                Topology(2, len(parents) - 3, parents)
+            assert str(raised.value) == (
+                f"nodes {missing} cannot reach the sink (cycle or disconnection)"
+            )
+
+    def test_constructor_matches_the_lazy_walk(self):
+        rng = random.Random(35)
+        seen = Counter()
+        for _ in range(3000):
+            n_sources, n_steiner = rng.randint(1, 4), rng.randint(0, 3)
+            parents = random_parent_array(rng, n_sources, n_steiner)
+            try:
+                expected = lazy_structure(n_sources, n_steiner, tuple(parents))
+            except TopologyError as exc:
+                with pytest.raises(TopologyError) as raised:
+                    Topology(n_sources, n_steiner, parents)
+                assert str(raised.value) == str(exc)
+                seen[next(kind for kind in FAULTS if kind in str(exc))] += 1
+                continue
+            topo = Topology(n_sources, n_steiner, parents)
+            assert (topo.children, topo.order, topo.degrees) == expected
+            seen["tree"] += 1
+        # trees, cycles, invalid parents (self-loops and out-of-range
+        # entries) and a sink with a parent each come up many times
+        assert len(seen) == 1 + len(FAULTS) and min(seen.values()) >= 100, seen
 
 
 class TestComputeFlows:
@@ -208,10 +293,11 @@ class TestComputeFlows:
         assert flows == (1.0, 1.0, 1.0, 1.0, 0.0)
 
     def test_cycle_detected(self):
-        # two Steiner slots pointing at each other never reach the sink
-        topo = Topology(1, 2, (1, NO_PARENT, 3, 2))
-        with pytest.raises(TopologyError):
-            compute_flows(topo, (1.0,))
+        # two Steiner slots pointing at each other never reach the sink: the
+        # constructor refuses them, so compute_flows never meets a cycle
+        with pytest.raises(TopologyError) as raised:
+            Topology(1, 2, (1, NO_PARENT, 3, 2))
+        assert str(raised.value) == "nodes [2, 3] cannot reach the sink (cycle or disconnection)"
 
     def test_steiner_without_inflow_rejected(self):
         topo = Topology(1, 1, (1, NO_PARENT, 1))
@@ -312,11 +398,10 @@ def brute_force_bounded(n_sources: int, max_steiner: int, min_degree: int) -> se
             for node, parent in zip(non_sink, combo):
                 parents[node] = parent
             try:
-                topo = Topology(n_sources, j, tuple(parents))
-                topo.order_from_sink()
+                topo = Topology(n_sources, j, parents)
             except TopologyError:
                 continue
-            deg = topo.degrees()
+            deg = topo.degrees
             if all(deg[s] >= min_degree for s in topo.steiner_slots()):
                 found.add(canonical_form(topo))
     return found
@@ -342,7 +427,7 @@ class TestEnumerateFull:
 
     def test_all_yielded_are_full_degree_three(self):
         for topo in enumerate_full_topologies(4):
-            deg = topo.degrees()
+            deg = topo.degrees
             assert all(deg[t] == 1 for t in range(topo.sink + 1))
             assert all(deg[s] == 3 for s in topo.steiner_slots())
             assert validate_topology(topo, DegreeBound(3)) == []
@@ -380,7 +465,7 @@ class TestEnumerateBounded:
             encodings.add(rooted_encoding(topo))
             assert len(encodings) == count
             assert validate_topology(topo, ExplicitBound(k)) == []
-            deg = topo.degrees()
+            deg = topo.degrees
             assert all(deg[s] >= min_deg for s in topo.steiner_slots())
             assert topo.n_steiner >= previous_steiner
             previous_steiner = topo.n_steiner
